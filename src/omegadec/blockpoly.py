@@ -8,6 +8,7 @@ polynomial via ``mode``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -24,11 +25,25 @@ def _coerce_coeff(c, mode: str):
         if isinstance(c, float):
             raise TypeError("float coefficient in rational mode")
         return Fraction(c)
-    return float(c)
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"non-finite coefficient {c}")
+    return c
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
 
 
 class BlockPolynomial:
-    """Immutable-by-convention sparse polynomial with per-site exponent blocks."""
+    """Immutable-by-convention sparse polynomial with per-site exponent blocks.
+
+    The public constructor validates every key and coerces every coefficient.
+    Arithmetic results are built with `_trusted` instead: their keys are
+    already well formed, their coefficients are already `Fraction` (rational
+    mode) or `float` (float mode), and each operation drops the zero
+    coefficients it creates itself.
+    """
 
     __slots__ = ("sites", "mode", "terms")
 
@@ -55,6 +70,15 @@ class BlockPolynomial:
         self.sites = sites
         self.mode = mode
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, sites: tuple[int, ...], terms: dict, mode: str) -> "BlockPolynomial":
+        """Wrap an already clean term dict: well-formed keys, exact types, no zeros."""
+        self = object.__new__(cls)
+        self.sites = sites
+        self.mode = mode
+        self.terms = terms
+        return self
 
     # construction helpers
 
@@ -84,7 +108,8 @@ class BlockPolynomial:
     def astype_float(self) -> "BlockPolynomial":
         if self.mode == FLOAT:
             return self
-        return BlockPolynomial(self.sites, {k: float(c) for k, c in self.terms.items()}, FLOAT)
+        return BlockPolynomial._trusted(
+            self.sites, _nonzero({k: float(c) for k, c in self.terms.items()}), FLOAT)
 
     # arithmetic
 
@@ -102,11 +127,17 @@ class BlockPolynomial:
         terms = dict(a.terms)
         for key, c in b.terms.items():
             s = terms.get(key)
-            terms[key] = c if s is None else s + c
-        return BlockPolynomial(self.sites, terms, mode)
+            if s is None:
+                terms[key] = c
+            elif s := s + c:
+                terms[key] = s
+            else:
+                del terms[key]
+        return BlockPolynomial._trusted(self.sites, terms, mode)
 
     def __neg__(self) -> "BlockPolynomial":
-        return BlockPolynomial(self.sites, {k: -c for k, c in self.terms.items()}, self.mode)
+        return BlockPolynomial._trusted(self.sites, {k: -c for k, c in self.terms.items()},
+                                        self.mode)
 
     def __sub__(self, other: "BlockPolynomial") -> "BlockPolynomial":
         return self + (-other)
@@ -124,7 +155,7 @@ class BlockPolynomial:
                     c = c1 * c2
                     s = terms.get(key)
                     terms[key] = c if s is None else s + c
-            return BlockPolynomial(self.sites, terms, mode)
+            return BlockPolynomial._trusted(self.sites, _nonzero(terms), mode)
         return self.scaled(other)
 
     __rmul__ = __mul__
@@ -132,7 +163,12 @@ class BlockPolynomial:
     def scaled(self, c) -> "BlockPolynomial":
         if isinstance(c, float) and self.mode == RATIONAL:
             return self.astype_float().scaled(c)
-        return BlockPolynomial(self.sites, {k: v * c for k, v in self.terms.items()}, self.mode)
+        if self.mode == FLOAT:
+            c = float(c)
+        elif not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return BlockPolynomial._trusted(
+            self.sites, _nonzero({k: v * c for k, v in self.terms.items()}), self.mode)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPolynomial):
@@ -144,12 +180,18 @@ class BlockPolynomial:
         return hash((self.sites, self.mode, frozenset(self.terms.items())))
 
     def allclose(self, other: "BlockPolynomial", tol: float = 1e-9) -> bool:
-        """Coefficient-wise comparison with absolute+relative tolerance tol."""
+        """Coefficient-wise comparison with absolute+relative tolerance tol.
+
+        False whenever either side holds a NaN or infinite coefficient.
+        """
         if self.sites != other.sites:
             return False
         keys = set(self.terms) | set(other.terms)
-        ref = max((abs(float(c)) for c in self.terms.values()), default=0.0)
-        ref = max(ref, max((abs(float(c)) for c in other.terms.values()), default=0.0))
+        mags = [abs(float(c)) for c in self.terms.values()]
+        mags += [abs(float(c)) for c in other.terms.values()]
+        if not all(map(math.isfinite, mags)):
+            return False
+        ref = max(mags, default=0.0)
         bound = tol * (1.0 + ref)
         for key in keys:
             a = float(self.terms.get(key, 0))
@@ -205,8 +247,10 @@ class BlockPolynomial:
             blocks = list(key)
             for i, gi in enumerate(vperm):
                 blocks[gi] = key[i]
-            terms[tuple(blocks)] = terms.get(tuple(blocks), 0) + c
-        return BlockPolynomial(self.sites, terms, self.mode)
+            moved = tuple(blocks)
+            s = terms.get(moved)
+            terms[moved] = c if s is None else s + c
+        return BlockPolynomial._trusted(self.sites, _nonzero(terms), self.mode)
 
     def sorted_terms(self) -> list[tuple[Key, object]]:
         """Terms ordered lexicographically on the concatenated exponent blocks."""
@@ -253,15 +297,12 @@ def outer(factors: Iterable[BlockPolynomial]) -> BlockPolynomial:
         sites.append(f.sites[0])
     sites = tuple(sites)
     # expand site by site to keep intermediate sizes small
+    # every key is new, since prefixes and blocks are distinct
     result: dict[tuple, object] = {(): _coerce_coeff(1, mode)}
     for f in factors:
-        nxt: dict[tuple, object] = {}
         src = f.astype_float() if mode == FLOAT else f
-        for prefix, c0 in result.items():
-            for (block,), c in src.terms.items():
-                key = prefix + (block,)
-                nxt[key] = nxt.get(key, 0) + c0 * c
-        result = nxt
+        result = {prefix + (block,): c0 * c
+                  for prefix, c0 in result.items() for (block,), c in src.terms.items()}
         if not result:
             break
-    return BlockPolynomial(sites, result, mode)
+    return BlockPolynomial._trusted(sites, _nonzero(result), mode)

@@ -66,7 +66,7 @@ class _Run:
             "inputs": self.inputs,
             "result": result,
         }
-        print(json.dumps(envelope, sort_keys=True))
+        print(json.dumps(envelope, sort_keys=True, allow_nan=False))
         return code
 
     def pretty(self, *lines: str) -> None:
@@ -364,17 +364,20 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](run)
     except GuardExceeded as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return EXIT_GUARD
+        return _error(exc, EXIT_GUARD)
     except OmegaError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            ArithmeticError) as exc:
+        # ArithmeticError: a "1/0" coefficient; ValueError also covers a
+        # report holding NaN or infinity, which strict JSON cannot encode
+        return _error(exc, EXIT_USAGE)
+
+
+def _error(exc: Exception, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
+                     sort_keys=True, allow_nan=False))
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .invariance import is_invariant
-from .radpoly import RadPoly, rad_outer
+from .radpoly import RadPoly, RadSum, rad_outer
 from .scalars import ONE, ScaledScalar
 from .symmetry import SymmetryAction, is_blending, is_free, linearizer
 
@@ -54,12 +54,12 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     L = complex_.label_count
     mode = FLOAT if any(RadPoly.coerce(p).mode == FLOAT
                         for locs in site_locals.values() for p in locs.values()) else RATIONAL
-    acc = RadPoly.zero(tuple(site_vars), mode)
+    acc = RadSum(tuple(site_vars), mode)
     keysets = []
     for i in range(V):
         keys = tuple(site_locals.get(i, {}).keys())
         if not keys:
-            return acc
+            return acc.result()
         keysets.append(keys)
     touch: list[list[tuple[int, int]]] = [[] for _ in range(L)]
     for i in range(V):
@@ -68,13 +68,13 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     work = 0
 
     def rec(pos: int, compat: list[tuple[Beta, ...]]):
-        nonlocal acc, work
+        nonlocal work
         if pos == L:
             factors = []
             for i in range(V):
                 key = compat[i][0]
                 factors.append(RadPoly.coerce(site_locals[i][key]))
-            acc = acc + rad_outer(factors)
+            acc.add(rad_outer(factors))
             return
         allowed: set[int] | None = None
         for i, slot in touch[pos]:
@@ -100,7 +100,7 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
                 rec(pos + 1, nxt)
 
     rec(0, keysets)
-    return acc
+    return acc.result()
 
 
 class OmegaGDecomposition:
@@ -257,10 +257,10 @@ def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     """The polynomial of an elementary decomposition: sum of site products."""
     V = len(terms[0])
     site_vars = _term_site_vars(terms, V)
-    acc = RadPoly.zero(site_vars)
+    acc = RadSum(site_vars)
     for term in terms:
-        acc = acc + rad_outer([RadPoly.coerce(f) for f in term])
-    return acc
+        acc.add(rad_outer([RadPoly.coerce(f) for f in term]))
+    return acc.result()
 
 
 def from_elementary(terms: Sequence[Sequence[object]],
@@ -413,6 +413,9 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     realized_maps = order // a.vertex_kernel_size()
     total = 2**n * stab_product * realized_maps
     scale = ScaledScalar(Fraction(1, total), V)
+    # split vectors have entries +-1, so each local sums signed copies of the factors
+    factors = [[RadPoly.coerce(f) for f in term] for term in terms]
+    signed = {1: factors, -1: [[-f for f in term] for term in factors]}
 
     def build(vectors: list[tuple[int, ...]]) -> OmegaGDecomposition:
         if not vectors:
@@ -423,14 +426,15 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
             width = len(c.label_positions_at(i))
             for li, vec in enumerate(vectors):
                 for j in range(r):
-                    acc = RadPoly.zero((site_vars[i],))
+                    acc = RadSum((site_vars[i],))
                     for g in range(order):
                         gi = a.vertex_image(g, i)
-                        acc = acc + RadPoly.coerce(terms[j][gi]).scaled(Fraction(vec[gi]))
-                    if acc.is_zero():
+                        acc.add(signed[vec[gi]][j][gi])
+                    local = acc.result()
+                    if local.is_zero():
                         continue
                     beta = (j * len(vectors) + li + 1,) * width
-                    locals_.setdefault(i, {})[beta] = acc
+                    locals_.setdefault(i, {})[beta] = local
         return OmegaGDecomposition(c, a, r * len(vectors), site_vars, locals_, scale)
 
     return build(plus), build(minus)

@@ -26,31 +26,27 @@ class RadPoly:
     def __init__(self, sites: Iterable[int], parts: Iterable[tuple[ScaledScalar, BlockPolynomial]] = (),
                  mode: str = RATIONAL):
         sites = tuple(int(m) for m in sites)
-        merged: list[tuple[ScaledScalar, BlockPolynomial]] = []
-        float_mode = mode == FLOAT
         items = list(parts)
-        if any(p.mode == FLOAT for _, p in items):
-            float_mode = True
-        for s, p in items:
+        for _, p in items:
             if p.sites != sites:
                 raise ValueError(f"part sites {p.sites} differ from {sites}")
-            if p.is_zero():
-                continue
-            if float_mode:
-                p = p.astype_float().scaled(float(s))
-                s = ONE
-            for idx, (s0, p0) in enumerate(merged):
-                ratio = s.ratio_to(s0) if not float_mode else Fraction(1)
-                if ratio is not None:
-                    q = p.scaled(float(ratio)) if float_mode else p.scaled(ratio)
-                    merged[idx] = (s0, p0 + q)
-                    break
-            else:
-                merged.append((s, p))
-        merged = [(s, p) for s, p in merged if not p.is_zero()]
+        acc = RadSum(sites, FLOAT if mode == FLOAT or any(p.mode == FLOAT for _, p in items)
+                     else RATIONAL)
+        for s, p in items:
+            acc.add_part(s, p)
+        acc.drop_zeros()
         self.sites = sites
-        self.mode = FLOAT if float_mode else RATIONAL
-        self.parts = tuple(merged)
+        self.mode = acc.mode
+        self.parts = acc.merged_parts()
+
+    @classmethod
+    def _trusted(cls, sites: tuple[int, ...], parts: tuple, mode: str) -> "RadPoly":
+        """Wrap parts already in merged form: nonzero, pairwise incommensurable scales."""
+        self = object.__new__(cls)
+        self.sites = sites
+        self.mode = mode
+        self.parts = parts
+        return self
 
     # constructors
 
@@ -84,7 +80,7 @@ class RadPoly:
         return RadPoly(self.sites, list(self.parts) + list(other.parts), mode)
 
     def __neg__(self) -> "RadPoly":
-        return RadPoly(self.sites, [(s, -p) for s, p in self.parts], self.mode)
+        return RadPoly._trusted(self.sites, tuple((s, -p) for s, p in self.parts), self.mode)
 
     def __sub__(self, other: "RadPoly") -> "RadPoly":
         return self + (-RadPoly.coerce(other))
@@ -104,14 +100,21 @@ class RadPoly:
 
     def scaled(self, c) -> "RadPoly":
         """Multiply by a rational (or float) scalar of any sign."""
-        return RadPoly(self.sites, [(s, p.scaled(c)) for s, p in self.parts], self.mode)
+        parts = [(s, p.scaled(c)) for s, p in self.parts]
+        if isinstance(c, float) and self.mode == RATIONAL:
+            return RadPoly(self.sites, parts, self.mode)       # collapses to float mode
+        return RadPoly._trusted(self.sites, _nonzero_parts(parts), self.mode)
 
     def scale_mul(self, s: ScaledScalar) -> "RadPoly":
         """Multiply by a positive radical scalar, exactly."""
-        return RadPoly(self.sites, [(s * s0, p) for s0, p in self.parts], self.mode)
+        parts = [(s * s0, p) for s0, p in self.parts]
+        if self.mode == FLOAT:
+            return RadPoly(self.sites, parts, self.mode)       # folds s into the coefficients
+        return RadPoly._trusted(self.sites, tuple(parts), self.mode)
 
     def act(self, vperm: tuple[int, ...]) -> "RadPoly":
-        return RadPoly(self.sites, [(s, p.act(vperm)) for s, p in self.parts], self.mode)
+        parts = _nonzero_parts((s, p.act(vperm)) for s, p in self.parts)
+        return RadPoly._trusted(self.sites, parts, self.mode)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -123,6 +126,11 @@ class RadPoly:
             return NotImplemented
         if self.sites != other.sites:
             return False
+        # Parts with equal scales in the same order compare part by part, since
+        # distinct parts of one RadPoly carry incommensurable scales.
+        if (self.mode == other.mode == RATIONAL
+                and [s for s, _ in self.parts] == [s for s, _ in other.parts]):
+            return all(p.terms == q.terms for (_, p), (_, q) in zip(self.parts, other.parts))
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -169,6 +177,96 @@ class RadPoly:
         if not self.parts:
             return f"RadPoly(sites={self.sites}, 0)"
         return "RadPoly(" + " + ".join(f"{s!r}*{p!r}" for s, p in self.parts) + ")"
+
+
+def _nonzero_parts(parts) -> tuple:
+    return tuple((s, p) for s, p in parts if not p.is_zero())
+
+
+class RadSum:
+    """A running sum of radical-scaled parts, merged in place.
+
+    A part joins the first existing part with a commensurable scale, rescaled
+    by the rational ratio of the two scales, and otherwise starts a new part at
+    the end. `add(x)` followed by `result()` gives the parts, their order,
+    their representative scales and their float summation order that
+    `acc = acc + x` gives, without copying the whole sum at every step.
+    """
+
+    __slots__ = ("sites", "mode", "parts")
+
+    def __init__(self, sites: tuple[int, ...], mode: str = RATIONAL):
+        self.sites = sites
+        self.mode = mode
+        # [scale, terms, whether the terms are a private copy]: a part shares the
+        # terms of the polynomial it came from until something merges into it
+        self.parts: list[list] = []
+
+    def add(self, x: RadPoly) -> None:
+        """Add a RadPoly with the same sites; parts that cancel are dropped."""
+        if x.sites != self.sites:
+            raise ValueError("site mismatch")
+        if x.mode == FLOAT and self.mode == RATIONAL:
+            old = self.merged_parts()
+            self.mode, self.parts = FLOAT, []
+            for s, p in old:
+                self.add_part(s, p)
+        for s, p in x.parts:
+            self.add_part(s, p)
+        self.drop_zeros()
+
+    def add_part(self, s: ScaledScalar, p: BlockPolynomial) -> None:
+        """Merge s*p; a part that cancels stays until `drop_zeros`."""
+        if p.is_zero():
+            return
+        if self.mode == FLOAT:
+            if p.mode != FLOAT or s != ONE:
+                p = p.astype_float().scaled(float(s))
+                s = ONE
+            part, ratio = (self.parts[0] if self.parts else None), 1
+        else:
+            part, ratio = self._commensurable(s)
+        if part is None:
+            self.parts.append([s, p.terms, False])
+            return
+        if not part[2]:
+            part[1], part[2] = dict(part[1]), True
+        terms = part[1]
+        for key, c in p.terms.items():
+            if ratio != 1:
+                c = c * ratio
+            t = terms.get(key)
+            if t is None:
+                terms[key] = c
+            elif t := t + c:
+                terms[key] = t
+            else:
+                del terms[key]
+
+    def _commensurable(self, s: ScaledScalar) -> tuple[list | None, Fraction | None]:
+        """The part whose scale has a rational ratio to s, with that ratio.
+
+        The scales of the parts are pairwise incommensurable, so at most one
+        part qualifies; an equal scale is the common case and the cheapest test.
+        """
+        for part in self.parts:
+            if part[0] == s:
+                return part, 1
+        for part in self.parts:
+            ratio = s.ratio_to(part[0])
+            if ratio is not None:
+                return part, ratio
+        return None, None
+
+    def drop_zeros(self) -> None:
+        self.parts = [part for part in self.parts if part[1]]
+
+    def merged_parts(self) -> tuple[tuple[ScaledScalar, BlockPolynomial], ...]:
+        return tuple((s, BlockPolynomial._trusted(self.sites, terms, self.mode))
+                     for s, terms, _ in self.parts)
+
+    def result(self) -> RadPoly:
+        return RadPoly._trusted(self.sites, self.merged_parts(), self.mode)
 
 
 def rad_outer(factors: Iterable) -> RadPoly:

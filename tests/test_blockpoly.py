@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegadec.blockpoly import FLOAT, BlockPolynomial, outer
+from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
 from omegadec.errors import IncompatibleBlockSizes
 
 
@@ -129,3 +129,70 @@ def test_sorted_terms_lexicographic():
     p = BlockPolynomial((1, 1), {((2,), (0,)): 1, ((0,), (2,)): 2, ((1,), (1,)): 3})
     assert [k for k, _ in p.sorted_terms()] == [
         ((0,), (2,)), ((1,), (1,)), ((2,), (0,))]
+
+
+# Arithmetic results skip the validating constructor; they must still be what
+# it would build: same terms, no stored zero, coefficient type set by the mode.
+
+def sparse_polys(mode, sites=(1, 2), deg=2):
+    keys = st.tuples(*(st.tuples(*(st.integers(min_value=0, max_value=deg) for _ in range(m)))
+                       for m in sites))
+    if mode == FLOAT:
+        # tiny magnitudes make products underflow to 0.0, which must be dropped
+        values = st.sampled_from([1e-170, -1e-170]) | st.floats(
+            min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(keys, values, max_size=5).map(lambda d: BlockPolynomial(sites, d, mode))
+
+
+def assert_clean(r):
+    assert r == BlockPolynomial(r.sites, r.terms, r.mode)
+    assert all(r.terms.values())
+    assert all(type(c) is (float if r.mode == FLOAT else Fraction) for c in r.terms.values())
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_arithmetic_results_are_clean(data):
+    mode_p, mode_q = (data.draw(st.sampled_from([RATIONAL, FLOAT])) for _ in range(2))
+    p = data.draw(sparse_polys(mode_p))
+    q = data.draw(sparse_polys(mode_q))
+    c = data.draw(st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+                  | st.floats(-10, 10) | st.sampled_from([1e-170]))
+    for r in (p + q, p - q, p + (-p), -p, p * q, p * p, p.scaled(c), p * c, p.act((0, 1)),
+              p.astype_float()):
+        assert_clean(r)
+    f = data.draw(sparse_polys(mode_p, sites=(1,)))
+    g = data.draw(sparse_polys(mode_q, sites=(1,)))
+    h = data.draw(sparse_polys(RATIONAL, sites=(2,)))
+    assert_clean(outer([f, g, h]))
+    assert_clean(outer([f.astype_float(), f.astype_float()]))
+    assert_clean(f.act((0,)))
+
+
+def test_float_underflow_is_dropped():
+    tiny = BlockPolynomial.univar({0: 1e-170, 1: 1.0}, mode=FLOAT)
+    assert list((tiny * tiny).terms) == [((1,),), ((2,),)]
+    assert list(tiny.scaled(1e-170).terms) == [((1,),)]
+    assert outer([tiny, tiny]).terms == {((0,), (1,)): 1e-170, ((1,), (0,)): 1e-170,
+                                         ((1,), (1,)): 1.0}
+    assert BlockPolynomial.univar({0: Fraction(1, 10**400)}).astype_float().is_zero()
+
+
+def test_non_finite_float_coefficients_rejected():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            BlockPolynomial.univar({0: bad}, mode=FLOAT)
+        with pytest.raises(ValueError):
+            BlockPolynomial.from_obj({"sites": [1], "mode": FLOAT,
+                                      "terms": [{"exps": [[0]], "coeff": bad}]})
+
+
+def test_allclose_fails_on_non_finite():
+    ok = BlockPolynomial.univar({0: 1.0}, mode=FLOAT)
+    nan = BlockPolynomial._trusted((1,), {((0,),): float("nan")}, FLOAT)
+    inf = BlockPolynomial._trusted((1,), {((1,),): float("inf")}, FLOAT)
+    for a, b in ((nan, nan), (nan, ok), (ok, nan), (inf, inf), (ok, inf)):
+        assert not a.allclose(b)
+    assert ok.allclose(ok)

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from omegadec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -192,3 +194,50 @@ def test_complex_build_rejects_bad_input(capsys, tmp_path):
     code, out = run(capsys, "complex", "build", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "NonMaximalFacet"
+
+
+def _double_edge_bundle(coeff):
+    """Double-edge decomposition of x^2 + y^2 with one coefficient replaced."""
+    def local(site, beta, d, c):
+        return {"site": site, "beta": beta, "poly": {"sites": [1], "mode": "float",
+                                                     "terms": [{"exps": [[d]], "coeff": c}]}}
+    return {"complex": {"n": 1, "facets": [{"vertices": [0, 1], "weight": 2}]},
+            "action": {"generators": [{"vertex_perm": [1, 0], "multifacet_perm": [1, 0]}]},
+            "decomposition": {"index_size": 2, "scale": {"r": "1/1", "k": 1},
+                              "site_vars": [1, 1],
+                              "locals": [local(0, [1, 2], 2, 1.0), local(0, [2, 1], 0, coeff),
+                                         local(1, [2, 1], 2, 1.0), local(1, [1, 2], 0, 1.0)]},
+            "expected": {"sites": [1, 1], "mode": "float", "terms": [
+                {"exps": [[2], [0]], "coeff": 1.0}, {"exps": [[0], [2]], "coeff": 1.0}]}}
+
+
+def test_non_finite_verify_bundle_fails_closed(capsys, tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(_double_edge_bundle(1.0)))
+    code, out = run(capsys, "dec", "verify", str(path))
+    assert code == 0 and json.loads(out)["result"]["matches_expected"] is True
+    for bad in (float("nan"), float("inf")):
+        path.write_text(json.dumps(_double_edge_bundle(bad)))   # writes NaN / Infinity
+        code, out = run(capsys, "dec", "verify", str(path))
+        assert code in (1, 2)
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+        assert payload.get("result", {}).get("matches_expected") is not True
+
+
+def test_zero_denominator_is_an_input_error(capsys, tmp_path):
+    with open(fixture("double_edge_invariant.json")) as fh:
+        bundle = json.load(fh)
+    bundle["decomposition"]["locals"][0]["poly"]["terms"][0]["coeff"] = "1/0"
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(bundle))
+    code, out = run(capsys, "dec", "verify", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ZeroDivisionError"
+
+
+def test_non_finite_report_becomes_input_error(capsys, monkeypatch):
+    import omegadec.cli as cli
+    monkeypatch.setattr(cli, "caratheodory_bound", lambda *args: float("nan"))
+    code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"

@@ -1,0 +1,42 @@
+"""Byte-identity of `omega dec` reports against stored golden output.
+
+Each `*.stdout` file under `tests/golden/` is the report the command below
+printed before the exact core stopped re-validating its own results; the
+report must stay the same byte for byte, together with the exit code. The
+inputs cover radical scales that merge or stay separate, float coefficients
+whose sums round, and both symmetrization constructions. Report input paths
+are relative to the repository root, so the commands run from there.
+"""
+
+import os
+
+import pytest
+
+from omegadec.cli import main
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+CASES = [
+    ("dec_verify_double_edge", "dec verify fixtures/double_edge_invariant.json", 0),
+    ("dec_contract_squares", "dec contract fixtures/squares_double_edge.json", 0),
+    ("dec_verify_circle4", "dec verify tests/golden/verify_circle4.json", 0),
+    ("dec_verify_blending_simplex2", "dec verify tests/golden/verify_blending_simplex2.json", 0),
+    ("dec_verify_radicals", "dec verify tests/golden/verify_radicals.json", 0),
+    ("dec_verify_float", "--eq-tol 1e-9 dec verify tests/golden/verify_float.json", 1),
+    ("symmetrize_free_circle4",
+     "dec symmetrize tests/golden/symmetrize_circle4.json --mode free", 0),
+    ("symmetrize_blending_simplex2",
+     "dec symmetrize tests/golden/symmetrize_simplex2.json --mode blending", 0),
+    ("symmetrize_blending_simplex3",
+     "dec symmetrize tests/golden/symmetrize_simplex3.json --mode blending", 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv.split()) == code
+    with open(os.path.join(GOLDEN, f"{name}.stdout"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out == expected

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omegadec.blockpoly import FLOAT, BlockPolynomial
+from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.errors import IncommensurableScales
-from omegadec.radpoly import RadPoly, rad_outer
+from omegadec.radpoly import RadPoly, RadSum, rad_outer
 from omegadec.scalars import ONE, ScaledScalar
 
 
@@ -89,3 +91,109 @@ def test_act_moves_blocks():
     q = p.act((1, 0))
     assert q == RadPoly.scaled_poly(ScaledScalar(2, 2),
                                     BlockPolynomial((1, 1), {((1,), (2,)): 1}))
+
+
+# Scales in three commensurability classes: {1}, {sqrt2, sqrt8, sqrt(1/2)}, {sqrt3, sqrt12},
+# plus the fourth root of 2, so sums merge some parts and keep others apart.
+SCALES = [ONE, ScaledScalar(2, 2), ScaledScalar(8, 2), ScaledScalar(Fraction(1, 2), 2),
+          ScaledScalar(3, 2), ScaledScalar(12, 2), ScaledScalar(2, 4)]
+
+
+def polys(mode=RATIONAL):
+    keys = st.tuples(st.tuples(st.integers(0, 2)), st.tuples(st.integers(0, 1)))
+    if mode == FLOAT:
+        values = st.floats(-100, 100, allow_nan=False).filter(bool)
+    else:
+        values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    return st.dictionaries(keys, values, max_size=3).map(
+        lambda d: BlockPolynomial((1, 1), d, mode))
+
+
+def radpolys(mode=RATIONAL):
+    parts = st.lists(st.tuples(st.sampled_from(SCALES), polys(mode)), max_size=4)
+    return parts.map(lambda ps: RadPoly((1, 1), ps, mode))
+
+
+def rewritten(p: RadPoly, data) -> RadPoly:
+    """The same value with every part moved to another scale of its class."""
+    parts = []
+    for s, q in p.parts:
+        other = data.draw(st.sampled_from([t for t in SCALES if s.ratio_to(t) is not None]))
+        parts.append((other, q.scaled(s.ratio_to(other))))
+    return RadPoly(p.sites, parts)
+
+
+def reference_merge(sites, parts, mode=RATIONAL):
+    """Merged parts built one polynomial operation at a time: a part joins the
+    first earlier part with a rational scale ratio, or is appended; parts that
+    cancel are dropped at the end. Returns (mode, [(scale, poly)])."""
+    float_mode = mode == FLOAT or any(p.mode == FLOAT for _, p in parts)
+    merged = []
+    for s, p in parts:
+        if p.is_zero():
+            continue
+        if float_mode:
+            p, s = p.astype_float().scaled(float(s)), ONE
+        for idx, (s0, p0) in enumerate(merged):
+            ratio = Fraction(1) if float_mode else s.ratio_to(s0)
+            if ratio is not None:
+                merged[idx] = (s0, p0 + (p.scaled(float(ratio)) if float_mode else p.scaled(ratio)))
+                break
+        else:
+            merged.append((s, p))
+    return (FLOAT if float_mode else RATIONAL), [(s, p) for s, p in merged if not p.is_zero()]
+
+
+def same_structure(a: RadPoly, b: RadPoly) -> bool:
+    """Equal parts in the same order, each with its terms in the same order."""
+    return a.mode == b.mode and [(s, list(p.terms.items())) for s, p in a.parts] == \
+        [(s, list(p.terms.items())) for s, p in b.parts]
+
+
+def test_equality_across_commensurable_scales():
+    p = BlockPolynomial((1,), {((1,),): 2, ((3,),): -4})
+    a = RadPoly.scaled_poly(ScaledScalar(2, 2), p)
+    b = RadPoly.scaled_poly(ScaledScalar(8, 2), p.scaled(Fraction(1, 2)))
+    assert a == b and (a - b).is_zero()
+    assert not a == b.scaled(2)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_equality_agrees_with_subtraction(data):
+    a = data.draw(radpolys())
+    b = data.draw(st.sampled_from(["same", "rewritten", "other"]))
+    b = {"same": a, "rewritten": rewritten(a, data), "other": data.draw(radpolys())}[b]
+    assert (a == b) == (a - b).is_zero()
+    assert (b == a) == (a == b)
+    assert rewritten(a, data) == a
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_trusted_results_are_merged(data):
+    mode = data.draw(st.sampled_from([RATIONAL, FLOAT]))
+    a = data.draw(radpolys(mode))
+    c = data.draw(st.integers(-2, 2) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+                  | st.floats(-3, 3))
+    s = data.draw(st.sampled_from(SCALES))
+    for r in (-a, a.scaled(c), a.scale_mul(s), a.act((1, 0))):
+        assert same_structure(r, RadPoly(r.sites, r.parts, r.mode))
+        assert all(not p.is_zero() for _, p in r.parts)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_in_place_sum_matches_chained_addition(data):
+    modes = st.sampled_from([RATIONAL, RATIONAL, FLOAT])
+    items = data.draw(st.lists(modes.flatmap(radpolys), max_size=6))
+    items += [-x for x in data.draw(st.lists(st.sampled_from(items), max_size=3))] if items else []
+    start = data.draw(modes)
+    chained, acc, ref = RadPoly.zero((1, 1), start), RadSum((1, 1), start), (start, [])
+    for x in items:
+        chained = chained + x
+        acc.add(x)
+        ref = reference_merge((1, 1), ref[1] + list(x.parts), FLOAT if FLOAT in (ref[0], x.mode)
+                              else RATIONAL)
+        assert same_structure(chained, RadPoly._trusted((1, 1), tuple(ref[1]), ref[0]))
+    assert same_structure(acc.result(), chained)
