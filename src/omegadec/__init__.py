@@ -21,7 +21,7 @@ from .decomposition import (
     symmetrize_average,
     symmetrize_free,
 )
-from .invariance import act, is_invariant, local_degree
+from .invariance import is_invariant
 from .radpoly import RadPoly, rad_outer
 from .scalars import ONE, ScaledScalar
 from .symmetry import (
@@ -43,7 +43,7 @@ __all__ = [
     "OmegaGDecomposition", "bipartite_rank", "blending_difference", "concat_sum",
     "elementary_sum", "from_elementary", "pointwise_product",
     "symmetric_indicator_split", "symmetrize_average", "symmetrize_free",
-    "act", "is_invariant", "local_degree",
+    "is_invariant",
     "RadPoly", "rad_outer", "ONE", "ScaledScalar",
     "SymmetryAction", "build_action", "free_refinement", "is_blending",
     "is_free", "linearizer", "trivial_action",

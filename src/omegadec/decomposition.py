@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,66 +40,73 @@ Beta = tuple[int, ...]
 SiteLocals = dict[int, dict[Beta, RadPoly]]
 
 
-def contract_assignments(complex_: WeightedComplex, index_size: int,
-                         site_locals: Mapping[int, Mapping[Beta, RadPoly]],
-                         site_vars: Sequence[int],
-                         max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
-    """Sum the per-site local products over all index assignments.
+def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
+                      index_size: int, site_keys: Sequence[Iterable[Beta]],
+                      max_work: int = DEFAULT_MAX_WORK) -> Iterator[tuple[Beta, ...]]:
+    """Yield the per-site keys of each global label assignment, in lexicographic order.
 
-    Enumerates label values depth-first while filtering each site's stored
-    assignments against the partial prefix, so sparsity prunes the search.
-    The work counter guards against dense blowups.
+    Site i reads the distinct label positions ``positions[i]`` and stores the
+    keys ``site_keys[i]``, tuples of values in 1..index_size. An assignment is
+    yielded when every site stores the key it induces. Each site's keys are
+    filtered against the partial assignment, so sparsity prunes the search;
+    every tried label value counts one step against ``max_work``.
     """
-    V = complex_.vertex_count
-    L = complex_.label_count
-    mode = FLOAT if any(RadPoly.coerce(p).mode == FLOAT
-                        for locs in site_locals.values() for p in locs.values()) else RATIONAL
-    acc = RadSum(tuple(site_vars), mode)
-    keysets = []
-    for i in range(V):
-        keys = tuple(site_locals.get(i, {}).keys())
-        if not keys:
-            return acc.result()
-        keysets.append(keys)
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(L)]
-    for i in range(V):
-        for slot, pos in enumerate(complex_.label_positions_at(i)):
+    compat = [tuple(keys) for keys in site_keys]
+    if not all(compat):
+        return
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(label_count)]
+    for i, site_positions in enumerate(positions):
+        for slot, pos in enumerate(site_positions):
             touch[pos].append((i, slot))
     work = 0
-
-    def rec(pos: int, compat: list[tuple[Beta, ...]]):
-        nonlocal work
-        if pos == L:
-            factors = []
-            for i in range(V):
-                key = compat[i][0]
-                factors.append(RadPoly.coerce(site_locals[i][key]))
-            acc.add(rad_outer(factors))
-            return
+    # partial assignments: the next position to fix, the keys still compatible
+    stack = [(0, compat)]
+    while stack:
+        pos, compat = stack.pop()
+        if pos == label_count:
+            yield tuple(keys[0] for keys in compat)
+            continue
         allowed: set[int] | None = None
         for i, slot in touch[pos]:
             vals = {k[slot] for k in compat[i]}
             allowed = vals if allowed is None else allowed & vals
-            if not allowed:
-                return
-        if allowed is None:
-            allowed = set(range(1, index_size + 1))
-        for v in sorted(allowed):
+        children = []
+        for v in range(1, index_size + 1) if allowed is None else sorted(allowed):
             work += 1
             if work > max_work:
                 raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
             nxt = list(compat)
-            dead = False
             for i, slot in touch[pos]:
-                filtered = tuple(k for k in nxt[i] if k[slot] == v)
-                if not filtered:
-                    dead = True
-                    break
-                nxt[i] = filtered
-            if not dead:
-                rec(pos + 1, nxt)
+                nxt[i] = tuple(k for k in nxt[i] if k[slot] == v)
+            children.append((pos + 1, nxt))
+        stack += reversed(children)
 
-    rec(0, keysets)
+
+def checked_assignment(complex_: WeightedComplex, site: int, beta: Sequence[int],
+                       index_size: int) -> Beta:
+    """The assignment as an int tuple, checked to fit the labels of the site."""
+    beta = tuple(int(b) for b in beta)
+    if len(beta) != len(complex_.label_positions_at(site)):
+        raise ValueError(f"assignment {beta} has wrong arity for site {site}")
+    if any(not 1 <= b <= index_size for b in beta):
+        raise ValueError(f"assignment {beta} outside 1..{index_size}")
+    return beta
+
+
+def contract_assignments(complex_: WeightedComplex, index_size: int,
+                         site_locals: Mapping[int, Mapping[Beta, RadPoly]],
+                         site_vars: Sequence[int],
+                         max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
+    """Sum the per-site local products over all index assignments."""
+    V = complex_.vertex_count
+    mode = FLOAT if any(p.mode == FLOAT
+                        for locs in site_locals.values() for p in locs.values()) else RATIONAL
+    acc = RadSum(tuple(site_vars), mode)
+    locs = [site_locals.get(i, {}) for i in range(V)]
+    positions = [complex_.label_positions_at(i) for i in range(V)]
+    for keys in label_assignments(positions, complex_.label_count, index_size,
+                                  [loc.keys() for loc in locs], max_work):
+        acc.add(rad_outer([loc[key] for loc, key in zip(locs, keys)]))
     return acc.result()
 
 
@@ -126,13 +133,8 @@ class OmegaGDecomposition:
         self.scale = scale
         store: SiteLocals = {}
         for site, mapping in locals_.items():
-            width = len(complex_.label_positions_at(site))
             for beta, poly in mapping.items():
-                beta = tuple(int(b) for b in beta)
-                if len(beta) != width:
-                    raise ValueError(f"assignment {beta} has wrong arity for site {site}")
-                if any(not 1 <= b <= self.index_size for b in beta):
-                    raise ValueError(f"assignment {beta} outside 1..{self.index_size}")
+                beta = checked_assignment(complex_, site, beta, self.index_size)
                 rp = RadPoly.coerce(poly)
                 if rp.sites != (self.site_vars[site],):
                     raise IncompatibleBlockSizes(
@@ -156,27 +158,6 @@ class OmegaGDecomposition:
         raw = contract_assignments(self.complex, self.index_size, self.locals,
                                    self.site_vars, max_work)
         return raw.scale_mul(self.scale ** self.complex.vertex_count)
-
-    def contract_dense(self, limit: int = 200_000) -> RadPoly:
-        """Reference contraction by full enumeration of all assignments."""
-        c = self.complex
-        L = c.label_count
-        if self.index_size**L > limit:
-            raise SearchSpaceTooLarge(f"{self.index_size}**{L} assignments exceed {limit}")
-        mode = self.mode
-        acc = RadPoly.zero(self.site_vars, mode)
-        positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
-        for alpha in product(range(1, self.index_size + 1), repeat=L):
-            factors = []
-            for i in range(c.vertex_count):
-                beta = tuple(alpha[p] for p in positions[i])
-                loc = self.locals.get(i, {}).get(beta)
-                if loc is None:
-                    break
-                factors.append(loc)
-            else:
-                acc = acc + rad_outer(factors)
-        return acc.scale_mul(self.scale ** c.vertex_count)
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:
         """Verify locals agree along every group orbit of (site, assignment)."""
@@ -286,10 +267,6 @@ def from_elementary(terms: Sequence[Sequence[object]],
     return OmegaGDecomposition(c, None, len(terms), site_vars, locals_)
 
 
-def _poly_invariant(p: RadPoly, a: SymmetryAction, tol: float = 1e-9) -> bool:
-    return is_invariant(p, a, tol)
-
-
 def symmetrize_average(terms: Sequence[Sequence[object]],
                        a: SymmetryAction) -> OmegaGDecomposition:
     """Invariant decomposition contracting to the group average of the input sum.
@@ -345,7 +322,7 @@ def symmetrize_free(terms: Sequence[Sequence[object]],
     scale), and the index count is |G| times the input term count.
     """
     p = elementary_sum(terms)
-    if not _poly_invariant(p, a):
+    if not is_invariant(p, a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
     return symmetrize_average(terms, a)
 
@@ -396,7 +373,7 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
                 raise IncompatibleBlockSizes(
                     f"sites {i} and {a.vertex_image(g, i)} share an orbit but differ in width")
     p = elementary_sum(terms)
-    if not _poly_invariant(p, a):
+    if not is_invariant(p, a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
 
     n = V - 1

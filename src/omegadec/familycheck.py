@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import mul
+from typing import Iterator
+
 from .blockpoly import BlockPolynomial
 from .errors import SizeTooLarge
 from .tensorbridge import DenseTensor, poly_from_tensor
@@ -70,37 +73,44 @@ class LocalFamily:
         return cls.from_obj(json.loads(text))
 
 
-def _mat_mul(A, B, D: int):
-    return tuple(tuple(sum(A[a][c] * B[c][b] for c in range(D)) for b in range(D))
-                 for a in range(D))
+def _trace_walk(f: LocalFamily, n: int, max_tuples: int
+                ) -> Iterator[tuple[list[int], int]]:
+    """Yield (index, trace of the matrix product it names) in lexicographic order.
+
+    Each prefix product is computed once and shared by the indices extending it.
+    ``index`` is one list updated in place: copy it to keep it.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if f.m ** (n + 1) > max_tuples:
+        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
+    D, m = f.D, f.m
+    # columns of each matrix: trace(P M) pairs row a of P with column a of M
+    cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
+    index = [0] * (n + 1)
+    # prefixes still to extend: (length, last index value, product of the matrices)
+    stack = [(0, 0, tuple(tuple(int(a == b) for b in range(D)) for a in range(D)))]
+    while stack:
+        depth, j, head = stack.pop()
+        if depth:
+            index[depth - 1] = j
+        if depth < n:
+            stack += [(depth + 1, k, _mat_mul(head, cols[k])) for k in reversed(range(m))]
+            continue
+        for k in range(m):
+            index[n] = k
+            yield index, sum(sum(map(mul, row, col)) for row, col in zip(head, cols[k]))
 
 
-def _trace(A, D: int) -> int:
-    return sum(A[a][a] for a in range(D))
+def _mat_mul(A, B_cols):
+    return tuple(tuple(sum(map(mul, row, col)) for col in B_cols) for row in A)
 
 
 def transfer_tensor(f: LocalFamily, n: int,
                     max_entries: int = DEFAULT_MAX_TUPLES) -> DenseTensor:
     """Coefficient tensor on n+1 sites: traces of transfer-matrix products."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if f.m ** (n + 1) > max_entries:
-        raise SizeTooLarge(f"{f.m}**{n + 1} entries exceed {max_entries}")
-    mats = [f.transfer_matrix(j) for j in range(f.m)]
-    t = DenseTensor.zeros((f.m,) * (n + 1))
-    idx = [0] * (n + 1)
-
-    def rec(depth: int, prefix):
-        for j in range(f.m):
-            idx[depth] = j
-            prod_ = mats[j] if prefix is None else _mat_mul(prefix, mats[j], f.D)
-            if depth == n:
-                t[tuple(idx)] = _trace(prod_, f.D)
-            else:
-                rec(depth + 1, prod_)
-
-    rec(0, None)
-    return t
+    return DenseTensor((f.m,) * (n + 1),
+                       [trace for _, trace in _trace_walk(f, n, max_entries)])
 
 
 def family_polynomial(f: LocalFamily, n: int,
@@ -145,27 +155,12 @@ class FamilyReport:
 
 
 def _min_trace(f: LocalFamily, n: int, max_tuples: int) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum entry by depth-first search with cached prefix products."""
-    if f.m ** (n + 1) > max_tuples:
-        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
-    mats = [f.transfer_matrix(j) for j in range(f.m)]
-    best: list = [None, None]
-    idx = [0] * (n + 1)
-
-    def rec(depth: int, prefix):
-        for j in range(f.m):
-            idx[depth] = j
-            prod_ = mats[j] if prefix is None else _mat_mul(prefix, mats[j], f.D)
-            if depth == n:
-                v = _trace(prod_, f.D)
-                if best[0] is None or v < best[0]:
-                    best[0] = v
-                    best[1] = tuple(idx)
-            else:
-                rec(depth + 1, prod_)
-
-    rec(0, None)
-    return best[0], best[1]
+    """Exact minimum entry and the first index that attains it."""
+    best = witness = None
+    for index, trace in _trace_walk(f, n, max_tuples):
+        if best is None or trace < best:
+            best, witness = trace, tuple(index)
+    return best, witness
 
 
 def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,

@@ -1,15 +1,10 @@
-"""Group actions on block polynomials and invariance tests."""
+"""Invariance of polynomials under a group action."""
 
 from __future__ import annotations
 
 from .blockpoly import RATIONAL, BlockPolynomial
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
-
-
-def act(g: int, p, a: SymmetryAction):
-    """Apply group element g: the block at site i moves to site g*i."""
-    return p.act(a.vperm(g))
 
 
 def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
@@ -29,7 +24,3 @@ def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
             return False
     return True
 
-
-def local_degree(p) -> int:
-    """Largest total degree of a single site block across all terms."""
-    return p.local_degree()

@@ -24,6 +24,7 @@ from .complexes import WeightedComplex, is_connected
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
+    checked_assignment,
     contract_assignments,
     symmetrize_free,
 )
@@ -370,10 +371,7 @@ class SosOmegaGDecomposition:
             rp = RadPoly.coerce(poly)
             if rp.is_zero():
                 continue
-            beta = tuple(int(b) for b in beta)
-            width = len(complex_.label_positions_at(site))
-            if len(beta) != width or any(not 1 <= b <= self.index_size for b in beta):
-                raise ValueError(f"bad assignment {beta} at site {site}")
+            beta = checked_assignment(complex_, site, beta, self.index_size)
             self.locals[(site, k, beta)] = rp
 
     def member_locals(self, K: Sequence) -> dict[int, dict[tuple, RadPoly]]:

@@ -21,12 +21,17 @@ import numpy as np
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from .complexes import WeightedComplex, standard_complex
-from .decomposition import OmegaGDecomposition, bipartite_rank
+from .decomposition import (
+    DEFAULT_MAX_WORK,
+    OmegaGDecomposition,
+    bipartite_rank,
+    checked_assignment,
+    label_assignments,
+)
 from .errors import (
     DimensionMismatch,
     NotCanonicalForm,
     NotPSD,
-    SearchSpaceTooLarge,
     VertexActionNotFree,
 )
 from .positivity import SosOmegaGDecomposition, psd_sqrt
@@ -207,67 +212,61 @@ class TensorDecomposition:
                     raise DimensionMismatch("vector length differs from axis dimension")
                 if variant == NONNEGATIVE and any(float(x) < 0 for x in vec):
                     raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
+                beta = checked_assignment(complex_, site, beta, self.index_size)
                 if any(x != 0 for x in vec):
-                    self.vectors[(site, tuple(beta))] = vec
+                    self.vectors[(site, beta)] = vec
         else:
             for (site, j), mat in (psd_mats or {}).items():
                 self.psd_mats[(site, int(j))] = {
-                    (tuple(b1), tuple(b2)): v for (b1, b2), v in mat.items() if v != 0}
+                    (checked_assignment(complex_, site, b1, self.index_size),
+                     checked_assignment(complex_, site, b2, self.index_size)): v
+                    for (b1, b2), v in mat.items() if v != 0}
 
     def beta_grid(self, site: int) -> list[tuple[int, ...]]:
         width = len(self.complex.label_positions_at(site))
         return list(product(range(1, self.index_size + 1), repeat=width))
 
-    def contract(self, max_assignments: int = 10**6) -> DenseTensor:
+    def contract(self, max_work: int = DEFAULT_MAX_WORK) -> DenseTensor:
+        """Sum over label assignments of the outer product of the site vectors.
+
+        psd is a plain contraction over the label set taken twice: the vector
+        of site i at key b1 + b2 has entry j = matrix (i, j) at (b1, b2).
+        """
         c = self.complex
         V = c.vertex_count
         L = c.label_count
         m = self.axis_dim
         positions = [c.label_positions_at(i) for i in range(V)]
-        exact = True
+        site_vecs: list[dict[tuple, tuple]] = [{} for _ in range(V)]
         if self.variant in (PLAIN, NONNEGATIVE):
             exact = all(not isinstance(x, float) for vec in self.vectors.values() for x in vec)
+            for (site, beta), vec in self.vectors.items():
+                site_vecs[site][beta] = vec
         else:
             exact = all(not isinstance(v, float)
                         for mat in self.psd_mats.values() for v in mat.values())
+            positions = [pos + tuple(p + L for p in pos) for pos in positions]
+            L *= 2
+            for i in range(V):
+                mats = [self.psd_mats.get((i, j), {}) for j in range(m)]
+                for b1, b2 in {pair for mat in mats for pair in mat}:
+                    site_vecs[i][b1 + b2] = tuple(mat.get((b1, b2), 0) for mat in mats)
         t = DenseTensor.zeros((m,) * V, RATIONAL if exact else FLOAT)
-        if self.variant in (PLAIN, NONNEGATIVE):
-            if self.index_size**L > max_assignments:
-                raise SearchSpaceTooLarge("assignment enumeration too large")
-            for alpha in product(range(1, self.index_size + 1), repeat=L):
-                vecs = []
-                for i in range(V):
-                    beta = tuple(alpha[p] for p in positions[i])
-                    vec = self.vectors.get((i, beta))
-                    if vec is None:
-                        break
-                    vecs.append(vec)
-                else:
-                    for idx in t.indices():
-                        prod_ = 1
-                        for i, j in enumerate(idx):
-                            prod_ = prod_ * vecs[i][j]
-                            if prod_ == 0:
-                                break
-                        if prod_ != 0:
-                            t[idx] = t[idx] + prod_
-            return t
-        if self.index_size ** (2 * L) > max_assignments:
-            raise SearchSpaceTooLarge("assignment-pair enumeration too large")
-        for alpha in product(range(1, self.index_size + 1), repeat=L):
-            for alpha2 in product(range(1, self.index_size + 1), repeat=L):
-                betas = [(tuple(alpha[p] for p in positions[i]),
-                          tuple(alpha2[p] for p in positions[i])) for i in range(V)]
-                for idx in t.indices():
-                    prod_ = 1
-                    for i, j in enumerate(idx):
-                        mat = self.psd_mats.get((i, j))
-                        v = 0 if mat is None else mat.get(betas[i], 0)
-                        prod_ = prod_ * v
-                        if prod_ == 0:
-                            break
-                    if prod_ != 0:
-                        t[idx] = t[idx] + prod_
+        entries = t.entries
+        for keys in label_assignments(positions, L, self.index_size,
+                                      [vecs.keys() for vecs in site_vecs], max_work):
+            # flat entry index and left-to-right product, zero products dropped
+            prods = [(0, 1)]
+            for vecs, key in zip(site_vecs, keys):
+                nxt = []
+                for flat, prod_ in prods:
+                    for j, x in enumerate(vecs[key]):
+                        q = prod_ * x
+                        if q != 0:
+                            nxt.append((flat * m + j, q))
+                prods = nxt
+            for flat, q in prods:
+                entries[flat] = entries[flat] + q
         return t
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:

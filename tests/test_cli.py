@@ -65,6 +65,16 @@ def test_family_guard_exit_code(capsys):
     assert json.loads(out)["error"] == "SizeTooLarge"
 
 
+def test_family_check_deep_circle(capsys, tmp_path):
+    path = tmp_path / "unit_family.json"
+    path.write_text(json.dumps({"D": 1, "m": 1, "coeffs": [[[1]]]}))
+    code, out = run(capsys, "family", "check", str(path), "--n-min", "1100", "--n-max", "1100")
+    assert code == 0
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+    assert payload["result"]["sizes"] == [
+        {"min_entry": "1", "n": 1100, "violated": False, "witness": [0] * 1101}]
+
+
 def test_pos_bound(capsys):
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 0

@@ -1,10 +1,13 @@
 """Decomposition containers, contraction, constructions, rank oracle."""
 
+import gc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
@@ -15,6 +18,7 @@ from omegadec.decomposition import (
     concat_sum,
     elementary_sum,
     from_elementary,
+    label_assignments,
     pointwise_product,
     symmetric_indicator_split,
     symmetrize_average,
@@ -39,7 +43,7 @@ from omegadec.fixtures import (
     squares_double_edge_decomposition,
     squares_target_polynomial,
 )
-from omegadec.radpoly import RadPoly
+from omegadec.radpoly import RadPoly, rad_outer
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import trivial_action
 
@@ -49,6 +53,27 @@ def uni(coeffs):
 
 
 X2, ONE_P = uni({2: 1}), uni({0: 1})
+
+
+def contract_dense(dec, limit=200_000):
+    """Reference contraction: every global assignment, one chained sum."""
+    c = dec.complex
+    L = c.label_count
+    if dec.index_size**L > limit:
+        raise SearchSpaceTooLarge(f"{dec.index_size}**{L} assignments exceed {limit}")
+    acc = RadPoly.zero(dec.site_vars, dec.mode)
+    positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
+    for alpha in product(range(1, dec.index_size + 1), repeat=L):
+        factors = []
+        for i in range(c.vertex_count):
+            beta = tuple(alpha[p] for p in positions[i])
+            loc = dec.locals.get(i, {}).get(beta)
+            if loc is None:
+                break
+            factors.append(loc)
+        else:
+            acc = acc + rad_outer(factors)
+    return acc.scale_mul(dec.scale ** c.vertex_count)
 
 
 def test_from_elementary_double_edge():
@@ -102,7 +127,49 @@ def test_contract_matches_dense_oracle():
                 locals_[site] = mapping
         dec = OmegaGDecomposition(c, None, 2, (1, 1, 1), locals_,
                                   ScaledScalar(Fraction(1, 2), 3))
-        assert dec.contract() == dec.contract_dense()
+        assert dec.contract() == contract_dense(dec)
+
+
+COMPLEXES = [("simplex", 0), ("simplex", 2), ("line", 1), ("line", 3), ("circle", 3),
+             ("circle", 5), ("double_edge", 1), ("single_edge", 1)]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_label_assignments_match_brute_force(data):
+    kind, n = data.draw(st.sampled_from(COMPLEXES))
+    c = standard_complex(kind, n)
+    index_size = data.draw(st.integers(1, 3))
+    positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
+    site_keys = []
+    for pos in positions:
+        grid = list(product(range(1, index_size + 1), repeat=len(pos)))
+        site_keys.append(data.draw(st.lists(st.sampled_from(grid), unique=True)))
+    want = []
+    for alpha in product(range(1, index_size + 1), repeat=c.label_count):
+        keys = tuple(tuple(alpha[p] for p in pos) for pos in positions)
+        if all(k in stored for k, stored in zip(keys, site_keys)):
+            want.append(keys)
+    got = list(label_assignments(positions, c.label_count, index_size, site_keys))
+    assert got == want
+
+
+def test_contract_deep_circle():
+    dec = from_elementary([[ONE_P] * 1100], standard_complex("circle", 1100))
+    assert dec.contract() == RadPoly.from_poly(BlockPolynomial.constant((1,) * 1100, 1))
+
+
+def test_contract_leaves_no_cyclic_garbage():
+    terms = [[uni({k: 1}), ONE_P, uni({1: 2}), ONE_P] for k in range(3)]
+    dec = from_elementary(terms, standard_complex("circle", 4))
+    dec.contract()
+    gc.collect()
+    gc.disable()
+    try:
+        dec.contract()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scale_is_per_site():

@@ -1,5 +1,7 @@
 """Transfer tensors and the bounded positivity checker."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ def test_guards_and_validation():
         LocalFamily(2, 2, (((1, 2),),))
     with pytest.raises(ValueError):
         bounded_positivity_check(fam, 0, n_min=3)
+
+
+def test_check_leaves_no_cyclic_garbage():
+    bounded_positivity_check(planted_negative_family(), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        bounded_positivity_check(planted_negative_family(), 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_family_json_round_trip():

@@ -1,11 +1,14 @@
-"""Byte-identity of `omega dec` reports against stored golden output.
+"""Byte-identity of `omega` reports against stored golden output.
 
 Each `*.stdout` file under `tests/golden/` is the report the command below
-printed before the exact core stopped re-validating its own results; the
-report must stay the same byte for byte, together with the exit code. The
-inputs cover radical scales that merge or stay separate, float coefficients
-whose sums round, and both symmetrization constructions. Report input paths
-are relative to the repository root, so the commands run from there.
+printed before the exact core stopped re-validating its own results (the
+`dec` cases) or before the contractions and the family check moved onto
+their iterative enumerations (the `family` and `bridge` cases); the report
+must stay the same byte for byte, together with the exit code. The inputs
+cover radical scales that merge or stay separate, float coefficients whose
+sums round, both symmetrization constructions, a family with and without a
+negative trace, and the psd distance factorization. Report input paths are
+relative to the repository root, so the commands run from there.
 """
 
 import os
@@ -30,6 +33,10 @@ CASES = [
      "dec symmetrize tests/golden/symmetrize_simplex2.json --mode blending", 0),
     ("symmetrize_blending_simplex3",
      "dec symmetrize tests/golden/symmetrize_simplex3.json --mode blending", 0),
+    ("family_check_planted_negative",
+     "family check fixtures/planted_negative_family.json --n-max 6", 1),
+    ("family_check_nonnegative", "family check fixtures/nonnegative_family.json --n-max 4", 0),
+    ("bridge_separations_m4", "bridge separations --m 4", 0),
 ]
 
 

@@ -1,13 +1,15 @@
 """Tensor-polynomial correspondence and the separation instance families."""
 
 from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
 from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import standard_complex
 from omegadec.decomposition import bipartite_rank
-from omegadec.errors import NotCanonicalForm, VertexActionNotFree
+from omegadec.errors import NotCanonicalForm, SearchSpaceTooLarge, VertexActionNotFree
 from omegadec.fixtures import double_edge_fixed_vertex_action
 from omegadec.positivity import cone_check
 from omegadec.tensorbridge import (
@@ -27,6 +29,85 @@ from omegadec.tensorbridge import (
     tensor_from_poly,
     tensor_positivity,
 )
+
+
+def contract_dense(td):
+    """Reference contraction: every assignment (pair, for psd) times every entry."""
+    c = td.complex
+    V, L = c.vertex_count, c.label_count
+    positions = [c.label_positions_at(i) for i in range(V)]
+    values = range(1, td.index_size + 1)
+    if td.variant == "psd":
+        exact = all(not isinstance(v, float) for mat in td.psd_mats.values() for v in mat.values())
+    else:
+        exact = all(not isinstance(x, float) for vec in td.vectors.values() for x in vec)
+    t = DenseTensor.zeros((td.axis_dim,) * V, "rational" if exact else "float")
+    for alpha in product(values, repeat=L):
+        for alpha2 in product(values, repeat=L) if td.variant == "psd" else [None]:
+            betas = [tuple(alpha[p] for p in pos) for pos in positions]
+            if alpha2 is not None:
+                betas = [(b, tuple(alpha2[p] for p in pos)) for b, pos in zip(betas, positions)]
+            for idx in t.indices():
+                prod_ = 1
+                for i, j in enumerate(idx):
+                    if alpha2 is None:
+                        prod_ = prod_ * td.vectors.get((i, betas[i]), (0,) * td.axis_dim)[j]
+                    else:
+                        prod_ = prod_ * td.psd_mats.get((i, j), {}).get(betas[i], 0)
+                    if prod_ == 0:
+                        break
+                if prod_ != 0:
+                    t[idx] = t[idx] + prod_
+    return t
+
+
+def random_tensor_decomposition(rng, variant, exact):
+    kind, n = [("single_edge", 1), ("double_edge", 1), ("line", 2), ("circle", 3)][
+        int(rng.integers(4))]
+    c = standard_complex(kind, n)
+    index_size, m = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+
+    def value():
+        if rng.random() < 0.3:
+            return 0
+        if exact:
+            x = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        else:
+            x = float(rng.normal())
+        return abs(x) if variant == "nonnegative" else x
+
+    grids = [list(product(range(1, index_size + 1), repeat=len(c.label_positions_at(i))))
+             for i in range(c.vertex_count)]
+    if variant == "psd":
+        mats = {(i, j): {(b1, b2): value() for b1 in grid for b2 in grid if rng.random() < 0.6}
+                for i, grid in enumerate(grids) for j in range(m)}
+        return TensorDecomposition(variant, c, None, index_size, m, psd_mats=mats)
+    vecs = {(i, beta): tuple(value() for _ in range(m))
+            for i, grid in enumerate(grids) for beta in grid if rng.random() < 0.7}
+    return TensorDecomposition(variant, c, None, index_size, m, vectors=vecs)
+
+
+def test_contract_matches_dense_oracle():
+    rng = np.random.default_rng(29)
+    for variant in ("plain", "nonnegative", "psd"):
+        for exact in (True, False):
+            for _ in range(8):
+                td = random_tensor_decomposition(rng, variant, exact)
+                assert td.contract().to_obj() == contract_dense(td).to_obj()
+
+
+def test_assignments_must_fit_the_complex():
+    c = standard_complex("single_edge")
+    for beta in [(2,), (0,), (1, 1)]:
+        with pytest.raises(ValueError):
+            TensorDecomposition("plain", c, None, 1, 1, vectors={(0, beta): (1,)})
+        with pytest.raises(ValueError):
+            TensorDecomposition("psd", c, None, 1, 1, psd_mats={(0, 0): {((1,), beta): 1}})
+
+
+def test_contract_work_guard():
+    with pytest.raises(SearchSpaceTooLarge):
+        psd_distance_factorization(4).contract(max_work=1)
 
 
 def test_poly_from_tensor_examples():
