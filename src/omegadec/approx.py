@@ -17,17 +17,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockpoly import FLOAT, BlockPolynomial
+from .blockpoly import BlockPolynomial
 from .decomposition import OmegaGDecomposition, symmetrize_average
 from .errors import (
+    ActionNotFree,
     DimensionMismatch,
     NotHomogeneous,
     NotInvariant,
     NotNormalized,
 )
-from .positivity import GramRepresentation, gram_map_homogeneous, homogeneous_basis
+from .positivity import (
+    GramRepresentation,
+    gram_map_homogeneous,
+    group_average,
+    homogeneous_basis,
+    quadratic_form,
+)
 from .symmetry import SymmetryAction, is_free
-from .errors import ActionNotFree
 
 MAUREY_CONSTANT = 8.0 * math.exp(4.0)
 
@@ -116,6 +122,22 @@ def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0,
     return float(best)
 
 
+def _kron(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the per-site factors, site 0 outermost."""
+    kron = mats[0]
+    for F in mats[1:]:
+        kron = np.kron(kron, F)
+    return kron
+
+
+def _trace_product(mats: Sequence[np.ndarray]) -> float:
+    """Trace of the Kronecker product: the product of the factor traces."""
+    tr = 1.0
+    for F in mats:
+        tr *= float(np.trace(F))
+    return tr
+
+
 def gram_norm_bounds(g: GramRepresentation) -> tuple[float, float]:
     """(largest singular value, Schatten-2 norm) of the Gram matrix."""
     eigs = np.linalg.eigvalsh(g.entries)
@@ -163,39 +185,19 @@ class SeparableGram:
     def reconstruct(self) -> np.ndarray:
         out = np.zeros_like(self.gram.entries)
         for weight, mats in self.terms:
-            kron = mats[0]
-            for F in mats[1:]:
-                kron = np.kron(kron, F)
-            out += weight * kron
+            out += weight * _kron(mats)
         return out
 
     def trace(self) -> float:
         total = 0.0
         for weight, mats in self.terms:
-            prod_ = 1.0
-            for F in mats:
-                prod_ *= float(np.trace(F))
-            total += weight * prod_
+            total += weight * _trace_product(mats)
         return total
 
 
 def mu_upper(sg: SeparableGram) -> float:
     """Witness trace: an upper bound on the separable normalization constant."""
     return sg.trace()
-
-
-def _site_form_poly(F: np.ndarray, m: int, d: int) -> BlockPolynomial:
-    """Single-site quadratic form of F over the homogeneous degree-d basis."""
-    basis = homogeneous_basis(m, d)
-    terms: dict = {}
-    for r, mr in enumerate(basis):
-        for s, ms in enumerate(basis):
-            c = F[r, s]
-            if c == 0.0:
-                continue
-            key = (tuple(a + b for a, b in zip(mr, ms)),)
-            terms[key] = terms.get(key, 0.0) + c
-    return BlockPolynomial((m + 1,), terms, FLOAT)
 
 
 @dataclass
@@ -217,15 +219,12 @@ class ApproxResult:
         }
 
 
-def _symmetrized(entries: np.ndarray, gram: GramRepresentation,
-                 a: SymmetryAction) -> np.ndarray:
-    acc = np.zeros_like(entries)
-    for g in range(len(a)):
-        perm = gram.permutation_array(a.vperm(g))
-        out = np.empty_like(entries)
-        out[np.ix_(perm, perm)] = entries
-        acc += out
-    return acc / len(a)
+def _draw(sg: SeparableGram, total: float, k: int, rng: np.random.Generator) -> list:
+    """(count, trace, factors) of each witness term in k draws weighted by weight * trace."""
+    traces = [_trace_product(mats) for _, mats in sg.terms]
+    probs = [weight * tr / total for (weight, _), tr in zip(sg.terms, traces)]
+    counts = rng.multinomial(k, np.asarray(probs) / sum(probs))
+    return list(zip(counts, traces, (mats for _, mats in sg.terms)))
 
 
 def empirical_matrix_error(sg: SeparableGram, k: int, rng: np.random.Generator,
@@ -233,21 +232,9 @@ def empirical_matrix_error(sg: SeparableGram, k: int, rng: np.random.Generator,
     """Schatten-2 error of a k-draw empirical mixture of the witness terms."""
     M = sg.gram.entries
     total = sg.trace()
-    atoms = []
-    probs = []
-    for weight, mats in sg.terms:
-        tr = 1.0
-        for F in mats:
-            tr *= float(np.trace(F))
-        kron = mats[0]
-        for F in mats[1:]:
-            kron = np.kron(kron, F)
-        atoms.append(total * kron / tr)
-        probs.append(weight * tr / total)
-    counts = rng.multinomial(k, np.asarray(probs) / sum(probs))
-    N = sum(c * A for c, A in zip(counts, atoms)) / k
+    N = sum(c * (total * _kron(mats) / tr) for c, tr, mats in _draw(sg, total, k, rng)) / k
     if a is not None:
-        N = _symmetrized(N, sg.gram, a)
+        N = group_average(N, sg.gram, a)
     return float(np.linalg.norm(M - N))
 
 
@@ -273,7 +260,7 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
         raise NotNormalized(f"witness trace {total} exceeds 1")
     M = gram.entries
     scale = 1.0 + float(np.abs(M).max(initial=0.0))
-    if not np.allclose(_symmetrized(M, gram, a), M, atol=1e-9 * scale):
+    if not np.allclose(group_average(M, gram, a), M, atol=1e-9 * scale):
         raise NotInvariant("witness matrix is not invariant under the action")
 
     k = sample_budget(epsilon)
@@ -281,29 +268,19 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     if len(sg.terms) <= k:
         used = [(w, mats) for w, mats in sg.terms]
     else:
-        atoms = []
-        probs = []
-        for weight, mats in sg.terms:
-            tr = 1.0
-            for F in mats:
-                tr *= float(np.trace(F))
-            atoms.append((total / tr, mats))
-            probs.append(weight * tr / total)
-        counts = rng.multinomial(k, np.asarray(probs) / sum(probs))
-        used = [(c / k * a0, mats) for c, (a0, mats) in zip(counts, atoms) if c > 0]
+        used = [(c / k * (total / tr), mats) for c, tr, mats in _draw(sg, total, k, rng)
+                if c > 0]
 
     N_hat = np.zeros_like(M)
     for w, mats in used:
-        kron = mats[0]
-        for F in mats[1:]:
-            kron = np.kron(kron, F)
-        N_hat += w * kron
-    N = _symmetrized(N_hat, gram, a)
+        N_hat += w * _kron(mats)
+    N = group_average(N_hat, gram, a)
     error = float(np.linalg.norm(M - N))
 
+    basis = homogeneous_basis(gram.m, gram.d)
     poly_terms = []
     for w, mats in used:
-        factors = [_site_form_poly(F, gram.m, gram.d) for F in mats]
+        factors = [quadratic_form(F, basis, 1) for F in mats]
         factors[0] = factors[0].scaled(float(w))
         poly_terms.append(tuple(factors))
     dec = symmetrize_average(poly_terms, a)

@@ -17,7 +17,12 @@ from . import __version__
 from .approx import ApproxResult, SeparableGram, approx_separable
 from .blockpoly import BlockPolynomial
 from .complexes import WeightedComplex, is_connected
-from .decomposition import OmegaGDecomposition, symmetrize_free, blending_difference
+from .decomposition import (
+    DEFAULT_MAX_WORK,
+    OmegaGDecomposition,
+    blending_difference,
+    symmetrize_free,
+)
 from .errors import GuardExceeded, OmegaError
 from .familycheck import LocalFamily, bounded_positivity_check
 from .positivity import (
@@ -28,8 +33,7 @@ from .positivity import (
     invariant_sos_family,
 )
 from .radpoly import RadPoly
-from .scalars import ONE
-from .symmetry import SymmetryAction, free_refinement, is_blending, is_free
+from .symmetry import DEFAULT_MAX_GROUP, SymmetryAction, free_refinement, is_blending, is_free
 from .tensorbridge import DenseTensor, poly_from_tensor, separations_report, tensor_positivity
 
 EXIT_OK = 0
@@ -75,16 +79,6 @@ class _Run:
                 print(line, file=sys.stderr)
 
 
-def _radpoly_obj(p: RadPoly) -> list[dict]:
-    out = []
-    for s, poly in p.parts:
-        entry = {"poly": poly.to_obj()}
-        if s != ONE:
-            entry["scale"] = s.to_obj()
-        out.append(entry)
-    return out
-
-
 def _load_bundle(run: _Run, path: str):
     obj = run.read(path)
     cplx = WeightedComplex.from_obj(obj["complex"])
@@ -93,6 +87,12 @@ def _load_bundle(run: _Run, path: str):
         action = SymmetryAction.from_obj(cplx, obj["action"],
                                          max_group=run.args.max_group)
     return obj, cplx, action
+
+
+def _load_action(run: _Run) -> SymmetryAction:
+    """The action and its complex, read from the command's complex and action files."""
+    cplx = WeightedComplex.from_obj(run.read(run.args.complex))
+    return SymmetryAction.from_obj(cplx, run.read(run.args.action), max_group=run.args.max_group)
 
 
 def _cmd_complex(run: _Run) -> int:
@@ -111,15 +111,12 @@ def _cmd_complex(run: _Run) -> int:
 
 
 def _cmd_action(run: _Run) -> int:
-    cobj = run.read(run.args.complex)
-    cplx = WeightedComplex.from_obj(cobj)
-    aobj = run.read(run.args.action)
-    action = SymmetryAction.from_obj(cplx, aobj, max_group=run.args.max_group)
+    action = _load_action(run)
     if run.args.subcmd == "check":
         result = {
             "order": len(action),
             "free": is_free(action),
-            "blending": is_blending(action, run.args.max_assignments),
+            "blending": is_blending(action),
             "label_orbits": action.label_orbits(),
             "vertex_orbits": action.vertex_orbits(),
         }
@@ -151,7 +148,7 @@ def _cmd_dec(run: _Run) -> int:
     obj, cplx, action = _load_bundle(run, run.args.file)
     dec = OmegaGDecomposition.from_obj(cplx, action, obj["decomposition"])
     contraction = dec.contract(run.args.max_assignments)
-    result: dict = {"contraction": _radpoly_obj(contraction),
+    result: dict = {"contraction": contraction.to_obj(),
                     "index_size": dec.index_size}
     code = EXIT_OK
     if run.args.subcmd == "verify":
@@ -180,10 +177,8 @@ def _cmd_pos(run: _Run) -> int:
         gram = GramRepresentation.from_obj(run.read(run.args.file))
         return run.report("pos gram-map", {"polynomial": gram_map(gram).to_obj()})
     if run.args.subcmd == "factorizable":
-        cplx = WeightedComplex.from_obj(run.read(run.args.complex))
-        action = SymmetryAction.from_obj(cplx, run.read(run.args.action),
-                                         max_group=run.args.max_group)
-        sol = factorizability_solve(cplx, action, run.args.index_size,
+        action = _load_action(run)
+        sol = factorizability_solve(action.complex, action, run.args.index_size,
                                     run.args.max_assignments)
         if sol is None:
             return run.report("pos factorizable", {"feasible": False},
@@ -195,9 +190,7 @@ def _cmd_pos(run: _Run) -> int:
                            "constants": values})
     # sos-family
     gram = GramRepresentation.from_obj(run.read(run.args.gram))
-    cplx = WeightedComplex.from_obj(run.read(run.args.complex))
-    action = SymmetryAction.from_obj(cplx, run.read(run.args.action),
-                                     max_group=run.args.max_group)
+    action = _load_action(run)
     family = invariant_sos_family(gram, action, run.args.psd_tol)
     target = gram_map(gram)
     recon = family.sum_squares()
@@ -274,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--psd-tol", dest="psd_tol", type=float, default=1e-9)
     parser.add_argument("--eq-tol", dest="eq_tol", type=float, default=1e-9)
     parser.add_argument("--max-assignments", dest="max_assignments", type=int,
-                        default=10**7)
-    parser.add_argument("--max-group", dest="max_group", type=int, default=10080)
+                        default=DEFAULT_MAX_WORK)
+    parser.add_argument("--max-group", dest="max_group", type=int, default=DEFAULT_MAX_GROUP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complex")

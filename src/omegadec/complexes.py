@@ -35,10 +35,13 @@ class WeightedComplex:
     facets: tuple[tuple[frozenset[int], int], ...]
     labels: tuple[Label, ...] = field(init=False, repr=False, compare=False)
     _labels_at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _facet_of: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = []
-        for f_idx, (_, weight) in enumerate(self.facets):
+        facet_of: dict[frozenset[int], int] = {}
+        for f_idx, (fset, weight) in enumerate(self.facets):
+            facet_of.setdefault(fset, f_idx)
             for copy in range(weight):
                 labels.append((f_idx, copy))
         per_vertex = []
@@ -48,6 +51,7 @@ class WeightedComplex:
                 if v in self.facets[f_idx][0]))
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_labels_at", tuple(per_vertex))
+        object.__setattr__(self, "_facet_of", facet_of)
 
     @property
     def label_count(self) -> int:
@@ -63,10 +67,7 @@ class WeightedComplex:
         return self._labels_at[i]
 
     def facet_index(self, vertices: frozenset[int]) -> int | None:
-        for idx, (fset, _) in enumerate(self.facets):
-            if fset == vertices:
-                return idx
-        return None
+        return self._facet_of.get(vertices)
 
     def to_obj(self) -> dict:
         return {

@@ -110,6 +110,50 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     return acc.result()
 
 
+def locals_agree(a: SymmetryAction, site_vars: Sequence[int],
+                 stored: Mapping[tuple, RadPoly], tol: float) -> bool:
+    """True iff locals keyed (site, ..., assignment) agree along every group orbit.
+
+    g moves the site and the assignment and keeps what lies between; a missing
+    key is the zero local of width ``site_vars[g*i]``.
+    """
+    if len(a) == 1:
+        return True
+    exact = all(p.mode == RATIONAL for p in stored.values())
+    for key, poly in stored.items():
+        site, middle, beta = key[0], key[1:-1], key[-1]
+        for g in range(len(a)):
+            gi, gbeta = a.beta_image(g, site, beta)
+            # the plain (site, assignment) key skips the slower unpacking
+            other = stored.get((gi, *middle, gbeta) if middle else (gi, gbeta))
+            if other is None:
+                other = RadPoly.zero((site_vars[gi],), RATIONAL if exact else FLOAT)
+            if exact:
+                if not poly == other:
+                    return False
+            elif not poly.allclose(other, tol):
+                return False
+    return True
+
+
+def free_extension(a: SymmetryAction, count: int
+                   ) -> Iterator[tuple[int, int, list[Beta]]]:
+    """(site i, site g*i, assignment of term j for j < count) for every i and g.
+
+    Label l of site i gets j*|G| + h + 1 with h = g*z(l), z the linearizer,
+    so exactly the |G| translated copies of each term survive contraction.
+    """
+    z = linearizer(a)
+    order = len(a)
+    c = a.complex
+    for i in range(c.vertex_count):
+        positions = c.label_positions_at(i)
+        for g in range(order):
+            selector = [a.mul(g, z[pos]) for pos in positions]
+            yield i, a.vertex_image(g, i), [tuple(j * order + h + 1 for h in selector)
+                                            for j in range(count)]
+
+
 class OmegaGDecomposition:
     """Per-site local polynomial families plus a per-site positive scale.
 
@@ -161,26 +205,11 @@ class OmegaGDecomposition:
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:
         """Verify locals agree along every group orbit of (site, assignment)."""
-        if self.action is None or len(self.action) == 1:
+        if self.action is None:
             return True
-        a = self.action
-        exact = self.mode == RATIONAL
-        for i, mapping in self.locals.items():
-            for beta, poly in mapping.items():
-                for g in range(len(a)):
-                    gi, gbeta = a.beta_image(g, i, beta)
-                    if self.site_vars[gi] != self.site_vars[i]:
-                        return False
-                    other = self.locals.get(gi, {}).get(gbeta)
-                    if other is None:
-                        other = RadPoly.zero((self.site_vars[gi],),
-                                             RATIONAL if exact else FLOAT)
-                    if exact:
-                        if not poly == other:
-                            return False
-                    elif not poly.allclose(other, tol):
-                        return False
-        return True
+        stored = {(site, beta): poly for site, mapping in self.locals.items()
+                  for beta, poly in mapping.items()}
+        return locals_agree(self.action, self.site_vars, stored, tol)
 
     # serialization
 
@@ -188,11 +217,8 @@ class OmegaGDecomposition:
         entries = []
         for site in sorted(self.locals):
             for beta in sorted(self.locals[site]):
-                for s, p in self.locals[site][beta].parts:
-                    entry = {"site": site, "beta": list(beta), "poly": p.to_obj()}
-                    if s != ONE:
-                        entry["scale"] = s.to_obj()
-                    entries.append(entry)
+                entries.extend({"site": site, "beta": list(beta), **part}
+                               for part in self.locals[site][beta].to_obj())
         return {
             "index_size": self.index_size,
             "scale": self.scale.to_obj(),
@@ -223,8 +249,12 @@ class OmegaGDecomposition:
 
 
 def _term_site_vars(terms: Sequence[Sequence[object]], V: int) -> tuple[int, ...]:
+    """Per-site widths of a non-empty list of elementary terms of V factors each."""
     if not terms:
         raise ValueError("need at least one elementary term")
+    for term in terms:
+        if len(term) != V:
+            raise ValueError(f"term has {len(term)} factors, expected {V}")
     site_vars = []
     for i in range(V):
         widths = {RadPoly.coerce(t[i]).sites[0] for t in terms}
@@ -234,10 +264,21 @@ def _term_site_vars(terms: Sequence[Sequence[object]], V: int) -> tuple[int, ...
     return tuple(site_vars)
 
 
+def _orbit_site_vars(terms: Sequence[Sequence[object]], a: SymmetryAction) -> tuple[int, ...]:
+    """Per-site widths of terms with one factor per vertex, equal along vertex orbits."""
+    site_vars = _term_site_vars(terms, a.complex.vertex_count)
+    for g in range(len(a)):
+        for i, width in enumerate(site_vars):
+            gi = a.vertex_image(g, i)
+            if site_vars[gi] != width:
+                raise IncompatibleBlockSizes(
+                    f"sites {i} and {gi} share an orbit but differ in width")
+    return site_vars
+
+
 def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     """The polynomial of an elementary decomposition: sum of site products."""
-    V = len(terms[0])
-    site_vars = _term_site_vars(terms, V)
+    site_vars = _term_site_vars(terms, len(terms[0]) if terms else 0)
     acc = RadSum(site_vars)
     for term in terms:
         acc.add(rad_outer([RadPoly.coerce(f) for f in term]))
@@ -255,9 +296,6 @@ def from_elementary(terms: Sequence[Sequence[object]],
     if not is_connected(c):
         raise NotConnected("elementary reuse requires a connected complex")
     V = c.vertex_count
-    for term in terms:
-        if len(term) != V:
-            raise ValueError(f"term has {len(term)} factors, expected {V}")
     site_vars = _term_site_vars(terms, V)
     locals_: dict[int, dict[Beta, object]] = {}
     for j, term in enumerate(terms):
@@ -272,8 +310,8 @@ def symmetrize_average(terms: Sequence[Sequence[object]],
     """Invariant decomposition contracting to the group average of the input sum.
 
     Requires a free action on a connected complex. Index pairs (term, group
-    element) are selected through a linearizer so that exactly the |G|
-    translated copies of the input survive contraction; the per-site scale
+    element) come from the free extension, so exactly the |G| translated
+    copies of the input survive contraction; the per-site scale
     (1/|G|)**(1/V) turns the total into the average.
     """
     c = a.complex
@@ -281,37 +319,15 @@ def symmetrize_average(terms: Sequence[Sequence[object]],
         raise NotConnected("symmetrization requires a connected complex")
     if not is_free(a):
         raise ActionNotFree("symmetrization requires a free action on the multifacets")
-    V = c.vertex_count
-    for term in terms:
-        if len(term) != V:
-            raise ValueError(f"term has {len(term)} factors, expected {V}")
-    site_vars = _term_site_vars(terms, V)
-    for g in range(len(a)):
-        for i in range(V):
-            if site_vars[a.vertex_image(g, i)] != site_vars[i]:
-                raise IncompatibleBlockSizes(
-                    f"sites {i} and {a.vertex_image(g, i)} share an orbit but differ in width")
-    z = linearizer(a)
-    order = len(a)
-    r = len(terms)
-
-    def encode(j: int, g: int) -> int:
-        return j * order + g + 1
-
+    site_vars = _orbit_site_vars(terms, a)
     locals_: dict[int, dict[Beta, RadPoly]] = {}
-    for i in range(V):
-        positions = c.label_positions_at(i)
-        for g in range(order):
-            gi = a.vertex_image(g, i)
-            selector = tuple(a.mul(g, z[pos]) for pos in positions)
-            for j in range(r):
-                poly = RadPoly.coerce(terms[j][gi])
-                if poly.is_zero():
-                    continue
-                beta = tuple(encode(j, h) for h in selector)
+    for i, gi, betas in free_extension(a, len(terms)):
+        for term, beta in zip(terms, betas):
+            poly = RadPoly.coerce(term[gi])
+            if not poly.is_zero():
                 locals_.setdefault(i, {})[beta] = poly
-    scale = ScaledScalar(Fraction(1, order), V)
-    return OmegaGDecomposition(c, a, r * order, site_vars, locals_, scale)
+    scale = ScaledScalar(Fraction(1, len(a)), c.vertex_count)
+    return OmegaGDecomposition(c, a, len(terms) * len(a), site_vars, locals_, scale)
 
 
 def symmetrize_free(terms: Sequence[Sequence[object]],
@@ -366,12 +382,7 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     if not terms:
         empty = OmegaGDecomposition(c, a, 0, (1,) * V, {})
         return empty, empty
-    site_vars = _term_site_vars(terms, V)
-    for g in range(len(a)):
-        for i in range(V):
-            if site_vars[a.vertex_image(g, i)] != site_vars[i]:
-                raise IncompatibleBlockSizes(
-                    f"sites {i} and {a.vertex_image(g, i)} share an orbit but differ in width")
+    site_vars = _orbit_site_vars(terms, a)
     p = elementary_sum(terms)
     if not is_invariant(p, a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
@@ -387,7 +398,7 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     stab_product = 1
     for i in range(V):
         stab_product *= a.vertex_stabilizer_size(i)
-    realized_maps = order // a.vertex_kernel_size()
+    realized_maps = len({a.vperm(g) for g in range(order)})
     total = 2**n * stab_product * realized_maps
     scale = ScaledScalar(Fraction(1, total), V)
     # split vectors have entries +-1, so each local sums signed copies of the factors
@@ -511,6 +522,11 @@ def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomp
                                a.index_size + b.index_size, d1.site_vars, locals_)
 
 
+def pair_assignment(beta1: Beta, beta2: Beta, size: int) -> Beta:
+    """The assignment of the index pairs (v1, v2), numbered (v1 - 1) * size + v2."""
+    return tuple((v1 - 1) * size + v2 for v1, v2 in zip(beta1, beta2))
+
+
 def pointwise_product(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomposition:
     """Decomposition of the product of two contractions on a shared complex."""
     if d1.complex != d2.complex:
@@ -518,17 +534,12 @@ def pointwise_product(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> Omega
     if d1.site_vars != d2.site_vars:
         raise IncompatibleBlockSizes("factors disagree on site widths")
     i2 = d2.index_size
-
-    def encode(v1: int, v2: int) -> int:
-        return (v1 - 1) * i2 + v2
-
     locals_: dict[int, dict[Beta, RadPoly]] = {}
     for site in range(d1.complex.vertex_count):
         m1 = d1.locals.get(site, {})
         m2 = d2.locals.get(site, {})
         for beta1, p1 in m1.items():
             for beta2, p2 in m2.items():
-                beta = tuple(encode(v1, v2) for v1, v2 in zip(beta1, beta2))
-                locals_.setdefault(site, {})[beta] = p1 * p2
+                locals_.setdefault(site, {})[pair_assignment(beta1, beta2, i2)] = p1 * p2
     return OmegaGDecomposition(d1.complex, _shared_action(d1, d2), d1.index_size * i2,
                                d1.site_vars, locals_, d1.scale * d2.scale)

@@ -12,6 +12,7 @@ convert to sos witnesses when the overcount constants of the pair
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -26,6 +27,10 @@ from .decomposition import (
     OmegaGDecomposition,
     checked_assignment,
     contract_assignments,
+    elementary_sum,
+    free_extension,
+    locals_agree,
+    pair_assignment,
     symmetrize_free,
 )
 from .errors import (
@@ -42,9 +47,9 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .invariance import is_invariant
-from .radpoly import RadPoly, rad_outer
+from .radpoly import RadPoly
 from .scalars import ONE, ScaledScalar
-from .symmetry import SymmetryAction, is_free, linearizer
+from .symmetry import SymmetryAction, is_free
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_EQ_TOL = 1e-9
@@ -52,18 +57,29 @@ DEFAULT_EQ_TOL = 1e-9
 
 def monomials_upto(m: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors in m variables of total degree at most d, graded lex."""
-    out: list[tuple[int, ...]] = []
+    # prefixes with the degree they leave for the remaining variables
+    out: list[tuple[tuple[int, ...], int]] = [((), d)]
+    for _ in range(m):
+        out = [(prefix + (e,), left - e) for prefix, left in out for e in range(left + 1)]
+    return sorted((prefix for prefix, _ in out), key=lambda a: (sum(a), a))
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
 
-    rec((), d, m)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+def _gram_dim(n: int, m: int, d: int) -> int | None:
+    """The Gram side comb(m+d, d)**(n+1), or None once its square passes 2**62 entries.
+
+    Every step at least doubles it, so huge n, m or d stop within 32 steps.
+    """
+    D = 1
+    for k in range(1, min(m, d) + 1):
+        D = D * (max(m, d) + k) // k          # comb(max + k, k)
+        if D * D > 2**62:
+            return None
+    dim = D
+    for _ in range(n if D > 1 else 0):
+        dim *= D
+        if dim * dim > 2**62:
+            return None
+    return dim
 
 
 class GramRepresentation:
@@ -73,10 +89,12 @@ class GramRepresentation:
         self.n = int(n)
         self.m = int(m)
         self.d = int(d)
-        self.local_basis = monomials_upto(self.m, self.d)
-        self.D = len(self.local_basis)
-        dim = self.D ** (self.n + 1)
+        if min(self.n, self.m, self.d) < 0:
+            raise ValueError("n, m and d must be nonnegative")
         mat = np.asarray(entries, dtype=float)
+        dim = _gram_dim(self.n, self.m, self.d)
+        if dim is None:
+            raise DimensionMismatch(f"expected over 2**62 entries, got {mat.shape}")
         if mat.shape == (dim * dim,):
             mat = mat.reshape(dim, dim)
         if mat.shape != (dim, dim):
@@ -84,6 +102,8 @@ class GramRepresentation:
         if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.abs(mat).max(initial=0.0)))):
             raise DimensionMismatch("Gram entries must be symmetric")
         self.entries = 0.5 * (mat + mat.T)
+        self.local_basis = monomials_upto(self.m, self.d)
+        self.D = len(self.local_basis)
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -96,13 +116,6 @@ class GramRepresentation:
     def index_tuples(self) -> list[tuple[tuple[int, ...], ...]]:
         """Row/column labels: one local monomial per site, site 0 outermost."""
         return [tuple(K) for K in product(self.local_basis, repeat=self.n + 1)]
-
-    def flat_index(self, K: Sequence[tuple[int, ...]]) -> int:
-        pos = 0
-        lookup = {mono: i for i, mono in enumerate(self.local_basis)}
-        for mono in K:
-            pos = pos * self.D + lookup[tuple(mono)]
-        return pos
 
     def permutation_array(self, vperm: Sequence[int]) -> np.ndarray:
         """perm[flat(K)] = flat(gK) where gK places site i's entry at vperm[i]."""
@@ -135,11 +148,10 @@ class GramRepresentation:
         return cls(obj["n"], obj["m"], obj["d"], obj["entries"])
 
 
-def gram_map(g: GramRepresentation) -> BlockPolynomial:
-    """The polynomial m^t M m over the inhomogeneous monomial bases."""
-    tuples = g.index_tuples()
+def quadratic_form(mat: np.ndarray, basis: Sequence[tuple[int, ...]], V: int) -> BlockPolynomial:
+    """The polynomial m^t M m, m running over V-fold basis products, site 0 outermost."""
+    tuples = list(product(basis, repeat=V))
     terms: dict = {}
-    mat = g.entries
     for r, Kr in enumerate(tuples):
         for s, Ks in enumerate(tuples):
             coeff = mat[r, s]
@@ -147,7 +159,12 @@ def gram_map(g: GramRepresentation) -> BlockPolynomial:
                 continue
             key = tuple(tuple(a + b for a, b in zip(mr, ms)) for mr, ms in zip(Kr, Ks))
             terms[key] = terms.get(key, 0.0) + coeff
-    return BlockPolynomial(g.sites, terms, FLOAT)
+    return BlockPolynomial((len(basis[0]),) * V, terms, FLOAT)
+
+
+def gram_map(g: GramRepresentation) -> BlockPolynomial:
+    """The polynomial m^t M m over the inhomogeneous monomial bases."""
+    return quadratic_form(g.entries, g.local_basis, g.n + 1)
 
 
 def homogeneous_basis(m: int, d: int) -> list[tuple[int, ...]]:
@@ -161,19 +178,7 @@ def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
     Each site gets one extra leading variable absorbing the missing degree, so
     the result is multi-homogeneous of local degree 2d in m+1 variables.
     """
-    basis = homogeneous_basis(g.m, g.d)
-    V = g.n + 1
-    tuples = list(product(basis, repeat=V))
-    terms: dict = {}
-    mat = g.entries
-    for r, Kr in enumerate(tuples):
-        for s, Ks in enumerate(tuples):
-            coeff = mat[r, s]
-            if coeff == 0.0:
-                continue
-            key = tuple(tuple(a + b for a, b in zip(mr, ms)) for mr, ms in zip(Kr, Ks))
-            terms[key] = terms.get(key, 0.0) + coeff
-    return BlockPolynomial((g.m + 1,) * V, terms, FLOAT)
+    return quadratic_form(g.entries, homogeneous_basis(g.m, g.d), g.n + 1)
 
 
 def is_gram_invariant(g: GramRepresentation, a: SymmetryAction, tol: float = 1e-9) -> bool:
@@ -183,6 +188,18 @@ def is_gram_invariant(g: GramRepresentation, a: SymmetryAction, tol: float = 1e-
         if not np.allclose(g.permuted(a.vperm(gi)).entries, base, atol=tol * scale):
             return False
     return True
+
+
+def group_average(entries: np.ndarray, g: GramRepresentation,
+                  a: SymmetryAction) -> np.ndarray:
+    """Average of a matrix indexed like g over the group acting on the sites."""
+    acc = np.zeros_like(entries)
+    for h in range(len(a)):
+        perm = g.permutation_array(a.vperm(h))
+        out = np.empty_like(entries)
+        out[np.ix_(perm, perm)] = entries
+        acc += out
+    return acc / len(a)
 
 
 def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
@@ -197,10 +214,7 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
     p = gram_map(g)
     if not is_invariant(p, a, tol):
         raise NotInvariantPolynomial("Gram matrix represents a non-invariant polynomial")
-    acc = np.zeros_like(g.entries)
-    for gi in range(len(a)):
-        acc += g.permuted(a.vperm(gi)).entries
-    return GramRepresentation(g.n, g.m, g.d, acc / len(a))
+    return GramRepresentation(g.n, g.m, g.d, group_average(g.entries, g, a))
 
 
 def psd_floor(g: GramRepresentation, tol: float = DEFAULT_PSD_TOL) -> float:
@@ -398,23 +412,8 @@ class SosOmegaGDecomposition:
         return acc
 
     def check_joint_symmetry(self, tol: float = 1e-9) -> bool:
-        if self.action is None or len(self.action) == 1:
-            return True
-        a = self.action
-        exact = all(p.mode == RATIONAL for p in self.locals.values())
-        for (site, k, beta), poly in self.locals.items():
-            for g in range(len(a)):
-                gi, gbeta = a.beta_image(g, site, beta)
-                other = self.locals.get((gi, k, gbeta))
-                if other is None:
-                    other = RadPoly.zero((self.site_vars[gi],),
-                                         RATIONAL if exact else FLOAT)
-                if exact:
-                    if not poly == other:
-                        return False
-                elif not poly.allclose(other, tol):
-                    return False
-        return True
+        return self.action is None or locals_agree(self.action, self.site_vars,
+                                                   self.locals, tol)
 
 
 def family_symmetrize(family: SosFamily, a: SymmetryAction,
@@ -446,35 +445,19 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
         return p
 
     for K in family.grid():
-        acc = RadPoly.zero(family.sites, FLOAT)
-        for j in term_ids:
-            term = [RadPoly.coerce(factor(i, K[i], j)) for i in range(V)]
-            acc = acc + rad_outer(term)
-        if not acc.allclose(RadPoly.from_poly(family.member(K)), tol):
+        member = elementary_sum([[factor(i, K[i], j) for i in range(V)] for j in term_ids])
+        if not member.allclose(RadPoly.from_poly(family.member(K)), tol):
             raise LocalsNotAligned(f"factors fail to reconstruct member {K}")
 
-    z = linearizer(a)
-    order = len(a)
-    jpos = {j: idx for idx, j in enumerate(term_ids)}
-
-    def encode(j, g: int) -> int:
-        return jpos[j] * order + g + 1
-
     locals_: dict[tuple, object] = {}
-    for i in range(V):
-        positions = c.label_positions_at(i)
-        for g in range(order):
-            gi = a.vertex_image(g, i)
-            selector = tuple(a.mul(g, z[pos]) for pos in positions)
-            for j in term_ids:
-                for k in family.site_index[i]:
-                    p = factor(gi, k, j)
-                    if p.is_zero():
-                        continue
-                    beta = tuple(encode(j, h) for h in selector)
+    for i, gi, betas in free_extension(a, len(term_ids)):
+        for j, beta in zip(term_ids, betas):
+            for k in family.site_index[i]:
+                p = factor(gi, k, j)
+                if not p.is_zero():
                     locals_[(i, k, beta)] = p
-    scale = ScaledScalar(Fraction(1, order), V)
-    return SosOmegaGDecomposition(c, a, len(term_ids) * order,
+    scale = ScaledScalar(Fraction(1, len(a)), V)
+    return SosOmegaGDecomposition(c, a, len(term_ids) * len(a),
                                   [family.sites[i] for i in range(V)],
                                   family.site_index, locals_, scale)
 
@@ -531,11 +514,11 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
     def canon(i: int, beta: tuple) -> tuple:
         return min(a.beta_image(g, i, beta)[1] for g in stabs[i])
 
-    counts: dict[tuple, int] = {}
     assignments = list(product(values, repeat=L))
-    for gamma in assignments:
-        sig = tuple(canon(i, tuple(gamma[p] for p in positions[i])) for i in range(V))
-        counts[sig] = counts.get(sig, 0) + 1
+    site_betas = [[tuple(alpha[p] for p in positions[i]) for i in range(V)]
+                  for alpha in assignments]
+    sigs = [tuple(canon(i, beta) for i, beta in enumerate(betas)) for betas in site_betas]
+    counts = Counter(sigs)
 
     # orbit variables over all (site, assignment) pairs
     var_of: dict[tuple, int] = {}
@@ -545,25 +528,18 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
             key = (i, beta)
             if key in var_of:
                 continue
-            orbit = set()
-            for g in range(len(a)):
-                gi, gbeta = a.beta_image(g, i, beta)
-                orbit.add((gi, gbeta))
-            for member in orbit:
+            for member in a.beta_orbit(i, beta):
                 var_of[member] = nvars
             nvars += 1
 
     rows = []
     rhs = []
     overcounts: dict[tuple, int] = {}
-    for alpha in assignments:
+    for alpha, betas, sig in zip(assignments, site_betas, sigs):
         row = np.zeros(nvars)
-        sig = []
-        for i in range(V):
-            beta = tuple(alpha[p] for p in positions[i])
+        for i, beta in enumerate(betas):
             row[var_of[(i, beta)]] += 1.0
-            sig.append(canon(i, beta))
-        K = counts[tuple(sig)]
+        K = counts[sig]
         overcounts[alpha] = K
         rows.append(row)
         rhs.append(-math.log(K))
@@ -584,11 +560,6 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
     the member-index sum of products of the corresponding family locals.
     """
     I = sos.index_size
-    V = sos.complex.vertex_count
-
-    def encode(v1: int, v2: int) -> int:
-        return (v1 - 1) * I + v2
-
     per_site: dict[int, dict] = {}
     for (site, k, beta), poly in sos.locals.items():
         per_site.setdefault(site, {}).setdefault(k, {})[beta] = poly
@@ -598,7 +569,7 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
         for k, mapping in by_k.items():
             for b1, p1 in mapping.items():
                 for b2, p2 in mapping.items():
-                    key = tuple(encode(x, y) for x, y in zip(b1, b2))
+                    key = pair_assignment(b1, b2, I)
                     prod_ = p1 * p2
                     prev = acc.get(key)
                     acc[key] = prod_ if prev is None else prev + prod_
@@ -651,8 +622,6 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
     if solution.index_size != sep.index_size:
         raise DimensionMismatch("splitting solved for a different index size")
     a = sep.action
-    order = 1 if a is None else len(a)
-
     stored = [(site, beta) for site, mapping in sep.locals.items() for beta in mapping]
     orbit_of: dict[tuple, int] = {}
     reps: list[tuple] = []
@@ -661,12 +630,7 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
             continue
         rep_id = len(reps)
         reps.append((site, beta))
-        members = {(site, beta)}
-        if a is not None:
-            for g in range(order):
-                gi, gbeta = a.beta_image(g, site, beta)
-                members.add((gi, gbeta))
-        for member in members:
+        for member in {(site, beta)} if a is None else a.beta_orbit(site, beta):
             orbit_of[member] = rep_id
 
     per_site_scale = sep.scale

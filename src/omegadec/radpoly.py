@@ -173,6 +173,16 @@ class RadPoly:
     def evaluate(self, point) -> float:
         return float(sum(float(s) * float(p.evaluate(point)) for s, p in self.parts))
 
+    def to_obj(self) -> list[dict]:
+        """One entry per part: the polynomial, and its scale unless that is one."""
+        out = []
+        for s, p in self.parts:
+            entry = {"poly": p.to_obj()}
+            if s != ONE:
+                entry["scale"] = s.to_obj()
+            out.append(entry)
+        return out
+
     def __repr__(self) -> str:
         if not self.parts:
             return f"RadPoly(sites={self.sites}, 0)"

@@ -10,6 +10,7 @@ multifacet labels; blending refers to the action on the vertices.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 from .complexes import WeightedComplex, is_connected
@@ -18,12 +19,10 @@ from .errors import (
     CollapseNotLinear,
     GroupTooLarge,
     NotConnected,
-    SearchSpaceTooLarge,
     WeightNotPreserved,
 )
 
 DEFAULT_MAX_GROUP = 10080
-DEFAULT_MAX_WORK = 10**7
 
 Perm = tuple[int, ...]
 
@@ -111,34 +110,29 @@ class SymmetryAction:
         gi, mapping = self.beta_map(g, site)
         return gi, tuple(beta[t] for t in mapping)
 
+    def beta_orbit(self, site: int, beta: tuple) -> set[tuple[int, tuple]]:
+        """Every (site, assignment) pair some group element pushes (site, beta) to."""
+        return {self.beta_image(g, site, beta) for g in range(len(self))}
+
     # structure queries
 
-    def label_orbits(self) -> list[list[int]]:
-        c = self.complex
+    def _orbits(self, size: int, image) -> list[list[int]]:
+        """Sorted orbits of 0..size-1 under image(g, x), by smallest member."""
         seen: set[int] = set()
         orbits = []
-        for pos in range(c.label_count):
-            if pos in seen:
+        for x in range(size):
+            if x in seen:
                 continue
-            orbit = sorted({self.label_image(g, pos) for g in range(len(self))})
+            orbit = sorted({image(g, x) for g in range(len(self))})
             seen.update(orbit)
             orbits.append(orbit)
         return orbits
+
+    def label_orbits(self) -> list[list[int]]:
+        return self._orbits(self.complex.label_count, self.label_image)
 
     def vertex_orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        orbits = []
-        for v in range(self.complex.vertex_count):
-            if v in seen:
-                continue
-            orbit = sorted({self.vertex_image(g, v) for g in range(len(self))})
-            seen.update(orbit)
-            orbits.append(orbit)
-        return orbits
-
-    def vertex_kernel_size(self) -> int:
-        return sum(1 for g in range(len(self))
-                   if all(self.vertex_image(g, i) == i for i in range(self.complex.vertex_count)))
+        return self._orbits(self.complex.vertex_count, self.vertex_image)
 
     def vertex_stabilizer_size(self, i: int) -> int:
         return sum(1 for g in range(len(self)) if self.vertex_image(g, i) == i)
@@ -218,41 +212,18 @@ def is_free(a: SymmetryAction) -> bool:
     return True
 
 
-def is_blending(a: SymmetryAction, max_work: int = DEFAULT_MAX_WORK) -> bool:
+def is_blending(a: SymmetryAction) -> bool:
     """True iff every orbit-compatible vertex bijection is realized by one element.
 
     A vertex bijection f is realizable by a tuple of group elements exactly
     when f(i) lies in the orbit of i for every i; blending demands each such f
-    to agree with a single element on all vertices.
+    to agree with a single element on all vertices. Every vertex permutation
+    of the group preserves each orbit, so it blends exactly when it realizes
+    as many distinct vertex permutations as there are orbit-compatible
+    bijections, the product of |O|! over the vertex orbits O.
     """
-    V = a.complex.vertex_count
-    orbit_of = {}
-    for orbit in a.vertex_orbits():
-        for v in orbit:
-            orbit_of[v] = orbit
-    realizable = {a.vperm(g) for g in range(len(a))}
-    work = 0
-
-    def rec(i: int, used: set[int], prefix: list[int]) -> bool:
-        nonlocal work
-        if i == V:
-            return tuple(prefix) in realizable
-        for target in orbit_of[i]:
-            if target in used:
-                continue
-            work += 1
-            if work > max_work:
-                raise SearchSpaceTooLarge(f"blending search exceeded {max_work} steps")
-            used.add(target)
-            prefix.append(target)
-            ok = rec(i + 1, used, prefix)
-            prefix.pop()
-            used.discard(target)
-            if not ok:
-                return False
-        return True
-
-    return rec(0, set(), [])
+    realized = {a.vperm(g) for g in range(len(a))}
+    return len(realized) == math.prod(math.factorial(len(o)) for o in a.vertex_orbits())
 
 
 def free_refinement(a: SymmetryAction) -> SymmetryAction:

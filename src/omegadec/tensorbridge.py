@@ -53,6 +53,8 @@ class DenseTensor:
             raise DimensionMismatch(f"expected {size} entries, got {len(flat)}")
         if mode == FLOAT:
             flat = [float(x) for x in flat]
+            if not all(map(math.isfinite, flat)):
+                raise ValueError("float tensor entries must be finite")
         else:
             flat = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in flat]
         self.mode = mode
@@ -170,24 +172,9 @@ def tensor_positivity(t: DenseTensor) -> dict:
             "witness": None if ok else arg}
 
 
-def _vector_poly(vec: Sequence, m: int, mode: str) -> BlockPolynomial:
-    terms = {}
-    for j, c in enumerate(vec):
-        if c == 0:
-            continue
-        terms[(tuple(2 if i == j else 0 for i in range(m)),)] = c
-    return BlockPolynomial((m,), terms, mode)
-
-
-def _vector_from_local(p: BlockPolynomial) -> list:
-    m = p.sites[0]
-    vec = [Fraction(0) if p.mode == RATIONAL else 0.0] * m
-    for (block,), coeff in p.terms.items():
-        nz = [(j, e) for j, e in enumerate(block) if e]
-        if len(nz) != 1 or nz[0][1] != 2:
-            raise NotCanonicalForm(f"local term {block} is not a squared variable")
-        vec[nz[0][0]] = coeff
-    return vec
+def _check_finite(values: Iterable) -> None:
+    if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+        raise ValueError("tensor decomposition entries must be finite")
 
 
 class TensorDecomposition:
@@ -210,6 +197,7 @@ class TensorDecomposition:
                 vec = tuple(vec)
                 if len(vec) != self.axis_dim:
                     raise DimensionMismatch("vector length differs from axis dimension")
+                _check_finite(vec)
                 if variant == NONNEGATIVE and any(float(x) < 0 for x in vec):
                     raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
                 beta = checked_assignment(complex_, site, beta, self.index_size)
@@ -217,6 +205,9 @@ class TensorDecomposition:
                     self.vectors[(site, beta)] = vec
         else:
             for (site, j), mat in (psd_mats or {}).items():
+                if not 0 <= int(j) < self.axis_dim:
+                    raise DimensionMismatch(f"psd matrix key {j} outside 0..{self.axis_dim - 1}")
+                _check_finite(mat.values())
                 self.psd_mats[(site, int(j))] = {
                     (checked_assignment(complex_, site, b1, self.index_size),
                      checked_assignment(complex_, site, b2, self.index_size)): v
@@ -327,7 +318,7 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
                                for vec in td.vectors.values() for x in vec) else FLOAT
         locals_: dict[int, dict] = {}
         for (site, beta), vec in td.vectors.items():
-            locals_.setdefault(site, {})[beta] = _vector_poly(vec, m, mode)
+            locals_.setdefault(site, {})[beta] = poly_from_tensor(DenseTensor((m,), vec, mode))
         return OmegaGDecomposition(td.complex, td.action, td.index_size,
                                    (m,) * V, locals_)
     a = td.action
@@ -338,47 +329,25 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
                     "symmetric factor split needs a free vertex action")
     if not td.check_psd():
         raise NotPSD("psd decomposition has a non-psd matrix")
-    # factor orbit representatives, then copy factors along the orbit
-    site_reps = {}
-    if a is None:
-        orbits = [[i] for i in range(V)]
-    else:
-        orbits = a.vertex_orbits()
-    factors: dict[tuple, np.ndarray] = {}
-    grids = {i: td.beta_grid(i) for i in range(V)}
+    # factor orbit representatives; the free vertex action moves each factor
+    # column b of the representative to column g*b of exactly one site g*rep
+    locals_: dict[tuple, BlockPolynomial] = {}
     kmax = 0
-    for orbit in orbits:
+    for orbit in [[i] for i in range(V)] if a is None else a.vertex_orbits():
         rep = orbit[0]
+        grid = td.beta_grid(rep)
         for j in range(m):
             B = psd_sqrt(td.psd_matrix(rep, j))
-            factors[(rep, j)] = B
             kmax = max(kmax, B.shape[0])
-            if a is not None:
-                pos = {b: idx for idx, b in enumerate(grids[rep])}
-                for g in range(len(a)):
-                    gi = a.vertex_image(g, rep)
-                    if (gi, j) in factors:
-                        continue
-                    Bg = np.zeros((B.shape[0], len(grids[gi])))
-                    gpos = {b: idx for idx, b in enumerate(grids[gi])}
-                    for b, col in pos.items():
-                        _, gb = a.beta_image(g, rep, b)
-                        Bg[:, gpos[gb]] = B[:, col]
-                    factors[(gi, j)] = Bg
+            linear = (tuple(1 if t == j else 0 for t in range(m)),)
+            for g in range(1 if a is None else len(a)):
+                for col, beta in enumerate(grid):
+                    gi, gbeta = (rep, beta) if a is None else a.beta_image(g, rep, beta)
+                    for k in range(B.shape[0]):
+                        if abs(B[k, col]) >= 1e-14:
+                            locals_[(gi, (j, k), gbeta)] = BlockPolynomial(
+                                (m,), {linear: B[k, col]}, FLOAT)
     member_values = [(j, k) for j in range(m) for k in range(kmax)]
-    locals_: dict[tuple, BlockPolynomial] = {}
-    for i in range(V):
-        gpos = {b: idx for idx, b in enumerate(grids[i])}
-        for j in range(m):
-            B = factors[(i, j)]
-            for beta, col in gpos.items():
-                for k in range(B.shape[0]):
-                    coeff = B[k, col]
-                    if abs(coeff) < 1e-14:
-                        continue
-                    mono = BlockPolynomial((m,), {(tuple(1 if t == j else 0
-                                                         for t in range(m)),): coeff}, FLOAT)
-                    locals_[(i, (j, k), beta)] = mono
     return SosOmegaGDecomposition(td.complex, a, td.index_size, (m,) * V,
                                   tuple(tuple(member_values) for _ in range(V)), locals_)
 
@@ -394,10 +363,10 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
         vectors = {}
         for site, mapping in dec.locals.items():
             for beta, poly in mapping.items():
-                vec = _vector_from_local(poly.scale_mul(dec.scale).as_polynomial()
-                                         if poly.mode == RATIONAL and dec.scale.is_rational
-                                         else poly.scale_mul(dec.scale).to_float())
-                vectors[(site, beta)] = tuple(vec)
+                vec = tensor_from_poly(poly.scale_mul(dec.scale).as_polynomial()
+                                       if poly.mode == RATIONAL and dec.scale.is_rational
+                                       else poly.scale_mul(dec.scale).to_float())
+                vectors[(site, beta)] = tuple(vec.entries)
         return TensorDecomposition(variant, dec.complex, dec.action,
                                    dec.index_size, m, vectors=vectors)
     if variant != PSD:

@@ -8,10 +8,21 @@ import pytest
 from omegadec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def strict_json(out):
+    return json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -251,3 +262,60 @@ def test_non_finite_report_becomes_input_error(capsys, monkeypatch):
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+def _without_terms(obj):
+    obj["terms"] = []
+
+
+def _short_second_term(obj):
+    obj["terms"][1].pop()
+
+
+def _short_first_term(obj):
+    obj["terms"][0].pop()
+
+
+@pytest.mark.parametrize("bundle,mode,edit", [
+    ("symmetrize_circle4.json", "free", _without_terms),
+    ("symmetrize_circle4.json", "free", _short_second_term),
+    ("symmetrize_simplex2.json", "blending", _short_first_term),
+], ids=["free-empty", "free-short-term", "blending-wrong-arity"])
+def test_malformed_term_list_is_an_input_error(capsys, tmp_path, bundle, mode, edit):
+    with open(os.path.join(GOLDEN, bundle)) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    code, out = run(capsys, "dec", "symmetrize", write_json(tmp_path, bundle, obj),
+                    "--mode", mode)
+    assert code == 2
+    assert strict_json(out)["error"] == "ValueError"
+
+
+def test_action_check_deep_circle(capsys, tmp_path):
+    n = 1100
+    shift = [(i + 1) % n for i in range(n)]
+    cpath = write_json(tmp_path, "circle.json", {"n": n - 1, "facets": [
+        {"vertices": sorted({i, (i + 1) % n}), "weight": 1} for i in range(n)]})
+    apath = write_json(tmp_path, "rotation.json", {"generators": [
+        {"vertex_perm": shift, "multifacet_perm": shift}]})
+    code, out = run(capsys, "action", "check", cpath, apath)
+    assert code == 0
+    result = strict_json(out)["result"]
+    assert result["order"] == n and result["free"] is True and result["blending"] is False
+
+
+@pytest.mark.parametrize("gram", [
+    {"n": 0, "m": 1200, "d": 1, "entries": [1.0]},
+    {"n": 0, "m": 3, "d": 1000000, "entries": [1.0]},
+], ids=["wide", "high-degree"])
+def test_gram_map_size_mismatch_before_enumeration(capsys, tmp_path, gram):
+    code, out = run(capsys, "pos", "gram-map", write_json(tmp_path, "gram.json", gram))
+    assert code == 2
+    assert strict_json(out)["error"] == "DimensionMismatch"
+
+
+def test_action_check_ignores_assignment_guard(capsys):
+    code, out = run(capsys, "--max-assignments", "3", "action", "check",
+                    fixture("circle5_complex.json"), fixture("circle5_rotation_action.json"))
+    assert code == 0
+    assert strict_json(out)["result"]["blending"] is False

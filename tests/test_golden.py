@@ -2,12 +2,16 @@
 
 Each `*.stdout` file under `tests/golden/` is the report the command below
 printed before the exact core stopped re-validating its own results (the
-`dec` cases) or before the contractions and the family check moved onto
-their iterative enumerations (the `family` and `bridge` cases); the report
-must stay the same byte for byte, together with the exit code. The inputs
-cover radical scales that merge or stay separate, float coefficients whose
-sums round, both symmetrization constructions, a family with and without a
-negative trace, and the psd distance factorization. Report input paths are
+`dec` cases), before the contractions and the family check moved onto
+their iterative enumerations (the `family` and `bridge` cases), or before
+the constructions shared one free extension, one orbit check and one Gram
+form (the `pos`, `approx` and `action` cases); the report must stay the same
+byte for byte, together with the exit code. The inputs cover radical scales
+that merge or stay separate, float coefficients whose sums round, both
+symmetrization constructions, a family with and without a negative trace,
+the psd distance factorization, the Gram map and its sos family, the
+overcount splitting, the seeded sampling approximation and the blending
+verdict. Report input paths are
 relative to the repository root, so the commands run from there.
 """
 
@@ -37,6 +41,16 @@ CASES = [
      "family check fixtures/planted_negative_family.json --n-max 6", 1),
     ("family_check_nonnegative", "family check fixtures/nonnegative_family.json --n-max 4", 0),
     ("bridge_separations_m4", "bridge separations --m 4", 0),
+    ("pos_gram_map_bell", "pos gram-map fixtures/bell_gram.json", 0),
+    ("pos_sos_family_double_edge",
+     "pos sos-family --gram fixtures/bell_gram.json --complex fixtures/double_edge_complex.json"
+     " --action fixtures/double_edge_swap_action.json", 0),
+    ("pos_factorizable_double_edge",
+     "pos factorizable --complex fixtures/double_edge_complex.json"
+     " --action fixtures/double_edge_swap_action.json --index-size 2", 0),
+    ("approx_run_witness", "--seed 7 approx run fixtures/approx_witness.json --epsilon 0.5", 0),
+    ("action_check_circle5",
+     "action check fixtures/circle5_complex.json fixtures/circle5_rotation_action.json", 0),
 ]
 
 

@@ -355,6 +355,19 @@ def test_gram_validation():
     assert flat.entries.shape == (4, 4)
     again = GramRepresentation.from_obj(bell_gram().to_obj())
     assert np.allclose(again.entries, bell_gram().entries)
+    with pytest.raises(ValueError):
+        GramRepresentation(-1, 1, 1, [1.0])
+    # the size check runs before any basis enumeration, so huge sizes fail fast
+    for n, m, d in ((10**12, 1, 1), (0, 10**7, 10**7), (0, 1200, 1)):
+        with pytest.raises(DimensionMismatch):
+            GramRepresentation(n, m, d, [1.0])
+
+
+def test_monomials_upto_many_variables():
+    basis = monomials_upto(1200, 1)
+    assert len(basis) == 1201
+    assert basis[0] == (0,) * 1200 and basis[1] == (0,) * 1199 + (1,)
+    assert basis[-1] == (1,) + (0,) * 1199
 
 
 def test_sos_family_requires_invariant_matrix():

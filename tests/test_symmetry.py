@@ -1,5 +1,8 @@
 """Group actions: closure, freeness, blending, refinement, linearizers."""
 
+import random
+from itertools import permutations, product
+
 import pytest
 
 from omegadec.complexes import build_complex, standard_complex
@@ -7,7 +10,6 @@ from omegadec.errors import (
     ActionNotFree,
     CollapseNotLinear,
     GroupTooLarge,
-    SearchSpaceTooLarge,
     WeightNotPreserved,
 )
 from omegadec.fixtures import (
@@ -70,8 +72,41 @@ def test_blending_examples():
     assert not is_blending(line_reversal_action(3))
     assert is_blending(single_edge_swap_action())
     assert is_blending(double_edge_swap_action())
-    with pytest.raises(SearchSpaceTooLarge):
-        is_blending(simplex_full_symmetry_action(3), max_work=3)
+
+
+def blending_oracle(a):
+    """Every orbit-compatible vertex bijection is one realized vertex permutation."""
+    realized = {a.vperm(g) for g in range(len(a))}
+    orbits = a.vertex_orbits()
+    for images in product(*(permutations(orbit) for orbit in orbits)):
+        f = [0] * a.complex.vertex_count
+        for orbit, image in zip(orbits, images):
+            for v, w in zip(orbit, image):
+                f[v] = w
+        if tuple(f) not in realized:
+            return False
+    return True
+
+
+def test_blending_count_matches_oracle():
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        weight = rng.choice((1, 1, 2, 3)) if n <= 3 else 1
+        c = build_complex([(range(n + 1), weight)])
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            vperm = list(range(n + 1))
+            mperm = list(range(weight))
+            rng.shuffle(vperm)
+            rng.shuffle(mperm)
+            gens.append((vperm, mperm))
+        a = build_action(c, gens)
+        verdict = is_blending(a)
+        assert verdict == blending_oracle(a)
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_validation_errors():

@@ -9,7 +9,12 @@ import pytest
 from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import standard_complex
 from omegadec.decomposition import bipartite_rank
-from omegadec.errors import NotCanonicalForm, SearchSpaceTooLarge, VertexActionNotFree
+from omegadec.errors import (
+    DimensionMismatch,
+    NotCanonicalForm,
+    SearchSpaceTooLarge,
+    VertexActionNotFree,
+)
 from omegadec.fixtures import double_edge_fixed_vertex_action
 from omegadec.positivity import cone_check
 from omegadec.tensorbridge import (
@@ -265,3 +270,31 @@ def test_dense_tensor_json_round_trip():
     f = polygon_slack(4)
     again = DenseTensor.from_obj(f.to_obj())
     assert again.allclose(f, 1e-15)
+
+
+def test_psd_key_outside_axis_dimension_is_rejected():
+    c = standard_complex("single_edge")
+    mats = {(0, 5): {((1,), (1,)): 1.0}}
+    with pytest.raises(DimensionMismatch):
+        TensorDecomposition("psd", c, None, 1, 2, psd_mats=mats)
+
+
+def test_non_finite_vector_entry_is_rejected():
+    c = standard_complex("single_edge")
+    vecs = {(0, (1,)): (float("nan"), 1.0), (1, (1,)): (1.0, 1.0)}
+    with pytest.raises(ValueError):
+        TensorDecomposition("plain", c, None, 1, 2, vectors=vecs)
+
+
+def test_non_finite_psd_entry_is_rejected():
+    c = standard_complex("single_edge")
+    mats = {(0, 0): {((1,), (1,)): float("inf")}}
+    with pytest.raises(ValueError):
+        TensorDecomposition("psd", c, None, 1, 2, psd_mats=mats)
+
+
+def test_float_dense_tensor_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        DenseTensor((2,), [1.0, float("inf")], "float")
+    with pytest.raises(ValueError):
+        DenseTensor.from_obj({"dims": [1], "mode": "float", "entries": [float("nan")]})
