@@ -16,7 +16,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
-    DivisibilityViolation,
     EmptyFacet,
     InvalidSize,
     NonMaximalFacet,
@@ -38,19 +37,18 @@ class WeightedComplex:
     _facet_of: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = []
+        labels: list[Label] = []
         facet_of: dict[frozenset[int], int] = {}
+        per_vertex: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for f_idx, (fset, weight) in enumerate(self.facets):
             facet_of.setdefault(fset, f_idx)
-            for copy in range(weight):
-                labels.append((f_idx, copy))
-        per_vertex = []
-        for v in range(self.vertex_count):
-            per_vertex.append(tuple(
-                pos for pos, (f_idx, _) in enumerate(labels)
-                if v in self.facets[f_idx][0]))
+            # the labels of a facet are consecutive positions, so each list ascends
+            positions = range(len(labels), len(labels) + weight)
+            for v in fset:
+                per_vertex[v].extend(positions)
+            labels.extend((f_idx, copy) for copy in range(weight))
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_labels_at", tuple(per_vertex))
+        object.__setattr__(self, "_labels_at", tuple(map(tuple, per_vertex)))
         object.__setattr__(self, "_facet_of", facet_of)
 
     @property
@@ -100,8 +98,11 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
                   vertex_count: int | None = None) -> WeightedComplex:
     """Validate a facet list and assemble the complex.
 
-    Rejects empty facets, non-maximal facets (including duplicates), vertex
-    ranges with gaps, and any divisibility failure of the derived weight map.
+    Rejects empty facets, negative vertices, weights below 1, non-maximal
+    facets (including duplicates), vertices outside ``vertex_count`` and
+    vertex ranges with gaps. The derived weight map needs no check: the facets
+    containing a set also contain each of its subsets, so the gcd over the
+    former is a multiple of the gcd over the latter.
     """
     sets: list[frozenset[int]] = []
     weights: list[int] = []
@@ -118,41 +119,24 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
         weights.append(weight)
     if not sets:
         raise EmptyFacet("complex needs at least one facet")
+    containing: dict[int, list[int]] = {}
+    for j, b in enumerate(sets):
+        for v in b:
+            containing.setdefault(v, []).append(j)
+    # a facet can only lie inside facets sharing its smallest vertex
     for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a <= b:
-                raise NonMaximalFacet(f"facet {sorted(a)} is contained in {sorted(b)}")
+        for j in containing[min(a)]:
+            if i != j and a <= sets[j]:
+                raise NonMaximalFacet(f"facet {sorted(a)} is contained in {sorted(sets[j])}")
     top = max(max(f) for f in sets)
     if vertex_count is None:
         vertex_count = top + 1
     elif top >= vertex_count:
         raise VertexOutOfRange(f"vertex {top} outside 0..{vertex_count - 1}")
-    covered = set().union(*sets)
-    missing = [v for v in range(vertex_count) if v not in covered]
+    missing = [v for v in range(vertex_count) if v not in containing]
     if missing:
         raise UncoveredVertex(f"vertices {missing} lie in no facet")
-    c = WeightedComplex(vertex_count, tuple(zip(sets, weights)))
-    _check_divisibility(c)
-    return c
-
-
-def _check_divisibility(c: WeightedComplex, limit: int = 4096) -> None:
-    """Exhaustively verify divisibility of the derived weight map on small complexes."""
-    if 2**c.vertex_count > limit:
-        return
-    universe = range(c.vertex_count)
-    subsets = []
-    for mask in range(1, 2**c.vertex_count):
-        subsets.append(frozenset(v for v in universe if mask >> v & 1))
-    values = {s: omega_value(c, s) for s in subsets}
-    for s1 in subsets:
-        w1 = values[s1]
-        for s2 in subsets:
-            if s1 <= s2:
-                w2 = values[s2]
-                if w2 != 0 and (w1 == 0 or w2 % w1 != 0):
-                    raise DivisibilityViolation(
-                        f"weight {w1} of {sorted(s1)} does not divide weight {w2} of {sorted(s2)}")
+    return WeightedComplex(vertex_count, tuple(zip(sets, weights)))
 
 
 def standard_complex(kind: str, n: int = 1) -> WeightedComplex:

@@ -11,6 +11,7 @@ symmetrization constructions stay exact.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -93,6 +94,25 @@ def checked_assignment(complex_: WeightedComplex, site: int, beta: Sequence[int]
     return beta
 
 
+def checked_site_vars(complex_: WeightedComplex, site_vars: Sequence[int]) -> tuple[int, ...]:
+    """One variable count per vertex of the complex, as ints."""
+    site_vars = tuple(int(m) for m in site_vars)
+    if len(site_vars) != complex_.vertex_count:
+        raise ValueError("site_vars must list one variable count per vertex")
+    return site_vars
+
+
+def checked_local(complex_: WeightedComplex, index_size: int, site_vars: Sequence[int],
+                  site: int, beta: Sequence[int], poly) -> tuple[Beta, RadPoly | None]:
+    """The checked assignment of a local at the site, and the local; None if it is zero."""
+    beta = checked_assignment(complex_, site, beta, index_size)
+    rp = RadPoly.coerce(poly)
+    if rp.sites != (site_vars[site],):
+        raise IncompatibleBlockSizes(
+            f"local at site {site} has sites {rp.sites}, expected ({site_vars[site]},)")
+    return beta, None if rp.is_zero() else rp
+
+
 def contract_assignments(complex_: WeightedComplex, index_size: int,
                          site_locals: Mapping[int, Mapping[Beta, RadPoly]],
                          site_vars: Sequence[int],
@@ -171,19 +191,14 @@ class OmegaGDecomposition:
         self.complex = complex_
         self.action = action
         self.index_size = int(index_size)
-        self.site_vars = tuple(int(m) for m in site_vars)
-        if len(self.site_vars) != complex_.vertex_count:
-            raise ValueError("site_vars must list one variable count per vertex")
+        self.site_vars = checked_site_vars(complex_, site_vars)
         self.scale = scale
         store: SiteLocals = {}
         for site, mapping in locals_.items():
             for beta, poly in mapping.items():
-                beta = checked_assignment(complex_, site, beta, self.index_size)
-                rp = RadPoly.coerce(poly)
-                if rp.sites != (self.site_vars[site],):
-                    raise IncompatibleBlockSizes(
-                        f"local at site {site} has sites {rp.sites}, expected ({self.site_vars[site]},)")
-                if not rp.is_zero():
+                beta, rp = checked_local(complex_, self.index_size, self.site_vars,
+                                         site, beta, poly)
+                if rp is not None:
                     store.setdefault(site, {})[beta] = rp
         self.locals = store
 
@@ -395,11 +410,9 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     minus = [vec for sign, vec in split if sign < 0]
 
     order = len(a)
-    stab_product = 1
-    for i in range(V):
-        stab_product *= a.vertex_stabilizer_size(i)
-    realized_maps = len({a.vperm(g) for g in range(order)})
-    total = 2**n * stab_product * realized_maps
+    # blending realizes |O|! vertex maps per orbit O, and |Stab(i)| = |G|/|O| on O
+    total = 2**n * math.prod(math.factorial(len(o)) * (order // len(o)) ** len(o)
+                             for o in a.vertex_orbits())
     scale = ScaledScalar(Fraction(1, total), V)
     # split vectors have entries +-1, so each local sums signed copies of the factors
     factors = [[RadPoly.coerce(f) for f in term] for term in terms]

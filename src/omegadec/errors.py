@@ -23,10 +23,6 @@ class UncoveredVertex(OmegaError):
     """Some vertex lies in no facet."""
 
 
-class DivisibilityViolation(OmegaError):
-    """The derived weight map violates divisibility along inclusions."""
-
-
 class VertexOutOfRange(OmegaError):
     """A vertex index outside the complex was used."""
 

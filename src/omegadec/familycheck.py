@@ -18,6 +18,7 @@ from operator import mul
 from typing import Iterator
 
 from .blockpoly import BlockPolynomial
+from .decomposition import DEFAULT_MAX_WORK
 from .errors import SizeTooLarge
 from .tensorbridge import DenseTensor, poly_from_tensor
 
@@ -26,8 +27,6 @@ UNDECIDED_DISCLAIMER = (
     "sum-of-squares property of this family for all sizes; results beyond "
     "the checked range are not implied."
 )
-
-DEFAULT_MAX_TUPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,14 @@ def _mat_mul(A, B_cols):
 
 
 def transfer_tensor(f: LocalFamily, n: int,
-                    max_entries: int = DEFAULT_MAX_TUPLES) -> DenseTensor:
+                    max_entries: int = DEFAULT_MAX_WORK) -> DenseTensor:
     """Coefficient tensor on n+1 sites: traces of transfer-matrix products."""
     return DenseTensor((f.m,) * (n + 1),
                        [trace for _, trace in _trace_walk(f, n, max_entries)])
 
 
 def family_polynomial(f: LocalFamily, n: int,
-                      max_entries: int = DEFAULT_MAX_TUPLES) -> BlockPolynomial:
+                      max_entries: int = DEFAULT_MAX_WORK) -> BlockPolynomial:
     """The circle polynomial on n+1 sites; invariant under the cyclic shift."""
     return poly_from_tensor(transfer_tensor(f, n, max_entries))
 
@@ -164,7 +163,7 @@ def _min_trace(f: LocalFamily, n: int, max_tuples: int) -> tuple[int, tuple[int,
 
 
 def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,
-                             max_tuples: int = DEFAULT_MAX_TUPLES) -> FamilyReport:
+                             max_tuples: int = DEFAULT_MAX_WORK) -> FamilyReport:
     """Check every size in [n_min, n_max] for a negative coefficient entry.
 
     A negative entry at size n certifies that the circle polynomial on n+1

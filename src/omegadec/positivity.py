@@ -25,7 +25,8 @@ from .complexes import WeightedComplex, is_connected
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
-    checked_assignment,
+    checked_local,
+    checked_site_vars,
     contract_assignments,
     elementary_sum,
     free_extension,
@@ -217,8 +218,8 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
     return GramRepresentation(g.n, g.m, g.d, group_average(g.entries, g, a))
 
 
-def psd_floor(g: GramRepresentation, tol: float = DEFAULT_PSD_TOL) -> float:
-    """Smallest eigenvalue relative to the acceptance threshold -tol*(1+trace)."""
+def psd_floor(g: GramRepresentation) -> float:
+    """The smallest eigenvalue of the Gram matrix."""
     return float(np.linalg.eigvalsh(g.entries).min())
 
 
@@ -377,16 +378,14 @@ class SosOmegaGDecomposition:
         self.complex = complex_
         self.action = action
         self.index_size = int(index_size)
-        self.site_vars = tuple(int(v) for v in site_vars)
+        self.site_vars = checked_site_vars(complex_, site_vars)
         self.site_index = tuple(tuple(s) for s in site_index)
         self.scale = scale
         self.locals: dict[tuple, RadPoly] = {}
         for (site, k, beta), poly in locals_.items():
-            rp = RadPoly.coerce(poly)
-            if rp.is_zero():
-                continue
-            beta = checked_assignment(complex_, site, beta, self.index_size)
-            self.locals[(site, k, beta)] = rp
+            beta, rp = checked_local(complex_, self.index_size, self.site_vars, site, beta, poly)
+            if rp is not None:
+                self.locals[(site, k, beta)] = rp
 
     def member_locals(self, K: Sequence) -> dict[int, dict[tuple, RadPoly]]:
         out: dict[int, dict[tuple, RadPoly]] = {}

@@ -89,6 +89,8 @@ class ScaledScalar:
         return Fraction(self.num, self.den)
 
     def value(self) -> float:
+        if self.k == 1:
+            return self.num / self.den  # int true division rounds correctly
         return math.exp((math.log(self.num) - math.log(self.den)) / self.k)
 
     def __float__(self) -> float:

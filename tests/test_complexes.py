@@ -142,6 +142,58 @@ def test_derived_weights_divide_along_inclusions(c):
                     assert w1 != 0 and w2 % w1 == 0
 
 
+def maximality_oracle(facets):
+    """The all-pairs scan: the message of the first (i, j) with facet i inside facet j."""
+    sets = [frozenset(f) for f, _ in facets]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a <= b:
+                return f"facet {sorted(a)} is contained in {sorted(b)}"
+    return None
+
+
+@given(st.lists(st.tuples(st.sets(st.integers(0, 5), min_size=1, max_size=4),
+                          st.integers(1, 3)), min_size=1, max_size=6))
+@settings(deadline=None, max_examples=300)
+def test_maximality_check_matches_all_pairs_scan(facets):
+    expected = maximality_oracle(facets)
+    try:
+        build_complex(facets)
+    except NonMaximalFacet as exc:
+        assert str(exc) == expected
+    except UncoveredVertex:
+        assert expected is None
+    else:
+        assert expected is None
+
+
+def test_maximality_messages_on_duplicate_and_nested_facets():
+    for facets in ([({0, 1}, 1), ({1, 2}, 1), ({0, 1}, 2)],
+                   [({2, 3}, 1), ({0, 1, 2}, 1), ({1, 2}, 1)],
+                   [({1, 2}, 1), ({0, 1, 2, 3}, 1)]):
+        with pytest.raises(NonMaximalFacet) as err:
+            build_complex(facets)
+        assert str(err.value) == maximality_oracle(facets)
+
+
+@given(random_complexes())
+@settings(deadline=None, max_examples=50)
+def test_label_positions_match_per_vertex_scan(c):
+    for v in range(c.vertex_count):
+        assert c.label_positions_at(v) == tuple(
+            pos for pos, (f_idx, _) in enumerate(c.labels) if v in c.facets[f_idx][0])
+
+
+def test_large_complexes_build():
+    wide = build_complex([({0, 1, 2}, 2), ({2, 3}, 1)] + [({i, i + 1}, 1) for i in range(3, 12)])
+    assert wide.vertex_count == 13
+    assert wide.label_positions_at(2) == (0, 1, 2)
+    circle = standard_complex("circle", 1100)
+    assert circle.label_count == 1100
+    assert circle.label_positions_at(0) == (0, 1099)
+    assert all(circle.label_positions_at(v) == (v - 1, v) for v in range(1, 1100))
+
+
 def test_json_round_trip():
     c = build_complex([({0, 1}, 2), ({1, 2}, 1)])
     again = WeightedComplex.from_obj(c.to_obj())

@@ -1,6 +1,7 @@
 """Decomposition containers, contraction, constructions, rank oracle."""
 
 import gc
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -45,7 +46,7 @@ from omegadec.fixtures import (
 )
 from omegadec.radpoly import RadPoly, rad_outer
 from omegadec.scalars import ScaledScalar
-from omegadec.symmetry import trivial_action
+from omegadec.symmetry import build_action, is_blending, trivial_action
 
 
 def uni(coeffs):
@@ -262,6 +263,29 @@ def test_blending_difference_empty_terms():
     a = single_edge_swap_action()
     q1, q2 = blending_difference([], a)
     assert q1.local_count() == 0 and q2.local_count() == 0
+
+
+def test_blending_scale_matches_stabilizer_count():
+    """The orbit formula equals |Stab(0)|...|Stab(n)| times the realized vertex maps, times 2**n."""
+    rng = random.Random(6)
+    blending = 0
+    for _ in range(120):
+        n = rng.randint(0, 4)
+        weight = rng.choice((1, 1, 2, 3)) if n <= 2 else 1
+        c = build_complex([(range(n + 1), weight)])
+        gens = [(rng.sample(range(n + 1), n + 1), rng.sample(range(weight), weight))
+                for _ in range(rng.randint(1, 2))]
+        a = build_action(c, gens)
+        if not is_blending(a):
+            continue
+        blending += 1
+        stabilizers = 1
+        for i in range(n + 1):
+            stabilizers *= sum(1 for g in range(len(a)) if a.vertex_image(g, i) == i)
+        realized = len({a.vperm(g) for g in range(len(a))})
+        q1, _ = blending_difference([[ONE_P] * (n + 1)], a)
+        assert q1.scale == ScaledScalar(Fraction(1, 2**n * stabilizers * realized), n + 1)
+    assert blending >= 30
 
 
 def test_blending_requires_blending_action():

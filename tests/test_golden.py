@@ -5,13 +5,15 @@ printed before the exact core stopped re-validating its own results (the
 `dec` cases), before the contractions and the family check moved onto
 their iterative enumerations (the `family` and `bridge` cases), or before
 the constructions shared one free extension, one orbit check and one Gram
-form (the `pos`, `approx` and `action` cases); the report must stay the same
-byte for byte, together with the exit code. The inputs cover radical scales
+form (the `pos`, `approx` and `action check` cases), or before complexes and
+actions were validated once at their input boundary (the `complex` and
+`action refine` cases); the report must stay the same byte for byte,
+together with the exit code. The inputs cover radical scales
 that merge or stay separate, float coefficients whose sums round, both
 symmetrization constructions, a family with and without a negative trace,
 the psd distance factorization, the Gram map and its sos family, the
-overcount splitting, the seeded sampling approximation and the blending
-verdict. Report input paths are
+overcount splitting, the seeded sampling approximation, the blending
+verdict, complex summaries and the free refinement. Report input paths are
 relative to the repository root, so the commands run from there.
 """
 
@@ -51,6 +53,10 @@ CASES = [
     ("approx_run_witness", "--seed 7 approx run fixtures/approx_witness.json --epsilon 0.5", 0),
     ("action_check_circle5",
      "action check fixtures/circle5_complex.json fixtures/circle5_rotation_action.json", 0),
+    ("complex_build_double_edge", "complex build fixtures/double_edge_complex.json", 0),
+    ("complex_info_circle5", "complex info fixtures/circle5_complex.json", 0),
+    ("action_refine_double_edge",
+     "action refine fixtures/double_edge_complex.json fixtures/double_edge_swap_action.json", 0),
 ]
 
 

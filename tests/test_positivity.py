@@ -10,12 +10,14 @@ from omegadec.blockpoly import FLOAT, BlockPolynomial
 from omegadec.decomposition import OmegaGDecomposition
 from omegadec.errors import (
     FactorNotInCone,
+    IncompatibleBlockSizes,
     LocalsNotAligned,
     MissingCertificate,
     MissingSquareSplits,
     NotFactorizable,
     NotInvariantPolynomial,
     NotPSD,
+    VertexOutOfRange,
 )
 from omegadec.fixtures import (
     circle_rotation_action,
@@ -29,6 +31,7 @@ from omegadec.fixtures import (
 )
 from omegadec.positivity import (
     GramRepresentation,
+    SosOmegaGDecomposition,
     caratheodory_bound,
     cone_check,
     evidently_sos,
@@ -376,3 +379,28 @@ def test_sos_family_requires_invariant_matrix():
     A = rng.normal(size=(4, 4))
     with pytest.raises(NotInvariantPolynomial):
         invariant_sos_family(GramRepresentation(1, 1, 1, A @ A.T), a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c, site_vars, locs: OmegaGDecomposition(
+        c, None, 2, site_vars, {site: {beta: p} for (site, beta), p in locs.items()}),
+    lambda c, site_vars, locs: SosOmegaGDecomposition(
+        c, None, 2, site_vars, ((0,),) * len(site_vars),
+        {(site, 0, beta): p for (site, beta), p in locs.items()}),
+], ids=["plain", "sos"])
+def test_decompositions_share_the_local_check(build):
+    c = standard_complex("single_edge")
+    one = BlockPolynomial.constant((1,), 1)
+    with pytest.raises(IncompatibleBlockSizes,
+                       match=r"local at site 0 has sites \(2,\), expected \(1,\)"):
+        build(c, (1, 1), {(0, (1,)): BlockPolynomial.constant((2,), 1)})
+    with pytest.raises(ValueError, match="one variable count per vertex"):
+        build(c, (1,), {})
+    with pytest.raises(ValueError, match="wrong arity"):
+        build(c, (1, 1), {(0, (1, 1)): one})
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        build(c, (1, 1), {(1, (3,)): one})
+    with pytest.raises(VertexOutOfRange):
+        build(c, (1, 1), {(2, (1,)): one})
+    kept = build(c, (1, 1), {(0, (1,)): one, (1, (2,)): BlockPolynomial.zero((1,))})
+    assert len(kept.locals) == 1

@@ -61,6 +61,15 @@ def test_float_value():
     assert math.isclose(float(ScaledScalar(2, 4)), 2 ** 0.25)
 
 
+def test_float_value_of_rational_scale_is_exact():
+    fractions = [Fraction(q) for q in range(1, 200)]
+    fractions += [Fraction(1, 3), Fraction(2, 7), Fraction(22, 7), Fraction(10**20 + 1, 3),
+                  Fraction(1, 10**30), Fraction(15, 8), ScaledScalar(Fraction(9, 4), 2).radicand]
+    for q in fractions:
+        assert float(ScaledScalar(q)) == float(q)
+    assert float(ScaledScalar(Fraction(9, 4), 2)) == 1.5
+
+
 def test_rejects_nonpositive_and_bad_root():
     with pytest.raises(ValueError):
         ScaledScalar(0)

@@ -21,6 +21,7 @@ from omegadec.fixtures import (
 )
 from omegadec.symmetry import (
     SymmetryAction,
+    _validate_element,
     build_action,
     free_refinement,
     is_blending,
@@ -107,6 +108,56 @@ def test_blending_count_matches_oracle():
         assert verdict == blending_oracle(a)
         seen.add(verdict)
     assert seen == {True, False}
+
+
+def random_complex_with_generators(rng):
+    """A random complex and generator pairs built from its weight-preserving vertex maps."""
+    n = rng.randint(2, 5)
+    facets = []
+    for _ in range(rng.randint(1, 5)):
+        s = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+        if not any(s <= t for t, _ in facets):
+            facets = [(t, w) for t, w in facets if not t < s] + [(s, rng.choice((1, 1, 2)))]
+    covered = set().union(*(t for t, _ in facets))
+    facets += [({v}, 1) for v in range(n) if v not in covered]
+    if rng.random() < 0.5:      # uniform weights leave more symmetry
+        facets = [(t, facets[0][1]) for t, _ in facets]
+    c = build_complex(facets)
+    weighted = {(f, w) for f, w in c.facets}
+    autos = [p for p in permutations(range(n))
+             if {(frozenset(p[v] for v in f), w) for f, w in c.facets} == weighted]
+    gens = []
+    for vperm in rng.sample(autos, min(len(autos), rng.randint(1, 3))):
+        mperm = [0] * c.label_count
+        for f_idx, (fset, _) in enumerate(c.facets):
+            target = c.facet_index(frozenset(vperm[v] for v in fset))
+            src = [pos for pos, lab in enumerate(c.labels) if lab[0] == f_idx]
+            dst = [pos for pos, lab in enumerate(c.labels) if lab[0] == target]
+            rng.shuffle(dst)
+            for a, b in zip(src, dst):
+                mperm[a] = b
+        gens.append((vperm, mperm))
+    return c, gens
+
+
+def test_closure_elements_valid_and_linearizer_fails_exactly_off_free():
+    rng = random.Random(5)
+    orders = set()
+    free_seen = set()
+    for _ in range(300):
+        c, gens = random_complex_with_generators(rng)
+        a = build_action(c, gens)
+        orders.add(len(a))
+        for vperm, mperm in a.elements:
+            _validate_element(c, vperm, mperm)
+        free = is_free(a)
+        free_seen.add(free)
+        if free:
+            linearizer(a)
+        else:
+            with pytest.raises(ActionNotFree):
+                linearizer(a)
+    assert len(orders) >= 4 and free_seen == {True, False}
 
 
 def test_validation_errors():
