@@ -161,6 +161,8 @@ class SeparableGram:
         clean = []
         for weight, factors in terms:
             weight = float(weight)
+            if not math.isfinite(weight):
+                raise ValueError("witness weights must be finite")
             if weight <= 0:
                 raise ValueError("witness weights must be positive")
             if len(factors) != V:
@@ -170,6 +172,8 @@ class SeparableGram:
                 F = np.asarray(F, dtype=float)
                 if F.shape != (gram.D, gram.D):
                     raise DimensionMismatch(f"factor shape {F.shape} != {(gram.D, gram.D)}")
+                if not np.isfinite(F).all():
+                    raise ValueError("witness factors must be finite")
                 if not np.allclose(F, F.T, atol=1e-10):
                     raise ValueError("witness factors must be symmetric")
                 if np.linalg.eigvalsh(F).min() < -psd_tol * (1.0 + abs(np.trace(F))):

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or input
 error, 3 resource guard exceeded.
+
+The exact commands (complex, action, dec, family) never load numpy: the float
+layers are imported inside the handlers of the commands that use them.
 """
 
 from __future__ import annotations
@@ -11,10 +14,7 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .approx import ApproxResult, SeparableGram, approx_separable
 from .blockpoly import BlockPolynomial
 from .complexes import WeightedComplex, is_connected
 from .decomposition import (
@@ -25,16 +25,8 @@ from .decomposition import (
 )
 from .errors import GuardExceeded, OmegaError
 from .familycheck import LocalFamily, bounded_positivity_check
-from .positivity import (
-    GramRepresentation,
-    caratheodory_bound,
-    factorizability_solve,
-    gram_map,
-    invariant_sos_family,
-)
 from .radpoly import RadPoly
 from .symmetry import DEFAULT_MAX_GROUP, SymmetryAction, free_refinement, is_blending, is_free
-from .tensorbridge import DenseTensor, poly_from_tensor, separations_report, tensor_positivity
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -169,6 +161,13 @@ def _cmd_dec(run: _Run) -> int:
 
 
 def _cmd_pos(run: _Run) -> int:
+    from .positivity import (
+        GramRepresentation,
+        caratheodory_bound,
+        factorizability_solve,
+        gram_map,
+        invariant_sos_family,
+    )
     if run.args.subcmd == "bound":
         bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
         run.pretty(f"separable index bound: {bound}")
@@ -206,6 +205,7 @@ def _cmd_pos(run: _Run) -> int:
 
 
 def _cmd_bridge(run: _Run) -> int:
+    from .tensorbridge import DenseTensor, poly_from_tensor, separations_report, tensor_positivity
     if run.args.subcmd == "to-poly":
         tensor = DenseTensor.from_obj(run.read(run.args.file))
         poly = poly_from_tensor(tensor)
@@ -232,6 +232,9 @@ def _cmd_family(run: _Run) -> int:
 
 
 def _cmd_approx(run: _Run) -> int:
+    import numpy as np
+    from .approx import SeparableGram, approx_separable
+    from .positivity import GramRepresentation
     obj, cplx, action = _load_bundle(run, run.args.file)
     if action is None:
         raise OmegaError("approx needs an action in the bundle")
@@ -240,8 +243,7 @@ def _cmd_approx(run: _Run) -> int:
                             for f in t["factors"]])
              for t in obj["witness"]]
     sg = SeparableGram(gram, terms)
-    result: ApproxResult = approx_separable(sg, action, run.args.epsilon,
-                                            seed=run.args.seed)
+    result = approx_separable(sg, action, run.args.epsilon, seed=run.args.seed)
     run.pretty(f"error {result.error_schatten2:.4g} with "
                f"{result.terms_used} sampled terms")
     return run.report("approx run", result.to_obj())

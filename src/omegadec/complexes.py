@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -24,6 +25,8 @@ from .errors import (
 )
 
 Label = tuple[int, int]
+
+_NAMED_UNCOVERED = 10     # uncovered vertices named in the error; the rest are counted
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,14 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
         vertex_count = top + 1
     elif top >= vertex_count:
         raise VertexOutOfRange(f"vertex {top} outside 0..{vertex_count - 1}")
-    missing = [v for v in range(vertex_count) if v not in containing]
-    if missing:
-        raise UncoveredVertex(f"vertices {missing} lie in no facet")
+    # every key of `containing` is in range, so the count finds a gap without
+    # scanning a range that may be far larger than the input
+    uncovered = vertex_count - len(containing)
+    if uncovered:
+        named = list(islice((v for v in range(vertex_count) if v not in containing),
+                            _NAMED_UNCOVERED))
+        more = f" and {uncovered - len(named)} more" if uncovered > len(named) else ""
+        raise UncoveredVertex(f"vertices {named}{more} lie in no facet")
     return WeightedComplex(vertex_count, tuple(zip(sets, weights)))
 
 

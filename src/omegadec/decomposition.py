@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from .complexes import WeightedComplex, is_connected
 from .errors import (
@@ -483,6 +481,7 @@ def bipartite_rank(p) -> int:
         for (b0, b1), coeff in p.terms.items():
             mat[row_of[b0]][col_of[b1]] = Fraction(coeff)
         return _rank_exact(mat)
+    import numpy as np      # only the float rank needs it; exact commands never load it
     mat = np.zeros((len(rows_idx), len(cols_idx)))
     for (b0, b1), coeff in p.terms.items():
         mat[row_of[b0], col_of[b1]] = coeff

@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .blockpoly import BlockPolynomial
 from .decomposition import DEFAULT_MAX_WORK
 from .errors import SizeTooLarge
-from .tensorbridge import DenseTensor, poly_from_tensor
+
+if TYPE_CHECKING:
+    from .tensorbridge import DenseTensor
 
 UNDECIDED_DISCLAIMER = (
     "Bounded check only: no algorithm can decide nonnegativity or the "
@@ -108,6 +110,7 @@ def _mat_mul(A, B_cols):
 def transfer_tensor(f: LocalFamily, n: int,
                     max_entries: int = DEFAULT_MAX_WORK) -> DenseTensor:
     """Coefficient tensor on n+1 sites: traces of transfer-matrix products."""
+    from .tensorbridge import DenseTensor     # the bounded check itself needs no numpy
     return DenseTensor((f.m,) * (n + 1),
                        [trace for _, trace in _trace_walk(f, n, max_entries)])
 
@@ -115,6 +118,7 @@ def transfer_tensor(f: LocalFamily, n: int,
 def family_polynomial(f: LocalFamily, n: int,
                       max_entries: int = DEFAULT_MAX_WORK) -> BlockPolynomial:
     """The circle polynomial on n+1 sites; invariant under the cyclic shift."""
+    from .tensorbridge import poly_from_tensor
     return poly_from_tensor(transfer_tensor(f, n, max_entries))
 
 

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,12 +57,23 @@ DEFAULT_EQ_TOL = 1e-9
 
 
 def monomials_upto(m: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors in m variables of total degree at most d, graded lex."""
-    # prefixes with the degree they leave for the remaining variables
-    out: list[tuple[tuple[int, ...], int]] = [((), d)]
-    for _ in range(m):
-        out = [(prefix + (e,), left - e) for prefix, left in out for e in range(left + 1)]
-    return sorted((prefix for prefix, _ in out), key=lambda a: (sum(a), a))
+    """Exponent vectors in m variables of total degree at most d, graded lex.
+
+    The degree-k vectors are the variable multisets of size k. Listing the
+    multisets as ascending index tuples in lexicographic order lists their
+    exponent vectors in descending lexicographic order, so each degree is one
+    reversed pass, linear in the size of the output.
+    """
+    out: list[tuple[int, ...]] = []
+    for k in range(d + 1):
+        block = []
+        for chosen in combinations_with_replacement(range(m), k):
+            exps = [0] * m
+            for i in chosen:
+                exps[i] += 1
+            block.append(tuple(exps))
+        out += reversed(block)
+    return out
 
 
 def _gram_dim(n: int, m: int, d: int) -> int | None:
@@ -100,6 +111,8 @@ class GramRepresentation:
             mat = mat.reshape(dim, dim)
         if mat.shape != (dim, dim):
             raise DimensionMismatch(f"expected {dim}x{dim} entries, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("Gram entries must be finite")
         if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.abs(mat).max(initial=0.0)))):
             raise DimensionMismatch("Gram entries must be symmetric")
         self.entries = 0.5 * (mat + mat.T)
@@ -380,6 +393,8 @@ class SosOmegaGDecomposition:
         self.index_size = int(index_size)
         self.site_vars = checked_site_vars(complex_, site_vars)
         self.site_index = tuple(tuple(s) for s in site_index)
+        if len(self.site_index) != complex_.vertex_count:
+            raise ValueError("site_index must list one member range per vertex")
         self.scale = scale
         self.locals: dict[tuple, RadPoly] = {}
         for (site, k, beta), poly in locals_.items():

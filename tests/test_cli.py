@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -257,11 +258,50 @@ def test_zero_denominator_is_an_input_error(capsys, tmp_path):
 
 
 def test_non_finite_report_becomes_input_error(capsys, monkeypatch):
-    import omegadec.cli as cli
-    monkeypatch.setattr(cli, "caratheodory_bound", lambda *args: float("nan"))
+    monkeypatch.setattr("omegadec.positivity.caratheodory_bound", lambda *args: float("nan"))
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+GRAM_MAP = ("bell_gram.json", "pos gram-map {}")
+APPROX_RUN = ("approx_witness.json", "approx run {} --epsilon 0.5")
+
+
+@pytest.mark.parametrize("command,where,value,message", [
+    (GRAM_MAP, ("entries", 0), float("nan"), "Gram entries must be finite"),
+    (GRAM_MAP, ("entries", 5), float("inf"), "Gram entries must be finite"),
+    (APPROX_RUN, ("witness", 0, "weight"), float("nan"), "witness weights must be finite"),
+    (APPROX_RUN, ("witness", 0, "weight"), float("inf"), "witness weights must be finite"),
+    (APPROX_RUN, ("witness", 0, "factors", 1, 0), float("nan"),
+     "witness factors must be finite"),
+], ids=["gram-nan", "gram-inf", "weight-nan", "weight-inf", "factor-nan"])
+def test_non_finite_float_input_is_rejected(capsys, tmp_path, command, where, value, message):
+    name, argv = command
+    with open(fixture(name)) as fh:
+        obj = json.load(fh)
+    target = obj
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, *argv.format(write_json(tmp_path, name, obj)).split())
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError", "message": message}
+    assert capsys.readouterr().err == "" and not caught
+
+
+@pytest.mark.parametrize("cplx", [
+    {"facets": [{"vertices": [0, 10**9], "weight": 1}]},
+    {"n": 10**18, "facets": [{"vertices": [0, 1], "weight": 1}]},
+], ids=["huge-vertex", "huge-n"])
+def test_uncovered_vertex_error_stays_small(capsys, tmp_path, cplx):
+    code, out = run(capsys, "complex", "build", write_json(tmp_path, "complex.json", cplx))
+    assert code == 2
+    payload = strict_json(out)
+    assert payload["error"] == "UncoveredVertex"
+    assert len(out) < 200 and payload["message"].endswith(" more lie in no facet")
 
 
 def _without_terms(obj):

@@ -88,6 +88,20 @@ def test_validation_errors():
         build_complex([({0, 1}, 0)])
 
 
+def test_uncovered_vertices_are_named_up_to_a_bound():
+    with pytest.raises(UncoveredVertex, match=r"^vertices \[2\] lie in no facet$"):
+        build_complex([({0, 1}, 1), ({3}, 1)])
+    with pytest.raises(UncoveredVertex, match=r"^vertices \[2, 4\] lie in no facet$"):
+        build_complex([({0, 1}, 1), ({3}, 1)], vertex_count=5)
+    ten = r"\[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\]"
+    with pytest.raises(UncoveredVertex, match=rf"^vertices {ten} lie in no facet$"):
+        build_complex([({0, 11}, 1)])
+    with pytest.raises(UncoveredVertex, match=rf"^vertices {ten} and 1 more lie in no facet$"):
+        build_complex([({0, 12}, 1)])
+    with pytest.raises(UncoveredVertex, match=rf"^vertices {ten} and 999999989 more lie"):
+        build_complex([({0, 10**9}, 1)])
+
+
 def test_weight_sum_and_collapse_fibers():
     c = build_complex([({0, 1}, 3), ({1, 2}, 2)])
     assert c.label_count == sum(w for _, w in c.facets) == 5

@@ -14,14 +14,19 @@ symmetrization constructions, a family with and without a negative trace,
 the psd distance factorization, the Gram map and its sos family, the
 overcount splitting, the seeded sampling approximation, the blending
 verdict, complex summaries and the free refinement. Report input paths are
-relative to the repository root, so the commands run from there.
+relative to the repository root, so the commands run from there. The cases
+of the exact commands also run together in one fresh interpreter, which must
+keep their exit codes without ever loading numpy.
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from omegadec.cli import main
+from omegadec.cli import build_parser, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -67,3 +72,32 @@ def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
     with open(os.path.join(GOLDEN, f"{name}.stdout"), encoding="utf-8") as fh:
         expected = fh.read()
     assert capsys.readouterr().out == expected
+
+
+EXACT_COMMANDS = ("complex", "action", "dec", "family")
+
+# Runs each command line of argv[1] through `main` in one fresh interpreter and
+# prints the exit codes and whether numpy got loaded, after the reports.
+NUMPY_PROBE = """
+import json, sys
+from omegadec.cli import main
+codes = [main(argv.split()) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_commands_never_load_numpy():
+    parser = build_parser()
+    commands = [parser.parse_args(argv.split()).command for _, argv, _ in CASES]
+    assert set(EXACT_COMMANDS) <= set(commands)
+    cases = [(argv, code) for (_, argv, code), command in zip(CASES, commands)
+             if command in EXACT_COMMANDS]
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+                           json.dumps([argv for argv, _ in cases])],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe == {"codes": [code for _, code in cases], "numpy": False}

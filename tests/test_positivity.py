@@ -366,6 +366,20 @@ def test_gram_validation():
             GramRepresentation(n, m, d, [1.0])
 
 
+def monomials_upto_oracle(m, d):
+    """Every exponent vector by growing prefixes, then sorted by degree and lexicographically."""
+    out = [((), d)]
+    for _ in range(m):
+        out = [(prefix + (e,), left - e) for prefix, left in out for e in range(left + 1)]
+    return sorted((prefix for prefix, _ in out), key=lambda a: (sum(a), a))
+
+
+def test_monomials_upto_matches_prefix_oracle():
+    for m in range(6):
+        for d in range(6):
+            assert monomials_upto(m, d) == monomials_upto_oracle(m, d), (m, d)
+
+
 def test_monomials_upto_many_variables():
     basis = monomials_upto(1200, 1)
     assert len(basis) == 1201
@@ -379,6 +393,12 @@ def test_sos_family_requires_invariant_matrix():
     A = rng.normal(size=(4, 4))
     with pytest.raises(NotInvariantPolynomial):
         invariant_sos_family(GramRepresentation(1, 1, 1, A @ A.T), a)
+
+
+def test_sos_decomposition_needs_one_member_range_per_vertex():
+    c = standard_complex("single_edge")
+    with pytest.raises(ValueError, match="one member range per vertex"):
+        SosOmegaGDecomposition(c, None, 2, (1, 1), ((0,),), {})
 
 
 @pytest.mark.parametrize("build", [
