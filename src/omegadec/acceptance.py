@@ -31,6 +31,7 @@ from .positivity import (
     factorizability_solve,
     gram_map,
     invariant_sos_family,
+    psd_floor,
     sep_to_sos,
     sos_to_plain,
 )
@@ -331,7 +332,8 @@ def criterion_9() -> CriterionResult:
         for mapping in result.decomposition.locals.values():
             for poly in mapping.values():
                 mat = _quadratic_form_matrix(poly.to_float())
-                if np.linalg.eigvalsh(mat).min() < -1e-8 * (1.0 + np.trace(mat)):
+                lo, bound = psd_floor(mat, 1e-8)
+                if lo < bound:
                     cone_ok = False
     # a witness larger than the draw budget forces the sampling path
     big = _random_separable_witness(np.random.default_rng(777), terms=4000)

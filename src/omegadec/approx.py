@@ -31,6 +31,8 @@ from .positivity import (
     gram_map_homogeneous,
     group_average,
     homogeneous_basis,
+    is_gram_invariant,
+    psd_floor,
     quadratic_form,
 )
 from .symmetry import SymmetryAction, is_free
@@ -176,7 +178,8 @@ class SeparableGram:
                     raise ValueError("witness factors must be finite")
                 if not np.allclose(F, F.T, atol=1e-10):
                     raise ValueError("witness factors must be symmetric")
-                if np.linalg.eigvalsh(F).min() < -psd_tol * (1.0 + abs(np.trace(F))):
+                lo, bound = psd_floor(F, psd_tol)
+                if lo < bound:
                     raise ValueError("witness factors must be PSD")
                 mats.append(0.5 * (F + F.T))
             clean.append((weight, mats))
@@ -262,9 +265,7 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     total = sg.trace()
     if total > 1.0 + 1e-12:
         raise NotNormalized(f"witness trace {total} exceeds 1")
-    M = gram.entries
-    scale = 1.0 + float(np.abs(M).max(initial=0.0))
-    if not np.allclose(group_average(M, gram, a), M, atol=1e-9 * scale):
+    if not is_gram_invariant(gram, a, 1e-9):
         raise NotInvariant("witness matrix is not invariant under the action")
 
     k = sample_budget(epsilon)
@@ -275,11 +276,11 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
         used = [(c / k * (total / tr), mats) for c, tr, mats in _draw(sg, total, k, rng)
                 if c > 0]
 
-    N_hat = np.zeros_like(M)
+    N_hat = np.zeros_like(gram.entries)
     for w, mats in used:
         N_hat += w * _kron(mats)
     N = group_average(N_hat, gram, a)
-    error = float(np.linalg.norm(M - N))
+    error = float(np.linalg.norm(gram.entries - N))
 
     basis = homogeneous_basis(gram.m, gram.d)
     poly_terms = []

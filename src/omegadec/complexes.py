@@ -10,7 +10,6 @@ these labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -81,10 +80,6 @@ class WeightedComplex:
         facets = [(set(f["vertices"]), int(f.get("weight", 1))) for f in obj["facets"]]
         n = obj.get("n")
         return build_complex(facets, vertex_count=None if n is None else int(n) + 1)
-
-    @classmethod
-    def loads(cls, text: str) -> "WeightedComplex":
-        return cls.from_obj(json.loads(text))
 
 
 def omega_value(c: WeightedComplex, subset: Iterable[int]) -> int:

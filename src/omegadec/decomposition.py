@@ -10,7 +10,6 @@ symmetrization constructions stay exact.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -90,6 +89,14 @@ def checked_assignment(complex_: WeightedComplex, site: int, beta: Sequence[int]
     if any(not 1 <= b <= index_size for b in beta):
         raise ValueError(f"assignment {beta} outside 1..{index_size}")
     return beta
+
+
+def checked_action(complex_: WeightedComplex,
+                   action: SymmetryAction | None) -> SymmetryAction | None:
+    """The action, checked to act on the complex; None stays None."""
+    if action is not None and action.complex is not complex_ and action.complex != complex_:
+        raise ValueError("action acts on a different complex")
+    return action
 
 
 def checked_site_vars(complex_: WeightedComplex, site_vars: Sequence[int]) -> tuple[int, ...]:
@@ -183,11 +190,8 @@ class OmegaGDecomposition:
                  index_size: int, site_vars: Sequence[int],
                  locals_: Mapping[int, Mapping[Beta, object]],
                  scale: ScaledScalar = ONE):
-        if action is not None and action.complex is not complex_ \
-                and action.complex != complex_:
-            raise ValueError("action acts on a different complex")
         self.complex = complex_
-        self.action = action
+        self.action = checked_action(complex_, action)
         self.index_size = int(index_size)
         self.site_vars = checked_site_vars(complex_, site_vars)
         self.scale = scale
@@ -254,11 +258,6 @@ class OmegaGDecomposition:
             locals_[site][beta] = rp if prev is None else prev + rp
         scale = ScaledScalar.from_obj(obj.get("scale", {"r": "1/1", "k": 1}))
         return cls(complex_, action, int(obj["index_size"]), site_vars, locals_, scale)
-
-    @classmethod
-    def loads(cls, complex_: WeightedComplex, action: SymmetryAction | None,
-              text: str) -> "OmegaGDecomposition":
-        return cls.from_obj(complex_, action, json.loads(text))
 
 
 def _term_site_vars(terms: Sequence[Sequence[object]], V: int) -> tuple[int, ...]:
@@ -464,10 +463,7 @@ def _rank_exact(rows: list[list[Fraction]]) -> int:
 def bipartite_rank(p) -> int:
     """Rank of the two-site coefficient matrix (operator Schmidt rank)."""
     if isinstance(p, RadPoly):
-        try:
-            p = p.as_polynomial()
-        except Exception:
-            p = p.to_float()
+        p = p.collapse()
     if len(p.sites) != 2:
         raise NotBipartite(f"polynomial has {len(p.sites)} sites")
     if p.is_zero():

@@ -12,7 +12,6 @@ the report says so explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
@@ -68,10 +67,6 @@ class LocalFamily:
     @classmethod
     def from_obj(cls, obj: dict) -> "LocalFamily":
         return cls(int(obj["D"]), int(obj["m"]), obj["coeffs"])
-
-    @classmethod
-    def loads(cls, text: str) -> "LocalFamily":
-        return cls.from_obj(json.loads(text))
 
 
 def _trace_walk(f: LocalFamily, n: int, max_tuples: int

@@ -108,11 +108,6 @@ def squares_double_edge_decomposition() -> OmegaGDecomposition:
     return OmegaGDecomposition(a.complex, a, 2, (1, 1), {0: site0, 1: site1})
 
 
-def sos_quartic_target() -> BlockPolynomial:
-    """x^2 + y^2 + 4(1+xy)^2, the invariant sos running example."""
-    return quartic_target_polynomial()
-
-
 def sos_family_witness_double_edge() -> SosOmegaGDecomposition:
     """Index-3 family decomposition of the sos quartic on the double edge.
 
@@ -143,37 +138,6 @@ def sos_family_witness_double_edge() -> SosOmegaGDecomposition:
         locals_[(0, 1, beta)] = poly
         locals_[(1, 1, beta[::-1])] = poly
     return SosOmegaGDecomposition(a.complex, a, 3, (1, 1), ((0, 1), (0, 1)), locals_)
-
-
-def sos_family_witness_single_edge() -> SosOmegaGDecomposition:
-    """Index-4 family decomposition of the sos quartic on the single edge.
-
-    Built from four vectors of norm 2**(1/4): a, b, c pairwise orthogonal,
-    d orthogonal to b and c with <a, d> = 1.
-    """
-    a = single_edge_swap_action()
-    r4 = ScaledScalar(2, 4)            # 2**(1/4)
-    inv_r4 = ScaledScalar(Fraction(1, 2), 4)   # 2**(-1/4)
-    t = _t({1: 1})
-    one = _t({0: 1})
-    # vec_a = r4*e1, vec_b = r4*e2, vec_c = r4*e3, vec_d = inv_r4*(e1+e4)
-    k0 = {  # a + b t per slot
-        (1,): RadPoly.scaled_poly(r4, one),
-        (2,): RadPoly.scaled_poly(r4, t),
-    }
-    k1 = {  # c + d t per slot
-        (1,): RadPoly.scaled_poly(inv_r4, t),
-        (3,): RadPoly.scaled_poly(r4, one),
-        (4,): RadPoly.scaled_poly(inv_r4, t),
-    }
-    locals_ = {}
-    for beta, poly in k0.items():
-        locals_[(0, 0, beta)] = poly
-        locals_[(1, 0, beta)] = poly
-    for beta, poly in k1.items():
-        locals_[(0, 1, beta)] = poly
-        locals_[(1, 1, beta)] = poly
-    return SosOmegaGDecomposition(a.complex, a, 4, (1, 1), ((0, 1), (0, 1)), locals_)
 
 
 def planted_negative_family() -> LocalFamily:

@@ -25,6 +25,7 @@ from .complexes import WeightedComplex, is_connected
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
+    checked_action,
     checked_local,
     checked_site_vars,
     contract_assignments,
@@ -123,35 +124,13 @@ class GramRepresentation:
     def sites(self) -> tuple[int, ...]:
         return (self.m,) * (self.n + 1)
 
-    @property
-    def dim(self) -> int:
-        return self.D ** (self.n + 1)
-
     def index_tuples(self) -> list[tuple[tuple[int, ...], ...]]:
         """Row/column labels: one local monomial per site, site 0 outermost."""
         return [tuple(K) for K in product(self.local_basis, repeat=self.n + 1)]
 
-    def permutation_array(self, vperm: Sequence[int]) -> np.ndarray:
-        """perm[flat(K)] = flat(gK) where gK places site i's entry at vperm[i]."""
-        V = self.n + 1
-        tuples = self.index_tuples()
-        lookup = {mono: i for i, mono in enumerate(self.local_basis)}
-        perm = np.empty(len(tuples), dtype=int)
-        for flat, K in enumerate(tuples):
-            gK = [None] * V
-            for i, mono in enumerate(K):
-                gK[vperm[i]] = mono
-            pos = 0
-            for mono in gK:
-                pos = pos * self.D + lookup[mono]
-            perm[flat] = pos
-        return perm
-
     def permuted(self, vperm: Sequence[int]) -> "GramRepresentation":
-        perm = self.permutation_array(vperm)
-        out = np.empty_like(self.entries)
-        out[np.ix_(perm, perm)] = self.entries
-        return GramRepresentation(self.n, self.m, self.d, out)
+        return GramRepresentation(self.n, self.m, self.d,
+                                  site_permuted(self.entries, self.D, vperm))
 
     def to_obj(self) -> dict:
         return {"n": self.n, "m": self.m, "d": self.d,
@@ -160,6 +139,17 @@ class GramRepresentation:
     @classmethod
     def from_obj(cls, obj: dict) -> "GramRepresentation":
         return cls(obj["n"], obj["m"], obj["d"], obj["entries"])
+
+
+def site_permuted(entries: np.ndarray, D: int, vperm: Sequence[int]) -> np.ndarray:
+    """The matrix indexed by V sites of D labels each, site i's label moved to site vperm[i].
+
+    Row and column tuples K become gK with gK[vperm[i]] = K[i]: as a tensor of
+    2V axes of length D, both halves take their axes in the order argsort(vperm).
+    """
+    axes = np.argsort(vperm)
+    return entries.reshape((D,) * (2 * len(axes))).transpose(
+        np.concatenate([axes, axes + len(axes)])).reshape(entries.shape)
 
 
 def quadratic_form(mat: np.ndarray, basis: Sequence[tuple[int, ...]], V: int) -> BlockPolynomial:
@@ -196,12 +186,11 @@ def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
 
 
 def is_gram_invariant(g: GramRepresentation, a: SymmetryAction, tol: float = 1e-9) -> bool:
+    """Every group element moves the matrix within tol, relative to its largest entry."""
     base = g.entries
-    scale = 1.0 + float(np.abs(base).max(initial=0.0))
-    for gi in range(len(a)):
-        if not np.allclose(g.permuted(a.vperm(gi)).entries, base, atol=tol * scale):
-            return False
-    return True
+    atol = tol * (1.0 + float(np.abs(base).max(initial=0.0)))
+    return all(np.allclose(site_permuted(base, g.D, a.vperm(h)), base, atol=atol)
+               for h in range(len(a)))
 
 
 def group_average(entries: np.ndarray, g: GramRepresentation,
@@ -209,10 +198,7 @@ def group_average(entries: np.ndarray, g: GramRepresentation,
     """Average of a matrix indexed like g over the group acting on the sites."""
     acc = np.zeros_like(entries)
     for h in range(len(a)):
-        perm = g.permutation_array(a.vperm(h))
-        out = np.empty_like(entries)
-        out[np.ix_(perm, perm)] = entries
-        acc += out
+        acc += site_permuted(entries, g.D, a.vperm(h))
     return acc / len(a)
 
 
@@ -231,14 +217,13 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
     return GramRepresentation(g.n, g.m, g.d, group_average(g.entries, g, a))
 
 
-def psd_floor(g: GramRepresentation) -> float:
-    """The smallest eigenvalue of the Gram matrix."""
-    return float(np.linalg.eigvalsh(g.entries).min())
+def psd_floor(mat: np.ndarray, tol: float) -> tuple[float, float]:
+    """The smallest eigenvalue of a symmetric matrix, and its PSD floor -tol * (1 + |trace|)."""
+    return float(np.linalg.eigvalsh(mat).min()), -tol * (1.0 + abs(float(np.trace(mat))))
 
 
 def assert_psd(g: GramRepresentation, tol: float = DEFAULT_PSD_TOL) -> None:
-    lo = psd_floor(g)
-    bound = -tol * (1.0 + abs(float(np.trace(g.entries))))
+    lo, bound = psd_floor(g.entries, tol)
     if lo < bound:
         raise NotPSD(f"minimum eigenvalue {lo} below {bound}")
 
@@ -266,7 +251,7 @@ class ConeVerdict:
 def evidently_sos(p: BlockPolynomial) -> bool:
     """Sufficient syntactic sos test: nonnegative coefficients, even exponents."""
     for key, coeff in p.terms.items():
-        if float(coeff) < 0:
+        if coeff < 0:
             return False
         for block in key:
             if any(e % 2 for e in block):
@@ -284,15 +269,14 @@ def cone_check(p: BlockPolynomial, cone: str, certificate: GramRepresentation | 
     counterexample or the absence of one, never a proof.
     """
     if cone == "nn_coeff":
-        bad = [(key, c) for key, c in p.terms.items() if float(c) < 0]
+        bad = [(key, c) for key, c in p.terms.items() if c < 0]
         ok = not bad
         return ConeVerdict(cone, ok, "all-coefficients-nonnegative" if ok
                            else "negative-coefficient", bad[0][0] if bad else None)
     if cone == "sos_with_certificate":
         if certificate is None:
             raise MissingCertificate("sos check needs a Gram certificate")
-        lo = psd_floor(certificate)
-        bound = -psd_tol * (1.0 + abs(float(np.trace(certificate.entries))))
+        lo, bound = psd_floor(certificate.entries, psd_tol)
         if lo < bound:
             return ConeVerdict(cone, False, "certificate-not-psd", lo)
         represented = gram_map(certificate)
@@ -389,7 +373,7 @@ class SosOmegaGDecomposition:
                  site_index: Sequence[Sequence], locals_: Mapping,
                  scale: ScaledScalar = ONE):
         self.complex = complex_
-        self.action = action
+        self.action = checked_action(complex_, action)
         self.index_size = int(index_size)
         self.site_vars = checked_site_vars(complex_, site_vars)
         self.site_index = tuple(tuple(s) for s in site_index)
@@ -655,10 +639,7 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         if splits and (site, beta) in splits:
             split = [RadPoly.coerce(t) for t in splits[(site, beta)]]
         else:
-            try:
-                split = monomial_square_split(local.as_polynomial())
-            except Exception:
-                split = monomial_square_split(local.to_float())
+            split = monomial_square_split(local.collapse())
         rep_splits.append(split)
     N = max((len(s) for s in rep_splits), default=0)
 

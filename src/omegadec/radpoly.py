@@ -157,6 +157,13 @@ class RadPoly:
             raise IncommensurableScales(f"{len(self.parts)} parts, expected 1")
         return self.parts[0]
 
+    def collapse(self) -> BlockPolynomial:
+        """The exact polynomial, or its float reading when irrational parts remain."""
+        try:
+            return self.as_polynomial()
+        except IncommensurableScales:
+            return self.to_float()
+
     def to_float(self) -> BlockPolynomial:
         total = BlockPolynomial.zero(self.sites, FLOAT)
         for s, p in self.parts:

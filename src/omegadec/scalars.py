@@ -71,10 +71,6 @@ class ScaledScalar:
     def __setattr__(self, name, value):
         raise AttributeError("ScaledScalar is immutable")
 
-    @classmethod
-    def one(cls) -> "ScaledScalar":
-        return cls(1, 1)
-
     @property
     def radicand(self) -> Fraction:
         return Fraction(self.num, self.den)
@@ -88,13 +84,10 @@ class ScaledScalar:
             raise ValueError(f"{self!r} is irrational")
         return Fraction(self.num, self.den)
 
-    def value(self) -> float:
+    def __float__(self) -> float:
         if self.k == 1:
             return self.num / self.den  # int true division rounds correctly
         return math.exp((math.log(self.num) - math.log(self.den)) / self.k)
-
-    def __float__(self) -> float:
-        return self.value()
 
     def __mul__(self, other: "ScaledScalar") -> "ScaledScalar":
         if not isinstance(other, ScaledScalar):
@@ -112,9 +105,9 @@ class ScaledScalar:
 
     def __pow__(self, j: int) -> "ScaledScalar":
         if j == 0:
-            return ScaledScalar.one()
+            return ONE
         if j < 0:
-            return ScaledScalar.one() / self ** (-j)
+            return ONE / self ** (-j)
         g = math.gcd(j, self.k)
         return ScaledScalar(self.radicand ** (j // g), self.k // g)
 
@@ -151,4 +144,4 @@ class ScaledScalar:
         return cls(Fraction(obj["r"]), int(obj.get("k", 1)))
 
 
-ONE = ScaledScalar.one()
+ONE = ScaledScalar(1)

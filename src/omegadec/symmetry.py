@@ -9,7 +9,6 @@ multifacet labels; blending refers to the action on the vertices.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
@@ -143,10 +142,6 @@ class SymmetryAction:
                  max_group: int = DEFAULT_MAX_GROUP) -> "SymmetryAction":
         gens = [(g["vertex_perm"], g["multifacet_perm"]) for g in obj["generators"]]
         return build_action(complex_, gens, max_group=max_group)
-
-    @classmethod
-    def loads(cls, complex_: WeightedComplex, text: str) -> "SymmetryAction":
-        return cls.from_obj(complex_, json.loads(text))
 
 
 def _validate_element(c: WeightedComplex, vperm: Perm, mperm: Perm) -> None:

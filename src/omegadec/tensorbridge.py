@@ -25,16 +25,18 @@ from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
     bipartite_rank,
+    checked_action,
     checked_assignment,
     label_assignments,
 )
 from .errors import (
     DimensionMismatch,
     NotCanonicalForm,
+    NotInvariant,
     NotPSD,
     VertexActionNotFree,
 )
-from .positivity import SosOmegaGDecomposition, psd_sqrt
+from .positivity import SosOmegaGDecomposition, psd_floor, psd_sqrt
 from .symmetry import SymmetryAction
 
 PLAIN = "plain"
@@ -187,7 +189,7 @@ class TensorDecomposition:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.complex = complex_
-        self.action = action
+        self.action = checked_action(complex_, action)
         self.index_size = int(index_size)
         self.axis_dim = int(axis_dim)
         self.vectors = {}
@@ -198,7 +200,7 @@ class TensorDecomposition:
                 if len(vec) != self.axis_dim:
                     raise DimensionMismatch("vector length differs from axis dimension")
                 _check_finite(vec)
-                if variant == NONNEGATIVE and any(float(x) < 0 for x in vec):
+                if variant == NONNEGATIVE and any(x < 0 for x in vec):
                     raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
                 beta = checked_assignment(complex_, site, beta, self.index_size)
                 if any(x != 0 for x in vec):
@@ -294,11 +296,10 @@ class TensorDecomposition:
     def check_psd(self, tol: float = 1e-9) -> bool:
         if self.variant != PSD:
             return True
-        for (site, j) in self.psd_mats:
+        for site, j in self.psd_mats:
             mat = self.psd_matrix(site, j)
-            if not np.allclose(mat, mat.T, atol=tol):
-                return False
-            if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() < -tol * (1.0 + np.trace(mat)):
+            lo, bound = psd_floor(0.5 * (mat + mat.T), tol)
+            if not np.allclose(mat, mat.T, atol=tol) or lo < bound:
                 return False
         return True
 
@@ -309,7 +310,7 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
     Plain and nonnegative variants map vectors to squared-variable locals.
     The psd variant produces an sos family decomposition by splitting each
     matrix symmetrically, which forces equal factors along vertex orbits and
-    therefore needs the vertex action to be free.
+    therefore needs an invariant decomposition under a free vertex action.
     """
     m = td.axis_dim
     V = td.complex.vertex_count
@@ -329,6 +330,8 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
                     "symmetric factor split needs a free vertex action")
     if not td.check_psd():
         raise NotPSD("psd decomposition has a non-psd matrix")
+    if not td.check_symmetry():
+        raise NotInvariant("psd decomposition is not invariant under its action")
     # factor orbit representatives; the free vertex action moves each factor
     # column b of the representative to column g*b of exactly one site g*rep
     locals_: dict[tuple, BlockPolynomial] = {}
@@ -403,19 +406,6 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
             psd_mats[(i, j)] = mat
     return TensorDecomposition(PSD, dec.complex, dec.action, dec.index_size, m,
                                psd_mats=psd_mats)
-
-
-def convert(dec, direction: str, variant: str | None = None):
-    """Dispatch between tensor-side and polynomial-side decompositions."""
-    if direction == "tensor->poly":
-        if not isinstance(dec, TensorDecomposition):
-            raise TypeError("tensor->poly expects a TensorDecomposition")
-        return tensor_dec_to_poly_dec(dec)
-    if direction == "poly->tensor":
-        if variant is None:
-            variant = PSD if isinstance(dec, SosOmegaGDecomposition) else PLAIN
-        return poly_dec_to_tensor_dec(dec, variant)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def distance_matrix(m: int) -> DenseTensor:

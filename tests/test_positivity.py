@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from omegadec.fixtures import (
     circle_rotation_action,
     double_edge_fixed_vertex_action,
     double_edge_swap_action,
+    quartic_target_polynomial,
+    simplex_full_symmetry_action,
+    single_edge_swap_action,
     sos_family_witness_double_edge,
-    sos_family_witness_single_edge,
-    sos_quartic_target,
     squares_double_edge_decomposition,
     squares_target_polynomial,
 )
@@ -39,15 +41,20 @@ from omegadec.positivity import (
     family_symmetrize,
     gram_map,
     gram_symmetrize,
+    group_average,
     invariant_sos_family,
+    is_gram_invariant,
     matrix_pair_split,
     monomial_square_split,
     monomials_upto,
+    psd_floor,
     sep_to_sos,
     separable_symmetrize,
+    site_permuted,
     sos_to_plain,
 )
 from omegadec.radpoly import RadPoly
+from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import trivial_action
 from omegadec.complexes import standard_complex
 
@@ -61,6 +68,98 @@ def quartic_gram():
     # x^2 + y^2 + 4(1+xy)^2 over the basis (1, t) per site
     m = np.array([[4.0, 0, 0, 4], [0, 1, 0, 0], [0, 0, 1, 0], [4, 0, 0, 4]])
     return GramRepresentation(1, 1, 1, m)
+
+
+def _t(coeffs):
+    return BlockPolynomial.univar({d: Fraction(c) for d, c in coeffs.items()})
+
+
+def sos_family_witness_single_edge():
+    """Index-4 family decomposition of the sos quartic on the single edge.
+
+    Built from four vectors of norm 2**(1/4): a, b, c pairwise orthogonal,
+    d orthogonal to b and c with <a, d> = 1.
+    """
+    a = single_edge_swap_action()
+    r4 = ScaledScalar(2, 4)            # 2**(1/4)
+    inv_r4 = ScaledScalar(Fraction(1, 2), 4)   # 2**(-1/4)
+    t = _t({1: 1})
+    one = _t({0: 1})
+    # vec_a = r4*e1, vec_b = r4*e2, vec_c = r4*e3, vec_d = inv_r4*(e1+e4)
+    k0 = {  # a + b t per slot
+        (1,): RadPoly.scaled_poly(r4, one),
+        (2,): RadPoly.scaled_poly(r4, t),
+    }
+    k1 = {  # c + d t per slot
+        (1,): RadPoly.scaled_poly(inv_r4, t),
+        (3,): RadPoly.scaled_poly(r4, one),
+        (4,): RadPoly.scaled_poly(inv_r4, t),
+    }
+    locals_ = {}
+    for beta, poly in k0.items():
+        locals_[(0, 0, beta)] = poly
+        locals_[(1, 0, beta)] = poly
+    for beta, poly in k1.items():
+        locals_[(0, 1, beta)] = poly
+        locals_[(1, 1, beta)] = poly
+    return SosOmegaGDecomposition(a.complex, a, 4, (1, 1), ((0, 1), (0, 1)), locals_)
+
+
+def permutation_array_oracle(g, vperm):
+    """perm[flat(K)] = flat(gK) where gK places site i's entry at vperm[i], one tuple at a time."""
+    V = g.n + 1
+    tuples = [tuple(K) for K in product(g.local_basis, repeat=V)]
+    lookup = {mono: i for i, mono in enumerate(g.local_basis)}
+    perm = np.empty(len(tuples), dtype=int)
+    for flat, K in enumerate(tuples):
+        gK = [None] * V
+        for i, mono in enumerate(K):
+            gK[vperm[i]] = mono
+        pos = 0
+        for mono in gK:
+            pos = pos * g.D + lookup[mono]
+        perm[flat] = pos
+    return perm
+
+
+def permuted_oracle(g, entries, vperm):
+    perm = permutation_array_oracle(g, vperm)
+    out = np.empty_like(entries)
+    out[np.ix_(perm, perm)] = entries
+    return out
+
+
+@pytest.mark.parametrize("n,m,d", [(0, 2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1),
+                                   (2, 2, 1), (3, 1, 1)])
+def test_site_permutation_matches_index_tuple_oracle(n, m, d):
+    # the full symmetric group on the simplex realizes every vertex permutation
+    a = simplex_full_symmetry_action(n)
+    rng = np.random.default_rng(100 * n + 10 * m + d)
+    dim = math.comb(m + d, d) ** (n + 1)
+    A = rng.normal(size=(dim, dim))
+    g = GramRepresentation(n, m, d, A + A.T)
+    perms = {a.vperm(h) for h in range(len(a))}
+    assert len(perms) == math.factorial(n + 1)
+    acc = np.zeros_like(g.entries)
+    images = []
+    for h in range(len(a)):
+        vperm = a.vperm(h)
+        expected = permuted_oracle(g, g.entries, vperm)
+        assert np.array_equal(site_permuted(g.entries, g.D, vperm), expected)
+        assert np.array_equal(g.permuted(vperm).entries, expected)
+        acc += expected
+        images.append(expected)
+    assert np.array_equal(group_average(g.entries, g, a), acc / len(a))
+    atol = 1e-9 * (1.0 + float(np.abs(g.entries).max()))
+    assert is_gram_invariant(g, a) == all(np.allclose(x, g.entries, atol=atol) for x in images)
+    assert is_gram_invariant(g, a) == (n == 0)
+    assert is_gram_invariant(GramRepresentation(n, m, d, acc / len(a)), a)
+
+
+def test_psd_floor_bound_uses_absolute_trace():
+    assert psd_floor(np.diag([-1.0, 3.0]), 0.1) == (-1.0, -0.1 * 3.0)
+    # a negative trace widens the floor by its absolute value, not narrows it
+    assert psd_floor(np.diag([-3.0, 1.0]), 0.1) == (-3.0, -0.1 * 3.0)
 
 
 def test_monomial_order_graded_lex():
@@ -167,7 +266,7 @@ def test_invariant_sos_family_requires_psd():
 def test_hand_family_squares_to_target():
     for witness in (sos_family_witness_double_edge(), sos_family_witness_single_edge()):
         assert witness.check_joint_symmetry()
-        assert witness.sum_squares() == RadPoly.from_poly(sos_quartic_target())
+        assert witness.sum_squares() == RadPoly.from_poly(quartic_target_polynomial())
 
 
 def test_family_symmetrize_theorem_path():
@@ -217,6 +316,11 @@ def test_separable_symmetrize():
     with pytest.raises(FactorNotInCone):
         separable_symmetrize([(BlockPolynomial.univar({1: Fraction(1)}), one),
                               (one, BlockPolynomial.univar({1: Fraction(1)}))], a)
+    # float(Fraction(-1, 10**400)) is -0.0, which is not below zero
+    tiny = _t({2: 1, 0: Fraction(-1, 10**400)})
+    assert evidently_sos(tiny) is False
+    with pytest.raises(FactorNotInCone):
+        separable_symmetrize([(tiny, tiny)], a)
 
 
 def test_separable_symmetrize_circle():
@@ -263,7 +367,7 @@ def test_sos_to_plain_exact_on_fixture():
     witness = sos_family_witness_double_edge()
     plain = sos_to_plain(witness)
     assert plain.index_size == witness.index_size**2
-    assert plain.contract() == RadPoly.from_poly(sos_quartic_target())
+    assert plain.contract() == RadPoly.from_poly(quartic_target_polynomial())
     assert plain.check_symmetry()
 
 
@@ -309,6 +413,13 @@ def test_sep_to_sos_errors():
     sol = factorizability_solve(sep.complex, sep.action, 1)
     with pytest.raises(MissingSquareSplits):
         sep_to_sos(odd, sol)
+    # the exact split rejects -10**-15; a float retry would drop it within 1e-12
+    local = _t({2: 1, 0: Fraction(-1, 10**15)})
+    tiny = OmegaGDecomposition(sep.complex, sep.action, 1, (1, 1),
+                               {0: {(1, 1): local}, 1: {(1, 1): local}})
+    assert tiny.check_symmetry()
+    with pytest.raises(MissingSquareSplits, match="negative coefficient"):
+        sep_to_sos(tiny, sol)
 
 
 def test_monomial_square_split():
@@ -331,6 +442,9 @@ def test_cone_check_modes():
     assert cone_check(neg, "nn_coeff").ok is False
     pos = BlockPolynomial((1, 1), {((2,), (2,)): 3.0}, FLOAT)
     assert cone_check(pos, "nn_coeff").ok is True
+    tiny = _t({2: 1, 0: Fraction(-1, 10**400)})      # float() of it reads -0.0
+    assert cone_check(tiny, "nn_coeff").witness == ((0,),)
+    assert cone_check(tiny, "nn_coeff").ok is False
 
     bell_poly = gram_map(bell_gram())
     verdict = cone_check(bell_poly, "sos_with_certificate", certificate=bell_gram())
@@ -393,6 +507,12 @@ def test_sos_family_requires_invariant_matrix():
     A = rng.normal(size=(4, 4))
     with pytest.raises(NotInvariantPolynomial):
         invariant_sos_family(GramRepresentation(1, 1, 1, A @ A.T), a)
+
+
+def test_sos_decomposition_rejects_an_action_on_another_complex():
+    c = standard_complex("double_edge")
+    with pytest.raises(ValueError, match="action acts on a different complex"):
+        SosOmegaGDecomposition(c, circle_rotation_action(3), 1, (1, 1), ((0,), (0,)), {})
 
 
 def test_sos_decomposition_needs_one_member_range_per_vertex():

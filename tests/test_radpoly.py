@@ -35,6 +35,16 @@ def test_incommensurable_parts_stay_separate():
     assert s == ScaledScalar(3, 2) and poly == x()
 
 
+def test_collapse_is_exact_unless_irrational_parts_remain():
+    exact = RadPoly.scaled_poly(ScaledScalar(Fraction(9, 4), 2), x())
+    assert exact.collapse() == x().scaled(Fraction(3, 2))
+    assert exact.collapse().mode == RATIONAL
+    mixed = (RadPoly.scaled_poly(ScaledScalar(2, 2), x())
+             + RadPoly.scaled_poly(ScaledScalar(3, 2), x()))
+    assert mixed.collapse().mode == FLOAT
+    assert mixed.collapse().allclose(mixed.to_float(), 0.0)
+
+
 def test_products_fold_to_rational():
     s = RadPoly.scaled_poly(ScaledScalar(Fraction(15, 8), 2), BlockPolynomial.constant((1,), 1))
     prod = s * s

@@ -12,15 +12,19 @@ from omegadec.decomposition import bipartite_rank
 from omegadec.errors import (
     DimensionMismatch,
     NotCanonicalForm,
+    NotInvariant,
     SearchSpaceTooLarge,
     VertexActionNotFree,
 )
-from omegadec.fixtures import double_edge_fixed_vertex_action
+from omegadec.fixtures import (
+    circle_rotation_action,
+    double_edge_fixed_vertex_action,
+    double_edge_swap_action,
+)
 from omegadec.positivity import cone_check
 from omegadec.tensorbridge import (
     DenseTensor,
     TensorDecomposition,
-    convert,
     distance_matrix,
     distance_nn_lower_bound,
     nn_rank_upper_bound,
@@ -204,6 +208,11 @@ def test_nonnegative_rank_one_conversion():
         TensorDecomposition("nonnegative", c, None, 1, 2,
                             vectors={(0, (1,)): (Fraction(-1), Fraction(0)),
                                      (1, (1,)): w})
+    # float(Fraction(-1, 10**400)) is -0.0, which is not below zero
+    with pytest.raises(NotCanonicalForm):
+        TensorDecomposition("nonnegative", c, None, 1, 2,
+                            vectors={(0, (1,)): (Fraction(-1, 10**400), Fraction(0)),
+                                     (1, (1,)): w})
 
 
 def test_psd_conversion_round_trip():
@@ -226,12 +235,46 @@ def test_psd_conversion_requires_free_vertex_action():
         tensor_dec_to_poly_dec(td)
 
 
-def test_convert_dispatcher():
-    fact = psd_distance_factorization(3)
-    sos = convert(fact, "tensor->poly")
-    assert convert(sos, "poly->tensor").contract().allclose(distance_matrix(3), 1e-9)
-    with pytest.raises(ValueError):
-        convert(fact, "sideways")
+def swap_psd(site1_mats):
+    """psd decomposition on the double edge under the swap: site 0 holds [[1]] at j = 0."""
+    a = double_edge_swap_action()
+    b = (1, 1)
+    mats = {(0, 0): {(b, b): 1}}
+    mats.update({(1, j): {(b, b): v} for j, v in site1_mats.items()})
+    return TensorDecomposition("psd", a.complex, a, 1, 2, psd_mats=mats)
+
+
+def test_check_symmetry_plain_and_psd():
+    a = double_edge_swap_action()
+    b = (1, 1)
+    same = TensorDecomposition("plain", a.complex, a, 1, 2,
+                               vectors={(0, b): (1, 2), (1, b): (1, 2)})
+    assert same.check_symmetry()
+    moved = TensorDecomposition("plain", a.complex, a, 1, 2,
+                                vectors={(0, b): (1, 2), (1, b): (2, 1)})
+    assert not moved.check_symmetry()
+    assert TensorDecomposition("plain", a.complex, None, 1, 2,
+                               vectors={(0, b): (1, 2), (1, b): (2, 1)}).check_symmetry()
+    assert swap_psd({0: 1}).check_symmetry()
+    assert not swap_psd({1: 4}).check_symmetry()
+    assert not swap_psd({0: 2}).check_symmetry()
+
+
+def test_psd_conversion_rejects_a_non_invariant_decomposition():
+    # factoring the orbit representative alone would give x0^2 y0^2
+    td = swap_psd({1: 4})
+    assert td.contract() == DenseTensor((2, 2), [0, 4, 0, 0])
+    with pytest.raises(NotInvariant):
+        tensor_dec_to_poly_dec(td)
+    sos = tensor_dec_to_poly_dec(swap_psd({0: 1}))
+    assert sos.sum_squares().to_float().allclose(
+        poly_from_tensor(swap_psd({0: 1}).contract()).astype_float(), 1e-12)
+
+
+def test_tensor_decomposition_rejects_an_action_on_another_complex():
+    c = standard_complex("double_edge")
+    with pytest.raises(ValueError, match="action acts on a different complex"):
+        TensorDecomposition("plain", c, circle_rotation_action(3), 1, 1, vectors={})
 
 
 def test_polygon_slack_properties():
