@@ -34,24 +34,17 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 class _Run:
     def __init__(self, args):
         self.args = args
         self.inputs: dict[str, str] = {}
 
     def read(self, path: str) -> dict:
-        obj = _load_json(path)
-        self.inputs[path] = _digest(path)
+        """Parse the UTF-8 input file and record the digest of the same bytes."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
         return obj
 
     def report(self, command: str, result: dict, code: int = EXIT_OK) -> int:
@@ -362,10 +355,12 @@ def main(argv=None) -> int:
         return _error(exc, EXIT_GUARD)
     except OmegaError as exc:
         return _error(exc, EXIT_USAGE)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+    except (OSError, KeyError, ValueError, TypeError, AttributeError,
             ArithmeticError) as exc:
-        # ArithmeticError: a "1/0" coefficient; ValueError also covers a
-        # report holding NaN or infinity, which strict JSON cannot encode
+        # ValueError covers malformed JSON and a report holding NaN or
+        # infinity, which strict JSON cannot encode; AttributeError a JSON
+        # value of the wrong type, such as a list where an object belongs;
+        # ArithmeticError a "1/0" coefficient
         return _error(exc, EXIT_USAGE)
 
 

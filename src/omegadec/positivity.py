@@ -638,6 +638,13 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         local = sep.locals[site][beta].scale_mul(per_site_scale)
         if splits and (site, beta) in splits:
             split = [RadPoly.coerce(t) for t in splits[(site, beta)]]
+            total = RadPoly.zero(local.sites)
+            for t in split:
+                total = total + t * t
+            if not (total == local if total.mode == local.mode == RATIONAL
+                    else total.allclose(local)):
+                raise MissingSquareSplits(f"supplied split of {(site, beta)} does not "
+                                          "square to its local")
         else:
             split = monomial_square_split(local.collapse())
         rep_splits.append(split)

@@ -25,9 +25,8 @@ from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
     bipartite_rank,
-    checked_action,
     checked_assignment,
-    label_assignments,
+    pair_assignment,
 )
 from .errors import (
     DimensionMismatch,
@@ -174,13 +173,15 @@ def tensor_positivity(t: DenseTensor) -> dict:
             "witness": None if ok else arg}
 
 
-def _check_finite(values: Iterable) -> None:
-    if any(isinstance(x, float) and not math.isfinite(x) for x in values):
-        raise ValueError("tensor decomposition entries must be finite")
-
-
 class TensorDecomposition:
-    """Invariant decompositions of tensors: plain, nonnegative, or psd."""
+    """Invariant decompositions of tensors: plain, nonnegative, or psd.
+
+    Each runs through its squared-variable polynomial counterpart ``poly``,
+    built once here: plain and nonnegative vectors become its locals, and a
+    psd decomposition of index r is the plain one of index r**2 whose local at
+    the index pairs ``pair_assignment(b1, b2, r)`` of site i has entry j equal
+    to matrix (i, j) at (b1, b2).
+    """
 
     def __init__(self, variant: str, complex_: WeightedComplex,
                  action: SymmetryAction | None, index_size: int, axis_dim: int,
@@ -189,115 +190,63 @@ class TensorDecomposition:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.complex = complex_
-        self.action = checked_action(complex_, action)
         self.index_size = int(index_size)
-        self.axis_dim = int(axis_dim)
+        self.axis_dim = m = int(axis_dim)
         self.vectors = {}
         self.psd_mats = {}
-        if variant in (PLAIN, NONNEGATIVE):
-            for (site, beta), vec in (vectors or {}).items():
-                vec = tuple(vec)
-                if len(vec) != self.axis_dim:
-                    raise DimensionMismatch("vector length differs from axis dimension")
-                _check_finite(vec)
-                if variant == NONNEGATIVE and any(x < 0 for x in vec):
-                    raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
-                beta = checked_assignment(complex_, site, beta, self.index_size)
-                if any(x != 0 for x in vec):
-                    self.vectors[(site, beta)] = vec
+        keyed = {}      # (site, assignment) -> vector of the counterpart's local
+        if variant != PSD:
+            self.vectors = keyed = {key: tuple(vec) for key, vec in (vectors or {}).items()}
+            if variant == NONNEGATIVE and any(x < 0 for vec in keyed.values() for x in vec):
+                raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
         else:
             for (site, j), mat in (psd_mats or {}).items():
-                if not 0 <= int(j) < self.axis_dim:
-                    raise DimensionMismatch(f"psd matrix key {j} outside 0..{self.axis_dim - 1}")
-                _check_finite(mat.values())
-                self.psd_mats[(site, int(j))] = {
+                if not 0 <= int(j) < m:
+                    raise DimensionMismatch(f"psd matrix key {j} outside 0..{m - 1}")
+                # a pair number in range does not put both halves in range
+                stored = self.psd_mats[(site, int(j))] = {
                     (checked_assignment(complex_, site, b1, self.index_size),
                      checked_assignment(complex_, site, b2, self.index_size)): v
                     for (b1, b2), v in mat.items() if v != 0}
-
-    def beta_grid(self, site: int) -> list[tuple[int, ...]]:
-        width = len(self.complex.label_positions_at(site))
-        return list(product(range(1, self.index_size + 1), repeat=width))
+                for (b1, b2), v in stored.items():
+                    pair = pair_assignment(b1, b2, self.index_size)
+                    keyed.setdefault((site, pair), [0] * m)[int(j)] = v
+        # a zero vector stores no local, so its entries do not set the mode
+        mode = FLOAT if any(isinstance(x, float) for vec in keyed.values()
+                            if any(x != 0 for x in vec) for x in vec) else RATIONAL
+        locals_: dict[int, dict] = {}
+        for (site, beta), vec in keyed.items():
+            locals_.setdefault(site, {})[beta] = poly_from_tensor(DenseTensor((m,), vec, mode))
+        index = self.index_size ** 2 if variant == PSD else self.index_size
+        self.poly = OmegaGDecomposition(complex_, action, index, (m,) * complex_.vertex_count,
+                                        locals_)
+        self.action = self.poly.action
 
     def contract(self, max_work: int = DEFAULT_MAX_WORK) -> DenseTensor:
-        """Sum over label assignments of the outer product of the site vectors.
-
-        psd is a plain contraction over the label set taken twice: the vector
-        of site i at key b1 + b2 has entry j = matrix (i, j) at (b1, b2).
-        """
-        c = self.complex
-        V = c.vertex_count
-        L = c.label_count
-        m = self.axis_dim
-        positions = [c.label_positions_at(i) for i in range(V)]
-        site_vecs: list[dict[tuple, tuple]] = [{} for _ in range(V)]
-        if self.variant in (PLAIN, NONNEGATIVE):
-            exact = all(not isinstance(x, float) for vec in self.vectors.values() for x in vec)
-            for (site, beta), vec in self.vectors.items():
-                site_vecs[site][beta] = vec
-        else:
-            exact = all(not isinstance(v, float)
-                        for mat in self.psd_mats.values() for v in mat.values())
-            positions = [pos + tuple(p + L for p in pos) for pos in positions]
-            L *= 2
-            for i in range(V):
-                mats = [self.psd_mats.get((i, j), {}) for j in range(m)]
-                for b1, b2 in {pair for mat in mats for pair in mat}:
-                    site_vecs[i][b1 + b2] = tuple(mat.get((b1, b2), 0) for mat in mats)
-        t = DenseTensor.zeros((m,) * V, RATIONAL if exact else FLOAT)
-        entries = t.entries
-        for keys in label_assignments(positions, L, self.index_size,
-                                      [vecs.keys() for vecs in site_vecs], max_work):
-            # flat entry index and left-to-right product, zero products dropped
-            prods = [(0, 1)]
-            for vecs, key in zip(site_vecs, keys):
-                nxt = []
-                for flat, prod_ in prods:
-                    for j, x in enumerate(vecs[key]):
-                        q = prod_ * x
-                        if q != 0:
-                            nxt.append((flat * m + j, q))
-                prods = nxt
-            for flat, q in prods:
-                entries[flat] = entries[flat] + q
-        return t
+        """The tensor of the polynomial contraction; for psd, ``max_work`` counts
+        steps over index pairs."""
+        return tensor_from_poly(self.poly.contract(max_work).collapse())
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:
-        a = self.action
-        if a is None or len(a) == 1:
-            return True
-        if self.variant in (PLAIN, NONNEGATIVE):
-            for (site, beta), vec in self.vectors.items():
-                for g in range(len(a)):
-                    gi, gbeta = a.beta_image(g, site, beta)
-                    other = self.vectors.get((gi, gbeta), (0,) * self.axis_dim)
-                    if any(abs(float(x) - float(y)) > tol for x, y in zip(vec, other)):
-                        return False
-            return True
-        for (site, j), mat in self.psd_mats.items():
-            for g in range(len(a)):
-                gi = a.vertex_image(g, site)
-                target = self.psd_mats.get((gi, j), {})
-                for (b1, b2), v in mat.items():
-                    _, gb1 = a.beta_image(g, site, b1)
-                    _, gb2 = a.beta_image(g, site, b2)
-                    if abs(float(target.get((gb1, gb2), 0)) - float(v)) > tol:
-                        return False
-        return True
+        return self.poly.check_symmetry(tol)
 
-    def psd_matrix(self, site: int, j: int) -> np.ndarray:
-        grid = self.beta_grid(site)
-        pos = {b: i for i, b in enumerate(grid)}
-        mat = np.zeros((len(grid), len(grid)))
-        for (b1, b2), v in self.psd_mats.get((site, j), {}).items():
-            mat[pos[b1], pos[b2]] = float(v)
-        return mat
+    def psd_matrix(self, site: int, j: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The sorted assignments matrix (site, j) touches, and the matrix on them."""
+        mat = self.psd_mats.get((site, j), {})
+        support = sorted({b for pair in mat for b in pair})
+        pos = {b: i for i, b in enumerate(support)}
+        out = np.zeros((len(support), len(support)))
+        for (b1, b2), v in mat.items():
+            out[pos[b1], pos[b2]] = float(v)
+        return support, out
 
     def check_psd(self, tol: float = 1e-9) -> bool:
-        if self.variant != PSD:
-            return True
+        """Every matrix is PSD on its support; zero rows and columns add only
+        zero eigenvalues, and an empty matrix is PSD."""
         for site, j in self.psd_mats:
-            mat = self.psd_matrix(site, j)
+            support, mat = self.psd_matrix(site, j)
+            if not support:
+                continue
             lo, bound = psd_floor(0.5 * (mat + mat.T), tol)
             if not np.allclose(mat, mat.T, atol=tol) or lo < bound:
                 return False
@@ -307,21 +256,16 @@ class TensorDecomposition:
 def tensor_dec_to_poly_dec(td: TensorDecomposition):
     """Polynomial-side counterpart with the same index set.
 
-    Plain and nonnegative variants map vectors to squared-variable locals.
+    Plain and nonnegative variants return their squared-variable counterpart.
     The psd variant produces an sos family decomposition by splitting each
-    matrix symmetrically, which forces equal factors along vertex orbits and
-    therefore needs an invariant decomposition under a free vertex action.
+    matrix symmetrically on its support, which forces equal factors along
+    vertex orbits and therefore needs an invariant decomposition under a free
+    vertex action.
     """
+    if td.variant in (PLAIN, NONNEGATIVE):
+        return td.poly
     m = td.axis_dim
     V = td.complex.vertex_count
-    if td.variant in (PLAIN, NONNEGATIVE):
-        mode = RATIONAL if all(not isinstance(x, float)
-                               for vec in td.vectors.values() for x in vec) else FLOAT
-        locals_: dict[int, dict] = {}
-        for (site, beta), vec in td.vectors.items():
-            locals_.setdefault(site, {})[beta] = poly_from_tensor(DenseTensor((m,), vec, mode))
-        return OmegaGDecomposition(td.complex, td.action, td.index_size,
-                                   (m,) * V, locals_)
     a = td.action
     if a is not None:
         for g in range(1, len(a)):
@@ -338,13 +282,15 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
     kmax = 0
     for orbit in [[i] for i in range(V)] if a is None else a.vertex_orbits():
         rep = orbit[0]
-        grid = td.beta_grid(rep)
         for j in range(m):
-            B = psd_sqrt(td.psd_matrix(rep, j))
+            support, mat = td.psd_matrix(rep, j)
+            if not support:
+                continue
+            B = psd_sqrt(mat)
             kmax = max(kmax, B.shape[0])
             linear = (tuple(1 if t == j else 0 for t in range(m)),)
             for g in range(1 if a is None else len(a)):
-                for col, beta in enumerate(grid):
+                for col, beta in enumerate(support):
                     gi, gbeta = (rep, beta) if a is None else a.beta_image(g, rep, beta)
                     for k in range(B.shape[0]):
                         if abs(B[k, col]) >= 1e-14:
@@ -378,15 +324,14 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
         raise TypeError("psd conversion expects an sos family decomposition")
     m = dec.site_vars[0]
     V = dec.complex.vertex_count
-    rows: dict[int, list] = {i: sorted({k for (site, k, _) in dec.locals if site == i},
-                                       key=repr) for i in range(V)}
     psd_mats: dict[tuple, dict] = {}
     for i in range(V):
-        grid = list(product(range(1, dec.index_size + 1),
-                            repeat=len(dec.complex.label_positions_at(i))))
-        B = {j: np.zeros((len(rows[i]), len(grid))) for j in range(m)}
-        gpos = {b: idx for idx, b in enumerate(grid)}
-        kpos = {k: idx for idx, k in enumerate(rows[i])}
+        # the matrices of site i live on the assignments of its stored locals
+        rows = sorted({k for (site, k, _) in dec.locals if site == i}, key=repr)
+        support = sorted({beta for (site, _, beta) in dec.locals if site == i})
+        B = {j: np.zeros((len(rows), len(support))) for j in range(m)}
+        bpos = {b: idx for idx, b in enumerate(support)}
+        kpos = {k: idx for idx, k in enumerate(rows)}
         for (site, k, beta), poly in dec.locals.items():
             if site != i:
                 continue
@@ -395,15 +340,12 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
                 nz = [(j, e) for j, e in enumerate(block) if e]
                 if len(nz) != 1 or nz[0][1] != 1:
                     raise NotCanonicalForm("psd conversion needs linear locals")
-                B[nz[0][0]][kpos[k], gpos[beta]] += coeff
+                B[nz[0][0]][kpos[k], bpos[beta]] += coeff
         for j in range(m):
             E = B[j].T @ B[j]
-            mat = {}
-            for r, b1 in enumerate(grid):
-                for s, b2 in enumerate(grid):
-                    if E[r, s] != 0.0:
-                        mat[(b1, b2)] = float(E[r, s])
-            psd_mats[(i, j)] = mat
+            psd_mats[(i, j)] = {(b1, b2): float(E[r, s])
+                                for r, b1 in enumerate(support)
+                                for s, b2 in enumerate(support) if E[r, s] != 0.0}
     return TensorDecomposition(PSD, dec.complex, dec.action, dec.index_size, m,
                                psd_mats=psd_mats)
 

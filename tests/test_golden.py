@@ -13,12 +13,17 @@ that merge or stay separate, float coefficients whose sums round, both
 symmetrization constructions, a family with and without a negative trace,
 the psd distance factorization, the Gram map and its sos family, the
 overcount splitting, the seeded sampling approximation, the blending
-verdict, complex summaries and the free refinement. Report input paths are
+verdict, complex summaries and the free refinement. The `bridge to-poly` and
+`pos bound` cases were stored before the tensor decompositions moved onto
+their squared-variable polynomial counterparts. Report input paths are
 relative to the repository root, so the commands run from there. The cases
 of the exact commands also run together in one fresh interpreter, which must
-keep their exit codes without ever loading numpy.
+keep their exit codes without ever loading numpy. Every fixture file these
+cases read, with any one of its values swapped for a value of another JSON
+type, must still end in one strict-JSON report or error envelope.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -26,6 +31,7 @@ import sys
 
 import pytest
 
+from omegadec import cli
 from omegadec.cli import build_parser, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -62,6 +68,8 @@ CASES = [
     ("complex_info_circle5", "complex info fixtures/circle5_complex.json", 0),
     ("action_refine_double_edge",
      "action refine fixtures/double_edge_complex.json fixtures/double_edge_swap_action.json", 0),
+    ("bridge_to_poly_distance_m4", "bridge to-poly fixtures/distance_m4_tensor.json", 0),
+    ("pos_bound_m1_d2_n1_g2", "pos bound --m 1 --d 2 --n 1 --g 2", 0),
 ]
 
 
@@ -101,3 +109,54 @@ def test_exact_commands_never_load_numpy():
                           timeout=120, check=True)
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe == {"codes": [code for _, code in cases], "numpy": False}
+
+
+SWAPS = ([], {}, "x", 1.5, True, None, -1)
+FILE_CASES = [(name, argv) for name, argv, _ in CASES if " fixtures/" in f" {argv}"]
+
+
+def node_paths(node, path=()):
+    """The path of every node, reading the first three items of each list."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node[:3]) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def swapped(node, path, value):
+    """A copy of node with the node at path replaced by value."""
+    if not path:
+        return value
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[path[0]] = swapped(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("name,argv", FILE_CASES, ids=[c[0] for c in FILE_CASES])
+def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(ROOT)
+    # the sweep runs thousands of commands; one parser serves them all
+    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))
+    words = argv.split()
+    mutated = str(tmp_path / "mutated.json")
+    for pos, word in enumerate(words):
+        if not word.startswith("fixtures/"):
+            continue
+        with open(word, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for path in node_paths(doc):
+            for value in SWAPS:
+                with open(mutated, "w", encoding="utf-8") as fh:
+                    json.dump(swapped(doc, path, value), fh)
+                where = f"{word} at {list(path)} -> {value!r}"
+                try:
+                    code = main(words[:pos] + [mutated] + words[pos + 1:])
+                except Exception as exc:    # any exception escaping main is the failure
+                    pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+                out = capsys.readouterr().out
+                assert code in (0, 1, 2, 3), where
+                json.loads(out, parse_constant=lambda c: pytest.fail(f"{where}: {c}"))

@@ -422,6 +422,19 @@ def test_sep_to_sos_errors():
         sep_to_sos(tiny, sol)
 
 
+def test_sep_to_sos_checks_supplied_splits():
+    sep = squares_double_edge_decomposition()
+    sol = factorizability_solve(sep.complex, sep.action, sep.index_size)
+    # the local at (0, (1, 2)) is t^2, and 5^2 is not
+    with pytest.raises(MissingSquareSplits, match="does not square to its local"):
+        sep_to_sos(sep, sol, {(0, (1, 2)): [_t({0: 5})]})
+    with pytest.raises(MissingSquareSplits):
+        sep_to_sos(sep, sol, {(0, (1, 2)): [BlockPolynomial.univar({1: 1.001}, "float")]})
+    for split in ([_t({1: 1})], [BlockPolynomial.univar({1: -1.0}, "float")]):
+        sos = sep_to_sos(sep, sol, {(0, (1, 2)): split})
+        assert sos.sum_squares().to_float().allclose(sep.contract().to_float(), 1e-9)
+
+
 def test_monomial_square_split():
     p = BlockPolynomial.univar({0: Fraction(1, 2), 2: Fraction(2)})
     taus = monomial_square_split(p)

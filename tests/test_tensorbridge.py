@@ -41,32 +41,38 @@ from omegadec.tensorbridge import (
 
 
 def contract_dense(td):
-    """Reference contraction: every assignment (pair, for psd) times every entry."""
+    """Reference contraction: every assignment times every entry.
+
+    psd assigns an index pair (v1, v2) to every label, the pairs enumerated
+    label by label; site i then reads matrix (i, j) at the assignments of the
+    first and of the second halves.
+    """
     c = td.complex
     V, L = c.vertex_count, c.label_count
     positions = [c.label_positions_at(i) for i in range(V)]
-    values = range(1, td.index_size + 1)
+    values = list(range(1, td.index_size + 1))
     if td.variant == "psd":
+        values = list(product(values, values))
         exact = all(not isinstance(v, float) for mat in td.psd_mats.values() for v in mat.values())
+
+        def entry(i, j, pairs):
+            return td.psd_mats.get((i, j), {}).get(tuple(zip(*pairs)), 0)
     else:
         exact = all(not isinstance(x, float) for vec in td.vectors.values() for x in vec)
+
+        def entry(i, j, beta):
+            return td.vectors.get((i, beta), (0,) * td.axis_dim)[j]
     t = DenseTensor.zeros((td.axis_dim,) * V, "rational" if exact else "float")
     for alpha in product(values, repeat=L):
-        for alpha2 in product(values, repeat=L) if td.variant == "psd" else [None]:
-            betas = [tuple(alpha[p] for p in pos) for pos in positions]
-            if alpha2 is not None:
-                betas = [(b, tuple(alpha2[p] for p in pos)) for b, pos in zip(betas, positions)]
-            for idx in t.indices():
-                prod_ = 1
-                for i, j in enumerate(idx):
-                    if alpha2 is None:
-                        prod_ = prod_ * td.vectors.get((i, betas[i]), (0,) * td.axis_dim)[j]
-                    else:
-                        prod_ = prod_ * td.psd_mats.get((i, j), {}).get(betas[i], 0)
-                    if prod_ == 0:
-                        break
-                if prod_ != 0:
-                    t[idx] = t[idx] + prod_
+        betas = [tuple(alpha[p] for p in pos) for pos in positions]
+        for idx in t.indices():
+            prod_ = 1
+            for i, j in enumerate(idx):
+                prod_ = prod_ * entry(i, j, betas[i])
+                if prod_ == 0:
+                    break
+            if prod_ != 0:
+                t[idx] = t[idx] + prod_
     return t
 
 
@@ -112,6 +118,9 @@ def test_assignments_must_fit_the_complex():
             TensorDecomposition("plain", c, None, 1, 1, vectors={(0, beta): (1,)})
         with pytest.raises(ValueError):
             TensorDecomposition("psd", c, None, 1, 1, psd_mats={(0, 0): {((1,), beta): 1}})
+    # (0 - 1) * 2 + 4 = 2 is a pair number in range, but neither half is a value
+    with pytest.raises(ValueError):
+        TensorDecomposition("psd", c, None, 2, 1, psd_mats={(0, 0): {((0,), (4,)): 1}})
 
 
 def test_contract_work_guard():
@@ -258,6 +267,46 @@ def test_check_symmetry_plain_and_psd():
     assert swap_psd({0: 1}).check_symmetry()
     assert not swap_psd({1: 4}).check_symmetry()
     assert not swap_psd({0: 2}).check_symmetry()
+    # exact entries compare exactly, floats within the relative tolerance
+    near = (Fraction(1) + Fraction(1, 10**12),)
+    assert not TensorDecomposition("plain", a.complex, a, 1, 1,
+                                   vectors={(0, b): (1,), (1, b): near}).check_symmetry()
+    assert TensorDecomposition("plain", a.complex, a, 1, 1,
+                               vectors={(0, b): (1.0,), (1, b): (1.0 + 1e-12,)}).check_symmetry()
+
+
+def test_psd_checks_run_on_the_support_of_a_large_index():
+    # a dense 10**5 x 10**5 matrix would take 74.5 GiB
+    n = 10**5
+    lo, hi = (1,), (n,)
+    mats = {(0, 0): {(lo, lo): 1},
+            (0, 1): {(lo, lo): 1, (lo, hi): 2, (hi, lo): 2, (hi, hi): 4},
+            (1, 0): {(lo, lo): 1, (hi, hi): 1},
+            (1, 1): {(hi, hi): 9}}
+    td = TensorDecomposition("psd", standard_complex("single_edge"), None, n, 2, psd_mats=mats)
+    assert td.check_psd()
+    assert td.psd_matrix(0, 1)[0] == [lo, hi]
+    assert td.contract() == DenseTensor((2, 2), [1, 0, 5, 36])
+    sos = tensor_dec_to_poly_dec(td)
+    assert sos.sum_squares().to_float().allclose(
+        poly_from_tensor(td.contract()).astype_float(), 1e-12)
+    mats[(1, 1)] = {(lo, lo): -1}
+    assert not TensorDecomposition("psd", td.complex, None, n, 2, psd_mats=mats).check_psd()
+
+
+def test_empty_psd_matrix_is_psd_and_adds_no_factor():
+    c = standard_complex("single_edge")
+    b = (1,)
+    mats = {(0, 0): {(b, b): 2}, (0, 1): {(b, b): 0}, (1, 0): {(b, b): 3}, (1, 1): {}}
+    td = TensorDecomposition("psd", c, None, 1, 2, psd_mats=mats)
+    support, mat = td.psd_matrix(0, 1)
+    assert support == [] and mat.shape == (0, 0)
+    assert td.check_psd()
+    assert td.contract() == DenseTensor((2, 2), [6, 0, 0, 0])
+    sos = tensor_dec_to_poly_dec(td)
+    assert {k for (_, k, _) in sos.locals} == {(0, 0)}
+    assert sos.sum_squares().to_float().allclose(
+        poly_from_tensor(td.contract()).astype_float(), 1e-12)
 
 
 def test_psd_conversion_rejects_a_non_invariant_decomposition():
