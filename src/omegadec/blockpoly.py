@@ -3,7 +3,11 @@
 A polynomial lives in the tensor product of per-site polynomial rings: site i
 owns a block of ``sites[i]`` variables, and every term records one exponent
 vector per site. Coefficients are exact rationals or float64, chosen per
-polynomial via ``mode``.
+polynomial via ``mode``. An exact coefficient is an ``int`` when the
+constructor or ``scaled`` sees an integral value and a ``Fraction`` otherwise,
+so polynomials with integer coefficients multiply and add in machine ints; an
+integral ``Fraction`` that Fraction arithmetic produces compares, hashes and
+prints like the equal ``int``.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ Key = tuple[tuple[int, ...], ...]
 
 def _coerce_coeff(c, mode: str):
     if mode == RATIONAL:
+        if type(c) is int:
+            return c
         if isinstance(c, float):
             raise TypeError("float coefficient in rational mode")
-        return Fraction(c)
+        c = Fraction(c)
+        return int(c) if c.denominator == 1 else c
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"non-finite coefficient {c}")
@@ -40,8 +47,8 @@ class BlockPolynomial:
 
     The public constructor validates every key and coerces every coefficient.
     Arithmetic results are built with `_trusted` instead: their keys are
-    already well formed, their coefficients are already `Fraction` (rational
-    mode) or `float` (float mode), and each operation drops the zero
+    already well formed, their coefficients are already int or Fraction
+    (rational mode) or `float` (float mode), and each operation drops the zero
     coefficients it creates itself.
     """
 
@@ -63,17 +70,20 @@ class BlockPolynomial:
                 if len(block) != m or any(e < 0 for e in block):
                     raise ValueError(f"bad exponent block {block} for site width {m}")
             c = _coerce_coeff(coeff, mode)
+            if key in clean:
+                c = _coerce_coeff(clean[key] + c, mode)
             if c:
-                clean[key] = clean.get(key, _coerce_coeff(0, mode)) + c
-                if not clean[key]:
-                    del clean[key]
+                clean[key] = c
+            else:
+                clean.pop(key, None)
         self.sites = sites
         self.mode = mode
         self.terms = clean
 
     @classmethod
     def _trusted(cls, sites: tuple[int, ...], terms: dict, mode: str) -> "BlockPolynomial":
-        """Wrap an already clean term dict: well-formed keys, exact types, no zeros."""
+        """Wrap an already clean term dict: well-formed keys, no zeros, and int or
+        Fraction (rational mode) or float (float mode) coefficients."""
         self = object.__new__(cls)
         self.sites = sites
         self.mode = mode
@@ -163,10 +173,7 @@ class BlockPolynomial:
     def scaled(self, c) -> "BlockPolynomial":
         if isinstance(c, float) and self.mode == RATIONAL:
             return self.astype_float().scaled(c)
-        if self.mode == FLOAT:
-            c = float(c)
-        elif not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+        c = float(c) if self.mode == FLOAT else _coerce_coeff(c, RATIONAL)
         return BlockPolynomial._trusted(
             self.sites, _nonzero({k: v * c for k, v in self.terms.items()}), self.mode)
 

@@ -68,7 +68,8 @@ def _load_bundle(run: _Run, path: str):
     obj = run.read(path)
     cplx = WeightedComplex.from_obj(obj["complex"])
     action = None
-    if obj.get("action"):
+    # only an absent key or null means the trivial group; [] or {} is an input error
+    if obj.get("action") is not None:
         action = SymmetryAction.from_obj(cplx, obj["action"],
                                          max_group=run.args.max_group)
     return obj, cplx, action

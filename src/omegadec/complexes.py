@@ -10,6 +10,7 @@ these labels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -77,9 +78,16 @@ class WeightedComplex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WeightedComplex":
-        facets = [(set(f["vertices"]), int(f.get("weight", 1))) for f in obj["facets"]]
+        facets = [(f["vertices"], f.get("weight", 1)) for f in obj["facets"]]
         n = obj.get("n")
-        return build_complex(facets, vertex_count=None if n is None else int(n) + 1)
+        return build_complex(facets, vertex_count=None if n is None else _integer(n, "n") + 1)
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def omega_value(c: WeightedComplex, subset: Iterable[int]) -> int:
@@ -96,7 +104,8 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
                   vertex_count: int | None = None) -> WeightedComplex:
     """Validate a facet list and assemble the complex.
 
-    Rejects empty facets, negative vertices, weights below 1, non-maximal
+    Rejects vertices and weights that are not integers (bools and floats
+    included), empty facets, negative vertices, weights below 1, non-maximal
     facets (including duplicates), vertices outside ``vertex_count`` and
     vertex ranges with gaps. The derived weight map needs no check: the facets
     containing a set also contain each of its subsets, so the gcd over the
@@ -105,12 +114,12 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
     sets: list[frozenset[int]] = []
     weights: list[int] = []
     for vertices, weight in facet_list:
-        fset = frozenset(int(v) for v in vertices)
+        fset = frozenset(_integer(v, "vertex") for v in vertices)
         if not fset:
             raise EmptyFacet("facet with empty vertex set")
         if min(fset) < 0:
             raise VertexOutOfRange("negative vertex index")
-        weight = int(weight)
+        weight = _integer(weight, "facet weight")
         if weight < 1:
             raise ValueError(f"facet weight must be >= 1, got {weight}")
         sets.append(fset)

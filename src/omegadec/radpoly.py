@@ -260,8 +260,10 @@ class RadSum:
             else:
                 del terms[key]
 
-    def _commensurable(self, s: ScaledScalar) -> tuple[list | None, Fraction | None]:
+    def _commensurable(self, s: ScaledScalar) -> tuple[list | None, int | Fraction | None]:
         """The part whose scale has a rational ratio to s, with that ratio.
+
+        An integral ratio is an int, so integer coefficients merge in ints.
 
         The scales of the parts are pairwise incommensurable, so at most one
         part qualifies; an equal scale is the common case and the cheapest test.

@@ -52,7 +52,16 @@ class ScaledScalar:
             raise ValueError("scale must be positive")
         if k < 1:
             raise ValueError("root index must be >= 1")
-        num, den = r.numerator, r.denominator
+        self._normalize(r.numerator, r.denominator, k)
+
+    @classmethod
+    def _reduced(cls, num: int, den: int, k: int) -> "ScaledScalar":
+        """The scalar (num/den)**(1/k) from positive coprime ints, without a Fraction."""
+        self = object.__new__(cls)
+        self._normalize(num, den, k)
+        return self
+
+    def _normalize(self, num: int, den: int, k: int) -> None:
         for m in _divisors_desc(k):
             if m == 1:
                 break
@@ -92,16 +101,26 @@ class ScaledScalar:
     def __mul__(self, other: "ScaledScalar") -> "ScaledScalar":
         if not isinstance(other, ScaledScalar):
             return NotImplemented
-        lcm = self.k * other.k // math.gcd(self.k, other.k)
-        r = self.radicand ** (lcm // self.k) * other.radicand ** (lcm // other.k)
-        return ScaledScalar(r, lcm)
+        # num == den only for the value one, whose product is the other factor
+        if self.num == self.den:
+            return other
+        if other.num == other.den:
+            return self
+        return self._times(other.num, other.den, other.k)
 
     def __truediv__(self, other: "ScaledScalar") -> "ScaledScalar":
         if not isinstance(other, ScaledScalar):
             return NotImplemented
-        lcm = self.k * other.k // math.gcd(self.k, other.k)
-        r = self.radicand ** (lcm // self.k) / other.radicand ** (lcm // other.k)
-        return ScaledScalar(r, lcm)
+        return self._times(other.den, other.num, other.k)
+
+    def _times(self, num: int, den: int, k: int) -> "ScaledScalar":
+        """self * (num/den)**(1/k) for coprime positive ints, over the common root index."""
+        lcm = self.k * k // math.gcd(self.k, k)
+        a, b = lcm // self.k, lcm // k
+        n = self.num**a * num**b
+        d = self.den**a * den**b
+        g = math.gcd(n, d)
+        return ScaledScalar._reduced(n // g, d // g, lcm)
 
     def __pow__(self, j: int) -> "ScaledScalar":
         if j == 0:
@@ -109,19 +128,19 @@ class ScaledScalar:
         if j < 0:
             return ONE / self ** (-j)
         g = math.gcd(j, self.k)
-        return ScaledScalar(self.radicand ** (j // g), self.k // g)
+        return ScaledScalar._reduced(self.num ** (j // g), self.den ** (j // g), self.k // g)
 
     def root(self, j: int) -> "ScaledScalar":
         if j < 1:
             raise ValueError("root index must be >= 1")
-        return ScaledScalar(self.radicand, self.k * j)
+        return ScaledScalar._reduced(self.num, self.den, self.k * j)
 
-    def ratio_to(self, other: "ScaledScalar") -> Fraction | None:
-        """self / other as an exact Fraction, or None if irrational."""
+    def ratio_to(self, other: "ScaledScalar") -> int | Fraction | None:
+        """self / other exactly, an int when integral, or None if irrational."""
         q = self / other
-        if q.is_rational:
-            return q.as_fraction()
-        return None
+        if not q.is_rational:
+            return None
+        return q.num if q.den == 1 else Fraction(q.num, q.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledScalar):

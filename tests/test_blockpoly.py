@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
 from omegadec.errors import IncompatibleBlockSizes
+from omegadec.radpoly import RadSum
+from omegadec.scalars import ScaledScalar
 
 
 def quartic():
@@ -134,14 +136,14 @@ def test_sorted_terms_lexicographic():
 # Arithmetic results skip the validating constructor; they must still be what
 # it would build: same terms, no stored zero, coefficient type set by the mode.
 
-def sparse_polys(mode, sites=(1, 2), deg=2):
+def sparse_polys(mode, sites=(1, 2), deg=2, values=None):
     keys = st.tuples(*(st.tuples(*(st.integers(min_value=0, max_value=deg) for _ in range(m)))
                        for m in sites))
-    if mode == FLOAT:
+    if values is None and mode == FLOAT:
         # tiny magnitudes make products underflow to 0.0, which must be dropped
         values = st.sampled_from([1e-170, -1e-170]) | st.floats(
             min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-    else:
+    elif values is None:
         values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     return st.dictionaries(keys, values, max_size=5).map(lambda d: BlockPolynomial(sites, d, mode))
 
@@ -149,7 +151,8 @@ def sparse_polys(mode, sites=(1, 2), deg=2):
 def assert_clean(r):
     assert r == BlockPolynomial(r.sites, r.terms, r.mode)
     assert all(r.terms.values())
-    assert all(type(c) is (float if r.mode == FLOAT else Fraction) for c in r.terms.values())
+    allowed = (float,) if r.mode == FLOAT else (int, Fraction)
+    assert all(type(c) in allowed for c in r.terms.values())
 
 
 @given(st.data())
@@ -169,6 +172,51 @@ def test_arithmetic_results_are_clean(data):
     assert_clean(outer([f, g, h]))
     assert_clean(outer([f.astype_float(), f.astype_float()]))
     assert_clean(f.act((0,)))
+
+
+# Integer coefficients stay Python ints through every exact operation, so the
+# exact core multiplies and adds them without Fraction objects.
+
+def assert_int_coefficients(r):
+    assert r.mode == RATIONAL
+    assert all(type(c) is int for c in r.terms.values())
+
+
+# n * sqrt(b): within one b, every scale is an integer multiple of the n = 1 scale
+INT_MULTIPLES = {b: [ScaledScalar(n * n * b, 2) for n in (1, 2, 3)] for b in (1, 2, 3)}
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_integer_inputs_give_int_coefficients(data):
+    ints = st.integers(-6, 6)
+    p, q = (data.draw(sparse_polys(RATIONAL, values=ints)) for _ in range(2))
+    n = data.draw(ints)
+    f, g = (data.draw(sparse_polys(RATIONAL, sites=(1,), values=ints)) for _ in range(2))
+    h = data.draw(sparse_polys(RATIONAL, sites=(2,), values=ints))
+    for r in (p + q, p - q, -p, p * q, p.act((0, 1)), p.scaled(n), p.scaled(Fraction(n)),
+              p * n, outer([f, g, h])):
+        assert_int_coefficients(r)
+    acc = RadSum(p.sites)
+    for multiples in INT_MULTIPLES.values():
+        acc.add_part(multiples[0], BlockPolynomial.constant(p.sites, 1))
+    for _ in range(data.draw(st.integers(0, 6))):
+        s = data.draw(st.sampled_from(INT_MULTIPLES[data.draw(st.sampled_from([1, 2, 3]))]))
+        acc.add_part(s, data.draw(sparse_polys(RATIONAL, values=ints)))
+    acc.drop_zeros()
+    for _, r in acc.result().parts:
+        assert_int_coefficients(r)
+
+
+def test_from_obj_stores_integral_coefficients_as_int():
+    p = BlockPolynomial.from_obj({"sites": [1], "terms": [
+        {"exps": [[0]], "coeff": "3"}, {"exps": [[1]], "coeff": "3/2"},
+        {"exps": [[2]], "coeff": "6/2"}]})
+    c0, c1, c2 = (p.terms[((d,),)] for d in range(3))
+    assert type(c0) is int and c0 == 3
+    assert type(c1) is Fraction and c1 == Fraction(3, 2)
+    assert type(c2) is int and c2 == 3
+    assert p.to_obj()["terms"][0]["coeff"] == "3"
 
 
 def test_float_underflow_is_dropped():

@@ -218,6 +218,45 @@ def test_complex_build_rejects_bad_input(capsys, tmp_path):
     assert json.loads(out)["error"] == "NonMaximalFacet"
 
 
+@pytest.mark.parametrize("field, value", [("weight", 1.5), ("weight", True), ("weight", 2.0),
+                                          ("vertices", [0, 1.5]), ("vertices", [0, True]),
+                                          ("vertices", [0, "1"])])
+def test_complex_build_rejects_non_integer_fields(capsys, tmp_path, field, value):
+    facet = {"vertices": [0, 1], "weight": 1}
+    facet[field] = value
+    path = write_json(tmp_path, "bad.json", {"n": 1, "facets": [facet]})
+    code, out = run(capsys, "complex", "build", path)
+    assert code == 2
+    assert strict_json(out)["error"] == "ValueError"
+
+
+def _non_invariant_bundle(action):
+    """The double-edge fixture with one site-0 coefficient changed to 7 and no expected value."""
+    with open(fixture("double_edge_invariant.json")) as fh:
+        bundle = json.load(fh)
+    del bundle["expected"]
+    site0 = next(loc for loc in bundle["decomposition"]["locals"] if loc["site"] == 0)
+    site0["poly"]["terms"][0]["coeff"] = "7"
+    if action == "absent":
+        del bundle["action"]
+    elif action != "fixture":
+        bundle["action"] = action
+    return bundle
+
+
+@pytest.mark.parametrize("action, code", [("fixture", 1), ("absent", 0), (None, 0),
+                                          ([], 2), ({}, 2), (0, 2), ("", 2)])
+def test_only_absent_or_null_action_means_trivial_group(capsys, tmp_path, action, code):
+    path = write_json(tmp_path, "bundle.json", _non_invariant_bundle(action))
+    got, out = run(capsys, "dec", "verify", path)
+    assert got == code
+    payload = strict_json(out)
+    if code == 2:
+        assert set(payload) == {"error", "message"}
+    else:
+        assert payload["result"]["symmetry_ok"] is (code == 0)
+
+
 def _double_edge_bundle(coeff):
     """Double-edge decomposition of x^2 + y^2 with one coefficient replaced."""
     def local(site, beta, d, c):

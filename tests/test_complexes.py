@@ -86,6 +86,14 @@ def test_validation_errors():
         build_complex([({0, 5}, 1)], vertex_count=2)
     with pytest.raises(ValueError):
         build_complex([({0, 1}, 0)])
+    for weight in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="facet weight must be an integer"):
+            build_complex([({0, 1}, weight)])
+    for vertices in ([0, 1.5], [0, 1.0], [0, True], [0, "1"]):
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            build_complex([(vertices, 1)])
+    with pytest.raises(ValueError, match="n must be an integer"):
+        WeightedComplex.from_obj({"n": 1.5, "facets": [{"vertices": [0, 1]}]})
 
 
 def test_uncovered_vertices_are_named_up_to_a_bound():

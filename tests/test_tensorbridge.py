@@ -180,6 +180,13 @@ def test_psd_distance_factorization_exact():
     assert t4[(1, 2)] == 1
 
 
+def test_psd_distance_contraction_stays_in_ints():
+    t = psd_distance_factorization(12).contract()
+    assert t.dims == (12, 12)
+    for i, j in product(range(12), repeat=2):
+        assert type(t[(i, j)]) is int and t[(i, j)] == (i - j) ** 2
+
+
 def test_plain_conversion_distance_split():
     c = standard_complex("single_edge")
     m = 6
