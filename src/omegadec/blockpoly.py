@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .complexes import _integer
 from .errors import IncompatibleBlockSizes
 
 RATIONAL = "rational"
@@ -277,9 +278,10 @@ class BlockPolynomial:
         mode = obj.get("mode", RATIONAL)
         terms = {}
         for t in obj.get("terms", []):
-            key = tuple(tuple(int(e) for e in b) for b in t["exps"])
+            key = tuple(tuple(_integer(e, "exponent") for e in b) for b in t["exps"])
             c = t["coeff"]
-            coeff = float(c) if mode == FLOAT else Fraction(c)
+            # a JSON float is no exact rational: rational mode rejects it as the constructor does
+            coeff = float(c) if mode == FLOAT else _coerce_coeff(c, RATIONAL)
             terms[key] = terms.get(key, 0) + coeff
         return cls(obj["sites"], terms, mode)
 

@@ -10,6 +10,7 @@ layers are imported inside the handlers of the commands that use them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -254,7 +255,9 @@ def _cmd_accept(run: _Run) -> int:
                       EXIT_OK if result["all_passed"] else EXIT_VERDICT_FAIL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="omega", allow_abbrev=False,
                                      description="invariant polynomial decompositions")
     parser.add_argument("--seed", type=int, default=0)

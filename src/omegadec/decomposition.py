@@ -140,24 +140,35 @@ def locals_agree(a: SymmetryAction, site_vars: Sequence[int],
     """True iff locals keyed (site, ..., assignment) agree along every group orbit.
 
     g moves the site and the assignment and keeps what lies between; a missing
-    key is the zero local of width ``site_vars[g*i]``.
+    key is the zero local of width ``site_vars[g*i]``. Each orbit is visited
+    once, from its first stored key: exact locals are compared with that
+    first one, which equality makes transitive, and float locals pairwise,
+    each pair of a stored local and an orbit member once, itself included.
     """
     if len(a) == 1:
         return True
-    exact = all(p.mode == RATIONAL for p in stored.values())
-    for key, poly in stored.items():
+    mode = RATIONAL if all(p.mode == RATIONAL for p in stored.values()) else FLOAT
+    seen: set[tuple] = set()
+    for key, first in stored.items():
+        if key in seen:
+            continue
         site, middle, beta = key[0], key[1:-1], key[-1]
+        members: list[tuple[bool, RadPoly]] = []     # (whether stored, local)
         for g in range(len(a)):
             gi, gbeta = a.beta_image(g, site, beta)
             # the plain (site, assignment) key skips the slower unpacking
-            other = stored.get((gi, *middle, gbeta) if middle else (gi, gbeta))
-            if other is None:
-                other = RadPoly.zero((site_vars[gi],), RATIONAL if exact else FLOAT)
-            if exact:
-                if not poly == other:
-                    return False
-            elif not poly.allclose(other, tol):
+            gkey = (gi, *middle, gbeta) if middle else (gi, gbeta)
+            if gkey not in seen:
+                seen.add(gkey)
+                p = stored.get(gkey)
+                members.append((True, p) if p is not None
+                               else (False, RadPoly.zero((site_vars[gi],), mode)))
+        if mode == RATIONAL:
+            if not all(first == p for _, p in members):
                 return False
+        elif not all(p.allclose(q, tol) for n, (held, p) in enumerate(members)
+                     for held_q, q in members[n:] if held or held_q):
+            return False
     return True
 
 
@@ -420,19 +431,20 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
             return OmegaGDecomposition(c, a, 0, site_vars, {})
         r = len(terms)
         locals_: dict[int, dict[Beta, RadPoly]] = {}
-        for i in range(V):
-            width = len(c.label_positions_at(i))
+        # the sum over g of the factor at g*i is |Stab(i)| = |G|/|O| times the
+        # sum over the orbit O of i, so each orbit builds one local for all its sites
+        for orbit in a.vertex_orbits():
             for li, vec in enumerate(vectors):
                 for j in range(r):
-                    acc = RadSum((site_vars[i],))
-                    for g in range(order):
-                        gi = a.vertex_image(g, i)
-                        acc.add(signed[vec[gi]][j][gi])
-                    local = acc.result()
+                    acc = RadSum((site_vars[orbit[0]],))
+                    for v in orbit:
+                        acc.add(signed[vec[v]][j][v])
+                    local = acc.result().scaled(order // len(orbit))
                     if local.is_zero():
                         continue
-                    beta = (j * len(vectors) + li + 1,) * width
-                    locals_.setdefault(i, {})[beta] = local
+                    for i in orbit:
+                        beta = (j * len(vectors) + li + 1,) * len(c.label_positions_at(i))
+                        locals_.setdefault(i, {})[beta] = local
         return OmegaGDecomposition(c, a, r * len(vectors), site_vars, locals_, scale)
 
     return build(plus), build(minus)

@@ -56,7 +56,7 @@ class RadPoly:
 
     @classmethod
     def from_poly(cls, p: BlockPolynomial) -> "RadPoly":
-        return cls(p.sites, [(ONE, p)], p.mode)
+        return cls._trusted(p.sites, ((ONE, p),) if p.terms else (), p.mode)
 
     @classmethod
     def scaled_poly(cls, s: ScaledScalar, p: BlockPolynomial) -> "RadPoly":
@@ -120,6 +120,8 @@ class RadPoly:
         return not self.parts
 
     def __eq__(self, other) -> bool:
+        if other is self and self.mode == RATIONAL:     # a float NaN is unequal to itself
+            return True
         if isinstance(other, BlockPolynomial):
             other = RadPoly.from_poly(other)
         if not isinstance(other, RadPoly):

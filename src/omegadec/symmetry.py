@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .complexes import WeightedComplex, is_connected
+from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
     ActionNotFree,
     CollapseNotLinear,
@@ -39,7 +39,7 @@ def _invert(a: Perm) -> Perm:
 
 
 def _check_perm(p: Sequence[int], size: int, what: str) -> Perm:
-    p = tuple(int(x) for x in p)
+    p = tuple(_integer(x, what) for x in p)
     if len(p) != size or sorted(p) != list(range(size)):
         raise ValueError(f"{what} is not a permutation of 0..{size - 1}")
     return p

@@ -398,3 +398,27 @@ def test_action_check_ignores_assignment_guard(capsys):
                     fixture("circle5_complex.json"), fixture("circle5_rotation_action.json"))
     assert code == 0
     assert strict_json(out)["result"]["blending"] is False
+
+
+@pytest.mark.parametrize("perm", [[1.5, 0], [True, 0], [1, "0"]])
+@pytest.mark.parametrize("field", ["vertex_perm", "multifacet_perm"])
+def test_action_check_rejects_non_integer_permutation_entries(capsys, tmp_path, field, perm):
+    generator = {"vertex_perm": [1, 0], "multifacet_perm": [1, 0]}
+    generator[field] = perm
+    apath = write_json(tmp_path, "action.json", {"generators": [generator]})
+    code, out = run(capsys, "action", "check", fixture("double_edge_complex.json"), apath)
+    assert code == 2
+    assert strict_json(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("where, value, error", [
+    ("exps", [[1.5]], "ValueError"), ("exps", [[True]], "ValueError"),
+    ("coeff", 0.1, "TypeError"), ("coeff", 2.0, "TypeError")])
+def test_dec_verify_rejects_inexact_rational_input(capsys, tmp_path, where, value, error):
+    """Exponents are integers, and a rational-mode coefficient is an int or a string."""
+    with open(fixture("double_edge_invariant.json")) as fh:
+        bundle = json.load(fh)
+    bundle["decomposition"]["locals"][0]["poly"]["terms"][0][where] = value
+    code, out = run(capsys, "dec", "verify", write_json(tmp_path, "bundle.json", bundle))
+    assert code == 2
+    assert strict_json(out)["error"] == error

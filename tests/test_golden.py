@@ -23,7 +23,6 @@ cases read, with any one of its values swapped for a value of another JSON
 type, must still end in one strict-JSON report or error envelope.
 """
 
-import functools
 import json
 import os
 import subprocess
@@ -31,7 +30,6 @@ import sys
 
 import pytest
 
-from omegadec import cli
 from omegadec.cli import build_parser, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -80,6 +78,19 @@ def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
     with open(os.path.join(GOLDEN, f"{name}.stdout"), encoding="utf-8") as fh:
         expected = fh.read()
     assert capsys.readouterr().out == expected
+
+
+def test_one_parser_serves_consecutive_commands(capsys, monkeypatch):
+    """Reports of different commands run back to back in one process stay golden."""
+    monkeypatch.chdir(ROOT)
+    assert build_parser() is build_parser()
+    cases = {name: (argv, code) for name, argv, code in CASES}
+    for name in ("dec_verify_double_edge", "action_check_circle5", "family_check_nonnegative",
+                 "dec_verify_double_edge"):
+        argv, code = cases[name]
+        assert main(argv.split()) == code
+        with open(os.path.join(GOLDEN, f"{name}.stdout"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
 
 EXACT_COMMANDS = ("complex", "action", "dec", "family")
@@ -139,8 +150,6 @@ def swapped(node, path, value):
 def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.chdir(ROOT)
-    # the sweep runs thousands of commands; one parser serves them all
-    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))
     words = argv.split()
     mutated = str(tmp_path / "mutated.json")
     for pos, word in enumerate(words):
