@@ -209,7 +209,8 @@ def _cmd_bridge(run: _Run) -> int:
                                      (list(v) if isinstance(v, tuple) else v))
                                  for k, v in tensor_positivity(tensor).items()}}
         return run.report("bridge to-poly", result)
-    report = separations_report(run.args.m, seed=run.args.seed)
+    report = separations_report(run.args.m, seed=run.args.seed,
+                                max_work=run.args.max_assignments)
     run.pretty(f"m={run.args.m}: rank {report['bipartite_rank']}, "
                f"psd index {report['psd_index']}, "
                f"nn bounds [{report['nn_lower_bound']}, {report.get('nn_upper_bound', '?')}]")

@@ -17,6 +17,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
 from .blockpoly import BlockPolynomial
+from .complexes import _integer
 from .decomposition import DEFAULT_MAX_WORK
 from .errors import SizeTooLarge
 
@@ -39,9 +40,10 @@ class LocalFamily:
     coeffs: tuple = field(repr=False)
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(tuple(int(x) for x in cell) for cell in row) for row in self.coeffs
-        )
+        object.__setattr__(self, "D", _integer(self.D, "D"))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        rows = tuple(tuple(tuple(_integer(x, "family coefficient") for x in cell) for cell in row)
+                     for row in self.coeffs)
         if len(rows) != self.D or any(len(row) != self.D for row in rows):
             raise ValueError(f"coefficients must form a {self.D}x{self.D} grid")
         if any(len(cell) != self.m for row in rows for cell in row):
@@ -66,7 +68,7 @@ class LocalFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LocalFamily":
-        return cls(int(obj["D"]), int(obj["m"]), obj["coeffs"])
+        return cls(obj["D"], obj["m"], obj["coeffs"])
 
 
 def _trace_walk(f: LocalFamily, n: int, max_tuples: int

@@ -33,6 +33,7 @@ from .errors import (
     NotCanonicalForm,
     NotInvariant,
     NotPSD,
+    SizeTooLarge,
     VertexActionNotFree,
 )
 from .positivity import SosOmegaGDecomposition, psd_floor, psd_sqrt
@@ -399,13 +400,6 @@ def polygon_slack(m: int) -> DenseTensor:
     return t
 
 
-def numeric_rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > rel_tol * s[0]).sum())
-
-
 def distance_nn_lower_bound(m: int) -> int:
     """Rectangle-covering bound for the distance matrix: ceil(log2 m)."""
     if m < 1:
@@ -413,38 +407,52 @@ def distance_nn_lower_bound(m: int) -> int:
     return (m - 1).bit_length()
 
 
+def nn_starts(rng, restarts: int, rows: int, cols: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Initial stacks W (restarts, rows, r) and H (restarts, r, cols): the
+    draws of restarts that each draw W and then H from ``rng``."""
+    draws = rng.random((restarts, rows * r + r * cols)) + 0.1
+    return (draws[:, :rows * r].reshape(restarts, rows, r),
+            draws[:, rows * r:].reshape(restarts, r, cols))
+
+
 def nn_rank_upper_bound(mat: np.ndarray, restarts: int = 50, iters: int = 400,
-                        rel_tol: float = 1e-6, seed: int = 0) -> int:
+                        rel_tol: float = 1e-6, seed: int = 0,
+                        max_work: int = DEFAULT_MAX_WORK) -> int:
     """Smallest inner dimension at which multiplicative updates reached the
-    matrix within tolerance; an upper bound only, never the exact rank."""
+    matrix within tolerance; an upper bound only, never the exact rank. The
+    restarts of one inner dimension run as one stack."""
     mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     if (mat < 0).any():
         raise ValueError("matrix must be entrywise nonnegative")
     rows, cols = mat.shape
+    work = (min(rows, cols) - 1) * restarts * iters
+    if work > max_work:
+        raise SizeTooLarge(f"{work} updates exceed {max_work}")
     norm = np.linalg.norm(mat)
     if norm == 0.0:
         return 0
     rng = np.random.default_rng(seed)
     eps = 1e-12
     for r in range(1, min(rows, cols)):
-        for _ in range(restarts):
-            W = rng.random((rows, r)) + 0.1
-            H = rng.random((r, cols)) + 0.1
-            for _ in range(iters):
-                H *= (W.T @ mat) / (W.T @ W @ H + eps)
-                W *= (mat @ H.T) / (W @ H @ H.T + eps)
-            if np.linalg.norm(mat - W @ H) <= rel_tol * norm:
-                return r
+        W, H = nn_starts(rng, restarts, rows, cols, r)
+        for _ in range(iters):
+            H *= (W.mT @ mat) / (W.mT @ W @ H + eps)
+            W *= (mat @ H.mT) / (W @ H @ H.mT + eps)
+        if (np.linalg.norm(mat - W @ H, axis=(1, 2)) <= rel_tol * norm).any():
+            return r
     return min(rows, cols)
 
 
-def separations_report(m: int, seed: int = 0, with_nn_upper: bool = True) -> dict:
+def separations_report(m: int, seed: int = 0, with_nn_upper: bool = True,
+                       max_work: int = DEFAULT_MAX_WORK) -> dict:
     """Rank profile of the distance-matrix instance of size m."""
     t = distance_matrix(m)
     p = poly_from_tensor(t)
     rank = bipartite_rank(p)
     fact = psd_distance_factorization(m)
-    psd_ok = fact.contract() == t
+    psd_ok = fact.contract(max_work) == t
     report = {
         "m": m,
         "bipartite_rank": rank,
@@ -453,5 +461,6 @@ def separations_report(m: int, seed: int = 0, with_nn_upper: bool = True) -> dic
         "nn_lower_bound": distance_nn_lower_bound(m),
     }
     if with_nn_upper:
-        report["nn_upper_bound"] = nn_rank_upper_bound(t.to_numpy(), seed=seed)
+        report["nn_upper_bound"] = nn_rank_upper_bound(t.to_numpy(), seed=seed,
+                                                       max_work=max_work)
     return report

@@ -77,6 +77,27 @@ def test_family_guard_exit_code(capsys):
     assert json.loads(out)["error"] == "SizeTooLarge"
 
 
+def test_bridge_separations_guard_exit_code(capsys):
+    code, out = run(capsys, "--max-assignments", "1000", "bridge", "separations", "--m", "4")
+    assert code == 3
+    assert strict_json(out)["error"] == "SizeTooLarge"
+
+
+@pytest.mark.parametrize("obj", [
+    {"D": 1, "m": 1, "coeffs": [[[-0.5]]]},
+    {"D": 1, "m": 1, "coeffs": [[[True]]]},
+    {"D": 1, "m": 1, "coeffs": [[["1"]]]},
+    {"D": 1.0, "m": 1, "coeffs": [[[1]]]},
+    {"D": 1, "m": 1.5, "coeffs": [[[1]]]},
+])
+def test_family_check_rejects_non_integers(capsys, tmp_path, obj):
+    # -0.5 once truncated to 0 and the check passed, though (-1/2)**3 < 0 at n = 2
+    code, out = run(capsys, "family", "check", write_json(tmp_path, "fam.json", obj),
+                    "--n-max", "2")
+    assert code == 2
+    assert strict_json(out)["error"] == "ValueError"
+
+
 def test_family_check_deep_circle(capsys, tmp_path):
     path = tmp_path / "unit_family.json"
     path.write_text(json.dumps({"D": 1, "m": 1, "coeffs": [[[1]]]}))

@@ -98,6 +98,9 @@ def test_guards_and_validation():
         bounded_positivity_check(fam, 20, max_tuples=100)
     with pytest.raises(ValueError):
         LocalFamily(2, 2, (((1, 2),),))
+    for D, m in ((2.0, 1), (1, 1.5), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LocalFamily(D, m, (((1,),),))
     with pytest.raises(ValueError):
         bounded_positivity_check(fam, 0, n_min=3)
 

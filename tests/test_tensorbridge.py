@@ -14,6 +14,7 @@ from omegadec.errors import (
     NotCanonicalForm,
     NotInvariant,
     SearchSpaceTooLarge,
+    SizeTooLarge,
     VertexActionNotFree,
 )
 from omegadec.fixtures import (
@@ -28,7 +29,7 @@ from omegadec.tensorbridge import (
     distance_matrix,
     distance_nn_lower_bound,
     nn_rank_upper_bound,
-    numeric_rank,
+    nn_starts,
     poly_dec_to_tensor_dec,
     poly_from_tensor,
     polygon_slack,
@@ -38,6 +39,13 @@ from omegadec.tensorbridge import (
     tensor_from_poly,
     tensor_positivity,
 )
+
+
+def numeric_rank(mat, rel_tol=1e-8):
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int((s > rel_tol * s[0]).sum())
 
 
 def contract_dense(td):
@@ -354,6 +362,85 @@ def test_nn_rank_bounds():
     assert nn_rank_upper_bound(np.zeros((3, 3))) == 0
     with pytest.raises(ValueError):
         nn_rank_upper_bound(np.array([[-1.0]]))
+
+
+def sequential_nn_upper(mat, restarts=50, iters=400, rel_tol=1e-6, seed=0):
+    """Oracle: each restart draws W then H and runs its own updates."""
+    mat = np.asarray(mat, dtype=float)
+    rows, cols = mat.shape
+    norm = np.linalg.norm(mat)
+    if norm == 0.0:
+        return 0
+    rng = np.random.default_rng(seed)
+    eps = 1e-12
+    for r in range(1, min(rows, cols)):
+        for _ in range(restarts):
+            W = rng.random((rows, r)) + 0.1
+            H = rng.random((r, cols)) + 0.1
+            for _ in range(iters):
+                H *= (W.T @ mat) / (W.T @ W @ H + eps)
+                W *= (mat @ H.T) / (W @ H @ H.T + eps)
+            if np.linalg.norm(mat - W @ H) <= rel_tol * norm:
+                return r
+    return min(rows, cols)
+
+
+def planted_positive(rank, seed):
+    rng = np.random.default_rng([seed, rank])
+    return (rng.random((6, rank)) + 0.1) @ (rng.random((rank, 7)) + 0.1)
+
+
+def test_nn_batch_matches_sequential_on_distance_grid():
+    for m in range(2, 13):
+        mat = distance_matrix(m).to_numpy()
+        for seed in range(5):
+            assert (nn_rank_upper_bound(mat, restarts=3, iters=25, seed=seed)
+                    == sequential_nn_upper(mat, restarts=3, iters=25, seed=seed)), (m, seed)
+
+
+def test_nn_batch_matches_sequential_at_defaults():
+    mat = distance_matrix(4).to_numpy()
+    assert nn_rank_upper_bound(mat) == sequential_nn_upper(mat) == 4
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_nn_batch_matches_sequential_on_planted_ranks(rank):
+    # a loose tolerance lets a few short restarts succeed below the trivial bound 6
+    opts = {"restarts": 4, "iters": 100, "rel_tol": 1e-2}
+    for seed in range(3):
+        mat = planted_positive(rank, seed)
+        got = nn_rank_upper_bound(mat, seed=seed, **opts)
+        assert got == sequential_nn_upper(mat, seed=seed, **opts)
+        assert rank <= got < 6
+
+
+def test_nn_batch_starts_are_the_sequential_draws():
+    rows, cols, restarts = 5, 4, 6
+    batch, seq = np.random.default_rng(3), np.random.default_rng(3)
+    for r in (1, 2, 3):
+        W, H = nn_starts(batch, restarts, rows, cols, r)
+        assert W.shape == (restarts, rows, r) and H.shape == (restarts, r, cols)
+        for k in range(restarts):
+            assert np.array_equal(W[k], seq.random((rows, r)) + 0.1)
+            assert np.array_equal(H[k], seq.random((r, cols)) + 0.1)
+    assert batch.random() == seq.random()
+
+
+def test_nn_rank_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        mat = distance_matrix(3).to_numpy()
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nn_rank_upper_bound(mat)
+
+
+def test_nn_rank_work_guard():
+    mat = distance_matrix(4).to_numpy()
+    with pytest.raises(SizeTooLarge):
+        nn_rank_upper_bound(mat, max_work=3 * 50 * 400 - 1)
+    assert nn_rank_upper_bound(mat, restarts=2, iters=10, max_work=3 * 2 * 10) == 4
+    with pytest.raises(SizeTooLarge):
+        separations_report(4, max_work=1000)
 
 
 def test_separations_report():
