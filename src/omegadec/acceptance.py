@@ -377,9 +377,7 @@ def criterion_10() -> CriterionResult:
         for m in (1, 2, 3):
             for n in range(0, 6):
                 coeffs = rng.integers(-3, 4, size=(D, D, m))
-                fam_obj = tuple(tuple(tuple(int(x) for x in cell) for cell in row)
-                                for row in coeffs)
-                fam = LocalFamily(D, m, fam_obj)
+                fam = LocalFamily(D, m, coeffs.tolist())
                 mine = transfer_tensor(fam, n)
                 oracle = _brute_force_transfer(coeffs.astype(np.int64), n)
                 got = np.array([int(x) for x in mine.entries]).reshape(mine.dims)

@@ -27,8 +27,8 @@ from .errors import (
     NotNormalized,
 )
 from .positivity import (
+    DEFAULT_PSD_TOL,
     GramRepresentation,
-    gram_map_homogeneous,
     group_average,
     homogeneous_basis,
     is_gram_invariant,
@@ -140,14 +140,6 @@ def _trace_product(mats: Sequence[np.ndarray]) -> float:
     return tr
 
 
-def gram_norm_bounds(g: GramRepresentation) -> tuple[float, float]:
-    """(largest singular value, Schatten-2 norm) of the Gram matrix."""
-    eigs = np.linalg.eigvalsh(g.entries)
-    sigma = float(np.abs(eigs).max(initial=0.0))
-    schatten2 = float(np.linalg.norm(g.entries))
-    return sigma, schatten2
-
-
 class SeparableGram:
     """Gram matrix together with an explicit separable witness.
 
@@ -156,8 +148,7 @@ class SeparableGram:
     """
 
     def __init__(self, gram: GramRepresentation,
-                 terms: Sequence[tuple[float, Sequence[np.ndarray]]],
-                 tol: float = 1e-10, psd_tol: float = 1e-9):
+                 terms: Sequence[tuple[float, Sequence[np.ndarray]]]):
         self.gram = gram
         V = gram.n + 1
         clean = []
@@ -178,7 +169,7 @@ class SeparableGram:
                     raise ValueError("witness factors must be finite")
                 if not np.allclose(F, F.T, atol=1e-10):
                     raise ValueError("witness factors must be symmetric")
-                lo, bound = psd_floor(F, psd_tol)
+                lo, bound = psd_floor(F, DEFAULT_PSD_TOL)
                 if lo < bound:
                     raise ValueError("witness factors must be PSD")
                 mats.append(0.5 * (F + F.T))
@@ -186,7 +177,7 @@ class SeparableGram:
         self.terms = clean
         recon = self.reconstruct()
         scale = 1.0 + float(np.abs(gram.entries).max(initial=0.0))
-        if not np.allclose(recon, gram.entries, atol=tol * scale):
+        if not np.allclose(recon, gram.entries, atol=1e-10 * scale):
             raise DimensionMismatch("witness does not reconstruct the Gram matrix")
 
     def reconstruct(self) -> np.ndarray:
@@ -196,15 +187,11 @@ class SeparableGram:
         return out
 
     def trace(self) -> float:
+        """Witness trace: an upper bound on the separable normalization constant."""
         total = 0.0
         for weight, mats in self.terms:
             total += weight * _trace_product(mats)
         return total
-
-
-def mu_upper(sg: SeparableGram) -> float:
-    """Witness trace: an upper bound on the separable normalization constant."""
-    return sg.trace()
 
 
 @dataclass
@@ -290,9 +277,3 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
         poly_terms.append(tuple(factors))
     dec = symmetrize_average(poly_terms, a)
     return ApproxResult(dec, error, k, k * len(a), len(used), N)
-
-
-def approximant_polynomial(result: ApproxResult, gram: GramRepresentation) -> BlockPolynomial:
-    """Homogeneous polynomial represented by the symmetrized approximant."""
-    g = GramRepresentation(gram.n, gram.m, gram.d, result.approximant)
-    return gram_map_homogeneous(g)

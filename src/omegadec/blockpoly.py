@@ -25,14 +25,24 @@ FLOAT = "float"
 Key = tuple[tuple[int, ...], ...]
 
 
+def _rational(c):
+    """c as an exact rational, an int when integral and a Fraction otherwise.
+
+    Every exact coefficient, tensor entry and scale radicand the library
+    takes from outside is read here. A float is a TypeError, since it holds no
+    exact rational: ``0.1`` is not read as its binary fraction.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float {c!r} in rational mode holds no exact rational")
+    c = Fraction(c)
+    return int(c) if c.denominator == 1 else c
+
+
 def _coerce_coeff(c, mode: str):
     if mode == RATIONAL:
-        if type(c) is int:
-            return c
-        if isinstance(c, float):
-            raise TypeError("float coefficient in rational mode")
-        c = Fraction(c)
-        return int(c) if c.denominator == 1 else c
+        return _rational(c)
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"non-finite coefficient {c}")
@@ -57,14 +67,14 @@ class BlockPolynomial:
 
     def __init__(self, sites: Iterable[int], terms: Mapping[Key, object] | None = None,
                  mode: str = RATIONAL):
-        sites = tuple(int(m) for m in sites)
+        sites = tuple(_integer(m, "variable count") for m in sites)
         if any(m < 0 for m in sites):
             raise ValueError("negative variable count")
         if mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
         clean: dict[Key, object] = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(tuple(int(e) for e in block) for block in key)
+            key = tuple(tuple(_integer(e, "exponent") for e in block) for block in key)
             if len(key) != len(sites):
                 raise ValueError("term has wrong number of site blocks")
             for block, m in zip(key, sites):
@@ -278,10 +288,11 @@ class BlockPolynomial:
         mode = obj.get("mode", RATIONAL)
         terms = {}
         for t in obj.get("terms", []):
+            # exponents are read before they group terms, since 1, 1.0 and true hash alike
             key = tuple(tuple(_integer(e, "exponent") for e in b) for b in t["exps"])
             c = t["coeff"]
             # a JSON float is no exact rational: rational mode rejects it as the constructor does
-            coeff = float(c) if mode == FLOAT else _coerce_coeff(c, RATIONAL)
+            coeff = float(c) if mode == FLOAT else _rational(c)
             terms[key] = terms.get(key, 0) + coeff
         return cls(obj["sites"], terms, mode)
 

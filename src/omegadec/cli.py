@@ -213,7 +213,7 @@ def _cmd_bridge(run: _Run) -> int:
                                 max_work=run.args.max_assignments)
     run.pretty(f"m={run.args.m}: rank {report['bipartite_rank']}, "
                f"psd index {report['psd_index']}, "
-               f"nn bounds [{report['nn_lower_bound']}, {report.get('nn_upper_bound', '?')}]")
+               f"nn bounds [{report['nn_lower_bound']}, {report['nn_upper_bound']}]")
     return run.report("bridge separations", report)
 
 

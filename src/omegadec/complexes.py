@@ -58,10 +58,6 @@ class WeightedComplex:
     def label_count(self) -> int:
         return len(self.labels)
 
-    def facet_of_label(self, pos: int) -> frozenset[int]:
-        """Collapse map: the facet underlying a multifacet label position."""
-        return self.facets[self.labels[pos][0]][0]
-
     def label_positions_at(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.vertex_count:
             raise VertexOutOfRange(f"vertex {i} outside 0..{self.vertex_count - 1}")
@@ -84,7 +80,14 @@ class WeightedComplex:
 
 
 def _integer(x, what: str) -> int:
-    """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a ValueError."""
+    """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a ValueError.
+
+    Every count, index, exponent, root index and dimension the library takes
+    from outside is read here, so ``1.5`` is never truncated and ``true`` never
+    counts as 1.
+    """
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)

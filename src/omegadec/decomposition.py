@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
-from .complexes import WeightedComplex, is_connected
+from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
     ActionNotBlending,
     ActionNotFree,
@@ -83,7 +83,7 @@ def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
 def checked_assignment(complex_: WeightedComplex, site: int, beta: Sequence[int],
                        index_size: int) -> Beta:
     """The assignment as an int tuple, checked to fit the labels of the site."""
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(_integer(b, "assignment value") for b in beta)
     if len(beta) != len(complex_.label_positions_at(site)):
         raise ValueError(f"assignment {beta} has wrong arity for site {site}")
     if any(not 1 <= b <= index_size for b in beta):
@@ -101,21 +101,22 @@ def checked_action(complex_: WeightedComplex,
 
 def checked_site_vars(complex_: WeightedComplex, site_vars: Sequence[int]) -> tuple[int, ...]:
     """One variable count per vertex of the complex, as ints."""
-    site_vars = tuple(int(m) for m in site_vars)
+    site_vars = tuple(_integer(m, "site_vars entry") for m in site_vars)
     if len(site_vars) != complex_.vertex_count:
         raise ValueError("site_vars must list one variable count per vertex")
     return site_vars
 
 
 def checked_local(complex_: WeightedComplex, index_size: int, site_vars: Sequence[int],
-                  site: int, beta: Sequence[int], poly) -> tuple[Beta, RadPoly | None]:
-    """The checked assignment of a local at the site, and the local; None if it is zero."""
+                  site: int, beta: Sequence[int], poly) -> tuple[int, Beta, RadPoly | None]:
+    """The checked site and assignment of a local, and the local; None if it is zero."""
+    site = _integer(site, "site")
     beta = checked_assignment(complex_, site, beta, index_size)
     rp = RadPoly.coerce(poly)
     if rp.sites != (site_vars[site],):
         raise IncompatibleBlockSizes(
             f"local at site {site} has sites {rp.sites}, expected ({site_vars[site]},)")
-    return beta, None if rp.is_zero() else rp
+    return site, beta, None if rp.is_zero() else rp
 
 
 def contract_assignments(complex_: WeightedComplex, index_size: int,
@@ -203,14 +204,14 @@ class OmegaGDecomposition:
                  scale: ScaledScalar = ONE):
         self.complex = complex_
         self.action = checked_action(complex_, action)
-        self.index_size = int(index_size)
+        self.index_size = _integer(index_size, "index_size")
         self.site_vars = checked_site_vars(complex_, site_vars)
         self.scale = scale
         store: SiteLocals = {}
         for site, mapping in locals_.items():
             for beta, poly in mapping.items():
-                beta, rp = checked_local(complex_, self.index_size, self.site_vars,
-                                         site, beta, poly)
+                site, beta, rp = checked_local(complex_, self.index_size, self.site_vars,
+                                               site, beta, poly)
                 if rp is not None:
                     store.setdefault(site, {})[beta] = rp
         self.locals = store
@@ -257,18 +258,18 @@ class OmegaGDecomposition:
     @classmethod
     def from_obj(cls, complex_: WeightedComplex, action: SymmetryAction | None,
                  obj: dict) -> "OmegaGDecomposition":
-        site_vars = obj["site_vars"]
         locals_: dict[int, dict[Beta, RadPoly]] = {}
         for entry in obj.get("locals", []):
-            site = int(entry["site"])
-            beta = tuple(int(b) for b in entry["beta"])
+            # site and beta are read before they group locals, since 1, 1.0 and true hash alike
+            site = _integer(entry["site"], "site")
+            beta = tuple(_integer(b, "assignment value") for b in entry["beta"])
             poly = BlockPolynomial.from_obj(entry["poly"])
             s = ScaledScalar.from_obj(entry["scale"]) if "scale" in entry else ONE
             rp = RadPoly.scaled_poly(s, poly)
             prev = locals_.setdefault(site, {}).get(beta)
             locals_[site][beta] = rp if prev is None else prev + rp
         scale = ScaledScalar.from_obj(obj.get("scale", {"r": "1/1", "k": 1}))
-        return cls(complex_, action, int(obj["index_size"]), site_vars, locals_, scale)
+        return cls(complex_, action, obj["index_size"], obj["site_vars"], locals_, scale)
 
 
 def _term_site_vars(terms: Sequence[Sequence[object]], V: int) -> tuple[int, ...]:

@@ -16,12 +16,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
-from .complexes import WeightedComplex, is_connected
+from .complexes import WeightedComplex, _integer, is_connected
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
@@ -99,9 +99,9 @@ class GramRepresentation:
     """Symmetric matrix over the tensor product of per-site monomial bases."""
 
     def __init__(self, n: int, m: int, d: int, entries):
-        self.n = int(n)
-        self.m = int(m)
-        self.d = int(d)
+        self.n = _integer(n, "n")
+        self.m = _integer(m, "m")
+        self.d = _integer(d, "d")
         if min(self.n, self.m, self.d) < 0:
             raise ValueError("n, m and d must be nonnegative")
         mat = np.asarray(entries, dtype=float)
@@ -374,7 +374,7 @@ class SosOmegaGDecomposition:
                  scale: ScaledScalar = ONE):
         self.complex = complex_
         self.action = checked_action(complex_, action)
-        self.index_size = int(index_size)
+        self.index_size = _integer(index_size, "index_size")
         self.site_vars = checked_site_vars(complex_, site_vars)
         self.site_index = tuple(tuple(s) for s in site_index)
         if len(self.site_index) != complex_.vertex_count:
@@ -382,7 +382,8 @@ class SosOmegaGDecomposition:
         self.scale = scale
         self.locals: dict[tuple, RadPoly] = {}
         for (site, k, beta), poly in locals_.items():
-            beta, rp = checked_local(complex_, self.index_size, self.site_vars, site, beta, poly)
+            site, beta, rp = checked_local(complex_, self.index_size, self.site_vars,
+                                           site, beta, poly)
             if rp is not None:
                 self.locals[(site, k, beta)] = rp
 
@@ -460,21 +461,19 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
                                   family.site_index, locals_, scale)
 
 
-def separable_symmetrize(terms: Sequence[Sequence[object]], a: SymmetryAction,
-                         factor_check: Callable[[BlockPolynomial], bool] | None = None
-                         ) -> OmegaGDecomposition:
-    """Free-action symmetrization with every factor checked against its cone.
+def separable_symmetrize(terms: Sequence[Sequence[object]],
+                         a: SymmetryAction) -> OmegaGDecomposition:
+    """Free-action symmetrization with every factor checked to be evidently sos.
 
     The construction only rescales and rearranges factors by positive amounts,
     so cone membership of the inputs carries to every non-zero local of the
     output.
     """
-    check = factor_check or evidently_sos
     for j, term in enumerate(terms):
         for i, f in enumerate(term):
             rp = RadPoly.coerce(f)
             for _, p in rp.parts:
-                if not check(p):
+                if not evidently_sos(p):
                     raise FactorNotInCone(f"term {j}, site {i} fails the cone check")
     return symmetrize_free(terms, a)
 
@@ -493,9 +492,10 @@ class FactorizabilitySolution:
 
 
 def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int,
-                          max_assignments: int = DEFAULT_MAX_WORK,
-                          residual_tol: float = 1e-9) -> FactorizabilitySolution | None:
-    """Solve the log-linear overcount system, or report infeasibility as None.
+                          max_assignments: int = DEFAULT_MAX_WORK
+                          ) -> FactorizabilitySolution | None:
+    """Solve the log-linear overcount system, or report infeasibility (a
+    least-squares residual above 1e-9) as None.
 
     The overcount of an assignment counts the assignments reaching it through
     vertex-stabilizing elements sitewise. Unknowns are tied along group orbits
@@ -545,7 +545,7 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
     b = np.asarray(rhs)
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.abs(A @ x - b).max(initial=0.0))
-    if residual > residual_tol:
+    if residual > 1e-9:
         return None
     vals = {key: float(math.exp(x[idx])) for key, idx in var_of.items()}
     return FactorizabilitySolution(index_size, vals, residual, overcounts)
@@ -576,11 +576,11 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
                                locals_, sos.scale**2)
 
 
-def monomial_square_split(p: BlockPolynomial, tol: float = 1e-12) -> list[RadPoly]:
+def monomial_square_split(p: BlockPolynomial) -> list[RadPoly]:
     """Split a nonnegative-coefficient even-exponent polynomial into squares.
 
     Each term c * x^(2g) becomes the square of sqrt(c) * x^g, kept exact when
-    c is rational.
+    c is rational; a float c down to -1e-12 counts as zero.
     """
     out: list[RadPoly] = []
     for key, coeff in p.sorted_terms():
@@ -588,16 +588,13 @@ def monomial_square_split(p: BlockPolynomial, tol: float = 1e-12) -> list[RadPol
             raise MissingSquareSplits(f"odd exponent in {key}")
         half = tuple(tuple(e // 2 for e in block) for block in key)
         if p.mode == RATIONAL:
-            c = Fraction(coeff)
-            if c < 0:
-                raise MissingSquareSplits(f"negative coefficient {c}")
-            if c == 0:
-                continue
+            if coeff < 0:
+                raise MissingSquareSplits(f"negative coefficient {coeff}")
             mono = BlockPolynomial.monomial(p.sites, half, 1)
-            out.append(RadPoly.scaled_poly(ScaledScalar(c, 2), mono))
+            out.append(RadPoly.scaled_poly(ScaledScalar(coeff, 2), mono))
         else:
             cval = float(coeff)
-            if cval < -tol:
+            if cval < -1e-12:
                 raise MissingSquareSplits(f"negative coefficient {cval}")
             if cval <= 0:
                 continue
@@ -668,18 +665,3 @@ def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
     if min(m, d, n, group_order) < 0 or group_order < 1:
         raise ValueError("inputs must be nonnegative with group order >= 1")
     return group_order * math.comb(d + m, d) ** (n + 1)
-
-
-def matrix_pair_split(B: np.ndarray, D: int, tol: float = 1e-10) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Write a D^2 x D^2 matrix as a sum of Kronecker products of D x D pairs."""
-    if B.shape != (D * D, D * D):
-        raise DimensionMismatch(f"expected {(D*D, D*D)}, got {B.shape}")
-    R = B.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
-    u, s, vt = np.linalg.svd(R)
-    out = []
-    for j, sv in enumerate(s):
-        if sv <= tol * s[0]:
-            break
-        out.append((math.sqrt(sv) * u[:, j].reshape(D, D),
-                    math.sqrt(sv) * vt[j, :].reshape(D, D)))
-    return out

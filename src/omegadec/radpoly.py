@@ -25,7 +25,7 @@ class RadPoly:
 
     def __init__(self, sites: Iterable[int], parts: Iterable[tuple[ScaledScalar, BlockPolynomial]] = (),
                  mode: str = RATIONAL):
-        sites = tuple(int(m) for m in sites)
+        sites = tuple(sites)
         items = list(parts)
         for _, p in items:
             if p.sites != sites:

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .blockpoly import _rational
+from .complexes import _integer
+
 
 def integer_root(x: int, k: int) -> tuple[int, bool]:
     """Floor of the k-th root of x >= 0, and whether the root is exact."""
@@ -47,7 +50,8 @@ class ScaledScalar:
     __slots__ = ("num", "den", "k")
 
     def __init__(self, ratio, k: int = 1):
-        r = Fraction(ratio)
+        r = _rational(ratio)
+        k = _integer(k, "root index")
         if r <= 0:
             raise ValueError("scale must be positive")
         if k < 1:
@@ -160,7 +164,7 @@ class ScaledScalar:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScaledScalar":
-        return cls(Fraction(obj["r"]), int(obj.get("k", 1)))
+        return cls(obj["r"], obj.get("k", 1))
 
 
 ONE = ScaledScalar(1)

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
-from .complexes import WeightedComplex, standard_complex
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational
+from .complexes import WeightedComplex, _integer, standard_complex
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
@@ -48,7 +48,7 @@ class DenseTensor:
     """Dense tensor with equal axis dimensions and exact or float entries."""
 
     def __init__(self, dims: Sequence[int], entries: Sequence, mode: str = RATIONAL):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(_integer(d, "tensor dimension") for d in dims)
         size = math.prod(self.dims)
         flat = list(entries)
         if len(flat) != size:
@@ -58,7 +58,7 @@ class DenseTensor:
             if not all(map(math.isfinite, flat)):
                 raise ValueError("float tensor entries must be finite")
         else:
-            flat = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in flat]
+            flat = [_rational(x) for x in flat]
         self.mode = mode
         self.entries = flat
 
@@ -123,11 +123,7 @@ class DenseTensor:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DenseTensor":
-        mode = obj.get("mode", RATIONAL)
-        entries = obj["entries"]
-        if mode != FLOAT:
-            entries = [Fraction(x) for x in entries]
-        return cls(obj["dims"], entries, mode)
+        return cls(obj["dims"], obj["entries"], obj.get("mode", RATIONAL))
 
 
 def poly_from_tensor(t: DenseTensor) -> BlockPolynomial:
@@ -191,8 +187,8 @@ class TensorDecomposition:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.complex = complex_
-        self.index_size = int(index_size)
-        self.axis_dim = m = int(axis_dim)
+        self.index_size = _integer(index_size, "index_size")
+        self.axis_dim = m = _integer(axis_dim, "axis_dim")
         self.vectors = {}
         self.psd_mats = {}
         keyed = {}      # (site, assignment) -> vector of the counterpart's local
@@ -202,22 +198,26 @@ class TensorDecomposition:
                 raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
         else:
             for (site, j), mat in (psd_mats or {}).items():
-                if not 0 <= int(j) < m:
+                site, j = _integer(site, "site"), _integer(j, "psd matrix key")
+                if not 0 <= j < m:
                     raise DimensionMismatch(f"psd matrix key {j} outside 0..{m - 1}")
                 # a pair number in range does not put both halves in range
-                stored = self.psd_mats[(site, int(j))] = {
+                stored = self.psd_mats[(site, j)] = {
                     (checked_assignment(complex_, site, b1, self.index_size),
                      checked_assignment(complex_, site, b2, self.index_size)): v
                     for (b1, b2), v in mat.items() if v != 0}
                 for (b1, b2), v in stored.items():
                     pair = pair_assignment(b1, b2, self.index_size)
-                    keyed.setdefault((site, pair), [0] * m)[int(j)] = v
-        # a zero vector stores no local, so its entries do not set the mode
+                    keyed.setdefault((site, pair), [0] * m)[j] = v
+        # a zero vector stores no local, so its entries neither set the mode nor
+        # build a tensor; its key is still checked
         mode = FLOAT if any(isinstance(x, float) for vec in keyed.values()
-                            if any(x != 0 for x in vec) for x in vec) else RATIONAL
+                            if any(vec) for x in vec) else RATIONAL
         locals_: dict[int, dict] = {}
         for (site, beta), vec in keyed.items():
-            locals_.setdefault(site, {})[beta] = poly_from_tensor(DenseTensor((m,), vec, mode))
+            locals_.setdefault(site, {})[beta] = (
+                poly_from_tensor(DenseTensor((m,), vec, mode)) if any(vec)
+                else BlockPolynomial.zero((m,), mode))
         index = self.index_size ** 2 if variant == PSD else self.index_size
         self.poly = OmegaGDecomposition(complex_, action, index, (m,) * complex_.vertex_count,
                                         locals_)
@@ -445,22 +445,18 @@ def nn_rank_upper_bound(mat: np.ndarray, restarts: int = 50, iters: int = 400,
     return min(rows, cols)
 
 
-def separations_report(m: int, seed: int = 0, with_nn_upper: bool = True,
-                       max_work: int = DEFAULT_MAX_WORK) -> dict:
+def separations_report(m: int, seed: int = 0, max_work: int = DEFAULT_MAX_WORK) -> dict:
     """Rank profile of the distance-matrix instance of size m."""
     t = distance_matrix(m)
     p = poly_from_tensor(t)
     rank = bipartite_rank(p)
     fact = psd_distance_factorization(m)
     psd_ok = fact.contract(max_work) == t
-    report = {
+    return {
         "m": m,
         "bipartite_rank": rank,
         "psd_index": fact.index_size,
         "psd_verified": bool(psd_ok),
         "nn_lower_bound": distance_nn_lower_bound(m),
+        "nn_upper_bound": nn_rank_upper_bound(t.to_numpy(), seed=seed, max_work=max_work),
     }
-    if with_nn_upper:
-        report["nn_upper_bound"] = nn_rank_upper_bound(t.to_numpy(), seed=seed,
-                                                       max_work=max_work)
-    return report

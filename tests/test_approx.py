@@ -8,12 +8,9 @@ import pytest
 from omegadec.approx import (
     SeparableGram,
     approx_separable,
-    approximant_polynomial,
     empirical_matrix_error,
-    gram_norm_bounds,
     homogenize,
     infinity_norm_lower,
-    mu_upper,
     multihomogeneous_degree,
     sample_budget,
 )
@@ -31,6 +28,18 @@ from omegadec.fixtures import (
     squares_target_polynomial,
 )
 from omegadec.positivity import GramRepresentation, gram_map_homogeneous, homogeneous_basis
+
+
+def gram_norm_bounds(g: GramRepresentation) -> tuple[float, float]:
+    """(largest singular value, Schatten-2 norm) of the Gram matrix."""
+    eigs = np.linalg.eigvalsh(g.entries)
+    return float(np.abs(eigs).max(initial=0.0)), float(np.linalg.norm(g.entries))
+
+
+def approximant_polynomial(result, gram: GramRepresentation) -> BlockPolynomial:
+    """Homogeneous polynomial represented by the symmetrized approximant."""
+    g = GramRepresentation(gram.n, gram.m, gram.d, result.approximant)
+    return gram_map_homogeneous(g)
 
 
 def test_homogenize_round_trip():
@@ -100,10 +109,9 @@ def test_separable_gram_validation_and_trace():
     rng = np.random.default_rng(3)
     sg = _random_separable_witness(rng)
     assert abs(sg.trace() - 1.0) < 1e-9
-    assert abs(mu_upper(sg) - sg.trace()) < 1e-15
     scaled_terms = [(3.0 * w, mats) for w, mats in sg.terms]
     scaled = SeparableGram(GramRepresentation(1, 2, 1, 3.0 * sg.gram.entries), scaled_terms)
-    assert abs(mu_upper(scaled) - 3.0 * mu_upper(sg)) < 1e-9
+    assert abs(scaled.trace() - 3.0 * sg.trace()) < 1e-9
     with pytest.raises(DimensionMismatch):
         SeparableGram(bell_gram(), sg.terms)
 
@@ -114,7 +122,7 @@ def test_mu_subadditive_on_combined_witness():
     combined = SeparableGram(
         GramRepresentation(1, 2, 1, a.gram.entries + b.gram.entries),
         list(a.terms) + list(b.terms))
-    assert mu_upper(combined) <= mu_upper(a) + mu_upper(b) + 1e-12
+    assert combined.trace() <= a.trace() + b.trace() + 1e-12
 
 
 def test_sample_budget_values():

@@ -443,3 +443,48 @@ def test_dec_verify_rejects_inexact_rational_input(capsys, tmp_path, where, valu
     code, out = run(capsys, "dec", "verify", write_json(tmp_path, "bundle.json", bundle))
     assert code == 2
     assert strict_json(out)["error"] == error
+
+
+def _tensor_entry(doc):
+    doc["entries"][1] = 0.1
+
+
+def _decomposition_scale(doc):
+    del doc["expected"]
+    doc["decomposition"]["scale"] = {"r": 0.1, "k": 1}
+
+
+def _site_as_float(doc):
+    # the two terms of one site-1 local, split over entries that would sum
+    local = doc["decomposition"]["locals"][4]
+    assert local["site"] == 1 and len(local["poly"]["terms"]) == 2
+    second = json.loads(json.dumps(local))
+    second["site"] = 1.0
+    second["poly"]["terms"] = [local["poly"]["terms"].pop()]
+    doc["decomposition"]["locals"].append(second)
+
+
+def _exponent_as_float(doc):
+    doc["decomposition"]["locals"][0]["poly"]["terms"] = [
+        {"exps": [[1]], "coeff": "1"}, {"exps": [[1.0]], "coeff": "1"}]
+
+
+@pytest.mark.parametrize("name, command, edit, error", [
+    ("distance_m4_tensor.json", "bridge to-poly", _tensor_entry, "TypeError"),
+    ("double_edge_invariant.json", "dec verify", _decomposition_scale, "TypeError"),
+    ("double_edge_invariant.json", "dec verify", _site_as_float, "ValueError"),
+    ("double_edge_invariant.json", "dec verify", _exponent_as_float, "ValueError"),
+], ids=["tensor_entry_0.1", "scale_r_0.1", "site_1_then_1.0", "exps_1_then_1.0"])
+def test_inexact_integers_and_rationals_are_input_errors(capsys, tmp_path, name, command,
+                                                         edit, error):
+    """A float is never read as an exact rational, and 1.0 never groups with 1.
+
+    Earlier versions read the first three inputs with exit 0: the entry and the
+    radicand 0.1 as its binary fraction, and the split local as one site-1 local.
+    """
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    code, out = run(capsys, *command.split(), write_json(tmp_path, name, doc))
+    assert code == 2
+    assert strict_json(out)["error"] == error

@@ -110,6 +110,11 @@ def test_uncovered_vertices_are_named_up_to_a_bound():
         build_complex([({0, 10**9}, 1)])
 
 
+def facet_of_label(c: WeightedComplex, pos: int) -> frozenset[int]:
+    """Collapse map: the facet underlying a multifacet label position."""
+    return c.facets[c.labels[pos][0]][0]
+
+
 def test_weight_sum_and_collapse_fibers():
     c = build_complex([({0, 1}, 3), ({1, 2}, 2)])
     assert c.label_count == sum(w for _, w in c.facets) == 5
@@ -118,7 +123,7 @@ def test_weight_sum_and_collapse_fibers():
         assert len(fiber) == weight
         for pos, lab in enumerate(c.labels):
             if lab[0] == f_idx:
-                assert c.facet_of_label(pos) == fset
+                assert facet_of_label(c, pos) == fset
 
 
 def test_omega_value_gcd():

@@ -20,7 +20,9 @@ relative to the repository root, so the commands run from there. The cases
 of the exact commands also run together in one fresh interpreter, which must
 keep their exit codes without ever loading numpy. Every fixture file these
 cases read, with any one of its values swapped for a value of another JSON
-type, must still end in one strict-JSON report or error envelope.
+type, must still end in one strict-JSON report or error envelope; a JSON
+integer under a key the README types as `int`, swapped for `1.5` or `true`,
+must end in the exit-2 envelope.
 """
 
 import json
@@ -123,6 +125,9 @@ def test_exact_commands_never_load_numpy():
 
 
 SWAPS = ([], {}, "x", 1.5, True, None, -1)
+# the keys whose values README "File formats" types as `int`
+INT_KEYS = {"n", "vertices", "weight", "vertex_perm", "multifacet_perm", "exps", "sites",
+            "index_size", "site_vars", "site", "beta", "k", "D", "m", "d", "dims", "coeffs"}
 FILE_CASES = [(name, argv) for name, argv, _ in CASES if " fixtures/" in f" {argv}"]
 
 
@@ -135,6 +140,15 @@ def node_paths(node, path=()):
         children = enumerate(node[:3]) if isinstance(node, list) else ()
     for key, child in children:
         yield from node_paths(child, path + (key,))
+
+
+def int_typed(doc, path) -> bool:
+    """Whether the node at path is a JSON integer under a key typed `int`."""
+    node = doc
+    for key in path:
+        node = node[key]
+    keys = [key for key in path if isinstance(key, str)]
+    return type(node) is int and bool(keys) and keys[-1] in INT_KEYS
 
 
 def swapped(node, path, value):
@@ -158,6 +172,7 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
         with open(word, encoding="utf-8") as fh:
             doc = json.load(fh)
         for path in node_paths(doc):
+            integer = int_typed(doc, path)
             for value in SWAPS:
                 with open(mutated, "w", encoding="utf-8") as fh:
                     json.dump(swapped(doc, path, value), fh)
@@ -169,3 +184,5 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
                 out = capsys.readouterr().out
                 assert code in (0, 1, 2, 3), where
                 json.loads(out, parse_constant=lambda c: pytest.fail(f"{where}: {c}"))
+                if integer and value in (1.5, True):
+                    assert code == 2, where

@@ -44,7 +44,6 @@ from omegadec.positivity import (
     group_average,
     invariant_sos_family,
     is_gram_invariant,
-    matrix_pair_split,
     monomial_square_split,
     monomials_upto,
     psd_floor,
@@ -62,6 +61,14 @@ from omegadec.complexes import standard_complex
 def bell_gram():
     b = np.array([1.0, 0.0, 0.0, 1.0])
     return GramRepresentation(1, 1, 1, np.outer(b, b))
+
+
+def matrix_pair_split(B: np.ndarray, D: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Write a D^2 x D^2 matrix as a sum of Kronecker products of D x D pairs."""
+    R = B.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
+    u, s, vt = np.linalg.svd(R)
+    return [(math.sqrt(sv) * u[:, j].reshape(D, D), math.sqrt(sv) * vt[j, :].reshape(D, D))
+            for j, sv in enumerate(s) if sv > 1e-10 * s[0]]
 
 
 def quartic_gram():
