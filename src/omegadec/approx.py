@@ -81,12 +81,12 @@ def _normalize_site(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0,
-                        polish_iters: int = 200) -> float:
+def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0) -> float:
     """Certified lower bound on the sup of |p| over products of unit spheres.
 
-    Random sphere points followed by projected coordinate ascent with step
-    halving; the returned value is attained at an explicit feasible point.
+    Random sphere points followed by at most 200 rounds of projected
+    coordinate ascent with step halving; the returned value is attained at an
+    explicit feasible point.
     """
     multihomogeneous_degree(p)
     if p.is_zero():
@@ -105,7 +105,7 @@ def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0,
         if v > best:
             best, best_point = v, point
     step = 0.5
-    for _ in range(polish_iters):
+    for _ in range(200):
         improved = False
         for site in range(len(p.sites)):
             for var in range(p.sites[site]):

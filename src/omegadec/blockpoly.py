@@ -30,12 +30,13 @@ def _rational(c):
 
     Every exact coefficient, tensor entry and scale radicand the library
     takes from outside is read here. A float is a TypeError, since it holds no
-    exact rational: ``0.1`` is not read as its binary fraction.
+    exact rational: ``0.1`` is not read as its binary fraction. So is a bool:
+    JSON ``true`` is not the number 1.
     """
     if type(c) is int:
         return c
-    if isinstance(c, float):
-        raise TypeError(f"float {c!r} in rational mode holds no exact rational")
+    if isinstance(c, (float, bool)):
+        raise TypeError(f"{type(c).__name__} {c!r} in rational mode holds no exact rational")
     c = Fraction(c)
     return int(c) if c.denominator == 1 else c
 
@@ -291,6 +292,8 @@ class BlockPolynomial:
             # exponents are read before they group terms, since 1, 1.0 and true hash alike
             key = tuple(tuple(_integer(e, "exponent") for e in b) for b in t["exps"])
             c = t["coeff"]
+            if mode == FLOAT and isinstance(c, bool):
+                raise TypeError(f"bool {c!r} in float mode is not a number")
             # a JSON float is no exact rational: rational mode rejects it as the constructor does
             coeff = float(c) if mode == FLOAT else _rational(c)
             terms[key] = terms.get(key, 0) + coeff

@@ -144,10 +144,7 @@ def _cmd_dec(run: _Run) -> int:
             code = EXIT_VERDICT_FAIL
     if obj.get("expected") is not None:
         expected = RadPoly.from_poly(BlockPolynomial.from_obj(obj["expected"]))
-        if contraction.mode == "rational" and expected.mode == "rational":
-            matches = contraction == expected
-        else:
-            matches = contraction.allclose(expected, run.args.eq_tol)
+        matches = contraction.matches(expected, run.args.eq_tol)
         result["matches_expected"] = matches
         if not matches:
             code = EXIT_VERDICT_FAIL

@@ -30,7 +30,7 @@ from .errors import (
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum, rad_outer
 from .scalars import ONE, ScaledScalar
-from .symmetry import SymmetryAction, is_blending, is_free, linearizer
+from .symmetry import SymmetryAction, is_blending, is_free, linearizer, trivial_action
 
 DEFAULT_MAX_WORK = 10**7
 
@@ -92,9 +92,11 @@ def checked_assignment(complex_: WeightedComplex, site: int, beta: Sequence[int]
 
 
 def checked_action(complex_: WeightedComplex,
-                   action: SymmetryAction | None) -> SymmetryAction | None:
-    """The action, checked to act on the complex; None stays None."""
-    if action is not None and action.complex is not complex_ and action.complex != complex_:
+                   action: SymmetryAction | None) -> SymmetryAction:
+    """The action, checked to act on the complex; None is the trivial group."""
+    if action is None:
+        return trivial_action(complex_)
+    if action.complex is not complex_ and action.complex != complex_:
         raise ValueError("action acts on a different complex")
     return action
 
@@ -145,25 +147,18 @@ def locals_agree(a: SymmetryAction, site_vars: Sequence[int],
     once, from its first stored key: exact locals are compared with that
     first one, which equality makes transitive, and float locals pairwise,
     each pair of a stored local and an orbit member once, itself included.
+    Exactness is decided for the whole decomposition, not per pair.
     """
     if len(a) == 1:
         return True
     mode = RATIONAL if all(p.mode == RATIONAL for p in stored.values()) else FLOAT
-    seen: set[tuple] = set()
-    for key, first in stored.items():
-        if key in seen:
-            continue
-        site, middle, beta = key[0], key[1:-1], key[-1]
+    for orbit in a.orbits(stored):
+        first = stored[orbit[0]]
         members: list[tuple[bool, RadPoly]] = []     # (whether stored, local)
-        for g in range(len(a)):
-            gi, gbeta = a.beta_image(g, site, beta)
-            # the plain (site, assignment) key skips the slower unpacking
-            gkey = (gi, *middle, gbeta) if middle else (gi, gbeta)
-            if gkey not in seen:
-                seen.add(gkey)
-                p = stored.get(gkey)
-                members.append((True, p) if p is not None
-                               else (False, RadPoly.zero((site_vars[gi],), mode)))
+        for key in orbit:
+            p = stored.get(key)
+            members.append((True, p) if p is not None
+                           else (False, RadPoly.zero((site_vars[key[0]],), mode)))
         if mode == RATIONAL:
             if not all(first == p for _, p in members):
                 return False
@@ -234,8 +229,6 @@ class OmegaGDecomposition:
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:
         """Verify locals agree along every group orbit of (site, assignment)."""
-        if self.action is None:
-            return True
         stored = {(site, beta): poly for site, mapping in self.locals.items()
                   for beta, poly in mapping.items()}
         return locals_agree(self.action, self.site_vars, stored, tol)
@@ -506,15 +499,12 @@ def _fold_scale(d: OmegaGDecomposition) -> OmegaGDecomposition:
     return OmegaGDecomposition(d.complex, d.action, d.index_size, d.site_vars, locals_)
 
 
-def _shared_action(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> SymmetryAction | None:
+def _shared_action(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> SymmetryAction:
+    """The action of both factors, or the trivial group when they differ."""
     a, b = d1.action, d2.action
-    if a is b:
+    if a is b or (a.complex == b.complex and a.elements == b.elements):
         return a
-    if a is None or b is None:
-        return None
-    if a.complex == b.complex and a.elements == b.elements:
-        return a
-    return None
+    return trivial_action(d1.complex)
 
 
 def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomposition:

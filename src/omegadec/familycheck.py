@@ -104,19 +104,17 @@ def _mat_mul(A, B_cols):
     return tuple(tuple(sum(map(mul, row, col)) for col in B_cols) for row in A)
 
 
-def transfer_tensor(f: LocalFamily, n: int,
-                    max_entries: int = DEFAULT_MAX_WORK) -> DenseTensor:
+def transfer_tensor(f: LocalFamily, n: int) -> DenseTensor:
     """Coefficient tensor on n+1 sites: traces of transfer-matrix products."""
     from .tensorbridge import DenseTensor     # the bounded check itself needs no numpy
     return DenseTensor((f.m,) * (n + 1),
-                       [trace for _, trace in _trace_walk(f, n, max_entries)])
+                       [trace for _, trace in _trace_walk(f, n, DEFAULT_MAX_WORK)])
 
 
-def family_polynomial(f: LocalFamily, n: int,
-                      max_entries: int = DEFAULT_MAX_WORK) -> BlockPolynomial:
+def family_polynomial(f: LocalFamily, n: int) -> BlockPolynomial:
     """The circle polynomial on n+1 sites; invariant under the cyclic shift."""
     from .tensorbridge import poly_from_tensor
-    return poly_from_tensor(transfer_tensor(f, n, max_entries))
+    return poly_from_tensor(transfer_tensor(f, n))
 
 
 @dataclass

@@ -2,25 +2,14 @@
 
 from __future__ import annotations
 
-from .blockpoly import RATIONAL, BlockPolynomial
+from .blockpoly import BlockPolynomial
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
 
 
 def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
-    """True iff every group element fixes p.
-
-    Exact comparison for rational coefficients; coefficient-wise comparison
-    within tol otherwise.
-    """
+    """True iff every group element fixes p, by `RadPoly.matches` within tol."""
     if isinstance(p, BlockPolynomial):
         p = RadPoly.from_poly(p)
-    for g in range(len(a)):
-        moved = p.act(a.vperm(g))
-        if p.mode == RATIONAL:
-            if not moved == p:
-                return False
-        elif not moved.allclose(p, tol):
-            return False
-    return True
+    return all(p.act(a.vperm(g)).matches(p, tol) for g in range(len(a)))
 

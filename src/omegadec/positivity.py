@@ -202,8 +202,7 @@ def group_average(entries: np.ndarray, g: GramRepresentation,
     return acc / len(a)
 
 
-def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
-                    tol: float = DEFAULT_EQ_TOL) -> GramRepresentation:
+def gram_symmetrize(g: GramRepresentation, a: SymmetryAction) -> GramRepresentation:
     """Average the Gram matrix over the group; the represented polynomial is kept.
 
     Valid only when that polynomial is invariant, otherwise the average would
@@ -212,7 +211,7 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction,
     if a.complex.vertex_count != g.n + 1:
         raise DimensionMismatch("action vertex count differs from Gram site count")
     p = gram_map(g)
-    if not is_invariant(p, a, tol):
+    if not is_invariant(p, a, DEFAULT_EQ_TOL):
         raise NotInvariantPolynomial("Gram matrix represents a non-invariant polynomial")
     return GramRepresentation(g.n, g.m, g.d, group_average(g.entries, g, a))
 
@@ -241,12 +240,6 @@ class ConeVerdict:
     verdict: str
     witness: object = None
 
-    def to_obj(self) -> dict:
-        w = self.witness
-        if isinstance(w, tuple):
-            w = [list(map(float, block)) for block in w]
-        return {"cone": self.cone, "ok": self.ok, "verdict": self.verdict, "witness": w}
-
 
 def evidently_sos(p: BlockPolynomial) -> bool:
     """Sufficient syntactic sos test: nonnegative coefficients, even exponents."""
@@ -260,13 +253,12 @@ def evidently_sos(p: BlockPolynomial) -> bool:
 
 
 def cone_check(p: BlockPolynomial, cone: str, certificate: GramRepresentation | None = None,
-               samples: int = 256, seed: int = 0, psd_tol: float = DEFAULT_PSD_TOL,
-               eq_tol: float = DEFAULT_EQ_TOL) -> ConeVerdict:
+               seed: int = 0) -> ConeVerdict:
     """Membership check for one of the supported positivity cones.
 
     nn_coeff is decided exactly; sos_with_certificate validates a supplied
-    Gram certificate; nonnegative_sampled only ever reports a found
-    counterexample or the absence of one, never a proof.
+    Gram certificate; nonnegative_sampled tries 256 random points and only
+    ever reports a found counterexample or the absence of one, never a proof.
     """
     if cone == "nn_coeff":
         bad = [(key, c) for key, c in p.terms.items() if c < 0]
@@ -276,17 +268,17 @@ def cone_check(p: BlockPolynomial, cone: str, certificate: GramRepresentation | 
     if cone == "sos_with_certificate":
         if certificate is None:
             raise MissingCertificate("sos check needs a Gram certificate")
-        lo, bound = psd_floor(certificate.entries, psd_tol)
+        lo, bound = psd_floor(certificate.entries, DEFAULT_PSD_TOL)
         if lo < bound:
             return ConeVerdict(cone, False, "certificate-not-psd", lo)
         represented = gram_map(certificate)
-        if not represented.allclose(p.astype_float(), eq_tol):
+        if not represented.allclose(p.astype_float(), DEFAULT_EQ_TOL):
             return ConeVerdict(cone, False, "certificate-mismatch")
         return ConeVerdict(cone, True, "sos-certified")
     if cone == "nonnegative_sampled":
         rng = np.random.default_rng(seed)
         pf = p.astype_float()
-        for _ in range(samples):
+        for _ in range(256):
             point = tuple(tuple(rng.normal(scale=s) for _ in range(mv))
                           for mv, s in zip(p.sites, rng.choice([0.3, 1.0, 3.0], size=len(p.sites))))
             if pf.evaluate(point) < -1e-12:
@@ -411,12 +403,11 @@ class SosOmegaGDecomposition:
         return acc
 
     def check_joint_symmetry(self, tol: float = 1e-9) -> bool:
-        return self.action is None or locals_agree(self.action, self.site_vars,
-                                                   self.locals, tol)
+        return locals_agree(self.action, self.site_vars, self.locals, tol)
 
 
 def family_symmetrize(family: SosFamily, a: SymmetryAction,
-                      local_factors: Mapping, tol: float = 1e-9) -> SosOmegaGDecomposition:
+                      local_factors: Mapping) -> SosOmegaGDecomposition:
     """Invariant decomposition of an invariant family from aligned elementary data.
 
     local_factors maps (site, member index, term index) to a single-site
@@ -445,7 +436,7 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
 
     for K in family.grid():
         member = elementary_sum([[factor(i, K[i], j) for i in range(V)] for j in term_ids])
-        if not member.allclose(RadPoly.from_poly(family.member(K)), tol):
+        if not member.allclose(RadPoly.from_poly(family.member(K)), DEFAULT_EQ_TOL):
             raise LocalsNotAligned(f"factors fail to reconstruct member {K}")
 
     locals_: dict[tuple, object] = {}
@@ -519,22 +510,15 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
     counts = Counter(sigs)
 
     # orbit variables over all (site, assignment) pairs
-    var_of: dict[tuple, int] = {}
-    nvars = 0
-    for i in range(V):
-        for beta in product(values, repeat=len(positions[i])):
-            key = (i, beta)
-            if key in var_of:
-                continue
-            for member in a.beta_orbit(i, beta):
-                var_of[member] = nvars
-            nvars += 1
+    orbits = list(a.orbits((i, beta) for i in range(V)
+                           for beta in product(values, repeat=len(positions[i]))))
+    var_of = {key: n for n, orbit in enumerate(orbits) for key in orbit}
 
     rows = []
     rhs = []
     overcounts: dict[tuple, int] = {}
     for alpha, betas, sig in zip(assignments, site_betas, sigs):
-        row = np.zeros(nvars)
+        row = np.zeros(len(orbits))
         for i, beta in enumerate(betas):
             row[var_of[(i, beta)]] += 1.0
         K = counts[sig]
@@ -616,30 +600,19 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         raise NotFactorizable("no overcount splitting available")
     if solution.index_size != sep.index_size:
         raise DimensionMismatch("splitting solved for a different index size")
-    a = sep.action
-    stored = [(site, beta) for site, mapping in sep.locals.items() for beta in mapping]
-    orbit_of: dict[tuple, int] = {}
-    reps: list[tuple] = []
-    for site, beta in sorted(stored):
-        if (site, beta) in orbit_of:
-            continue
-        rep_id = len(reps)
-        reps.append((site, beta))
-        for member in {(site, beta)} if a is None else a.beta_orbit(site, beta):
-            orbit_of[member] = rep_id
-
-    per_site_scale = sep.scale
+    stored = sorted((site, beta) for site, mapping in sep.locals.items() for beta in mapping)
+    orbits = list(sep.action.orbits(stored))
 
     rep_splits: list[list[RadPoly]] = []
-    for site, beta in reps:
-        local = sep.locals[site][beta].scale_mul(per_site_scale)
+    for orbit in orbits:
+        site, beta = orbit[0]
+        local = sep.locals[site][beta].scale_mul(sep.scale)
         if splits and (site, beta) in splits:
             split = [RadPoly.coerce(t) for t in splits[(site, beta)]]
             total = RadPoly.zero(local.sites)
             for t in split:
                 total = total + t * t
-            if not (total == local if total.mode == local.mode == RATIONAL
-                    else total.allclose(local)):
+            if not total.matches(local):
                 raise MissingSquareSplits(f"supplied split of {(site, beta)} does not "
                                           "square to its local")
         else:
@@ -647,16 +620,17 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         rep_splits.append(split)
     N = max((len(s) for s in rep_splits), default=0)
 
-    member_values = [(ell, k) for ell in range(len(reps)) for k in range(N)]
+    member_values = [(ell, k) for ell in range(len(orbits)) for k in range(N)]
     site_index = tuple(tuple(member_values) for _ in range(sep.complex.vertex_count))
     locals_: dict[tuple, RadPoly] = {}
-    for (site, beta), rep_id in orbit_of.items():
-        if sep.locals.get(site, {}).get(beta) is None:
-            continue
-        c_val = math.sqrt(solution.C(site, beta))
-        for k, tau in enumerate(rep_splits[rep_id]):
-            locals_[(site, (rep_id, k), beta)] = tau.to_float().scaled(c_val)
-    return SosOmegaGDecomposition(sep.complex, a, sep.index_size, sep.site_vars,
+    for rep_id, orbit in enumerate(orbits):
+        for site, beta in orbit:
+            if sep.locals.get(site, {}).get(beta) is None:
+                continue
+            c_val = math.sqrt(solution.C(site, beta))
+            for k, tau in enumerate(rep_splits[rep_id]):
+                locals_[(site, (rep_id, k), beta)] = tau.to_float().scaled(c_val)
+    return SosOmegaGDecomposition(sep.complex, sep.action, sep.index_size, sep.site_vars,
                                   site_index, locals_)
 
 

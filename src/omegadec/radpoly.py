@@ -176,11 +176,11 @@ class RadPoly:
         other = RadPoly.coerce(other)
         return self.to_float().allclose(other.to_float(), tol)
 
-    def local_degree(self) -> int:
-        return max((p.local_degree() for _, p in self.parts), default=0)
-
-    def evaluate(self, point) -> float:
-        return float(sum(float(s) * float(p.evaluate(point)) for s, p in self.parts))
+    def matches(self, other: "RadPoly", tol: float = 1e-9) -> bool:
+        """Equality when both sides are exact, else `allclose` within tol."""
+        if self.mode == other.mode == RATIONAL:
+            return self == other
+        return self.allclose(other, tol)
 
     def to_obj(self) -> list[dict]:
         """One entry per part: the polynomial, and its scale unless that is one."""

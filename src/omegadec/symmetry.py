@@ -10,7 +10,7 @@ multifacet labels; blending refers to the action on the vertices.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
@@ -109,29 +109,44 @@ class SymmetryAction:
         gi, mapping = self.beta_map(g, site)
         return gi, tuple(beta[t] for t in mapping)
 
-    def beta_orbit(self, site: int, beta: tuple) -> set[tuple[int, tuple]]:
-        """Every (site, assignment) pair some group element pushes (site, beta) to."""
-        return {self.beta_image(g, site, beta) for g in range(len(self))}
+    def key_image(self, g: int, key: tuple) -> tuple:
+        """Move the site and assignment of a key (site, ..., assignment) by g; keep the middle."""
+        site = key[0]
+        # every symmetry check runs this once per orbit member: read the cache inline
+        gi, mapping = self._beta_maps.get((g, site)) or self.beta_map(g, site)
+        beta = key[-1]
+        gbeta = tuple([beta[t] for t in mapping])
+        return (gi, gbeta) if len(key) == 2 else (gi, *key[1:-1], gbeta)
+
+    def orbits(self, items: Iterable, image: Callable | None = None) -> Iterator[list]:
+        """The orbit of each item that no earlier orbit contains.
+
+        ``image(g, x)`` moves x by group element g, `key_image` by default.
+        Members come in group-element order without repeats, the item itself
+        first, since element 0 is the identity.
+        """
+        image = image or self.key_image
+        seen: set = set()
+        for item in items:
+            if item in seen:
+                continue
+            orbit = []
+            for g in range(len(self.elements)):
+                x = image(g, item)
+                if x not in seen:
+                    seen.add(x)
+                    orbit.append(x)
+            yield orbit
 
     # structure queries
 
-    def _orbits(self, size: int, image) -> list[list[int]]:
-        """Sorted orbits of 0..size-1 under image(g, x), by smallest member."""
-        seen: set[int] = set()
-        orbits = []
-        for x in range(size):
-            if x in seen:
-                continue
-            orbit = sorted({image(g, x) for g in range(len(self))})
-            seen.update(orbit)
-            orbits.append(orbit)
-        return orbits
-
     def label_orbits(self) -> list[list[int]]:
-        return self._orbits(self.complex.label_count, self.label_image)
+        """Sorted orbits of the label positions, by smallest member."""
+        return [sorted(o) for o in self.orbits(range(self.complex.label_count), self.label_image)]
 
     def vertex_orbits(self) -> list[list[int]]:
-        return self._orbits(self.complex.vertex_count, self.vertex_image)
+        """Sorted orbits of the vertices, by smallest member."""
+        return [sorted(o) for o in self.orbits(range(self.complex.vertex_count), self.vertex_image)]
 
     def to_obj(self) -> dict:
         return {"generators": [{"vertex_perm": list(v), "multifacet_perm": list(m)}

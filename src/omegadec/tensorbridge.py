@@ -268,11 +268,9 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
     m = td.axis_dim
     V = td.complex.vertex_count
     a = td.action
-    if a is not None:
-        for g in range(1, len(a)):
-            if any(a.vertex_image(g, i) == i for i in range(V)):
-                raise VertexActionNotFree(
-                    "symmetric factor split needs a free vertex action")
+    for g in range(1, len(a)):
+        if any(a.vertex_image(g, i) == i for i in range(V)):
+            raise VertexActionNotFree("symmetric factor split needs a free vertex action")
     if not td.check_psd():
         raise NotPSD("psd decomposition has a non-psd matrix")
     if not td.check_symmetry():
@@ -281,7 +279,7 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
     # column b of the representative to column g*b of exactly one site g*rep
     locals_: dict[tuple, BlockPolynomial] = {}
     kmax = 0
-    for orbit in [[i] for i in range(V)] if a is None else a.vertex_orbits():
+    for orbit in a.vertex_orbits():
         rep = orbit[0]
         for j in range(m):
             support, mat = td.psd_matrix(rep, j)
@@ -290,9 +288,9 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
             B = psd_sqrt(mat)
             kmax = max(kmax, B.shape[0])
             linear = (tuple(1 if t == j else 0 for t in range(m)),)
-            for g in range(1 if a is None else len(a)):
+            for g in range(len(a)):
                 for col, beta in enumerate(support):
-                    gi, gbeta = (rep, beta) if a is None else a.beta_image(g, rep, beta)
+                    gi, gbeta = a.beta_image(g, rep, beta)
                     for k in range(B.shape[0]):
                         if abs(B[k, col]) >= 1e-14:
                             locals_[(gi, (j, k), gbeta)] = BlockPolynomial(

@@ -449,6 +449,10 @@ def _tensor_entry(doc):
     doc["entries"][1] = 0.1
 
 
+def _tensor_bools(doc):
+    doc["entries"][:2] = [True, False]
+
+
 def _decomposition_scale(doc):
     del doc["expected"]
     doc["decomposition"]["scale"] = {"r": 0.1, "k": 1}
@@ -471,16 +475,19 @@ def _exponent_as_float(doc):
 
 @pytest.mark.parametrize("name, command, edit, error", [
     ("distance_m4_tensor.json", "bridge to-poly", _tensor_entry, "TypeError"),
+    ("distance_m4_tensor.json", "bridge to-poly", _tensor_bools, "TypeError"),
     ("double_edge_invariant.json", "dec verify", _decomposition_scale, "TypeError"),
     ("double_edge_invariant.json", "dec verify", _site_as_float, "ValueError"),
     ("double_edge_invariant.json", "dec verify", _exponent_as_float, "ValueError"),
-], ids=["tensor_entry_0.1", "scale_r_0.1", "site_1_then_1.0", "exps_1_then_1.0"])
+], ids=["tensor_entry_0.1", "tensor_entries_true_false", "scale_r_0.1", "site_1_then_1.0",
+        "exps_1_then_1.0"])
 def test_inexact_integers_and_rationals_are_input_errors(capsys, tmp_path, name, command,
                                                          edit, error):
-    """A float is never read as an exact rational, and 1.0 never groups with 1.
+    """A float or a bool is never read as an exact rational, and 1.0 never groups with 1.
 
-    Earlier versions read the first three inputs with exit 0: the entry and the
-    radicand 0.1 as its binary fraction, and the split local as one site-1 local.
+    Earlier versions read the first four inputs with exit 0: the entry and the
+    radicand 0.1 as its binary fraction, the entries true and false as 1 and 0,
+    and the split local as one site-1 local.
     """
     with open(fixture(name)) as fh:
         doc = json.load(fh)

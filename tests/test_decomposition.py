@@ -335,6 +335,31 @@ def test_concat_sum_and_pointwise_product():
     assert p.action is not None and p.check_symmetry()
 
 
+def test_sum_and_product_of_scaled_decompositions():
+    """Scaled summands fold their scales into the locals and stay exact.
+
+    Two decompositions on one action keep it; a decomposition built without
+    an action has the trivial group, and pairing with it gives the trivial group.
+    """
+    a = circle_rotation_action(3)
+    d1 = symmetrize_free([(X2, ONE_P, ONE_P), (ONE_P, X2, ONE_P), (ONE_P, ONE_P, X2)], a)
+    d2 = symmetrize_free([(uni({1: 1}), uni({1: 2}), uni({1: 3})),
+                          (uni({1: 3}), uni({1: 1}), uni({1: 2})),
+                          (uni({1: 2}), uni({1: 3}), uni({1: 1}))], a)
+    plain = from_elementary([(X2, uni({0: 2}), uni({1: 1}))], a.complex)
+    assert d1.scale == d2.scale == ScaledScalar(Fraction(1, 3), 3)
+    assert len(plain.action) == 1 and plain.check_symmetry()
+    for other, shared in ((d2, a), (plain, trivial_action(a.complex))):
+        s = concat_sum(d1, other)
+        assert s.scale == ScaledScalar(1, 1)
+        assert s.contract() == d1.contract() + other.contract()
+        p = pointwise_product(d1, other)
+        assert p.contract() == d1.contract() * other.contract()
+        for dec in (s, p):
+            assert dec.action.elements == shared.elements
+            assert dec.check_symmetry()
+
+
 def test_contract_invariance_of_symmetrized_output():
     from omegadec.invariance import is_invariant
     a = double_edge_swap_action()

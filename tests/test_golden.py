@@ -142,13 +142,22 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
+# the keys whose values README "File formats" types as an exact rational or a number
+NUMBER_KEYS = {"coeff", "r"}
+
+
+def last_key(path):
+    """The innermost object key on the path, or None."""
+    keys = [key for key in path if isinstance(key, str)]
+    return keys[-1] if keys else None
+
+
 def int_typed(doc, path) -> bool:
     """Whether the node at path is a JSON integer under a key typed `int`."""
     node = doc
     for key in path:
         node = node[key]
-    keys = [key for key in path if isinstance(key, str)]
-    return type(node) is int and bool(keys) and keys[-1] in INT_KEYS
+    return type(node) is int and last_key(path) in INT_KEYS
 
 
 def swapped(node, path, value):
@@ -185,4 +194,6 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
                 assert code in (0, 1, 2, 3), where
                 json.loads(out, parse_constant=lambda c: pytest.fail(f"{where}: {c}"))
                 if integer and value in (1.5, True):
+                    assert code == 2, where
+                if value is True and last_key(path) in NUMBER_KEYS:
                     assert code == 2, where

@@ -1,9 +1,11 @@
-"""Orbit-once symmetry checks and per-orbit blending locals against |G|-fold oracles.
+"""Orbit walks, orbit-once symmetry checks and per-orbit blending locals against
+|G|-fold oracles.
 
-`locals_agree` walks each orbit of (site, ..., assignment) once, and the
+`SymmetryAction.orbits` is the one walk over group orbits, `locals_agree`
+visits each orbit of (site, ..., assignment) once through it, and the
 blending difference builds one local per vertex orbit as |Stab| times the
 orbit sum. The oracles below are the earlier forms, which visit every group
-element for every stored key: their verdicts and locals must be the same.
+element for every key: their orbits, verdicts and locals must be the same.
 """
 
 import random
@@ -24,9 +26,29 @@ from omegadec.fixtures import (
 )
 from omegadec.radpoly import RadPoly, RadSum
 from omegadec.scalars import ScaledScalar
-from omegadec.symmetry import build_action, free_refinement, is_blending, is_free
+from omegadec.symmetry import build_action, free_refinement, is_blending, is_free, trivial_action
 
 TOL = 1e-9
+
+
+def beta_orbit_oracle(a, key):
+    """Every key some group element pushes key = (site, ..., assignment) to."""
+    out = set()
+    for g in range(len(a)):
+        gi, gbeta = a.beta_image(g, key[0], key[-1])
+        out.add((gi, *key[1:-1], gbeta))
+    return out
+
+
+def sorted_orbits_oracle(a, size, image):
+    """Sorted orbits of 0..size-1 under image(g, x), by smallest member."""
+    seen, orbits = set(), []
+    for x in range(size):
+        if x not in seen:
+            orbit = sorted({image(g, x) for g in range(len(a))})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
 def locals_agree_oracle(a, site_vars, stored, tol):
@@ -119,9 +141,47 @@ ACTIONS = {
 }
 
 
+# every fixture action, and the trivial group that an absent action stands for
+ORBIT_ACTIONS = {**ACTIONS, "trivial": lambda: trivial_action(build_complex([((0, 1), 2)]))}
+
+
 def test_action_set_covers_free_and_non_free():
     frees = {is_free(make()) for make in ACTIONS.values()}
     assert frees == {True, False}
+
+
+@pytest.mark.parametrize("middles", [[()], [(0,), ((1, 2),)]], ids=["plain", "middle"])
+@pytest.mark.parametrize("name", list(ORBIT_ACTIONS))
+def test_orbits_match_the_brute_force_orbits(name, middles):
+    a = ORBIT_ACTIONS[name]()
+    keys = all_keys(a, 2, middles)
+    rng = random.Random(name)
+    for items in (keys, rng.sample(keys, len(keys)), rng.sample(keys, len(keys) // 3)):
+        seen = set()
+        firsts = []
+        for orbit in a.orbits(items):
+            first = orbit[0]
+            firsts.append(first)
+            # members in group-element order, without repeats, the item itself first
+            images = [(gi, *first[1:-1], gbeta)
+                      for gi, gbeta in (a.beta_image(g, first[0], first[-1])
+                                        for g in range(len(a)))]
+            assert orbit == list(dict.fromkeys(images))
+            assert set(orbit) == beta_orbit_oracle(a, first)
+            assert seen.isdisjoint(orbit)
+            seen.update(orbit)
+        # one orbit for each item no earlier orbit contains
+        assert set(items) <= seen
+        assert firsts == [k for n, k in enumerate(items)
+                          if not any(k in beta_orbit_oracle(a, j) for j in items[:n])]
+
+
+@pytest.mark.parametrize("name", list(ORBIT_ACTIONS))
+def test_sorted_orbits_match_the_sorted_set_form(name):
+    a = ORBIT_ACTIONS[name]()
+    c = a.complex
+    assert a.vertex_orbits() == sorted_orbits_oracle(a, c.vertex_count, a.vertex_image)
+    assert a.label_orbits() == sorted_orbits_oracle(a, c.label_count, a.label_image)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])

@@ -451,6 +451,21 @@ def test_monomial_square_split():
     assert total == RadPoly.from_poly(p)
 
 
+def test_monomial_square_split_float():
+    """A float coefficient down to -1e-12 counts as zero; below that it is negative."""
+    p = BlockPolynomial((1, 1), {((2,), (0,)): 4.0, ((0,), (2,)): -1e-13,
+                                 ((2,), (4,)): 0.25}, FLOAT)
+    taus = monomial_square_split(p)
+    assert len(taus) == 2
+    total = RadPoly.zero((1, 1))
+    for tau in taus:
+        total = total + tau * tau
+    assert total.mode == FLOAT
+    assert total.to_float().terms == {((2,), (0,)): 4.0, ((2,), (4,)): 0.25}
+    with pytest.raises(MissingSquareSplits, match="negative coefficient"):
+        monomial_square_split(BlockPolynomial((1, 1), {((2,), (0,)): -1e-11}, FLOAT))
+
+
 def test_caratheodory_values():
     assert caratheodory_bound(1, 2, 1, 2) == 18
     assert caratheodory_bound(5, 0, 3, 1) == 1
