@@ -229,9 +229,6 @@ class BlockPolynomial:
                 best = max(best, sum(block))
         return best
 
-    def degree(self) -> int:
-        return max((sum(sum(b) for b in key) for key in self.terms), default=0)
-
     def site_degrees(self, key: Key) -> tuple[int, ...]:
         return tuple(sum(block) for block in key)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +40,7 @@ from .errors import (
     ActionNotFree,
     DimensionMismatch,
     FactorNotInCone,
+    IncompatibleBlockSizes,
     LocalsNotAligned,
     MissingCertificate,
     MissingSquareSplits,
@@ -116,7 +118,7 @@ class GramRepresentation:
             raise ValueError("Gram entries must be finite")
         if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.abs(mat).max(initial=0.0)))):
             raise DimensionMismatch("Gram entries must be symmetric")
-        self.entries = 0.5 * (mat + mat.T)
+        self.entries = 0.5 * mat + 0.5 * mat.T
         self.local_basis = monomials_upto(self.m, self.d)
         self.D = len(self.local_basis)
 
@@ -152,18 +154,30 @@ def site_permuted(entries: np.ndarray, D: int, vperm: Sequence[int]) -> np.ndarr
         np.concatenate([axes, axes + len(axes)])).reshape(entries.shape)
 
 
+@lru_cache(maxsize=16)
+def _pair_keys(basis: tuple[tuple[int, ...], ...], V: int) -> tuple[tuple, np.ndarray]:
+    """The exponent keys of the products m_r m_s over V-fold basis products, and the
+    key index of every (r, s) pair in row-major order: V base-L digits, site 0 first,
+    each the index of that site's pair product among the L distinct local ones."""
+    local: dict = {}
+    T = np.array([[local.setdefault(tuple(x + y for x, y in zip(a, b)), len(local))
+                   for b in basis] for a in basis])
+    digits = np.indices((len(basis),) * V).reshape(V, -1)
+    index = sum(T[np.ix_(i, i)] * len(local) ** (V - 1 - k) for k, i in enumerate(digits))
+    index.flags.writeable = False       # every caller shares the cached table
+    return tuple(product(local, repeat=V)), index.ravel()
+
+
 def quadratic_form(mat: np.ndarray, basis: Sequence[tuple[int, ...]], V: int) -> BlockPolynomial:
-    """The polynomial m^t M m, m running over V-fold basis products, site 0 outermost."""
-    tuples = list(product(basis, repeat=V))
-    terms: dict = {}
-    for r, Kr in enumerate(tuples):
-        for s, Ks in enumerate(tuples):
-            coeff = mat[r, s]
-            if coeff == 0.0:
-                continue
-            key = tuple(tuple(a + b for a, b in zip(mr, ms)) for mr, ms in zip(Kr, Ks))
-            terms[key] = terms.get(key, 0.0) + coeff
-    return BlockPolynomial((len(basis[0]),) * V, terms, FLOAT)
+    """The polynomial m^t M m, m running over V-fold basis products, site 0 outermost:
+    each coefficient adds its entries in row-major order, terms by first nonzero entry."""
+    keys, index = _pair_keys(tuple(basis), V)
+    order = list(dict.fromkeys(index[np.flatnonzero(mat)].tolist()))
+    values = np.bincount(index, weights=mat.ravel(), minlength=len(keys))[order]
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite coefficient {values[~np.isfinite(values)][0]}")
+    terms = {keys[k]: c for k, c in zip(order, values.tolist()) if c}
+    return BlockPolynomial._trusted((len(basis[0]),) * V, terms, FLOAT)
 
 
 def gram_map(g: GramRepresentation) -> BlockPolynomial:
@@ -174,15 +188,6 @@ def gram_map(g: GramRepresentation) -> BlockPolynomial:
 def homogeneous_basis(m: int, d: int) -> list[tuple[int, ...]]:
     """Degree-d monomials in m+1 variables, ordered like their dehomogenizations."""
     return [(d - sum(mono),) + mono for mono in monomials_upto(m, d)]
-
-
-def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
-    """The polynomial of the Gram matrix over homogenized per-site bases.
-
-    Each site gets one extra leading variable absorbing the missing degree, so
-    the result is multi-homogeneous of local degree 2d in m+1 variables.
-    """
-    return quadratic_form(g.entries, homogeneous_basis(g.m, g.d), g.n + 1)
 
 
 def is_gram_invariant(g: GramRepresentation, a: SymmetryAction, tol: float = 1e-9) -> bool:
@@ -287,13 +292,29 @@ def cone_check(p: BlockPolynomial, cone: str, certificate: GramRepresentation | 
     raise ValueError(f"unknown cone {cone!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SosFamily:
-    """An indexed family of polynomials whose squares sum to the target."""
+    """The rows of a PSD square root `root` of a Gram matrix against its monomial
+    vector: an indexed family of polynomials whose squares sum to the target."""
 
-    sites: tuple[int, ...]
-    site_index: tuple[tuple, ...]
-    polys: dict = field(default_factory=dict)
+    gram: GramRepresentation
+    root: np.ndarray
+
+    @property
+    def sites(self) -> tuple[int, ...]:
+        return self.gram.sites
+
+    @property
+    def site_index(self) -> tuple[tuple, ...]:
+        return (tuple(self.gram.local_basis),) * (self.gram.n + 1)
+
+    @cached_property
+    def polys(self) -> dict:
+        """The nonzero members, keyed by the index tuple of their row."""
+        tuples = self.gram.index_tuples()
+        rows = ({Ks: c for Ks, c in zip(tuples, row) if c} for row in self.root.tolist())
+        return {K: BlockPolynomial._trusted(self.sites, terms, FLOAT)
+                for K, terms in zip(tuples, rows) if terms}
 
     def grid(self) -> Iterable[tuple]:
         return product(*self.site_index)
@@ -305,21 +326,30 @@ class SosFamily:
         return p
 
     def sum_squares(self) -> BlockPolynomial:
-        acc = BlockPolynomial.zero(self.sites, FLOAT)
-        for q in self.polys.values():
-            acc = acc + q * q
-        return acc
+        """Each nonzero row's square adds its products in row-major order, and the
+        squares add in member order."""
+        keys, index = _pair_keys(tuple(self.gram.local_basis), self.gram.n + 1)
+        acc = np.zeros(len(keys))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in self.root[self.root.any(axis=1)]:
+                acc += np.bincount(index, weights=np.outer(b, b).ravel(), minlength=len(keys))
+        return BlockPolynomial._trusted(
+            self.sites, {k: c for k, c in zip(keys, acc.tolist()) if c}, FLOAT)
 
     def family_invariant(self, a: SymmetryAction, tol: float = 1e-9) -> bool:
-        """Check the permuted member at gK matches the block-moved member at K."""
+        """The member at gK matches the member at K with its blocks moved by g.
+
+        Row gK of the site-permuted root is that moved member; the two rows agree
+        on their nonzero coefficients within tol * (1 + their largest magnitude).
+        """
+        if a.complex.vertex_count != len(self.sites):
+            raise IncompatibleBlockSizes("permutation length mismatch")
+        B = self.root
         for g in range(len(a)):
-            vperm = a.vperm(g)
-            for K in self.grid():
-                gK = [None] * len(self.sites)
-                for i, k in enumerate(K):
-                    gK[vperm[i]] = k
-                if not self.member(tuple(gK)).allclose(self.member(K).act(vperm), tol):
-                    return False
+            P = site_permuted(B, self.gram.D, a.vperm(g))
+            bound = tol * (1.0 + np.maximum(np.abs(B).max(axis=1), np.abs(P).max(axis=1)))
+            if ((np.abs(B - P) > bound[:, None]) & ((B != 0) | (P != 0))).any():
+                return False
         return True
 
 
@@ -337,19 +367,9 @@ def invariant_sos_family(g: GramRepresentation, a: SymmetryAction,
     if not is_gram_invariant(g, a, max(tol, 1e-9)):
         raise NotInvariantPolynomial("Gram matrix is not invariant under the action")
     B = psd_sqrt(g.entries)
-    tuples = g.index_tuples()
-    site_index = tuple(tuple(g.local_basis) for _ in range(g.n + 1))
-    polys = {}
-    for r, K in enumerate(tuples):
-        terms = {}
-        for s, Ks in enumerate(tuples):
-            c = B[r, s]
-            if c != 0.0:
-                terms[tuple(tuple(e) for e in Ks)] = c
-        q = BlockPolynomial(g.sites, terms, FLOAT)
-        if not q.is_zero():
-            polys[tuple(tuple(e) for e in K)] = q
-    return SosFamily(g.sites, site_index, polys)
+    if not np.isfinite(B).all():
+        raise ValueError(f"non-finite coefficient {B[~np.isfinite(B)][0]}")
+    return SosFamily(g, B)
 
 
 class SosOmegaGDecomposition:

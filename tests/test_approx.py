@@ -27,7 +27,16 @@ from omegadec.fixtures import (
     single_edge_swap_action,
     squares_target_polynomial,
 )
-from omegadec.positivity import GramRepresentation, gram_map_homogeneous, homogeneous_basis
+from omegadec.positivity import GramRepresentation, homogeneous_basis, quadratic_form
+
+
+def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
+    """The polynomial of the Gram matrix over homogenized per-site bases.
+
+    Each site gets one extra leading variable absorbing the missing degree, so
+    the result is multi-homogeneous of local degree 2d in m+1 variables.
+    """
+    return quadratic_form(g.entries, homogeneous_basis(g.m, g.d), g.n + 1)
 
 
 def gram_norm_bounds(g: GramRepresentation) -> tuple[float, float]:

@@ -414,6 +414,37 @@ def test_gram_map_size_mismatch_before_enumeration(capsys, tmp_path, gram):
     assert strict_json(out)["error"] == "DimensionMismatch"
 
 
+def _gram_with(cells):
+    entries = [0.0] * 16
+    for (r, s), value in cells.items():
+        entries[4 * r + s] = entries[4 * s + r] = value
+    return {"n": 1, "m": 1, "d": 1, "entries": entries}
+
+
+def test_gram_map_coefficient_overflow_fails_closed(capsys, tmp_path):
+    # finite entries whose four contributions to the xy coefficient overflow
+    path = write_json(tmp_path, "gram.json", _gram_with({(0, 3): 1e308, (1, 2): 1e308}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pos", "gram-map", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "" and not caught
+    assert strict_json(captured.out) == {"error": "ValueError",
+                                         "message": "non-finite coefficient inf"}
+
+
+def test_gram_map_keeps_a_finite_entry_near_the_float_limit(capsys, tmp_path):
+    path = write_json(tmp_path, "gram.json", _gram_with({(0, 0): 1e308}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pos", "gram-map", path])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and not caught
+    assert '"coeff": 1e+308' in captured.out
+    assert strict_json(captured.out)["result"]["polynomial"]["terms"] == [
+        {"coeff": 1e308, "exps": [[0], [0]]}]
+
+
 def test_action_check_ignores_assignment_guard(capsys):
     code, out = run(capsys, "--max-assignments", "3", "action", "check",
                     fixture("circle5_complex.json"), fixture("circle5_rotation_action.json"))

@@ -33,6 +33,7 @@ from omegadec.fixtures import (
 )
 from omegadec.positivity import (
     GramRepresentation,
+    SosFamily,
     SosOmegaGDecomposition,
     caratheodory_bound,
     cone_check,
@@ -42,11 +43,14 @@ from omegadec.positivity import (
     gram_map,
     gram_symmetrize,
     group_average,
+    homogeneous_basis,
     invariant_sos_family,
     is_gram_invariant,
     monomial_square_split,
     monomials_upto,
     psd_floor,
+    psd_sqrt,
+    quadratic_form,
     sep_to_sos,
     separable_symmetrize,
     site_permuted,
@@ -261,6 +265,168 @@ def test_invariant_sos_family_rank_one():
     for q in fam.polys.values():
         rows.append([q.terms.get(k, 0.0) for k in keys])
     assert np.linalg.matrix_rank(np.array(rows), tol=1e-9) == 1
+
+
+# The sequential Gram-layer loops that the numpy kernels replaced, kept as oracles.
+# The kernels add every coefficient in the same order, so they must give the same
+# floats (compared with ==, not allclose) and the same invariance verdicts.
+
+def quadratic_form_oracle(mat, basis, V):
+    tuples = list(product(basis, repeat=V))
+    terms: dict = {}
+    for r, Kr in enumerate(tuples):
+        for s, Ks in enumerate(tuples):
+            coeff = mat[r, s]
+            if coeff == 0.0:
+                continue
+            key = tuple(tuple(a + b for a, b in zip(mr, ms)) for mr, ms in zip(Kr, Ks))
+            terms[key] = terms.get(key, 0.0) + coeff
+    return BlockPolynomial((len(basis[0]),) * V, terms, FLOAT)
+
+
+def members_oracle(g, root):
+    """Row r of the root against the monomial vector, for every nonzero row."""
+    tuples = g.index_tuples()
+    polys = {}
+    for r, K in enumerate(tuples):
+        q = BlockPolynomial(g.sites, {Ks: root[r, s] for s, Ks in enumerate(tuples)
+                                      if root[r, s] != 0.0}, FLOAT)
+        if not q.is_zero():
+            polys[K] = q
+    return polys
+
+
+def sum_squares_oracle(sites, members):
+    acc = BlockPolynomial.zero(sites, FLOAT)
+    for q in members.values():
+        acc = acc + q * q
+    return acc
+
+
+def family_invariant_oracle(family, a, tol):
+    """Compare the member at gK with the block-moved member at K, one member at a time."""
+    for g in range(len(a)):
+        vperm = a.vperm(g)
+        for K in family.grid():
+            gK = [None] * len(family.sites)
+            for i, k in enumerate(K):
+                gK[vperm[i]] = k
+            if not family.member(tuple(gK)).allclose(family.member(K).act(vperm), tol):
+                return False
+    return True
+
+
+def seeded_gram_and_root(n, m, d, seed, zeroed):
+    """A PSD Gram matrix and its root; zeroed halves both (symmetrically for the matrix,
+    with a zero row and negative zeros for the root)."""
+    rng = np.random.default_rng([n, m, d, seed])
+    dim = math.comb(m + d, d) ** (n + 1)
+    A = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-3, 4)
+    M = A @ A.T
+    root = psd_sqrt(M)
+    if zeroed:
+        keep = rng.random((dim, dim)) < 0.5
+        M = M * (keep & keep.T)
+        root = root * (rng.random((dim, dim)) < 0.5)
+        root[rng.integers(dim)] = 0.0
+    return GramRepresentation(n, m, d, M), root
+
+
+def kernel_mismatches() -> list[tuple]:
+    """The seeded cases where a kernel's terms differ from its oracle's, in value or order."""
+    bad = []
+    for (n, m, d), seed, zeroed in product([(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1),
+                                            (2, 1, 1)], range(3), (False, True)):
+        case = (n, m, d, seed, zeroed)
+        g, root = seeded_gram_and_root(*case)
+        ref = quadratic_form_oracle(g.entries, g.local_basis, n + 1)
+        if list(gram_map(g).terms.items()) != list(ref.terms.items()):
+            bad.append(("gram_map",) + case)
+        # the approx factors: one site, homogeneous basis, a non-symmetric matrix
+        basis = homogeneous_basis(m, d)
+        F = root[:len(basis), :len(basis)]
+        ref = quadratic_form_oracle(F, basis, 1)
+        if list(quadratic_form(F, basis, 1).terms.items()) != list(ref.terms.items()):
+            bad.append(("quadratic_form",) + case)
+        family, members = SosFamily(g, root), members_oracle(g, root)
+        if ([(K, q.terms) for K, q in family.polys.items()]
+                != [(K, q.terms) for K, q in members.items()]):
+            bad.append(("polys",) + case)
+        if family.sum_squares().terms != sum_squares_oracle(g.sites, members).terms:
+            bad.append(("sum_squares",) + case)
+    return bad
+
+
+def test_gram_kernels_give_the_oracle_floats():
+    assert kernel_mismatches() == []
+
+
+class _ShuffledBincount:
+    """numpy, except that bincount adds its weights in a shuffled order.
+
+    Reversing the order would not do: a symmetric matrix lists the entries of
+    each coefficient as a palindrome in row-major order.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def bincount(indices, weights, minlength):
+        order = np.random.default_rng(0).permutation(len(indices))
+        return np.bincount(indices[order], weights[order], minlength)
+
+
+def test_oracle_comparison_catches_a_reordered_bincount(monkeypatch):
+    # a numpy whose bincount summed in another order would fail the test above
+    import omegadec.positivity as positivity
+    monkeypatch.setattr(positivity, "np", _ShuffledBincount())
+    kinds = {case[0] for case in kernel_mismatches()}
+    assert kinds == {"gram_map", "quadratic_form", "sum_squares"}
+
+
+@pytest.mark.parametrize("action", [double_edge_swap_action(), circle_rotation_action(3)],
+                         ids=["double-edge-swap", "c3-rotation"])
+def test_family_invariant_matches_per_member_oracle(action):
+    n = action.complex.vertex_count - 1
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for m, d in ((1, 1), (1, 2), (2, 1)):
+        dim = math.comb(m + d, d) ** (n + 1)
+        g = GramRepresentation(n, m, d, np.eye(dim))
+        A = rng.normal(size=(dim, dim))
+        roots = [A, group_average(A, g, action)]
+        roots += [roots[1] + scale * rng.normal(size=(dim, dim)) * (roots[1] != 0)
+                  for scale in (1e-12, 1e-3)]
+        mask = group_average((rng.random((dim, dim)) < 0.5) * 1.0, g, action) == 1.0
+        roots += [root * mask for root in roots[1:]] + [np.zeros((dim, dim))]
+        for root in roots:
+            family = SosFamily(g, root)
+            for tol in (0.5, 1e-9, 1e-14, 0.0, -1.0):
+                verdict = family.family_invariant(action, tol)
+                assert verdict == family_invariant_oracle(family, action, tol), (m, d, tol)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    other = circle_rotation_action(3) if n == 1 else double_edge_swap_action()
+    with pytest.raises(IncompatibleBlockSizes):
+        SosFamily(GramRepresentation(n, 1, 0, np.eye(1)), np.eye(1)).family_invariant(other)
+
+
+def test_gram_map_fails_closed_on_coefficient_overflow():
+    M = np.zeros((4, 4))
+    for r, s in ((0, 3), (1, 2)):
+        M[r, s] = M[s, r] = 1e308       # all four add into the coefficient of xy
+    g = GramRepresentation(1, 1, 1, M)
+    assert np.isfinite(g.entries).all()
+    with pytest.raises(ValueError, match="non-finite coefficient inf"):
+        gram_map(g)
+
+
+def test_sos_family_fails_closed_on_a_non_finite_root():
+    # finite entries whose largest eigenvalue, and so the root, overflows
+    g = GramRepresentation(1, 1, 1, np.full((4, 4), 1e308))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
+        invariant_sos_family(g, double_edge_swap_action())
 
 
 def test_invariant_sos_family_requires_psd():
