@@ -46,6 +46,8 @@ class LocalFamily:
                      for row in self.coeffs)
         if len(rows) != self.D or any(len(row) != self.D for row in rows):
             raise ValueError(f"coefficients must form a {self.D}x{self.D} grid")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if any(len(cell) != self.m for row in rows for cell in row):
             raise ValueError(f"every cell needs {self.m} coefficients")
         object.__setattr__(self, "coeffs", rows)
@@ -78,10 +80,7 @@ def _trace_walk(f: LocalFamily, n: int, max_tuples: int
     Each prefix product is computed once and shared by the indices extending it.
     ``index`` is one list updated in place: copy it to keep it.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if f.m ** (n + 1) > max_tuples:
-        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
+    _check_size(f, n, max_tuples)
     D, m = f.D, f.m
     # columns of each matrix: trace(P M) pairs row a of P with column a of M
     cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
@@ -98,6 +97,14 @@ def _trace_walk(f: LocalFamily, n: int, max_tuples: int
         for k in range(m):
             index[n] = k
             yield index, sum(sum(map(mul, row, col)) for row, col in zip(head, cols[k]))
+
+
+def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
+    """The guard counts every index of size n, evaluated or not."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if f.m ** (n + 1) > max_tuples:
+        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
 
 
 def _mat_mul(A, B_cols):
@@ -153,12 +160,41 @@ class FamilyReport:
 
 
 def _min_trace(f: LocalFamily, n: int, max_tuples: int) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum entry and the first index that attains it."""
+    """Exact minimum entry and the first index that attains it.
+
+    Rotating an index rotates the product inside the trace, so only necklaces
+    are evaluated: the indices that are their own smallest rotation, in
+    lexicographic order by iterative FKM (Ruskey, Savage and Wang, "Generating
+    necklaces", J. Algorithms 1992). The first index attaining the minimum is
+    one of them, since its smallest rotation attains it too. Prefix products
+    are shared as in ``_trace_walk``, and built only when a necklace needs them.
+    """
+    _check_size(f, n, max_tuples)
+    D, m, N = f.D, f.m, n + 1
+    cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
+    a = [-1] + [0] * N      # the index is a[1:]; a[0] stops the scan for a digit to raise
+    # heads[d] is the product of the matrices a[1..d]; heads[:fresh + 1] are current
+    heads = [tuple(tuple(int(r == c) for c in range(D)) for r in range(D))] * N
+    fresh = 0
     best = witness = None
-    for index, trace in _trace_walk(f, n, max_tuples):
-        if best is None or trace < best:
-            best, witness = trace, tuple(index)
-    return best, witness
+    p = 1                   # length of the longest Lyndon prefix of a[1:]
+    while True:
+        if N % p == 0:
+            for d in range(fresh, N - 1):
+                heads[d + 1] = _mat_mul(heads[d], cols[a[d + 1]])
+            fresh = N - 1
+            trace = sum(sum(map(mul, row, col)) for row, col in zip(heads[N - 1], cols[a[N]]))
+            if best is None or trace < best:
+                best, witness = trace, tuple(a[1:])
+        p = N
+        while a[p] == m - 1:
+            p -= 1
+        if p == 0:
+            return best, witness
+        a[p] += 1
+        for j in range(p + 1, N + 1):
+            a[j] = a[j - p]
+        fresh = min(fresh, p - 1)
 
 
 def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,

@@ -222,8 +222,16 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction) -> GramRepresentat
 
 
 def psd_floor(mat: np.ndarray, tol: float) -> tuple[float, float]:
-    """The smallest eigenvalue of a symmetric matrix, and its PSD floor -tol * (1 + |trace|)."""
-    return float(np.linalg.eigvalsh(mat).min()), -tol * (1.0 + abs(float(np.trace(mat))))
+    """The smallest eigenvalue of a symmetric matrix, and its PSD floor -tol * (1 + |trace|).
+
+    A trace or eigenvalue past the float range is a ``ValueError``: its floor
+    would be -inf and pass any matrix."""
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(mat))
+    values = np.linalg.eigvalsh(mat)
+    if not (math.isfinite(trace) and np.isfinite(values).all()):
+        raise ValueError("PSD check needs a finite trace and finite eigenvalues")
+    return float(values.min()), -tol * (1.0 + abs(trace))
 
 
 def assert_psd(g: GramRepresentation, tol: float = DEFAULT_PSD_TOL) -> None:

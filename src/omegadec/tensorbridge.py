@@ -248,7 +248,7 @@ class TensorDecomposition:
             support, mat = self.psd_matrix(site, j)
             if not support:
                 continue
-            lo, bound = psd_floor(0.5 * (mat + mat.T), tol)
+            lo, bound = psd_floor(0.5 * mat + 0.5 * mat.T, tol)
             if not np.allclose(mat, mat.T, atol=tol) or lo < bound:
                 return False
         return True
@@ -418,7 +418,12 @@ def nn_rank_upper_bound(mat: np.ndarray, restarts: int = 50, iters: int = 400,
                         max_work: int = DEFAULT_MAX_WORK) -> int:
     """Smallest inner dimension at which multiplicative updates reached the
     matrix within tolerance; an upper bound only, never the exact rank. The
-    restarts of one inner dimension run as one stack."""
+    restarts of one inner dimension run as one stack.
+
+    An inner dimension r whose Eckart-Young distance, the norm of the singular
+    values past the r-th, exceeds the tolerance by more than rounding can close
+    is skipped: no rank-r product comes that close. It still draws its starts,
+    so the later dimensions see the same generator stream."""
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
@@ -431,10 +436,14 @@ def nn_rank_upper_bound(mat: np.ndarray, restarts: int = 50, iters: int = 400,
     norm = np.linalg.norm(mat)
     if norm == 0.0:
         return 0
+    # distance[r]: Frobenius distance from mat to the nearest matrix of rank r
+    distance = np.hypot.accumulate(np.linalg.svd(mat, compute_uv=False)[::-1])[::-1]
     rng = np.random.default_rng(seed)
     eps = 1e-12
     for r in range(1, min(rows, cols)):
         W, H = nn_starts(rng, restarts, rows, cols, r)
+        if distance[r] > 2 * rel_tol * norm + 1e-8 * norm:
+            continue
         for _ in range(iters):
             H *= (W.mT @ mat) / (W.mT @ W @ H + eps)
             W *= (mat @ H.mT) / (W @ H @ H.mT + eps)

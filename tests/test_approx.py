@@ -183,3 +183,10 @@ def test_approx_preconditions():
         approx_separable(over, double_edge_swap_action(), 0.5)
     with pytest.raises(ValueError):
         approx_separable(sg, double_edge_swap_action(), 0.0)
+
+
+def test_witness_factor_with_an_overflowing_trace_is_rejected():
+    # not PSD, and its trace overflows: a floor of -inf once accepted it
+    factor = np.diag([1e308, 1e308, -1e300, 1e308])
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="finite trace"):
+        SeparableGram(GramRepresentation(0, 3, 1, np.eye(4)), [(1.0, [factor])])

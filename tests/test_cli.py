@@ -346,10 +346,11 @@ def test_non_finite_float_input_is_rejected(capsys, tmp_path, command, where, va
     target[where[-1]] = value
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = run(capsys, *argv.format(write_json(tmp_path, name, obj)).split())
+        code = main(argv.format(write_json(tmp_path, name, obj)).split())
+    captured = capsys.readouterr()
     assert code == 2
-    assert strict_json(out) == {"error": "ValueError", "message": message}
-    assert capsys.readouterr().err == "" and not caught
+    assert strict_json(captured.out) == {"error": "ValueError", "message": message}
+    assert captured.err == "" and not caught
 
 
 @pytest.mark.parametrize("cplx", [
@@ -443,6 +444,22 @@ def test_gram_map_keeps_a_finite_entry_near_the_float_limit(capsys, tmp_path):
     assert '"coeff": 1e+308' in captured.out
     assert strict_json(captured.out)["result"]["polynomial"]["terms"] == [
         {"coeff": 1e308, "exps": [[0], [0]]}]
+
+
+def test_sos_family_fails_closed_when_the_psd_trace_overflows(capsys, tmp_path):
+    # diag(1e308, -1e300, -1e300, 1e308) is swap-invariant but not PSD; its
+    # trace overflows, and a floor of -inf once let it through with exit 0
+    gram = _gram_with({(0, 0): 1e308, (1, 1): -1e300, (2, 2): -1e300, (3, 3): 1e308})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pos", "sos-family", "--gram", write_json(tmp_path, "gram.json", gram),
+                     "--complex", fixture("double_edge_complex.json"),
+                     "--action", fixture("double_edge_swap_action.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "" and not caught
+    assert strict_json(captured.out) == {
+        "error": "ValueError",
+        "message": "PSD check needs a finite trace and finite eigenvalues"}
 
 
 def test_action_check_ignores_assignment_guard(capsys):

@@ -4,12 +4,16 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegadec.complexes import standard_complex
 from omegadec.errors import SizeTooLarge
 from omegadec.familycheck import (
     LocalFamily,
     UNDECIDED_DISCLAIMER,
+    _min_trace,
+    _trace_walk,
     bounded_positivity_check,
     family_polynomial,
     transfer_tensor,
@@ -96,8 +100,17 @@ def test_guards_and_validation():
         transfer_tensor(fam, 20)
     with pytest.raises(SizeTooLarge):
         bounded_positivity_check(fam, 20, max_tuples=100)
+    # the necklace walk evaluates fewer traces, but the guard counts every index
+    sign = LocalFamily(1, 2, [[[1, -1]]])
+    assert _min_trace(sign, 3, 2 ** 4) == (-1, (0, 0, 0, 1))
+    with pytest.raises(SizeTooLarge):
+        _min_trace(sign, 3, 2 ** 4 - 1)
+    with pytest.raises(ValueError):
+        _min_trace(sign, -1, 10)
     with pytest.raises(ValueError):
         LocalFamily(2, 2, (((1, 2),),))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        LocalFamily(1, 0, [[[]]])
     for D, m in ((2.0, 1), (1, 1.5), (True, 1)):
         with pytest.raises(ValueError, match="must be an integer"):
             LocalFamily(D, m, (((1,),),))
@@ -119,3 +132,68 @@ def test_check_leaves_no_cyclic_garbage():
 def test_family_json_round_trip():
     fam = planted_negative_family()
     assert LocalFamily.from_obj(fam.to_obj()) == fam
+
+
+def full_walk_min_trace(f, n, max_tuples=10**9):
+    """Oracle: the minimum over every index, first attained in lexicographic order."""
+    best = witness = None
+    for index, trace in _trace_walk(f, n, max_tuples):
+        if best is None or trace < best:
+            best, witness = trace, tuple(index)
+    return best, witness
+
+
+def seeded_family(rng, D, m, low=-3, high=3):
+    return LocalFamily(D, m, rng.integers(low, high + 1, size=(D, D, m)).tolist())
+
+
+def test_necklace_walk_matches_full_walk():
+    rng = np.random.default_rng(15)
+    for D in (1, 2, 3):
+        for m in (1, 2, 3):
+            for low, high in ((-3, 3), (-2, 0), (0, 2)):
+                fam = seeded_family(rng, D, m, low, high)
+                for n in range(9 if m < 3 else 7):
+                    assert _min_trace(fam, n, 10**9) == full_walk_min_trace(fam, n), (fam, n)
+
+
+def test_necklace_walk_keeps_the_first_of_tied_minima():
+    # identity transfer matrices: every trace is D, so the witness is all zeros
+    ident = LocalFamily(2, 3, [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 1]]])
+    for n in range(6):
+        assert _min_trace(ident, n, 10**9) == (2, (0,) * (n + 1))
+    # scalar traces: the product of the chosen coefficients, -1 at an odd count of
+    # ones; ties are broken by the first such index, a rotation of which comes later
+    sign = LocalFamily(1, 2, [[[1, -1]]])
+    for n in range(8):
+        assert _min_trace(sign, n, 10**9) == full_walk_min_trace(sign, n)
+        assert _min_trace(sign, n, 10**9) == (-1, (0,) * n + (1,))
+    # every trace negative and all of one size: the witness is still the first index
+    negative = LocalFamily(1, 3, [[[-1, -1, -1]]])
+    for n in (0, 2, 4):
+        assert _min_trace(negative, n, 10**9) == (-1, (0,) * (n + 1))
+
+
+def test_bounded_check_matches_full_walk_oracle():
+    rng = np.random.default_rng(1500)
+    for D, m, n_max in ((1, 2, 8), (2, 2, 8), (2, 3, 6), (3, 2, 7), (3, 3, 5)):
+        for _ in range(3):
+            fam = seeded_family(rng, D, m, -1, 1)
+            rep = bounded_positivity_check(fam, n_max, n_min=0)
+            want = [full_walk_min_trace(fam, n) for n in range(n_max + 1)]
+            assert [(s.min_entry, s.witness) for s in rep.sizes] == want
+            first = next((n for n, (lo, _) in enumerate(want) if lo < 0), None)
+            assert rep.first_violation == first
+
+
+def smallest_rotation(index):
+    return min(index[k:] + index[:k] for k in range(len(index)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 3), m=st.integers(1, 3), n=st.integers(0, 6), data=st.data())
+def test_every_witness_is_its_smallest_rotation(D, m, n, data):
+    cells = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    coeffs = data.draw(st.lists(st.lists(cells, min_size=D, max_size=D), min_size=D, max_size=D))
+    _, witness = _min_trace(LocalFamily(D, m, coeffs), n, 10**9)
+    assert witness == smallest_rotation(witness)

@@ -1,6 +1,7 @@
 """Gram machinery, sos families, cones, factorizability, rank-chain moves."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +35,7 @@ from omegadec.fixtures import (
 from omegadec.positivity import (
     GramRepresentation,
     SosFamily,
+    assert_psd,
     SosOmegaGDecomposition,
     caratheodory_bound,
     cone_check,
@@ -171,6 +173,26 @@ def test_psd_floor_bound_uses_absolute_trace():
     assert psd_floor(np.diag([-1.0, 3.0]), 0.1) == (-1.0, -0.1 * 3.0)
     # a negative trace widens the floor by its absolute value, not narrows it
     assert psd_floor(np.diag([-3.0, 1.0]), 0.1) == (-3.0, -0.1 * 3.0)
+
+
+# its trace overflows to inf, so a floor of -tol * (1 + |trace|) would be -inf
+OVERFLOWING_TRACE = np.diag([1e308, 1e308, -1e300, 1e308])
+
+
+def test_psd_floor_fails_closed_past_the_float_range():
+    # a zero trace whose eigenvalues +-1.3e308 * sqrt(2) overflow
+    overflowing_eigenvalues = np.array([[1.3e308, 1.3e308], [1.3e308, -1.3e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mat in (OVERFLOWING_TRACE, overflowing_eigenvalues):
+            with pytest.raises(ValueError, match="finite trace and finite eigenvalues"):
+                psd_floor(mat, 1e-9)
+        g = GramRepresentation(1, 1, 1, OVERFLOWING_TRACE)
+        with pytest.raises(ValueError, match="finite trace"):
+            assert_psd(g)
+        with pytest.raises(ValueError, match="finite trace"):
+            cone_check(gram_map(GramRepresentation(1, 1, 1, np.eye(4))),
+                       "sos_with_certificate", g)
 
 
 def test_monomial_order_graded_lex():
@@ -423,9 +445,10 @@ def test_gram_map_fails_closed_on_coefficient_overflow():
 
 
 def test_sos_family_fails_closed_on_a_non_finite_root():
-    # finite entries whose largest eigenvalue, and so the root, overflows
+    # finite entries whose largest eigenvalue, and so the root, overflows: the
+    # PSD check now rejects the eigenvalue before the root is taken
     g = GramRepresentation(1, 1, 1, np.full((4, 4), 1e308))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="finite eigenvalues"):
         invariant_sos_family(g, double_edge_swap_action())
 
 

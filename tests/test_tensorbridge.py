@@ -434,6 +434,56 @@ def test_nn_batch_starts_are_the_sequential_draws():
     assert batch.random() == seq.random()
 
 
+RANK_TOLERANCES = (0.0, 1e-12, 1e-6, 1e-2, 0.5)
+
+
+def planted_rank_one_with_noise(seed):
+    rng = np.random.default_rng(seed)
+    return np.outer(rng.random(5) + 0.1, rng.random(6) + 0.1) + 1e-9 * rng.random((5, 6))
+
+
+@pytest.mark.parametrize("rel_tol", RANK_TOLERANCES)
+def test_pruned_nn_search_matches_sequential(rel_tol):
+    opts = {"restarts": 4, "iters": 60, "rel_tol": rel_tol}
+    for mat in (np.ones((3, 3)), 2 * np.ones((4, 5)), planted_rank_one_with_noise(7)):
+        for seed in range(2):
+            assert (nn_rank_upper_bound(mat, seed=seed, **opts)
+                    == sequential_nn_upper(mat, seed=seed, **opts)), (mat.shape, seed)
+    mat = distance_matrix(5).to_numpy()
+    assert (nn_rank_upper_bound(mat, restarts=3, iters=25, rel_tol=rel_tol)
+            == sequential_nn_upper(mat, restarts=3, iters=25, rel_tol=rel_tol))
+
+
+def test_skipped_inner_dimensions_still_draw_their_starts(monkeypatch):
+    import omegadec.tensorbridge as tb
+    calls = []
+
+    def counting_starts(rng, restarts, rows, cols, r):
+        calls.append(r)
+        return nn_starts(rng, restarts, rows, cols, r)
+
+    monkeypatch.setattr(tb, "nn_starts", counting_starts)
+    # rank 3, so the search skips r = 1 and 2 and runs r = 3..5
+    mat = distance_matrix(6).to_numpy()
+    assert tb.nn_rank_upper_bound(mat, restarts=2, iters=5) == 6
+    assert calls == [1, 2, 3, 4, 5]
+    calls.clear()
+    assert tb.nn_rank_upper_bound(np.ones((3, 4)), restarts=2, iters=50) == 1
+    assert calls == [1]
+
+
+def test_psd_check_fails_closed_when_the_trace_overflows():
+    fact = psd_distance_factorization(3)
+    # diag(1e308, -1e300) is not PSD; with a third entry of 1e308 its trace
+    # overflows, and a floor of -inf would pass it
+    fact.psd_mats[(0, 0)] = {((1,), (1,)): 1e308, ((2,), (2,)): -1e300}
+    with np.errstate(all="raise"):
+        assert not fact.check_psd()
+        fact.psd_mats[(0, 0)][((3,), (3,))] = 1e308
+        with pytest.raises(ValueError, match="finite trace"):
+            fact.check_psd()
+
+
 def test_nn_rank_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         mat = distance_matrix(3).to_numpy()
