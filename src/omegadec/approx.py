@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockpoly import BlockPolynomial
+from .blockpoly import BlockPolynomial, _real
 from .decomposition import OmegaGDecomposition, symmetrize_average
 from .errors import (
     ActionNotFree,
@@ -34,6 +34,7 @@ from .positivity import (
     is_gram_invariant,
     psd_floor,
     quadratic_form,
+    real_array,
 )
 from .symmetry import SymmetryAction, is_free
 
@@ -153,20 +154,16 @@ class SeparableGram:
         V = gram.n + 1
         clean = []
         for weight, factors in terms:
-            weight = float(weight)
-            if not math.isfinite(weight):
-                raise ValueError("witness weights must be finite")
+            weight = _real(weight, "witness weights")
             if weight <= 0:
                 raise ValueError("witness weights must be positive")
             if len(factors) != V:
                 raise DimensionMismatch(f"term needs {V} factors")
             mats = []
             for F in factors:
-                F = np.asarray(F, dtype=float)
+                F = real_array(F, "witness factors")
                 if F.shape != (gram.D, gram.D):
                     raise DimensionMismatch(f"factor shape {F.shape} != {(gram.D, gram.D)}")
-                if not np.isfinite(F).all():
-                    raise ValueError("witness factors must be finite")
                 if not np.allclose(F, F.T, atol=1e-10):
                     raise ValueError("witness factors must be symmetric")
                 lo, bound = psd_floor(F, DEFAULT_PSD_TOL)

@@ -41,13 +41,31 @@ def _rational(c):
     return int(c) if c.denominator == 1 else c
 
 
-def _coerce_coeff(c, mode: str):
-    if mode == RATIONAL:
-        return _rational(c)
+def _real(c, what: str = "float coefficients") -> float:
+    """c as a finite float.
+
+    Every float coefficient, tensor entry, Gram entry and witness number the
+    library takes from outside is read here. A bool is a TypeError, as in
+    rational mode, and a NaN or an infinity is a ValueError.
+    """
+    if isinstance(c, bool):
+        raise TypeError(f"bool {c!r} in {what} is not a number")
     c = float(c)
     if not math.isfinite(c):
-        raise ValueError(f"non-finite coefficient {c}")
+        raise ValueError(f"{what} must be finite")
     return c
+
+
+def _tolerance(tol: float) -> float:
+    """tol, for a float comparison: a NaN tolerance is a ValueError, since
+    every comparison with NaN is false and would let any difference through."""
+    if math.isnan(tol):
+        raise ValueError("tolerance must not be NaN")
+    return tol
+
+
+def _coerce_coeff(c, mode: str):
+    return _real(c) if mode == FLOAT else _rational(c)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -203,6 +221,7 @@ class BlockPolynomial:
 
         False whenever either side holds a NaN or infinite coefficient.
         """
+        bound = _tolerance(tol)
         if self.sites != other.sites:
             return False
         keys = set(self.terms) | set(other.terms)
@@ -210,8 +229,7 @@ class BlockPolynomial:
         mags += [abs(float(c)) for c in other.terms.values()]
         if not all(map(math.isfinite, mags)):
             return False
-        ref = max(mags, default=0.0)
-        bound = tol * (1.0 + ref)
+        bound *= 1.0 + max(mags, default=0.0)
         for key in keys:
             a = float(self.terms.get(key, 0))
             b = float(other.terms.get(key, 0))
@@ -288,12 +306,8 @@ class BlockPolynomial:
         for t in obj.get("terms", []):
             # exponents are read before they group terms, since 1, 1.0 and true hash alike
             key = tuple(tuple(_integer(e, "exponent") for e in b) for b in t["exps"])
-            c = t["coeff"]
-            if mode == FLOAT and isinstance(c, bool):
-                raise TypeError(f"bool {c!r} in float mode is not a number")
             # a JSON float is no exact rational: rational mode rejects it as the constructor does
-            coeff = float(c) if mode == FLOAT else _rational(c)
-            terms[key] = terms.get(key, 0) + coeff
+            terms[key] = terms.get(key, 0) + _coerce_coeff(t["coeff"], mode)
         return cls(obj["sites"], terms, mode)
 
     def __repr__(self) -> str:

@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -44,7 +45,10 @@ class _Run:
         """Parse the UTF-8 input file and record the digest of the same bytes."""
         with open(path, "rb") as fh:
             data = fh.read()
-        obj = json.loads(data.decode("utf-8"))
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
         self.inputs[path] = hashlib.sha256(data).hexdigest()
         return obj
 
@@ -225,14 +229,13 @@ def _cmd_family(run: _Run) -> int:
 
 
 def _cmd_approx(run: _Run) -> int:
-    import numpy as np
     from .approx import SeparableGram, approx_separable
-    from .positivity import GramRepresentation
+    from .positivity import GramRepresentation, real_array
     obj, cplx, action = _load_bundle(run, run.args.file)
     if action is None:
         raise OmegaError("approx needs an action in the bundle")
     gram = GramRepresentation.from_obj(obj["gram"])
-    terms = [(t["weight"], [np.asarray(f, dtype=float).reshape(gram.D, gram.D)
+    terms = [(t["weight"], [real_array(f, "witness factors").reshape(gram.D, gram.D)
                             for f in t["factors"]])
              for t in obj["witness"]]
     sg = SeparableGram(gram, terms)
@@ -261,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pretty", action="store_true",
                         help="human-readable summary on stderr")
-    parser.add_argument("--psd-tol", dest="psd_tol", type=float, default=1e-9)
-    parser.add_argument("--eq-tol", dest="eq_tol", type=float, default=1e-9)
-    parser.add_argument("--max-assignments", dest="max_assignments", type=int,
-                        default=DEFAULT_MAX_WORK)
-    parser.add_argument("--max-group", dest="max_group", type=int, default=DEFAULT_MAX_GROUP)
+    # the tolerances and guards are read by _check_options, not by argparse
+    parser.add_argument("--psd-tol", dest="psd_tol", default=1e-9)
+    parser.add_argument("--eq-tol", dest="eq_tol", default=1e-9)
+    parser.add_argument("--max-assignments", dest="max_assignments", default=DEFAULT_MAX_WORK)
+    parser.add_argument("--max-group", dest="max_group", default=DEFAULT_MAX_GROUP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complex")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="subcmd", required=True)
     q = ps.add_parser("run")
     q.add_argument("file")
-    q.add_argument("--epsilon", type=float, required=True)
+    q.add_argument("--epsilon", required=True)
 
     sub.add_parser("accept")
     return parser
@@ -352,6 +355,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     run = _Run(args)
     try:
+        _check_options(args)
         return _HANDLERS[args.command](run)
     except GuardExceeded as exc:
         return _error(exc, EXIT_GUARD)
@@ -364,6 +368,30 @@ def main(argv=None) -> int:
         # value of the wrong type, such as a list where an object belongs;
         # ArithmeticError a "1/0" coefficient
         return _error(exc, EXIT_USAGE)
+
+
+def _check_options(args) -> None:
+    """Read every tolerance, guard and epsilon option into args, or raise ValueError.
+
+    A NaN or infinite tolerance would pass every comparison, and a guard
+    below 1 would trip on any input. argparse does not read them, since its
+    type errors go to stderr as usage text rather than into the envelope.
+    """
+    tolerance = (float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+    guard = (int, lambda v: v >= 1, "an integer >= 1")
+    rules = {"psd_tol": tolerance, "eq_tol": tolerance, "max_assignments": guard,
+             "max_group": guard}
+    if args.command == "approx":
+        rules["epsilon"] = (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+    for name, (read, ok, rule) in rules.items():
+        raw = getattr(args, name)
+        try:
+            value = read(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {raw!r}")
+        setattr(args, name, value)
 
 
 def _error(exc: Exception, code: int) -> int:

@@ -73,30 +73,40 @@ class LocalFamily:
         return cls(obj["D"], obj["m"], obj["coeffs"])
 
 
-def _trace_walk(f: LocalFamily, n: int, max_tuples: int
-                ) -> Iterator[tuple[list[int], int]]:
-    """Yield (index, trace of the matrix product it names) in lexicographic order.
+def _necklaces(f: LocalFamily, n: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (index, trace of the matrix product it names) for every necklace.
 
-    Each prefix product is computed once and shared by the indices extending it.
-    ``index`` is one list updated in place: copy it to keep it.
+    Rotating an index rotates the product inside the trace, so the walk visits
+    only the indices of size n+1 that are their own smallest rotation, in
+    lexicographic order by iterative FKM (Ruskey, Savage and Wang, "Generating
+    necklaces", J. Algorithms 1992). Prefix products are shared, and built
+    only when a necklace needs them. ``index`` is one list updated in place.
     """
-    _check_size(f, n, max_tuples)
-    D, m = f.D, f.m
+    D, m, N = f.D, f.m, n + 1
     # columns of each matrix: trace(P M) pairs row a of P with column a of M
     cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
-    index = [0] * (n + 1)
-    # prefixes still to extend: (length, last index value, product of the matrices)
-    stack = [(0, 0, tuple(tuple(int(a == b) for b in range(D)) for a in range(D)))]
-    while stack:
-        depth, j, head = stack.pop()
-        if depth:
-            index[depth - 1] = j
-        if depth < n:
-            stack += [(depth + 1, k, _mat_mul(head, cols[k])) for k in reversed(range(m))]
-            continue
-        for k in range(m):
-            index[n] = k
-            yield index, sum(sum(map(mul, row, col)) for row, col in zip(head, cols[k]))
+    index = [0] * N
+    # heads[d] is the product of the matrices index[:d]; heads[:fresh + 1] are current
+    heads = [tuple(tuple(int(r == c) for c in range(D)) for r in range(D))] * N
+    fresh = 0
+    p = 1                   # length of the longest Lyndon prefix of index
+    while True:
+        if N % p == 0:
+            for d in range(fresh, N - 1):
+                heads[d + 1] = tuple(tuple(sum(map(mul, row, col)) for col in cols[index[d]])
+                                     for row in heads[d])
+            fresh = N - 1
+            yield index, sum(sum(map(mul, row, col))
+                             for row, col in zip(heads[N - 1], cols[index[N - 1]]))
+        p = N
+        while p and index[p - 1] == m - 1:
+            p -= 1
+        if not p:
+            return
+        index[p - 1] += 1
+        for j in range(p, N):
+            index[j] = index[j - p]
+        fresh = min(fresh, p - 1)
 
 
 def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
@@ -107,15 +117,20 @@ def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
         raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
 
 
-def _mat_mul(A, B_cols):
-    return tuple(tuple(sum(map(mul, row, col)) for col in B_cols) for row in A)
-
-
 def transfer_tensor(f: LocalFamily, n: int) -> DenseTensor:
-    """Coefficient tensor on n+1 sites: traces of transfer-matrix products."""
+    """Coefficient tensor on n+1 sites: traces of transfer-matrix products,
+    each necklace's trace written at all its rotations."""
     from .tensorbridge import DenseTensor     # the bounded check itself needs no numpy
-    return DenseTensor((f.m,) * (n + 1),
-                       [trace for _, trace in _trace_walk(f, n, DEFAULT_MAX_WORK)])
+    _check_size(f, n, DEFAULT_MAX_WORK)       # before the entries are allocated
+    m, N = f.m, n + 1
+    entries = [0] * m ** N
+    for index, trace in _necklaces(f, n):
+        for k in range(N):
+            pos = 0
+            for i in index[k:] + index[:k]:
+                pos = pos * m + i
+            entries[pos] = trace
+    return DenseTensor((m,) * N, entries)
 
 
 def family_polynomial(f: LocalFamily, n: int) -> BlockPolynomial:
@@ -160,41 +175,14 @@ class FamilyReport:
 
 
 def _min_trace(f: LocalFamily, n: int, max_tuples: int) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum entry and the first index that attains it.
-
-    Rotating an index rotates the product inside the trace, so only necklaces
-    are evaluated: the indices that are their own smallest rotation, in
-    lexicographic order by iterative FKM (Ruskey, Savage and Wang, "Generating
-    necklaces", J. Algorithms 1992). The first index attaining the minimum is
-    one of them, since its smallest rotation attains it too. Prefix products
-    are shared as in ``_trace_walk``, and built only when a necklace needs them.
-    """
+    """Exact minimum entry and the first index that attains it: a necklace,
+    since its smallest rotation attains the minimum too."""
     _check_size(f, n, max_tuples)
-    D, m, N = f.D, f.m, n + 1
-    cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
-    a = [-1] + [0] * N      # the index is a[1:]; a[0] stops the scan for a digit to raise
-    # heads[d] is the product of the matrices a[1..d]; heads[:fresh + 1] are current
-    heads = [tuple(tuple(int(r == c) for c in range(D)) for r in range(D))] * N
-    fresh = 0
     best = witness = None
-    p = 1                   # length of the longest Lyndon prefix of a[1:]
-    while True:
-        if N % p == 0:
-            for d in range(fresh, N - 1):
-                heads[d + 1] = _mat_mul(heads[d], cols[a[d + 1]])
-            fresh = N - 1
-            trace = sum(sum(map(mul, row, col)) for row, col in zip(heads[N - 1], cols[a[N]]))
-            if best is None or trace < best:
-                best, witness = trace, tuple(a[1:])
-        p = N
-        while a[p] == m - 1:
-            p -= 1
-        if p == 0:
-            return best, witness
-        a[p] += 1
-        for j in range(p + 1, N + 1):
-            a[j] = a[j - p]
-        fresh = min(fresh, p - 1)
+    for index, trace in _necklaces(f, n):
+        if best is None or trace < best:
+            best, witness = trace, tuple(index)
+    return best, witness
 
 
 def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,

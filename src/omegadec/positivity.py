@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _real, _tolerance
 from .complexes import WeightedComplex, _integer, is_connected
 from .decomposition import (
     DEFAULT_MAX_WORK,
@@ -57,6 +57,17 @@ from .symmetry import SymmetryAction, is_free
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_EQ_TOL = 1e-9
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """values as a float array, each entry read by `_real`: numpy alone reads
+    JSON true as 1.0. A float array is only checked for finite entries."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
+        values = np.frompyfunc(lambda x: _real(x, what), 1, 1)(np.asarray(values, dtype=object))
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def monomials_upto(m: int, d: int) -> list[tuple[int, ...]]:
@@ -106,7 +117,7 @@ class GramRepresentation:
         self.d = _integer(d, "d")
         if min(self.n, self.m, self.d) < 0:
             raise ValueError("n, m and d must be nonnegative")
-        mat = np.asarray(entries, dtype=float)
+        mat = real_array(entries, "Gram entries")
         dim = _gram_dim(self.n, self.m, self.d)
         if dim is None:
             raise DimensionMismatch(f"expected over 2**62 entries, got {mat.shape}")
@@ -114,8 +125,6 @@ class GramRepresentation:
             mat = mat.reshape(dim, dim)
         if mat.shape != (dim, dim):
             raise DimensionMismatch(f"expected {dim}x{dim} entries, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("Gram entries must be finite")
         if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + float(np.abs(mat).max(initial=0.0)))):
             raise DimensionMismatch("Gram entries must be symmetric")
         self.entries = 0.5 * mat + 0.5 * mat.T
@@ -193,7 +202,7 @@ def homogeneous_basis(m: int, d: int) -> list[tuple[int, ...]]:
 def is_gram_invariant(g: GramRepresentation, a: SymmetryAction, tol: float = 1e-9) -> bool:
     """Every group element moves the matrix within tol, relative to its largest entry."""
     base = g.entries
-    atol = tol * (1.0 + float(np.abs(base).max(initial=0.0)))
+    atol = _tolerance(tol) * (1.0 + float(np.abs(base).max(initial=0.0)))
     return all(np.allclose(site_permuted(base, g.D, a.vperm(h)), base, atol=atol)
                for h in range(len(a)))
 
@@ -226,6 +235,7 @@ def psd_floor(mat: np.ndarray, tol: float) -> tuple[float, float]:
 
     A trace or eigenvalue past the float range is a ``ValueError``: its floor
     would be -inf and pass any matrix."""
+    _tolerance(tol)
     with np.errstate(over="ignore"):
         trace = float(np.trace(mat))
     values = np.linalg.eigvalsh(mat)
@@ -352,6 +362,7 @@ class SosFamily:
         """
         if a.complex.vertex_count != len(self.sites):
             raise IncompatibleBlockSizes("permutation length mismatch")
+        _tolerance(tol)
         B = self.root
         for g in range(len(a)):
             P = site_permuted(B, self.gram.D, a.vperm(g))

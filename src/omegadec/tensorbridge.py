@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational, _real
 from .complexes import WeightedComplex, _integer, standard_complex
 from .decomposition import (
     DEFAULT_MAX_WORK,
@@ -45,22 +45,24 @@ PSD = "psd"
 
 
 class DenseTensor:
-    """Dense tensor with equal axis dimensions and exact or float entries."""
+    """Dense tensor with exact or float entries, flat in row-major order. The
+    constructor and ``__setitem__`` read every entry, so consumers trust them."""
 
     def __init__(self, dims: Sequence[int], entries: Sequence, mode: str = RATIONAL):
+        if mode not in (RATIONAL, FLOAT):
+            raise ValueError(f"unknown mode {mode!r}")
         self.dims = tuple(_integer(d, "tensor dimension") for d in dims)
+        if any(d < 0 for d in self.dims):
+            raise ValueError(f"negative tensor dimension in {self.dims}")
         size = math.prod(self.dims)
         flat = list(entries)
         if len(flat) != size:
             raise DimensionMismatch(f"expected {size} entries, got {len(flat)}")
-        if mode == FLOAT:
-            flat = [float(x) for x in flat]
-            if not all(map(math.isfinite, flat)):
-                raise ValueError("float tensor entries must be finite")
-        else:
-            flat = [_rational(x) for x in flat]
         self.mode = mode
-        self.entries = flat
+        self.entries = [self._read(x) for x in flat]
+
+    def _read(self, x):
+        return _real(x, "float tensor entries") if self.mode == FLOAT else _rational(x)
 
     @classmethod
     def zeros(cls, dims: Sequence[int], mode: str = RATIONAL) -> "DenseTensor":
@@ -70,7 +72,9 @@ class DenseTensor:
     def order(self) -> int:
         return len(self.dims)
 
-    def _flat(self, idx: Sequence[int]) -> int:
+    def _flat(self, idx: Sequence[int] | int) -> int:
+        if isinstance(idx, int):
+            idx = (idx,)
         pos = 0
         for i, d in zip(idx, self.dims):
             if not 0 <= i < d:
@@ -79,23 +83,18 @@ class DenseTensor:
         return pos
 
     def __getitem__(self, idx) -> object:
-        if isinstance(idx, int):
-            idx = (idx,)
         return self.entries[self._flat(idx)]
 
     def __setitem__(self, idx, value) -> None:
-        if isinstance(idx, int):
-            idx = (idx,)
-        self.entries[self._flat(idx)] = value
+        self.entries[self._flat(idx)] = self._read(value)
 
     def indices(self) -> Iterable[tuple[int, ...]]:
         return product(*(range(d) for d in self.dims))
 
     def min_entry(self) -> tuple[object, tuple[int, ...]]:
-        best = None
-        arg = None
-        for idx in self.indices():
-            v = self[idx]
+        """The smallest entry and the first index in row-major order that holds it."""
+        best = arg = None
+        for idx, v in zip(self.indices(), self.entries):
             if best is None or v < best:
                 best, arg = v, idx
         return best, arg
@@ -123,24 +122,23 @@ class DenseTensor:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DenseTensor":
-        return cls(obj["dims"], obj["entries"], obj.get("mode", RATIONAL))
+        t = cls(obj["dims"], obj["entries"], obj.get("mode", RATIONAL))
+        if 0 in t.dims:     # the constructor allows it, but a file has no entry to report
+            raise ValueError(f"tensor dimensions must be >= 1, got {list(t.dims)}")
+        return t
 
 
 def poly_from_tensor(t: DenseTensor) -> BlockPolynomial:
-    """Embed a tensor as a polynomial in squared single variables."""
+    """Embed a tensor as a polynomial in squared single variables: its nonzero
+    entries, already read by the tensor, become the terms in row-major order."""
     dims = set(t.dims)
     if len(dims) != 1:
         raise DimensionMismatch("axis dimensions must agree")
     m = dims.pop()
-    sites = (m,) * t.order
-    terms = {}
-    for idx in t.indices():
-        v = t[idx]
-        if v == 0:
-            continue
-        key = tuple(tuple(2 if j == i else 0 for j in range(m)) for i in idx)
-        terms[key] = v
-    return BlockPolynomial(sites, terms, t.mode)
+    squares = [tuple(2 if j == i else 0 for j in range(m)) for i in range(m)]
+    terms = {tuple(squares[i] for i in idx): v
+             for idx, v in zip(t.indices(), t.entries) if v}
+    return BlockPolynomial._trusted((m,) * t.order, terms, t.mode)
 
 
 def tensor_from_poly(p: BlockPolynomial) -> DenseTensor:
@@ -353,11 +351,7 @@ def distance_matrix(m: int) -> DenseTensor:
     """Order-2 tensor of squared index differences, sized m x m."""
     if m < 2:
         raise ValueError("need m >= 2")
-    t = DenseTensor.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            t[(i, j)] = (i - j) ** 2
-    return t
+    return DenseTensor((m, m), [(i - j) ** 2 for i in range(m) for j in range(m)])
 
 
 def psd_distance_factorization(m: int) -> TensorDecomposition:
@@ -387,15 +381,14 @@ def polygon_slack(m: int) -> DenseTensor:
         raise ValueError("need m >= 3")
     verts = [(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
              for j in range(m)]
-    t = DenseTensor.zeros((m, m), FLOAT)
+    entries = []
     for i in range(m):
         vx, vy = verts[i]
         wx, wy = verts[(i + 1) % m]
         ax, ay = (vx + wx) / 2.0, (vy + wy) / 2.0
         b = ax * vx + ay * vy
-        for j in range(m):
-            t[(i, j)] = b - (ax * verts[j][0] + ay * verts[j][1])
-    return t
+        entries += [b - (ax * x + ay * y) for x, y in verts]
+    return DenseTensor((m, m), entries, FLOAT)
 
 
 def distance_nn_lower_bound(m: int) -> int:

@@ -543,3 +543,83 @@ def test_inexact_integers_and_rationals_are_input_errors(capsys, tmp_path, name,
     code, out = run(capsys, *command.split(), write_json(tmp_path, name, doc))
     assert code == 2
     assert strict_json(out)["error"] == error
+
+
+BOUND = ["pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2"]
+
+
+@pytest.mark.parametrize("option,value", [
+    (option, value) for option, low in (("--eq-tol", "-1e-9"), ("--psd-tol", "-1"),
+                                        ("--max-assignments", "0"), ("--max-group", "-5"))
+    for value in ("nan", "inf", "-inf", low)
+] + [("--max-assignments", "1.5"), ("--max-group", "true")])
+def test_out_of_range_numeric_option_is_an_input_error(capsys, option, value):
+    # "=" keeps argparse from reading "-inf" as an option name
+    code = main([f"{option}={value}"] + BOUND)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    payload = strict_json(captured.out)
+    assert payload["error"] == "ValueError" and payload["message"].startswith(f"{option} must be")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_out_of_range_epsilon_is_an_input_error(capsys, value):
+    code = main(["approx", "run", fixture("approx_witness.json"), f"--epsilon={value}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert strict_json(captured.out)["message"].startswith("--epsilon must be finite and > 0")
+
+
+def test_non_finite_tolerance_no_longer_passes_a_failed_verdict(capsys, tmp_path):
+    path = os.path.join(GOLDEN, "verify_float.json")
+    assert run(capsys, "--eq-tol", "1e-9", "dec", "verify", path)[0] == 1
+    for value in ("nan", "inf"):
+        code, out = run(capsys, "--eq-tol", value, "dec", "verify", path)
+        assert code == 2 and "symmetry_ok" not in out
+    with open(fixture("bell_gram.json")) as fh:
+        gram = json.load(fh)
+    gram["entries"] = [-x for x in gram["entries"]]
+    sos = ["pos", "sos-family", "--gram", write_json(tmp_path, "gram.json", gram),
+           "--complex", fixture("double_edge_complex.json"),
+           "--action", fixture("double_edge_swap_action.json")]
+    assert strict_json(run(capsys, *sos)[1])["error"] == "NotPSD"
+    for value in ("nan", "inf"):
+        code, out = run(capsys, "--psd-tol", value, *sos)
+        assert code == 2 and "members" not in out
+    # the smallest guards that are accepted still trip as guards
+    assert run(capsys, "--max-assignments", "1", "family", "check",
+               fixture("planted_negative_family.json"), "--n-max", "2")[0] == 3
+
+
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    code = main(["complex", "build", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert strict_json(captured.out) == {"error": "ValueError",
+                                         "message": f"{path}: JSON nested too deeply"}
+
+
+@pytest.mark.parametrize("tensor,error,message", [
+    ({"dims": [0, 0], "entries": []}, "ValueError", "tensor dimensions must be >= 1, got [0, 0]"),
+    ({"dims": [1, 1], "mode": "bogus", "entries": [1]}, "ValueError", "unknown mode 'bogus'"),
+    ({"dims": [-1, -1], "entries": [1]}, "ValueError", "negative tensor dimension in (-1, -1)"),
+    ({"dims": [2, 2], "mode": "float", "entries": [True, 0, 0, 1]}, "TypeError",
+     "bool True in float tensor entries is not a number"),
+], ids=["zero-dims", "bogus-mode", "negative-dims", "float-true"])
+def test_malformed_tensor_file_is_an_input_error(capsys, tmp_path, tensor, error, message):
+    code = main(["bridge", "to-poly", write_json(tmp_path, "tensor.json", tensor)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert strict_json(captured.out) == {"error": error, "message": message}
+
+
+def test_bool_gram_entry_is_an_input_error(capsys, tmp_path):
+    with open(fixture("bell_gram.json")) as fh:
+        gram = json.load(fh)
+    gram["entries"][0] = True
+    code, out = run(capsys, "pos", "gram-map", write_json(tmp_path, "gram.json", gram))
+    assert code == 2
+    assert strict_json(out) == {"error": "TypeError",
+                                "message": "bool True in Gram entries is not a number"}

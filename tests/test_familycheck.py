@@ -1,6 +1,7 @@
 """Transfer tensors and the bounded positivity checker."""
 
 import gc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from omegadec.familycheck import (
     LocalFamily,
     UNDECIDED_DISCLAIMER,
     _min_trace,
-    _trace_walk,
+    _necklaces,
     bounded_positivity_check,
     family_polynomial,
     transfer_tensor,
@@ -134,12 +135,18 @@ def test_family_json_round_trip():
     assert LocalFamily.from_obj(fam.to_obj()) == fam
 
 
-def full_walk_min_trace(f, n, max_tuples=10**9):
-    """Oracle: the minimum over every index, first attained in lexicographic order."""
+def full_walk_min_trace(f, n):
+    """Oracle: the trace of every index's plain matrix product, from the
+    coefficients directly; the minimum, first attained in lexicographic order."""
+    mats = [np.array(f.coeffs, dtype=object)[:, :, j] for j in range(f.m)]
     best = witness = None
-    for index, trace in _trace_walk(f, n, max_tuples):
+    for index in product(range(f.m), repeat=n + 1):
+        prod = np.identity(f.D, dtype=object)
+        for j in index:
+            prod = prod @ mats[j]
+        trace = prod.trace()
         if best is None or trace < best:
-            best, witness = trace, tuple(index)
+            best, witness = trace, index
     return best, witness
 
 
@@ -197,3 +204,31 @@ def test_every_witness_is_its_smallest_rotation(D, m, n, data):
     coeffs = data.draw(st.lists(st.lists(cells, min_size=D, max_size=D), min_size=D, max_size=D))
     _, witness = _min_trace(LocalFamily(D, m, coeffs), n, 10**9)
     assert witness == smallest_rotation(witness)
+
+
+def test_walk_yields_each_smallest_rotation_once_in_order():
+    for m in (1, 2, 3):
+        fam = LocalFamily(1, m, [[[1] * m]])
+        for n in range(6):
+            walked = [tuple(index) for index, _ in _necklaces(fam, n)]
+            want = sorted({smallest_rotation(index)
+                           for index in product(range(m), repeat=n + 1)})
+            assert walked == want, (m, n)
+
+
+def test_transfer_tensor_matches_einsum_oracle_on_seeded_families():
+    from omegadec.acceptance import _brute_force_transfer
+    rng = np.random.default_rng(1600)
+    ident = [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 1]]]    # every trace ties at 2
+    for D in (1, 2, 3):
+        for m in (1, 2, 3):
+            for fam in (seeded_family(rng, D, m), seeded_family(rng, D, m, -1, 0)):
+                coeffs = np.array(fam.coeffs, dtype=np.int64)
+                for n in range(7):
+                    t = transfer_tensor(fam, n)
+                    assert t.dims == (m,) * (n + 1) and t.mode == "rational"
+                    assert all(type(x) is int for x in t.entries)
+                    oracle = _brute_force_transfer(coeffs, n).reshape(-1).tolist()
+                    assert t.entries == oracle, (D, m, n)
+    for n in range(7):
+        assert transfer_tensor(LocalFamily(2, 3, ident), n).entries == [2] * 3 ** (n + 1)

@@ -22,7 +22,8 @@ keep their exit codes without ever loading numpy. Every fixture file these
 cases read, with any one of its values swapped for a value of another JSON
 type, must still end in one strict-JSON report or error envelope; a JSON
 integer under a key the README types as `int`, swapped for `1.5` or `true`,
-must end in the exit-2 envelope.
+must end in the exit-2 envelope, and so must any value under a key it types as
+a rational or a float, swapped for `true`.
 """
 
 import json
@@ -142,8 +143,10 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
-# the keys whose values README "File formats" types as an exact rational or a number
-NUMBER_KEYS = {"coeff", "r"}
+# the keys whose values README "File formats" types as an exact rational or a
+# number (polynomial coefficients, scale radicands, tensor and Gram entries,
+# witness weights and factor entries); "weight" also names a complex's facet weights
+NUMBER_KEYS = {"coeff", "r", "entries", "weight", "factors"}
 
 
 def last_key(path):

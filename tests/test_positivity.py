@@ -279,6 +279,24 @@ def test_invariant_sos_family_reconstructs():
     assert fam.family_invariant(a, 1e-9)
 
 
+def test_nan_tolerance_is_rejected_by_every_comparison_rule():
+    from omegadec.tensorbridge import psd_distance_factorization
+    nan = float("nan")
+    a = double_edge_swap_action()
+    g = quartic_gram()
+    fam = invariant_sos_family(g, a)
+    p = gram_map(g)
+    # each of these passed at a NaN tolerance, since every comparison with NaN is false
+    checks = [lambda: p.allclose(p + p, nan), lambda: psd_floor(-np.eye(2), nan),
+              lambda: is_gram_invariant(g, a, nan), lambda: fam.family_invariant(a, nan),
+              lambda: psd_distance_factorization(3).check_psd(nan)]
+    for check in checks:
+        with pytest.raises(ValueError, match="tolerance must not be NaN"):
+            check()
+    # an infinite tolerance is still a rule, if a loose one: the CLI rejects it instead
+    assert p.allclose(p, 0.0) and p.allclose(p + p, float("inf"))
+
+
 def test_invariant_sos_family_rank_one():
     a = double_edge_swap_action()
     fam = invariant_sos_family(bell_gram(), a)

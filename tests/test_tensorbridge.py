@@ -542,3 +542,77 @@ def test_float_dense_tensor_rejects_non_finite_entries():
         DenseTensor((2,), [1.0, float("inf")], "float")
     with pytest.raises(ValueError):
         DenseTensor.from_obj({"dims": [1], "mode": "float", "entries": [float("nan")]})
+
+
+def constructor_poly_from_tensor(t):
+    """Oracle: the embedding built term by term through the validating constructor."""
+    m = t.dims[0]
+    terms = {}
+    for idx in product(range(m), repeat=t.order):
+        if t[idx] != 0:
+            terms[tuple(tuple(2 if j == i else 0 for j in range(m)) for i in idx)] = t[idx]
+    return BlockPolynomial((m,) * t.order, terms, t.mode)
+
+
+def tensors_to_embed():
+    exact = DenseTensor((2, 2), [1, 0, Fraction(3, 2), Fraction(4, 2)])
+    floats = DenseTensor((3, 3), [0.0, -0.0, 1.5, 2, -1e-300, 0, 3.25, 1e300, -4], "float")
+    assigned = DenseTensor.zeros((2, 2, 2))
+    assigned[(0, 1, 1)] = Fraction(6, 3)
+    assigned[(1, 0, 0)] = "5/7"
+    assigned[(1, 1, 0)] = -3
+    assigned[(1, 1, 1)] = 0
+    assigned_float = DenseTensor.zeros((2, 2), "float")
+    assigned_float[(1, 0)] = 3
+    assigned_float[(0, 1)] = -0.25
+    rng = np.random.default_rng(16)
+    seeded = DenseTensor((3,) * 3, rng.integers(-2, 3, size=27).tolist())
+    seeded_float = DenseTensor((2,) * 4, (rng.integers(-1, 2, size=16) * 0.5).tolist(), "float")
+    return [exact, floats, assigned, assigned_float, seeded, seeded_float,
+            DenseTensor((1,), [7]), DenseTensor.zeros((3, 3)), DenseTensor((0, 0), []),
+            distance_matrix(5), polygon_slack(5)]
+
+
+def test_poly_from_tensor_matches_the_constructor_oracle():
+    for t in tensors_to_embed():
+        p, want = poly_from_tensor(t), constructor_poly_from_tensor(t)
+        assert p == want and p.sites == want.sites and p.mode == want.mode
+        assert list(p.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def test_dense_tensor_reads_every_entry_where_it_enters():
+    t = DenseTensor((2,), [Fraction(4, 2), "3/6"])
+    assert t.entries == [2, Fraction(1, 2)] and type(t.entries[0]) is int
+    t[1] = Fraction(8, 4)
+    assert type(t[1]) is int
+    for bad, error in ((0.5, TypeError), (True, TypeError), ("x", ValueError)):
+        with pytest.raises(error):
+            t[0] = bad
+        with pytest.raises(error):
+            DenseTensor((1,), [bad])
+    f = DenseTensor((2,), [1, 2.5], "float")
+    assert f.entries == [1.0, 2.5] and type(f.entries[0]) is float
+    f[0] = 4
+    assert type(f[0]) is float
+    for bad, error in ((True, TypeError), (float("nan"), ValueError), (float("inf"), ValueError)):
+        with pytest.raises(error):
+            f[0] = bad
+        with pytest.raises(error):
+            DenseTensor((1,), [bad], "float")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        DenseTensor((1,), [1], "bogus")
+    with pytest.raises(ValueError, match="negative tensor dimension"):
+        DenseTensor((-1, -1), [1])
+    # the constructor keeps a zero dimension; a tensor file may not hold one
+    assert DenseTensor((0, 2), []).entries == []
+    with pytest.raises(ValueError, match=r"dimensions must be >= 1, got \[0, 0\]"):
+        DenseTensor.from_obj({"dims": [0, 0], "entries": []})
+
+
+def test_min_entry_returns_the_first_of_tied_minima():
+    assert DenseTensor((2, 2), [3, -1, -1, 0]).min_entry() == (-1, (0, 1))
+    assert DenseTensor((2, 2, 2), [5] * 8).min_entry() == (5, (0, 0, 0))
+    t = DenseTensor((3, 3), [0.5, 0.0, -2.0, 1.0, -2.0, 0.0, -2.0, 1.0, 0.0], "float")
+    assert t.min_entry() == (-2.0, (0, 2))
+    assert tensor_positivity(t)["witness"] == (0, 2)
