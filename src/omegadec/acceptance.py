@@ -338,7 +338,7 @@ def criterion_9() -> CriterionResult:
     # a witness larger than the draw budget forces the sampling path
     big = _random_separable_witness(np.random.default_rng(777), terms=4000)
     sampled = approx_separable(big, action, epsilon, seed=99)
-    sampled_ok = (sampled.terms_used < len(big.terms)
+    sampled_ok = (sampled.terms_used < len(big.weights)
                   and sampled.error_schatten2 < epsilon
                   and sampled.decomposition.index_size <= budget)
     slope_rng = np.random.default_rng(424242)

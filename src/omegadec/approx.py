@@ -25,14 +25,16 @@ from .errors import (
     NotHomogeneous,
     NotInvariant,
     NotNormalized,
+    OmegaError,
 )
 from .positivity import (
     DEFAULT_PSD_TOL,
+    PSD_OUT_OF_RANGE,
     GramRepresentation,
     group_average,
     homogeneous_basis,
     is_gram_invariant,
-    psd_floor,
+    psd_floors,
     quadratic_form,
     real_array,
 )
@@ -125,70 +127,130 @@ def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0) -
     return float(best)
 
 
-def _kron(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the per-site factors, site 0 outermost."""
-    kron = mats[0]
-    for F in mats[1:]:
-        kron = np.kron(kron, F)
-    return kron
+# A block of Kronecker products holds at most this many floats (one product if
+# a single one is larger), so the temporary does not grow with the witness.
+_KRON_BLOCK = 1 << 20
 
 
-def _trace_product(mats: Sequence[np.ndarray]) -> float:
-    """Trace of the Kronecker product: the product of the factor traces."""
-    tr = 1.0
-    for F in mats:
-        tr *= float(np.trace(F))
-    return tr
+def _kron_blocks(factors: np.ndarray):
+    """(term slice, products) for consecutive blocks of a (terms, V, D, D) stack:
+    each term's Kronecker product of its factors, site 0 outermost, left to right."""
+    T, V, D, _ = factors.shape
+    step = max(1, _KRON_BLOCK // D ** (2 * V))
+    for start in range(0, T, step):
+        block = factors[start:start + step]
+        K = block[:, 0]
+        for j in range(1, V):
+            n = K.shape[1] * D
+            K = (K[:, :, None, :, None] * block[:, j, None, :, None, :]).reshape(len(block), n, n)
+        yield slice(start, start + len(block)), K
+
+
+def _add_in_order(acc, rows):
+    """acc plus each row in turn, left to right. np.sum (pairwise) and Python
+    3.12's sum (compensated) add in other orders and move the last bits."""
+    for row in rows:
+        acc += row
+    return acc
+
+
+def _kron_sum(weights: np.ndarray, factors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out plus each term's weight times its Kronecker product, in term order."""
+    for terms, K in _kron_blocks(factors):
+        _add_in_order(out, weights[terms, None, None] * K)
+    return out
+
+
+# per-factor checks in the order they run; a factor fails at its first one
+_FACTOR_ERRORS = (None, "witness factors must be finite", "witness factors must be symmetric",
+                  PSD_OUT_OF_RANGE, "witness factors must be PSD")
+
+
+def _check_factors(F: np.ndarray) -> None:
+    """Raise the error of the first factor of a (factors, D, D) stack that is not
+    finite, symmetric or PSD. eigvalsh sees only finite symmetric factors."""
+    errors = np.where(np.isfinite(F).all(axis=(1, 2)), 0, 1)
+    rest = np.flatnonzero(errors == 0)
+    G = F[rest]
+    Gt = G.swapaxes(1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # np.allclose(G, G.T, atol=1e-10), factor by factor
+        symmetric = (np.abs(G - Gt) <= 1e-10 + 1e-5 * np.abs(Gt)).all(axis=(1, 2))
+    errors[rest[~symmetric]] = 2
+    rest = rest[symmetric]
+    lo, bound, in_range = psd_floors(F[rest], DEFAULT_PSD_TOL)
+    errors[rest] = np.where(in_range, np.where(lo < bound, 4, 0), 3)
+    bad = np.flatnonzero(errors)
+    if len(bad):
+        raise ValueError(_FACTOR_ERRORS[errors[bad[0]]])
+
+
+def _witness_factor(F, D: int) -> np.ndarray:
+    """F as a (D, D) float array. The entries of a float array are checked with
+    the whole stack; any other input is read entry by entry by `real_array`."""
+    if not (isinstance(F, np.ndarray) and F.dtype.kind == "f"):
+        F = real_array(F, "witness factors")
+    F = np.asarray(F, dtype=float)
+    if F.shape != (D, D):
+        if not np.isfinite(F).all():
+            raise ValueError(_FACTOR_ERRORS[1])
+        raise DimensionMismatch(f"factor shape {F.shape} != {(D, D)}")
+    return F
 
 
 class SeparableGram:
     """Gram matrix together with an explicit separable witness.
 
-    The witness is a list of (weight, per-site PSD factors); the weighted
-    Kronecker products must reconstruct the matrix.
+    The witness is given as (weight, per-site PSD factors) terms, whose
+    weighted Kronecker products must reconstruct the matrix. It is stored as
+    `weights`, shape (terms,), and the symmetrized `factors`, one
+    (terms, V, D, D) array.
     """
 
     def __init__(self, gram: GramRepresentation,
                  terms: Sequence[tuple[float, Sequence[np.ndarray]]]):
         self.gram = gram
-        V = gram.n + 1
-        clean = []
-        for weight, factors in terms:
-            weight = _real(weight, "witness weights")
-            if weight <= 0:
-                raise ValueError("witness weights must be positive")
-            if len(factors) != V:
-                raise DimensionMismatch(f"term needs {V} factors")
-            mats = []
-            for F in factors:
-                F = real_array(F, "witness factors")
-                if F.shape != (gram.D, gram.D):
-                    raise DimensionMismatch(f"factor shape {F.shape} != {(gram.D, gram.D)}")
-                if not np.allclose(F, F.T, atol=1e-10):
-                    raise ValueError("witness factors must be symmetric")
-                lo, bound = psd_floor(F, DEFAULT_PSD_TOL)
-                if lo < bound:
-                    raise ValueError("witness factors must be PSD")
-                mats.append(0.5 * (F + F.T))
-            clean.append((weight, mats))
-        self.terms = clean
+        V, D = gram.n + 1, gram.D
+        weights, flat = [], []
+        # A term's error is raised only after every factor before it is checked,
+        # so a bad witness fails at the same item as a term-by-term check.
+        failed = None
+        try:
+            for weight, factors in terms:
+                weight = _real(weight, "witness weights")
+                if weight <= 0:
+                    raise ValueError("witness weights must be positive")
+                if len(factors) != V:
+                    raise DimensionMismatch(f"term needs {V} factors")
+                for F in factors:
+                    flat.append(_witness_factor(F, D))
+                weights.append(weight)
+        except (TypeError, ValueError, OmegaError) as exc:
+            failed = exc
+        F = np.array(flat, dtype=float).reshape(-1, D, D)
+        _check_factors(F)
+        if failed is not None:
+            raise failed
+        self.weights = np.array(weights, dtype=float)
+        self.factors = (0.5 * (F + F.swapaxes(1, 2))).reshape(len(weights), V, D, D)
         recon = self.reconstruct()
         scale = 1.0 + float(np.abs(gram.entries).max(initial=0.0))
         if not np.allclose(recon, gram.entries, atol=1e-10 * scale):
             raise DimensionMismatch("witness does not reconstruct the Gram matrix")
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.gram.entries)
-        for weight, mats in self.terms:
-            out += weight * _kron(mats)
-        return out
+        return _kron_sum(self.weights, self.factors, np.zeros_like(self.gram.entries))
+
+    def _term_traces(self) -> np.ndarray:
+        """The trace of each term's Kronecker product: its factor traces multiplied in order."""
+        traces = np.ones(len(self.weights))
+        for j in range(self.factors.shape[1]):
+            traces = traces * np.trace(self.factors[:, j], axis1=-2, axis2=-1)
+        return traces
 
     def trace(self) -> float:
         """Witness trace: an upper bound on the separable normalization constant."""
-        total = 0.0
-        for weight, mats in self.terms:
-            total += weight * _trace_product(mats)
-        return total
+        return _add_in_order(0.0, (self.weights * self._term_traces()).tolist())
 
 
 @dataclass
@@ -210,12 +272,12 @@ class ApproxResult:
         }
 
 
-def _draw(sg: SeparableGram, total: float, k: int, rng: np.random.Generator) -> list:
-    """(count, trace, factors) of each witness term in k draws weighted by weight * trace."""
-    traces = [_trace_product(mats) for _, mats in sg.terms]
-    probs = [weight * tr / total for (weight, _), tr in zip(sg.terms, traces)]
-    counts = rng.multinomial(k, np.asarray(probs) / sum(probs))
-    return list(zip(counts, traces, (mats for _, mats in sg.terms)))
+def _draw(sg: SeparableGram, total: float, k: int, rng: np.random.Generator):
+    """(counts, traces) of the witness terms in k draws weighted by weight * trace."""
+    traces = sg._term_traces()
+    probs = sg.weights * traces / total
+    counts = rng.multinomial(k, probs / _add_in_order(0.0, probs.tolist()))
+    return counts, traces
 
 
 def empirical_matrix_error(sg: SeparableGram, k: int, rng: np.random.Generator,
@@ -223,7 +285,11 @@ def empirical_matrix_error(sg: SeparableGram, k: int, rng: np.random.Generator,
     """Schatten-2 error of a k-draw empirical mixture of the witness terms."""
     M = sg.gram.entries
     total = sg.trace()
-    N = sum(c * (total * _kron(mats) / tr) for c, tr, mats in _draw(sg, total, k, rng)) / k
+    counts, traces = _draw(sg, total, k, rng)
+    N = np.zeros_like(M)
+    for terms, K in _kron_blocks(sg.factors):
+        _add_in_order(N, counts[terms, None, None] * (total * K / traces[terms, None, None]))
+    N = N / k
     if a is not None:
         N = group_average(N, sg.gram, a)
     return float(np.linalg.norm(M - N))
@@ -254,23 +320,22 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
 
     k = sample_budget(epsilon)
     rng = np.random.default_rng(seed)
-    if len(sg.terms) <= k:
-        used = [(w, mats) for w, mats in sg.terms]
+    if len(sg.weights) <= k:
+        weights, factors = sg.weights, sg.factors
     else:
-        used = [(c / k * (total / tr), mats) for c, tr, mats in _draw(sg, total, k, rng)
-                if c > 0]
+        counts, traces = _draw(sg, total, k, rng)
+        drawn = counts > 0
+        weights = (counts / k * (total / traces))[drawn]
+        factors = sg.factors[drawn]
 
-    N_hat = np.zeros_like(gram.entries)
-    for w, mats in used:
-        N_hat += w * _kron(mats)
-    N = group_average(N_hat, gram, a)
+    N = group_average(_kron_sum(weights, factors, np.zeros_like(gram.entries)), gram, a)
     error = float(np.linalg.norm(gram.entries - N))
 
     basis = homogeneous_basis(gram.m, gram.d)
     poly_terms = []
-    for w, mats in used:
-        factors = [quadratic_form(F, basis, 1) for F in mats]
-        factors[0] = factors[0].scaled(float(w))
-        poly_terms.append(tuple(factors))
+    for w, mats in zip(weights.tolist(), factors):
+        polys = [quadratic_form(F, basis, 1) for F in mats]
+        polys[0] = polys[0].scaled(w)
+        poly_terms.append(tuple(polys))
     dec = symmetrize_average(poly_terms, a)
-    return ApproxResult(dec, error, k, k * len(a), len(used), N)
+    return ApproxResult(dec, error, k, k * len(a), len(weights), N)

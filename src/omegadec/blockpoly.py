@@ -13,6 +13,7 @@ prints like the equal ``int``.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -45,12 +46,14 @@ def _real(c, what: str = "float coefficients") -> float:
     """c as a finite float.
 
     Every float coefficient, tensor entry, Gram entry and witness number the
-    library takes from outside is read here. A bool is a TypeError, as in
-    rational mode, and a NaN or an infinity is a ValueError.
+    library takes from outside is read here. Only a real number is read: a
+    bool or a string such as ``"1.5"`` is a TypeError, and a NaN or an
+    infinity is a ValueError.
     """
-    if isinstance(c, bool):
-        raise TypeError(f"bool {c!r} in {what} is not a number")
-    c = float(c)
+    if type(c) is not float:    # the common case skips the slower ABC check
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise TypeError(f"{type(c).__name__} {c!r} in {what} is not a number")
+        c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"{what} must be finite")
     return c

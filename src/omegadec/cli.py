@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -25,7 +26,7 @@ from .decomposition import (
     blending_difference,
     symmetrize_free,
 )
-from .errors import GuardExceeded, OmegaError
+from .errors import GuardExceeded, OmegaError, UsageError
 from .familycheck import LocalFamily, bounded_positivity_check
 from .radpoly import RadPoly
 from .symmetry import DEFAULT_MAX_GROUP, SymmetryAction, free_refinement, is_blending, is_free
@@ -60,7 +61,7 @@ class _Run:
             "inputs": self.inputs,
             "result": result,
         }
-        print(json.dumps(envelope, sort_keys=True, allow_nan=False))
+        _emit(json.dumps(envelope, sort_keys=True, allow_nan=False))
         return code
 
     def pretty(self, *lines: str) -> None:
@@ -256,11 +257,19 @@ def _cmd_accept(run: _Run) -> int:
                       EXIT_OK if result["all_passed"] else EXIT_VERDICT_FAIL)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so they end in the envelope
+    like every other input error; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: parsing keeps no state in it."""
-    parser = argparse.ArgumentParser(prog="omega", allow_abbrev=False,
-                                     description="invariant polynomial decompositions")
+    parser = _Parser(prog="omega", allow_abbrev=False,
+                     description="invariant polynomial decompositions")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pretty", action="store_true",
                         help="human-readable summary on stderr")
@@ -351,8 +360,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except SystemExit:      # -h or --help printed the help
+        return EXIT_OK
+    except UsageError as exc:
+        return _error(exc, EXIT_USAGE)
     run = _Run(args)
     try:
         _check_options(args)
@@ -395,9 +406,20 @@ def _check_options(args) -> None:
 
 
 def _error(exc: Exception, code: int) -> int:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
+    _emit(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                      sort_keys=True, allow_nan=False))
     return code
+
+
+def _emit(line: str) -> None:
+    """Print one line on stdout. If the reader closed the pipe, stdout is
+    pointed at os.devnull, so the run ends quietly with its own exit code and
+    the flush at exit finds nowhere to fail (the SIGPIPE note of Python's
+    `signal` documentation)."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

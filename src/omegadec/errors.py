@@ -9,6 +9,10 @@ class GuardExceeded(OmegaError):
     """A configurable resource guard was exceeded (CLI exit code 3)."""
 
 
+class UsageError(OmegaError):
+    """The command line does not parse (CLI exit code 2)."""
+
+
 # complexes
 
 class EmptyFacet(OmegaError):

@@ -230,18 +230,29 @@ def gram_symmetrize(g: GramRepresentation, a: SymmetryAction) -> GramRepresentat
     return GramRepresentation(g.n, g.m, g.d, group_average(g.entries, g, a))
 
 
+PSD_OUT_OF_RANGE = "PSD check needs a finite trace and finite eigenvalues"
+
+
+def psd_floors(mats: np.ndarray, tol: float):
+    """Per symmetric matrix of a stack: its smallest eigenvalue, its PSD floor
+    -tol * (1 + |trace|), and whether its trace and eigenvalues are finite."""
+    _tolerance(tol)
+    with np.errstate(over="ignore"):
+        traces = np.trace(mats, axis1=-2, axis2=-1)
+    values = np.linalg.eigvalsh(mats)
+    in_range = np.isfinite(traces) & np.isfinite(values).all(axis=-1)
+    return values.min(axis=-1), -tol * (1.0 + np.abs(traces)), in_range
+
+
 def psd_floor(mat: np.ndarray, tol: float) -> tuple[float, float]:
     """The smallest eigenvalue of a symmetric matrix, and its PSD floor -tol * (1 + |trace|).
 
     A trace or eigenvalue past the float range is a ``ValueError``: its floor
     would be -inf and pass any matrix."""
-    _tolerance(tol)
-    with np.errstate(over="ignore"):
-        trace = float(np.trace(mat))
-    values = np.linalg.eigvalsh(mat)
-    if not (math.isfinite(trace) and np.isfinite(values).all()):
-        raise ValueError("PSD check needs a finite trace and finite eigenvalues")
-    return float(values.min()), -tol * (1.0 + abs(trace))
+    lo, bound, in_range = psd_floors(mat, tol)
+    if not in_range:
+        raise ValueError(PSD_OUT_OF_RANGE)
+    return float(lo), float(bound)
 
 
 def assert_psd(g: GramRepresentation, tol: float = DEFAULT_PSD_TOL) -> None:

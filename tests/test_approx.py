@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from omegadec import standard_complex, trivial_action
 from omegadec.approx import (
     SeparableGram,
+    _draw,
+    _kron_blocks,
     approx_separable,
     empirical_matrix_error,
     homogenize,
@@ -15,7 +18,7 @@ from omegadec.approx import (
     sample_budget,
 )
 from omegadec.acceptance import _quadratic_form_matrix, _random_separable_witness
-from omegadec.blockpoly import FLOAT, BlockPolynomial
+from omegadec.blockpoly import FLOAT, BlockPolynomial, _real
 from omegadec.errors import (
     ActionNotFree,
     DimensionMismatch,
@@ -27,7 +30,15 @@ from omegadec.fixtures import (
     single_edge_swap_action,
     squares_target_polynomial,
 )
-from omegadec.positivity import GramRepresentation, homogeneous_basis, quadratic_form
+from omegadec.positivity import (
+    DEFAULT_PSD_TOL,
+    GramRepresentation,
+    group_average,
+    homogeneous_basis,
+    psd_floor,
+    quadratic_form,
+    real_array,
+)
 
 
 def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
@@ -118,11 +129,11 @@ def test_separable_gram_validation_and_trace():
     rng = np.random.default_rng(3)
     sg = _random_separable_witness(rng)
     assert abs(sg.trace() - 1.0) < 1e-9
-    scaled_terms = [(3.0 * w, mats) for w, mats in sg.terms]
+    scaled_terms = [(3.0 * w, mats) for w, mats in zip(sg.weights, sg.factors)]
     scaled = SeparableGram(GramRepresentation(1, 2, 1, 3.0 * sg.gram.entries), scaled_terms)
     assert abs(scaled.trace() - 3.0 * sg.trace()) < 1e-9
     with pytest.raises(DimensionMismatch):
-        SeparableGram(bell_gram(), sg.terms)
+        SeparableGram(bell_gram(), list(zip(sg.weights, sg.factors)))
 
 
 def test_mu_subadditive_on_combined_witness():
@@ -130,7 +141,7 @@ def test_mu_subadditive_on_combined_witness():
     b = _random_separable_witness(np.random.default_rng(5))
     combined = SeparableGram(
         GramRepresentation(1, 2, 1, a.gram.entries + b.gram.entries),
-        list(a.terms) + list(b.terms))
+        list(zip(a.weights, a.factors)) + list(zip(b.weights, b.factors)))
     assert combined.trace() <= a.trace() + b.trace() + 1e-12
 
 
@@ -143,7 +154,7 @@ def test_approx_verbatim_small_witness():
     action = double_edge_swap_action()
     sg = _random_separable_witness(np.random.default_rng(6))
     res = approx_separable(sg, action, 1.0, seed=0)
-    assert res.terms_used == len(sg.terms)
+    assert res.terms_used == len(sg.weights)
     assert res.error_schatten2 < 1e-12
     assert res.decomposition.check_symmetry()
 
@@ -152,7 +163,7 @@ def test_approx_sampling_path():
     action = double_edge_swap_action()
     sg = _random_separable_witness(np.random.default_rng(8))
     res = approx_separable(sg, action, 10.0, seed=1)  # tiny budget forces draws
-    assert res.terms_used < len(sg.terms)
+    assert res.terms_used < len(sg.weights)
     assert res.decomposition.index_size <= res.index_budget
     assert res.decomposition.check_symmetry()
     # contraction matches the homogeneous polynomial of the symmetrized sample
@@ -178,7 +189,7 @@ def test_approx_preconditions():
     with pytest.raises(ActionNotFree):
         approx_separable(sg, single_edge_swap_action(), 0.5)
     over = SeparableGram(GramRepresentation(1, 2, 1, 2.0 * sg.gram.entries),
-                         [(2.0 * w, mats) for w, mats in sg.terms])
+                         [(2.0 * w, mats) for w, mats in zip(sg.weights, sg.factors)])
     with pytest.raises(NotNormalized):
         approx_separable(over, double_edge_swap_action(), 0.5)
     with pytest.raises(ValueError):
@@ -190,3 +201,241 @@ def test_witness_factor_with_an_overflowing_trace_is_rejected():
     factor = np.diag([1e308, 1e308, -1e300, 1e308])
     with np.errstate(all="raise"), pytest.raises(ValueError, match="finite trace"):
         SeparableGram(GramRepresentation(0, 3, 1, np.eye(4)), [(1.0, [factor])])
+
+
+# The per-term witness loops the stacked SeparableGram replaced: the reference
+# its checks, products, traces, draws and sums must match bit for bit.
+
+def kron_reference(mats):
+    kron = mats[0]
+    for F in mats[1:]:
+        kron = np.kron(kron, F)
+    return kron
+
+
+def trace_product_reference(mats):
+    tr = 1.0
+    for F in mats:
+        tr *= float(np.trace(F))
+    return tr
+
+
+class ReferenceGram:
+    def __init__(self, gram, terms):
+        self.gram = gram
+        V = gram.n + 1
+        clean = []
+        for weight, factors in terms:
+            weight = _real(weight, "witness weights")
+            if weight <= 0:
+                raise ValueError("witness weights must be positive")
+            if len(factors) != V:
+                raise DimensionMismatch(f"term needs {V} factors")
+            mats = []
+            for F in factors:
+                F = real_array(F, "witness factors")
+                if F.shape != (gram.D, gram.D):
+                    raise DimensionMismatch(f"factor shape {F.shape} != {(gram.D, gram.D)}")
+                if not np.allclose(F, F.T, atol=1e-10):
+                    raise ValueError("witness factors must be symmetric")
+                lo, bound = psd_floor(F, DEFAULT_PSD_TOL)
+                if lo < bound:
+                    raise ValueError("witness factors must be PSD")
+                mats.append(0.5 * (F + F.T))
+            clean.append((weight, mats))
+        self.terms = clean
+        recon = self.reconstruct()
+        scale = 1.0 + float(np.abs(gram.entries).max(initial=0.0))
+        if not np.allclose(recon, gram.entries, atol=1e-10 * scale):
+            raise DimensionMismatch("witness does not reconstruct the Gram matrix")
+
+    def reconstruct(self):
+        out = np.zeros_like(self.gram.entries)
+        for weight, mats in self.terms:
+            out += weight * kron_reference(mats)
+        return out
+
+    def trace(self):
+        total = 0.0
+        for weight, mats in self.terms:
+            total += weight * trace_product_reference(mats)
+        return total
+
+
+def sequential_sum(values):
+    """Python 3.11's sum: left to right from 0, without 3.12's compensation."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def draw_reference(ref, total, k, rng):
+    traces = [trace_product_reference(mats) for _, mats in ref.terms]
+    probs = [weight * tr / total for (weight, _), tr in zip(ref.terms, traces)]
+    counts = rng.multinomial(k, np.asarray(probs) / sequential_sum(probs))
+    return list(zip(counts, traces, (mats for _, mats in ref.terms)))
+
+
+def empirical_error_reference(ref, k, rng, a=None):
+    M = ref.gram.entries
+    total = ref.trace()
+    N = sequential_sum(c * (total * kron_reference(mats) / tr)
+                       for c, tr, mats in draw_reference(ref, total, k, rng)) / k
+    if a is not None:
+        N = group_average(N, ref.gram, a)
+    return float(np.linalg.norm(M - N))
+
+
+def approx_reference(ref, a, epsilon, seed):
+    """(approximant, Schatten-2 error, terms used) of `approx_separable`."""
+    total = ref.trace()
+    k = sample_budget(epsilon)
+    rng = np.random.default_rng(seed)
+    if len(ref.terms) <= k:
+        used = list(ref.terms)
+    else:
+        used = [(c / k * (total / tr), mats) for c, tr, mats in draw_reference(ref, total, k, rng)
+                if c > 0]
+    N_hat = np.zeros_like(ref.gram.entries)
+    for w, mats in used:
+        N_hat += w * kron_reference(mats)
+    N = group_average(N_hat, ref.gram, a)
+    return N, float(np.linalg.norm(ref.gram.entries - N)), len(used)
+
+
+def random_witness(rng, V, m, d, count):
+    """A normalized witness of count terms on V sites, swap-invariant for V = 2,
+    its Gram matrix, and an action it is invariant under."""
+    D = math.comb(m + d, d)
+    raw = []
+    for _ in range(count):
+        fs = []
+        for _ in range(V):
+            A = rng.normal(size=(D, D))
+            F = A @ A.T
+            fs.append(F / np.trace(F))
+        raw.append((float(rng.random()) + 0.1, fs))
+    total = sum(w for w, _ in raw)
+    terms = [(w / total, fs) for w, fs in raw]
+    if V == 2:
+        action = double_edge_swap_action()
+        terms = [t for w, (f0, f1) in terms for t in ((w / 2, [f0, f1]), (w / 2, [f1, f0]))]
+    else:
+        action = trivial_action(standard_complex("simplex", V - 1))
+    entries = np.zeros((D**V, D**V))
+    for w, fs in terms:
+        entries += w * kron_reference(fs)
+    return terms, GramRepresentation(V - 1, m, d, entries), action
+
+
+# (V, m, d, terms); D = comb(m + d, d) is 3 or 10. The V = 3 cases take more
+# than one block of Kronecker products: two at D = 3, one per term at D = 10.
+WITNESS_SHAPES = [(1, 2, 1, 30), (2, 2, 1, 40), (3, 2, 1, 1500),
+                  (1, 2, 3, 40), (2, 2, 3, 25), (3, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("V,m,d,count", WITNESS_SHAPES)
+def test_stacked_witness_matches_the_per_term_loops(V, m, d, count):
+    terms, gram, action = random_witness(np.random.default_rng([V, d, count]), V, m, d, count)
+    sg = SeparableGram(gram, terms)
+    ref = ReferenceGram(gram, terms)
+    assert (V < 3) == (len(list(_kron_blocks(sg.factors))) == 1)
+    assert sg.reconstruct().tobytes() == ref.reconstruct().tobytes()
+    total = ref.trace()
+    assert sg.trace() == total
+
+    counts, traces = _draw(sg, total, 500, np.random.default_rng(5))
+    want = draw_reference(ref, total, 500, np.random.default_rng(5))
+    assert counts.tolist() == [int(c) for c, _, _ in want]
+    assert traces.tolist() == [tr for _, tr, _ in want]
+
+    for k, a in ((50, None), (3000, action)):
+        got = empirical_matrix_error(sg, k, np.random.default_rng(k), a)
+        assert got == empirical_error_reference(ref, k, np.random.default_rng(k), a)
+
+    # budget 44 keeps the smaller witnesses verbatim, budget 2 samples every one
+    for epsilon in (10.0, 20.0):
+        res = approx_separable(sg, action, epsilon, seed=3)
+        N, error, used = approx_reference(ref, action, epsilon, 3)
+        assert res.approximant.tobytes() == N.tobytes()
+        assert res.error_schatten2 == error
+        assert res.terms_used == used
+
+
+def _asymmetric(F):
+    F = F.copy()
+    F[0, 1] += 1e-3
+    return F
+
+
+def _with(F, value):
+    F = F.copy()
+    F[1, 1] = value
+    return F
+
+
+def _plant(changes):
+    """A mutation of a witness's term list: {term index: the term's new
+    (weight, factors), as a function of its old weight and factors}."""
+    def apply(terms):
+        terms = list(terms)
+        for t, change in changes.items():
+            terms[t] = change(*terms[t])
+        return terms
+    return apply
+
+
+NAN, INF = float("nan"), float("inf")
+NOT_PSD = np.diag([1.0, -1.0, 1.0])
+BAD_WITNESSES = {
+    "bool weight": _plant({2: lambda w, fs: (True, fs)}),
+    "string weight": _plant({2: lambda w, fs: ("0.125", fs)}),
+    "nan weight": _plant({2: lambda w, fs: (NAN, fs)}),
+    "zero weight": _plant({2: lambda w, fs: (0.0, fs)}),
+    "negative weight": _plant({2: lambda w, fs: (-w, fs)}),
+    "factor count": _plant({2: lambda w, fs: (w, fs[:1])}),
+    "ragged factor": _plant(
+        {2: lambda w, fs: (w, [[[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], fs[1]])}),
+    "wrong-shape factor": _plant({2: lambda w, fs: (w, [fs[0], np.eye(4)])}),
+    "wrong-shape list factor": _plant({2: lambda w, fs: (w, [fs[0], [[1.0, 0.0], [0.0, 1.0]]])}),
+    "wrong-shape non-finite factor": _plant({2: lambda w, fs: (w, [np.full((2, 2), NAN), fs[1]])}),
+    "string entry": _plant(
+        {2: lambda w, fs: (w, [fs[0], [[str(x) for x in row] for row in fs[1].tolist()]])}),
+    "nan entry in a list": _plant({2: lambda w, fs: (w, [_with(fs[0], NAN).tolist(), fs[1]])}),
+    "infinite entry in an array": _plant({2: lambda w, fs: (w, [fs[0], _with(fs[1], INF)])}),
+    "asymmetric factor": _plant({2: lambda w, fs: (w, [fs[0], _asymmetric(fs[1])])}),
+    "non-PSD factor": _plant({2: lambda w, fs: (w, [NOT_PSD, fs[1]])}),
+    "overflowing trace": _plant({2: lambda w, fs: (w, [fs[0], np.diag([1e308, 1e308, -1e300])])}),
+    "asymmetric before non-finite": _plant(
+        {2: lambda w, fs: (w, [_asymmetric(fs[0]), _with(fs[1], NAN)])}),
+    "non-finite before asymmetric": _plant(
+        {2: lambda w, fs: (w, [_with(fs[0], NAN), _asymmetric(fs[1])])}),
+    "non-PSD before a later bad weight": _plant(
+        {1: lambda w, fs: (w, [fs[0], NOT_PSD]), 3: lambda w, fs: (-w, fs)}),
+    "asymmetric before a later string weight": _plant(
+        {1: lambda w, fs: (w, [_asymmetric(fs[0]), fs[1]]), 3: lambda w, fs: ("x", fs)}),
+    "wrong shape before a later asymmetric factor": _plant(
+        {1: lambda w, fs: (w, [fs[0], np.eye(2)]),
+         3: lambda w, fs: (w, [_asymmetric(fs[0]), fs[1]])}),
+    "non-PSD after an earlier non-finite": _plant(
+        {1: lambda w, fs: (w, [fs[0], _with(fs[1], INF)]), 2: lambda w, fs: (w, [NOT_PSD, fs[1]])}),
+    "no reconstruction": _plant({2: lambda w, fs: (2.0 * w, fs)}),
+}
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as exc:    # the type and message are the result
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(BAD_WITNESSES))
+def test_bad_witness_fails_like_the_per_term_loop(name):
+    terms, gram, _ = random_witness(np.random.default_rng(21), 2, 2, 1, 3)
+    bad = BAD_WITNESSES[name](terms)
+    want = _outcome(lambda: ReferenceGram(gram, bad))
+    assert want is not None
+    assert _outcome(lambda: SeparableGram(gram, bad)) == want

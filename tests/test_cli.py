@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -116,6 +118,7 @@ def test_pos_bound(capsys):
 
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
+    assert strict_json(capsys.readouterr().out)["error"] == "UsageError"
     code, out = run(capsys, "dec", "verify", "does-not-exist.json")
     assert code == 2
     assert "error" in json.loads(out)
@@ -623,3 +626,77 @@ def test_bool_gram_entry_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert strict_json(out) == {"error": "TypeError",
                                 "message": "bool True in Gram entries is not a number"}
+
+
+def _with_strings(name, *path):
+    """The fixture `name` with the number, or each number of the list, at path
+    written as a string."""
+    def make():
+        with open(fixture(name)) as fh:
+            doc = json.load(fh)
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        value = node[last]
+        node[last] = [str(x) for x in value] if isinstance(value, list) else str(value)
+        return doc
+    return make
+
+
+@pytest.mark.parametrize("command,make", [
+    (GRAM_MAP[1], _with_strings(GRAM_MAP[0], "entries")),
+    (APPROX_RUN[1], _with_strings(APPROX_RUN[0], "gram", "entries")),
+    (APPROX_RUN[1], _with_strings(APPROX_RUN[0], "witness", 0, "weight")),
+    (APPROX_RUN[1], _with_strings(APPROX_RUN[0], "witness", 0, "factors", 1)),
+    ("bridge to-poly {}", lambda: {"dims": [2, 2], "mode": "float",
+                                   "entries": ["1.5", " 2 ", 0, 1]}),
+    ("dec verify {}", lambda: _double_edge_bundle("1.0")),
+], ids=["gram-entries", "approx-gram-entries", "witness-weight", "witness-factor",
+        "float-tensor-entry", "float-coefficient"])
+def test_string_float_is_an_input_error(capsys, tmp_path, command, make):
+    code = main(command.format(write_json(tmp_path, "input.json", make())).split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    payload = strict_json(captured.out)
+    assert payload["error"] == "TypeError"
+    assert payload["message"].startswith("str '")
+    assert payload["message"].endswith(" is not a number")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--eq-tol", "-inf"] + BOUND, "argument --eq-tol: expected one argument"),
+    (["--bogus"] + BOUND, "unrecognized arguments: --bogus"),
+    (["pos", "bound", "--m"], "argument --m: expected one argument"),
+], ids=["bare-negative-value", "unknown-option", "missing-value"])
+def test_usage_error_ends_in_the_envelope(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert strict_json(captured.out) == {"error": "UsageError", "message": message}
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: omega")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["pos", "gram-map", fixture("bell_gram.json")], 0),
+    (["family", "check", fixture("planted_negative_family.json"), "--n-max", "6"], 1),
+    (["dec", "verify", "does-not-exist.json"], 2),
+], ids=["report", "verdict-fail", "error-envelope"])
+def test_closed_stdout_ends_quietly_with_the_exit_code(argv, code):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # the reader is gone before the command writes, as after `| head -c 10`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "omegadec.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert done.stderr == b""

@@ -23,7 +23,8 @@ cases read, with any one of its values swapped for a value of another JSON
 type, must still end in one strict-JSON report or error envelope; a JSON
 integer under a key the README types as `int`, swapped for `1.5` or `true`,
 must end in the exit-2 envelope, and so must any value under a key it types as
-a rational or a float, swapped for `true`.
+a rational or a float, swapped for `true`, and any JSON float swapped for the
+string of its value, such as `"1.0"`: a float input must be a JSON number.
 """
 
 import json
@@ -155,12 +156,16 @@ def last_key(path):
     return keys[-1] if keys else None
 
 
-def int_typed(doc, path) -> bool:
-    """Whether the node at path is a JSON integer under a key typed `int`."""
+def node_at(doc, path):
     node = doc
     for key in path:
         node = node[key]
-    return type(node) is int and last_key(path) in INT_KEYS
+    return node
+
+
+def int_typed(doc, path) -> bool:
+    """Whether the node at path is a JSON integer under a key typed `int`."""
+    return type(node_at(doc, path)) is int and last_key(path) in INT_KEYS
 
 
 def swapped(node, path, value):
@@ -185,7 +190,9 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
             doc = json.load(fh)
         for path in node_paths(doc):
             integer = int_typed(doc, path)
-            for value in SWAPS:
+            node = node_at(doc, path)
+            numeric = (str(node),) if type(node) is float else ()
+            for value in SWAPS + numeric:
                 with open(mutated, "w", encoding="utf-8") as fh:
                     json.dump(swapped(doc, path, value), fh)
                 where = f"{word} at {list(path)} -> {value!r}"
@@ -199,4 +206,6 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
                 if integer and value in (1.5, True):
                     assert code == 2, where
                 if value is True and last_key(path) in NUMBER_KEYS:
+                    assert code == 2, where
+                if value in numeric:
                     assert code == 2, where
