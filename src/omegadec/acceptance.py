@@ -186,8 +186,10 @@ def criterion_5() -> CriterionResult:
             failures += 1
     elapsed = time.monotonic() - started
     ok = failures == 0 and elapsed < 10.0
-    return CriterionResult(5, "invariant sos pipeline on 20 random Gram matrices",
-                           ok, f"failures={failures} elapsed={elapsed:.2f}s")
+    details = f"failures={failures}"
+    if elapsed >= 10.0:     # named only on a failure, so a passing report is reproducible
+        details += f" elapsed={elapsed:.2f}s"
+    return CriterionResult(5, "invariant sos pipeline on 20 random Gram matrices", ok, details)
 
 
 def criterion_6() -> CriterionResult:

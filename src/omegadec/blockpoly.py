@@ -271,14 +271,18 @@ class BlockPolynomial:
             total = total + val
         return total
 
-    def act(self, vperm: tuple[int, ...]) -> "BlockPolynomial":
-        """Move the block at site i to site vperm[i]."""
+    def check_vperm(self, vperm: tuple[int, ...]) -> None:
+        """Raise IncompatibleBlockSizes unless vperm moves each site to one of equal width."""
         if len(vperm) != len(self.sites):
             raise IncompatibleBlockSizes("permutation length mismatch")
         for i, gi in enumerate(vperm):
             if self.sites[i] != self.sites[gi]:
                 raise IncompatibleBlockSizes(
                     f"site {i} has {self.sites[i]} variables but site {gi} has {self.sites[gi]}")
+
+    def act(self, vperm: tuple[int, ...]) -> "BlockPolynomial":
+        """Move the block at site i to site vperm[i]."""
+        self.check_vperm(vperm)
         terms: dict[Key, object] = {}
         for key, c in self.terms.items():
             blocks = list(key)

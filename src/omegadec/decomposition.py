@@ -28,7 +28,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .invariance import is_invariant
-from .radpoly import RadPoly, RadSum, rad_outer
+from .radpoly import RadPoly, RadSum
 from .scalars import ONE, ScaledScalar
 from .symmetry import SymmetryAction, is_blending, is_free, linearizer, trivial_action
 
@@ -46,8 +46,10 @@ def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
     Site i reads the distinct label positions ``positions[i]`` and stores the
     keys ``site_keys[i]``, tuples of values in 1..index_size. An assignment is
     yielded when every site stores the key it induces. Each site's keys are
-    filtered against the partial assignment, so sparsity prunes the search;
-    every tried label value counts one step against ``max_work``.
+    narrowed with the partial assignment, so sparsity prunes the search: a node
+    groups the keys of every site it fixes by their value there, once, and each
+    child takes its group. Every tried label value counts one step against
+    ``max_work``.
     """
     compat = [tuple(keys) for keys in site_keys]
     if not all(compat):
@@ -64,18 +66,22 @@ def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
         if pos == label_count:
             yield tuple(keys[0] for keys in compat)
             continue
+        groups = []
         allowed: set[int] | None = None
         for i, slot in touch[pos]:
-            vals = {k[slot] for k in compat[i]}
-            allowed = vals if allowed is None else allowed & vals
+            by_value: dict[int, list[Beta]] = {}
+            for k in compat[i]:
+                by_value.setdefault(k[slot], []).append(k)
+            groups.append((i, by_value))
+            allowed = set(by_value) if allowed is None else allowed & by_value.keys()
         children = []
         for v in range(1, index_size + 1) if allowed is None else sorted(allowed):
             work += 1
             if work > max_work:
                 raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
             nxt = list(compat)
-            for i, slot in touch[pos]:
-                nxt[i] = tuple(k for k in nxt[i] if k[slot] == v)
+            for i, by_value in groups:
+                nxt[i] = by_value[v]
             children.append((pos + 1, nxt))
         stack += reversed(children)
 
@@ -134,7 +140,7 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     positions = [complex_.label_positions_at(i) for i in range(V)]
     for keys in label_assignments(positions, complex_.label_count, index_size,
                                   [loc.keys() for loc in locs], max_work):
-        acc.add(rad_outer([loc[key] for loc, key in zip(locs, keys)]))
+        acc.add_outer([loc[key] for loc, key in zip(locs, keys)])
     return acc.result()
 
 
@@ -298,7 +304,7 @@ def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     site_vars = _term_site_vars(terms, len(terms[0]) if terms else 0)
     acc = RadSum(site_vars)
     for term in terms:
-        acc.add(rad_outer([RadPoly.coerce(f) for f in term]))
+        acc.add_outer([RadPoly.coerce(f) for f in term])
     return acc.result()
 
 

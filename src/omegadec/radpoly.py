@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from .errors import IncommensurableScales
 from .scalars import ONE, ScaledScalar
 
@@ -225,14 +225,106 @@ class RadSum:
         """Add a RadPoly with the same sites; parts that cancel are dropped."""
         if x.sites != self.sites:
             raise ValueError("site mismatch")
-        if x.mode == FLOAT and self.mode == RATIONAL:
-            old = self.merged_parts()
-            self.mode, self.parts = FLOAT, []
-            for s, p in old:
-                self.add_part(s, p)
+        if x.mode == FLOAT:
+            self._to_float()
         for s, p in x.parts:
             self.add_part(s, p)
         self.drop_zeros()
+
+    def add_outer(self, factors) -> None:
+        """Add the product of single-site RadPoly factors, one per site of the sum.
+
+        The sum gets the terms, term order, parts, representative scales and
+        float bits that adding the product as one RadPoly would give, but the
+        product is not built: each term of the last site is multiplied into
+        the product of the other sites and merged straight into the sum. The
+        products of the part combinations of a factor with several radical
+        parts are summed on their own first, as in the product RadPoly.
+        """
+        if not factors:
+            raise ValueError("empty factor list")
+        if len(factors) != len(self.sites) or any(
+                f.sites != (m,) for f, m in zip(factors, self.sites)):
+            raise ValueError("site mismatch")
+        mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
+        if mode == FLOAT:
+            self._to_float()
+        if any(f.is_zero() for f in factors):
+            return
+        combos: list[tuple[ScaledScalar, list[BlockPolynomial]]] = [(ONE, [])]
+        for f in factors:
+            combos = [(scale * s, polys + [p]) for scale, polys in combos for s, p in f.parts]
+        if len(combos) == 1:
+            self._add_product(*combos[0], mode)
+            return
+        private = RadSum(self.sites, mode)
+        for scale, polys in combos:
+            private._add_product(scale, polys, mode)
+        self.add(private.result())
+
+    def _to_float(self) -> None:
+        """Switch to float mode, folding every part into one float part."""
+        if self.mode == FLOAT:
+            return
+        old = self.merged_parts()
+        self.mode, self.parts = FLOAT, []
+        for s, p in old:
+            self.add_part(s, p)
+        self.drop_zeros()
+
+    def _add_product(self, scale: ScaledScalar, polys: list[BlockPolynomial], mode: str) -> None:
+        """Merge scale times the product of the single-site polys, computed in mode.
+
+        Each coefficient is the product from one, left to right, as `outer`
+        forms it. A float sum reads an exact product through `float`, drops a
+        zero product and folds a scale other than one in after the product,
+        as `add_part` does with the product polynomial.
+        """
+        if mode == FLOAT:
+            polys = [p.astype_float() for p in polys]
+        prefixes: dict[tuple, object] = {(): 1.0 if mode == FLOAT else 1}
+        for p in polys[:-1]:
+            prefixes = {prefix + k: c0 * c
+                        for prefix, c0 in prefixes.items() for k, c in p.terms.items()}
+        last = polys[-1].terms
+        float_sum = self.mode == FLOAT
+        if float_sum:
+            read = float if mode == RATIONAL else None
+            fold = None if scale == ONE else float(scale)
+            # a float sum holds at most one part, of scale one
+            part, ratio, scale = (self.parts[0] if self.parts else None), 1, ONE
+        else:
+            part, ratio = self._commensurable(scale)
+        if part is None:
+            part, ratio = [scale, {}, True], 1
+            self.parts.append(part)
+        elif not part[2]:
+            part[1], part[2] = dict(part[1]), True
+        terms = part[1]
+        for prefix, c0 in prefixes.items():
+            for k, c in last.items():
+                c = c0 * c
+                if float_sum:
+                    if read is not None:
+                        c = read(c)
+                    if not c:
+                        continue
+                    if fold is not None:
+                        c = c * fold
+                        if not c:
+                            continue
+                elif ratio != 1:
+                    c = c * ratio
+                key = prefix + k
+                t = terms.get(key)
+                if t is None:
+                    terms[key] = c
+                elif t := t + c:
+                    terms[key] = t
+                else:
+                    del terms[key]
+        if not terms:
+            self.drop_zeros()
 
     def add_part(self, s: ScaledScalar, p: BlockPolynomial) -> None:
         """Merge s*p; a part that cancels stays until `drop_zeros`."""
@@ -293,16 +385,8 @@ class RadSum:
 def rad_outer(factors: Iterable) -> RadPoly:
     """Product of single-site RadPoly factors placed on consecutive sites."""
     factors = [RadPoly.coerce(f) for f in factors]
-    sites = tuple(f.sites[0] for f in factors)
-    mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
-    combos: list[tuple[ScaledScalar, list[BlockPolynomial]]] = [(ONE, [])]
-    for f in factors:
-        if f.is_zero():
-            return RadPoly.zero(sites, mode)
-        nxt = []
-        for scale, polys in combos:
-            for s, p in f.parts:
-                nxt.append((scale * s, polys + [p]))
-        combos = nxt
-    parts = [(scale, outer(polys)) for scale, polys in combos]
-    return RadPoly(sites, parts, mode)
+    if any(len(f.sites) != 1 for f in factors):
+        raise ValueError("rad_outer expects single-site factors")
+    acc = RadSum(tuple(f.sites[0] for f in factors))
+    acc.add_outer(factors)
+    return acc.result()

@@ -92,7 +92,12 @@ class DenseTensor:
         return product(*(range(d) for d in self.dims))
 
     def min_entry(self) -> tuple[object, tuple[int, ...]]:
-        """The smallest entry and the first index in row-major order that holds it."""
+        """The smallest entry and the first index in row-major order that holds it.
+
+        A tensor with a zero dimension has no entry, which is a ValueError.
+        """
+        if not self.entries:
+            raise ValueError("tensor has no entries")
         best = arg = None
         for idx, v in zip(self.indices(), self.entries):
             if best is None or v < best:

@@ -24,3 +24,14 @@ def test_criterion(results, number):
     res = results[number]
     print(res.line())
     assert res.passed, res.details
+
+
+def test_criterion_5_details_name_no_time_on_a_pass(monkeypatch):
+    from omegadec import acceptance
+
+    first, second = acceptance.criterion_5(), acceptance.criterion_5()
+    assert first == second and first.passed and first.details == "failures=0"
+    clock = iter([100.0, 111.0])
+    monkeypatch.setattr(acceptance.time, "monotonic", lambda: next(clock))
+    slow = acceptance.criterion_5()
+    assert not slow.passed and slow.details == "failures=0 elapsed=11.00s"

@@ -1,0 +1,221 @@
+"""The contraction's product loop and label walk against the loops they replaced.
+
+`old_rad_outer` plus `old_add` is how every site product was once added: the
+product polynomial was built by `outer` and merged as a RadPoly.
+`old_label_assignments` re-filtered every compatible key for every child. The
+library must give the same terms in the same order, the same parts and
+representative scales, the same float bits, and the same yields and work
+count.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
+from omegadec.complexes import standard_complex
+from omegadec.decomposition import contract_assignments, elementary_sum, label_assignments
+from omegadec.errors import SearchSpaceTooLarge
+from omegadec.radpoly import RadPoly, RadSum, rad_outer
+from omegadec.scalars import ONE, ScaledScalar
+
+
+def old_rad_outer(factors):
+    factors = [RadPoly.coerce(f) for f in factors]
+    sites = tuple(f.sites[0] for f in factors)
+    mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
+    combos = [(ONE, [])]
+    for f in factors:
+        if f.is_zero():
+            return RadPoly.zero(sites, mode)
+        nxt = []
+        for scale, polys in combos:
+            for s, p in f.parts:
+                nxt.append((scale * s, polys + [p]))
+        combos = nxt
+    parts = [(scale, outer(polys)) for scale, polys in combos]
+    return RadPoly(sites, parts, mode)
+
+
+def old_add(acc, x):
+    if x.mode == FLOAT and acc.mode == RATIONAL:
+        old = acc.merged_parts()
+        acc.mode, acc.parts = FLOAT, []
+        for s, p in old:
+            acc.add_part(s, p)
+    for s, p in x.parts:
+        acc.add_part(s, p)
+    acc.drop_zeros()
+
+
+def old_label_assignments(positions, label_count, index_size, site_keys, max_work=10**7):
+    compat = [tuple(keys) for keys in site_keys]
+    if not all(compat):
+        return
+    touch = [[] for _ in range(label_count)]
+    for i, site_positions in enumerate(positions):
+        for slot, pos in enumerate(site_positions):
+            touch[pos].append((i, slot))
+    work = 0
+    stack = [(0, compat)]
+    while stack:
+        pos, compat = stack.pop()
+        if pos == label_count:
+            yield tuple(keys[0] for keys in compat)
+            continue
+        allowed = None
+        for i, slot in touch[pos]:
+            vals = {k[slot] for k in compat[i]}
+            allowed = vals if allowed is None else allowed & vals
+        children = []
+        for v in range(1, index_size + 1) if allowed is None else sorted(allowed):
+            work += 1
+            if work > max_work:
+                raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
+            nxt = list(compat)
+            for i, slot in touch[pos]:
+                nxt[i] = tuple(k for k in nxt[i] if k[slot] == v)
+            children.append((pos + 1, nxt))
+        stack += reversed(children)
+
+
+def old_contract(c, index_size, site_locals, site_vars):
+    V = c.vertex_count
+    mode = FLOAT if any(p.mode == FLOAT
+                        for locs in site_locals.values() for p in locs.values()) else RATIONAL
+    acc = RadSum(tuple(site_vars), mode)
+    locs = [site_locals.get(i, {}) for i in range(V)]
+    positions = [c.label_positions_at(i) for i in range(V)]
+    for keys in old_label_assignments(positions, c.label_count, index_size,
+                                      [loc.keys() for loc in locs]):
+        old_add(acc, old_rad_outer([loc[key] for loc, key in zip(locs, keys)]))
+    return acc.result()
+
+
+def old_elementary_sum(terms):
+    acc = RadSum(tuple(RadPoly.coerce(f).sites[0] for f in terms[0]))
+    for term in terms:
+        old_add(acc, old_rad_outer(term))
+    return acc.result()
+
+
+def structure(p: RadPoly):
+    """The mode, then per part its scale and its terms in order, a float by its bits."""
+    return p.mode, [(s, [(k, type(c), c.hex() if isinstance(c, float) else c)
+                         for k, c in q.terms.items()]) for s, q in p.parts]
+
+
+# sqrt2 and sqrt8 are commensurable, sqrt3 and the fourth root of 2 are not
+SCALES = [ONE, ScaledScalar(2, 2), ScaledScalar(8, 2), ScaledScalar(3, 2), ScaledScalar(2, 4)]
+VALUES = {
+    "int": [-2, -1, 1, 1, 2, 3],
+    "fraction": [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2), 1, -1],
+    # 1e-200 on two sites underflows to 0.0; +-1.0 and 0.1 cancel in some orders only
+    "float": [1.0, -1.0, 0.1, -0.1, 0.5, 3.0, 1e-200, -1e-200],
+}
+
+
+def random_local(rng, width, kind):
+    keys = list(product(range(2), repeat=width))
+
+    def poly(values, mode=RATIONAL):
+        chosen = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+        return BlockPolynomial((width,), {(k,): rng.choice(values) for k in chosen}, mode)
+
+    if kind == "float":
+        return RadPoly.from_poly(poly(VALUES["float"], FLOAT))
+    if kind in ("int", "fraction"):
+        return RadPoly.from_poly(poly(VALUES[kind]))
+    if kind == "scaled":
+        return RadPoly.scaled_poly(rng.choice(SCALES[1:]), poly(VALUES["int"]))
+    # "radical": two or three parts, at least two of them incommensurable
+    parts = [(s, poly(VALUES["fraction"])) for s in rng.sample(SCALES, rng.randint(2, 3))]
+    return RadPoly((width,), parts)
+
+
+MIXES = [("int",), ("int", "fraction"), ("float",), ("float", "int"),
+         ("float", "fraction", "scaled"), ("radical", "int"), ("radical", "scaled", "fraction"),
+         ("radical", "float"), ("scaled",)]
+COMPLEXES = [("simplex", 0), ("simplex", 2), ("line", 1), ("line", 3), ("circle", 3),
+             ("circle", 4), ("double_edge", 1), ("single_edge", 1)]
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_contraction_matches_the_old_product_loop(seed):
+    rng = random.Random(seed)
+    c = standard_complex(*rng.choice(COMPLEXES))
+    mix = MIXES[seed % len(MIXES)]
+    index_size = rng.randint(1, 3)
+    site_vars = [rng.randint(1, 2) for _ in range(c.vertex_count)]
+    locals_ = {}
+    for i in range(c.vertex_count):
+        grid = product(range(1, index_size + 1), repeat=len(c.label_positions_at(i)))
+        locals_[i] = {beta: random_local(rng, site_vars[i], rng.choice(mix))
+                      for beta in grid if rng.random() < 0.7}
+    got = contract_assignments(c, index_size, locals_, site_vars)
+    assert structure(got) == structure(old_contract(c, index_size, locals_, site_vars))
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_elementary_sum_and_rad_outer_match_the_old_product_loop(seed):
+    rng = random.Random(1000 + seed)
+    # half the exact mixes gain float factors, so the sum turns float part way
+    mix = MIXES[seed % len(MIXES)] + (("float",) if seed % 2 else ("int",))
+    widths = [rng.randint(1, 2) for _ in range(rng.randint(1, 4))]
+    terms = [[random_local(rng, w, rng.choice(mix)) for w in widths]
+             for _ in range(rng.randint(1, 6))]
+    if seed % 5 == 0:       # a zero float factor still turns the sum to float mode
+        terms.insert(rng.randint(0, len(terms)), [RadPoly.zero((w,), FLOAT) for w in widths])
+    assert structure(elementary_sum(terms)) == structure(old_elementary_sum(terms))
+    for term in terms:
+        assert structure(rad_outer(term)) == structure(old_rad_outer(term))
+
+
+def test_float_products_that_underflow_or_cancel_are_dropped():
+    tiny = RadPoly.from_poly(BlockPolynomial((1,), {((0,),): 1e-200, ((1,),): 1.0}, FLOAT))
+    one = RadPoly.from_poly(BlockPolynomial((1,), {((0,),): 1.0}, FLOAT))
+    minus = RadPoly.from_poly(BlockPolynomial((1,), {((1,),): -1.0}, FLOAT))
+    terms = [[tiny, tiny], [one, minus], [minus, one]]
+    got = elementary_sum(terms)
+    assert structure(got) == structure(old_elementary_sum(terms))
+    # 1e-200 * 1e-200 is 0.0 and is dropped; 1e-200 - 1.0 rounds to -1.0
+    assert list(got.parts[0][1].terms.items()) == [
+        (((0,), (1,)), -1.0), (((1,), (0,)), -1.0), (((1,), (1,)), 1.0)]
+    exact = RadPoly.from_poly(BlockPolynomial((1,), {((1,),): 1}))
+    cancel = [[exact, one], [-exact, one]]
+    assert elementary_sum(cancel).is_zero() and old_elementary_sum(cancel).is_zero()
+
+
+def run_walk(walk, positions, label_count, index_size, site_keys, max_work):
+    """The keys yielded before the walk ends, and whether its work guard fired."""
+    out = []
+    try:
+        for keys in walk(positions, label_count, index_size, site_keys, max_work):
+            out.append(keys)
+    except SearchSpaceTooLarge:
+        return out, True
+    return out, False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bucketed_walk_matches_the_filtering_walk(seed):
+    rng = random.Random(2000 + seed)
+    c = standard_complex(*rng.choice(COMPLEXES + [("circle", 5)]))
+    index_size = rng.randint(1, 3)
+    positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
+    site_keys = []
+    for pos in positions:
+        grid = list(product(range(1, index_size + 1), repeat=len(pos)))
+        site_keys.append(rng.sample(grid, rng.randint(len(grid) // 2, len(grid))))
+    args = (positions, c.label_count, index_size, site_keys)
+    steps = 0       # the fewest steps the old walk needs to finish
+    while run_walk(old_label_assignments, *args, steps)[1]:
+        steps += 1
+    for max_work in {max(steps - 1, 0), steps, steps // 2}:
+        assert run_walk(label_assignments, *args, max_work) == \
+            run_walk(old_label_assignments, *args, max_work)
+    assert not run_walk(label_assignments, *args, steps)[1]
+    if steps:
+        assert run_walk(label_assignments, *args, steps - 1)[1]

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from omegadec.decomposition import (
 from omegadec.errors import (
     ActionNotBlending,
     ActionNotFree,
+    IncompatibleBlockSizes,
     NotBipartite,
     NotConnected,
     NotInvariant,
@@ -366,6 +368,51 @@ def test_contract_invariance_of_symmetrized_output():
     terms = [(X2, ONE_P), (ONE_P, X2)]
     dec = symmetrize_free(terms, a)
     assert is_invariant(dec.contract(), a)
+
+
+def old_is_invariant(p, a, tol=1e-12):
+    """The invariance check that built every moved polynomial."""
+    if isinstance(p, BlockPolynomial):
+        p = RadPoly.from_poly(p)
+    return all(p.act(a.vperm(g)).matches(p, tol) for g in range(len(a)))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_is_invariant_matches_the_moved_polynomial_check(seed):
+    from omegadec.invariance import is_invariant
+    rng = random.Random(seed)
+    a = rng.choice([double_edge_swap_action(), single_edge_swap_action(),
+                    circle_rotation_action(3), circle_rotation_action(4),
+                    simplex_full_symmetry_action(2)])
+    V = a.complex.vertex_count
+    kind = ("exact", "radical", "radicals", "float", "widths")[seed % 5]
+    width = rng.randint(1, 2)
+    sites = [width] * V
+    if kind == "widths":    # widths that differ along an orbit, or one site too many
+        sites = [rng.randint(1, 2) for _ in range(V + seed % 2)]
+    mode = "float" if kind == "float" else "rational"
+    values = [0.5, -1.0, 2.0] if mode == "float" else [Fraction(1, 2), -1, 2]
+
+    def poly():
+        keys = [tuple(tuple(rng.randint(0, 1) for _ in range(m)) for m in sites)
+                for _ in range(rng.randint(1, 4))]
+        q = BlockPolynomial(sites, {k: rng.choice(values) for k in keys}, mode)
+        if kind != "widths" and rng.random() < 0.7:     # the group average is invariant
+            q = sum((q.act(a.vperm(g)) for g in range(1, len(a))), q)
+        return q
+
+    p = RadPoly.from_poly(poly()) if kind != "radical" else \
+        RadPoly.scaled_poly(ScaledScalar(2, 2), poly())
+    if kind == "radicals":
+        p = p + RadPoly.scaled_poly(ScaledScalar(3, 2), poly())
+    for q in (p, p.as_polynomial() if kind in ("exact", "widths", "float") else p):
+        try:
+            want = old_is_invariant(q, a)
+        except IncompatibleBlockSizes as e:
+            with pytest.raises(IncompatibleBlockSizes, match=re.escape(str(e))):
+                is_invariant(q, a)
+        else:
+            assert is_invariant(q, a) is want
 
 
 def test_contract_work_guard():

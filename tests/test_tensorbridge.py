@@ -616,3 +616,11 @@ def test_min_entry_returns_the_first_of_tied_minima():
     t = DenseTensor((3, 3), [0.5, 0.0, -2.0, 1.0, -2.0, 0.0, -2.0, 1.0, 0.0], "float")
     assert t.min_entry() == (-2.0, (0, 2))
     assert tensor_positivity(t)["witness"] == (0, 2)
+
+
+def test_a_tensor_without_entries_has_no_min_entry():
+    for t in (DenseTensor((0, 0), []), DenseTensor((2, 0), [], "float")):
+        with pytest.raises(ValueError, match="tensor has no entries"):
+            t.min_entry()
+        with pytest.raises(ValueError, match="tensor has no entries"):
+            tensor_positivity(t)
