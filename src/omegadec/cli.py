@@ -1,10 +1,11 @@
 """Command-line front end: JSON in, JSON report out, deterministic by seed.
 
 Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or input
-error, 3 resource guard exceeded.
+error, 3 resource guard exceeded, 4 internal error (any other exception).
 
-The exact commands (complex, action, dec, family) never load numpy: the float
-layers are imported inside the handlers of the commands that use them.
+Each handler imports the layers its command runs, so `complex`, `action` and
+`family` never load `decomposition`, and numpy is loaded only by `pos` (not
+`pos bound`), `bridge separations`, `approx` and `accept`.
 """
 
 from __future__ import annotations
@@ -18,23 +19,13 @@ import os
 import sys
 
 from . import __version__
-from .blockpoly import BlockPolynomial
-from .complexes import WeightedComplex, is_connected
-from .decomposition import (
-    DEFAULT_MAX_WORK,
-    OmegaGDecomposition,
-    blending_difference,
-    symmetrize_free,
-)
-from .errors import GuardExceeded, OmegaError, UsageError
-from .familycheck import LocalFamily, bounded_positivity_check
-from .radpoly import RadPoly
-from .symmetry import DEFAULT_MAX_GROUP, SymmetryAction, free_refinement, is_blending, is_free
+from .errors import DEFAULT_MAX_GROUP, DEFAULT_MAX_WORK, GuardExceeded, OmegaError, UsageError
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 class _Run:
@@ -71,6 +62,8 @@ class _Run:
 
 
 def _load_bundle(run: _Run, path: str):
+    from .complexes import WeightedComplex
+    from .symmetry import SymmetryAction
     obj = run.read(path)
     cplx = WeightedComplex.from_obj(obj["complex"])
     action = None
@@ -81,13 +74,16 @@ def _load_bundle(run: _Run, path: str):
     return obj, cplx, action
 
 
-def _load_action(run: _Run) -> SymmetryAction:
+def _load_action(run: _Run):
     """The action and its complex, read from the command's complex and action files."""
+    from .complexes import WeightedComplex
+    from .symmetry import SymmetryAction
     cplx = WeightedComplex.from_obj(run.read(run.args.complex))
     return SymmetryAction.from_obj(cplx, run.read(run.args.action), max_group=run.args.max_group)
 
 
 def _cmd_complex(run: _Run) -> int:
+    from .complexes import WeightedComplex, is_connected
     obj = run.read(run.args.file)
     cplx = WeightedComplex.from_obj(obj)
     result = {
@@ -103,6 +99,7 @@ def _cmd_complex(run: _Run) -> int:
 
 
 def _cmd_action(run: _Run) -> int:
+    from .symmetry import free_refinement, is_blending, is_free
     action = _load_action(run)
     if run.args.subcmd == "check":
         result = {
@@ -122,6 +119,9 @@ def _cmd_action(run: _Run) -> int:
 
 
 def _cmd_dec(run: _Run) -> int:
+    from .blockpoly import BlockPolynomial
+    from .decomposition import OmegaGDecomposition, blending_difference, symmetrize_free
+    from .radpoly import RadPoly
     if run.args.subcmd == "symmetrize":
         obj, cplx, action = _load_bundle(run, run.args.file)
         if action is None:
@@ -158,17 +158,13 @@ def _cmd_dec(run: _Run) -> int:
 
 
 def _cmd_pos(run: _Run) -> int:
-    from .positivity import (
-        GramRepresentation,
-        caratheodory_bound,
-        factorizability_solve,
-        gram_map,
-        invariant_sos_family,
-    )
     if run.args.subcmd == "bound":
+        from .decomposition import caratheodory_bound
         bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
         run.pretty(f"separable index bound: {bound}")
         return run.report("pos bound", {"bound": bound})
+    from .positivity import (GramRepresentation, factorizability_solve, gram_map,
+                             invariant_sos_family)
     if run.args.subcmd == "gram-map":
         gram = GramRepresentation.from_obj(run.read(run.args.file))
         return run.report("pos gram-map", {"polynomial": gram_map(gram).to_obj()})
@@ -220,6 +216,7 @@ def _cmd_bridge(run: _Run) -> int:
 
 
 def _cmd_family(run: _Run) -> int:
+    from .familycheck import LocalFamily, bounded_positivity_check
     fam = LocalFamily.from_obj(run.read(run.args.file))
     report = bounded_positivity_check(fam, run.args.n_max, run.args.n_min,
                                       run.args.max_assignments)
@@ -379,6 +376,8 @@ def main(argv=None) -> int:
         # value of the wrong type, such as a list where an object belongs;
         # ArithmeticError a "1/0" coefficient
         return _error(exc, EXIT_USAGE)
+    except Exception as exc:     # a fault of the program, a failed import among them
+        return _error(exc, EXIT_INTERNAL)
 
 
 def _check_options(args) -> None:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
+    DEFAULT_MAX_WORK,
     ActionNotBlending,
     ActionNotFree,
     IncompatibleBlockSizes,
@@ -31,8 +32,6 @@ from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
 from .scalars import ONE, ScaledScalar
 from .symmetry import SymmetryAction, is_blending, is_free, linearizer, trivial_action
-
-DEFAULT_MAX_WORK = 10**7
 
 Beta = tuple[int, ...]
 SiteLocals = dict[int, dict[Beta, RadPoly]]
@@ -494,6 +493,13 @@ def bipartite_rank(p) -> int:
     for (b0, b1), coeff in p.terms.items():
         mat[row_of[b0], col_of[b1]] = coeff
     return int(np.linalg.matrix_rank(mat, tol=1e-9 * max(1.0, float(np.abs(mat).max()))))
+
+
+def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
+    """Conic-combination size bound: |G| times the local dimension count."""
+    if min(m, d, n, group_order) < 0 or group_order < 1:
+        raise ValueError("inputs must be nonnegative with group order >= 1")
+    return group_order * math.comb(d + m, d) ** (n + 1)
 
 
 def _fold_scale(d: OmegaGDecomposition) -> OmegaGDecomposition:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the default limits of its guards."""
+
+DEFAULT_MAX_WORK = 10**7      # steps of an enumeration or a search
+DEFAULT_MAX_GROUP = 10080     # elements of a generated group
 
 
 class OmegaError(Exception):

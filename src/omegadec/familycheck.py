@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
-from .blockpoly import BlockPolynomial
 from .complexes import _integer
-from .decomposition import DEFAULT_MAX_WORK
-from .errors import SizeTooLarge
+from .errors import DEFAULT_MAX_WORK, SizeTooLarge
 
 if TYPE_CHECKING:
+    from .blockpoly import BlockPolynomial
     from .tensorbridge import DenseTensor
 
 UNDECIDED_DISCLAIMER = (

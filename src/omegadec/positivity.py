@@ -23,9 +23,10 @@ import numpy as np
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _real, _tolerance
 from .complexes import WeightedComplex, _integer, is_connected
-from .decomposition import (
+from .decomposition import (  # caratheodory_bound is re-exported from its numpy-free home
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
+    caratheodory_bound,
     checked_action,
     checked_local,
     checked_site_vars,
@@ -682,10 +683,3 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
                 locals_[(site, (rep_id, k), beta)] = tau.to_float().scaled(c_val)
     return SosOmegaGDecomposition(sep.complex, sep.action, sep.index_size, sep.site_vars,
                                   site_index, locals_)
-
-
-def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
-    """Conic-combination size bound: |G| times the local dimension count."""
-    if min(m, d, n, group_order) < 0 or group_order < 1:
-        raise ValueError("inputs must be nonnegative with group order >= 1")
-    return group_order * math.comb(d + m, d) ** (n + 1)

@@ -14,14 +14,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
+    DEFAULT_MAX_GROUP,
     ActionNotFree,
     CollapseNotLinear,
     GroupTooLarge,
     NotConnected,
     WeightNotPreserved,
 )
-
-DEFAULT_MAX_GROUP = 10080
 
 Perm = tuple[int, ...]
 

@@ -8,6 +8,8 @@ and tensor decompositions (plain, entrywise nonnegative, positive
 semidefinite) match polynomial decompositions (plain, separable, sos) rank
 for rank. Two stock families realize the known rank separations: squared
 distance matrices and polygon slack matrices.
+
+The functions that use numpy or the positivity layer import it themselves.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational, _real
 from .complexes import WeightedComplex, _integer, standard_complex
@@ -36,8 +36,10 @@ from .errors import (
     SizeTooLarge,
     VertexActionNotFree,
 )
-from .positivity import SosOmegaGDecomposition, psd_floor, psd_sqrt
 from .symmetry import SymmetryAction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PLAIN = "plain"
 NONNEGATIVE = "nonnegative"
@@ -118,6 +120,7 @@ class DenseTensor:
                    for a, b in zip(self.entries, other.entries))
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(x) for x in self.entries]).reshape(self.dims)
 
     def to_obj(self) -> dict:
@@ -236,6 +239,7 @@ class TensorDecomposition:
 
     def psd_matrix(self, site: int, j: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The sorted assignments matrix (site, j) touches, and the matrix on them."""
+        import numpy as np
         mat = self.psd_mats.get((site, j), {})
         support = sorted({b for pair in mat for b in pair})
         pos = {b: i for i, b in enumerate(support)}
@@ -247,6 +251,8 @@ class TensorDecomposition:
     def check_psd(self, tol: float = 1e-9) -> bool:
         """Every matrix is PSD on its support; zero rows and columns add only
         zero eigenvalues, and an empty matrix is PSD."""
+        import numpy as np
+        from .positivity import psd_floor
         for site, j in self.psd_mats:
             support, mat = self.psd_matrix(site, j)
             if not support:
@@ -268,6 +274,7 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
     """
     if td.variant in (PLAIN, NONNEGATIVE):
         return td.poly
+    from .positivity import SosOmegaGDecomposition, psd_sqrt
     m = td.axis_dim
     V = td.complex.vertex_count
     a = td.action
@@ -322,6 +329,8 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
                                    dec.index_size, m, vectors=vectors)
     if variant != PSD:
         raise ValueError(f"unknown variant {variant!r}")
+    import numpy as np
+    from .positivity import SosOmegaGDecomposition
     if not isinstance(dec, SosOmegaGDecomposition):
         raise TypeError("psd conversion expects an sos family decomposition")
     m = dec.site_vars[0]
@@ -422,6 +431,7 @@ def nn_rank_upper_bound(mat: np.ndarray, restarts: int = 50, iters: int = 400,
     values past the r-th, exceeds the tolerance by more than rounding can close
     is skipped: no rank-r product comes that close. It still draws its starts,
     so the later dimensions see the same generator stream."""
+    import numpy as np
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from omegadec import cli
 from omegadec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -321,7 +322,7 @@ def test_zero_denominator_is_an_input_error(capsys, tmp_path):
 
 
 def test_non_finite_report_becomes_input_error(capsys, monkeypatch):
-    monkeypatch.setattr("omegadec.positivity.caratheodory_bound", lambda *args: float("nan"))
+    monkeypatch.setattr("omegadec.decomposition.caratheodory_bound", lambda *args: float("nan"))
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
@@ -674,6 +675,25 @@ def test_usage_error_ends_in_the_envelope(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert strict_json(captured.out) == {"error": "UsageError", "message": message}
+
+
+def _raise_fault(run):
+    raise RuntimeError("handler fault")
+
+
+@pytest.mark.parametrize("fault,error,message", [
+    (lambda mp: mp.setitem(cli._HANDLERS, "pos", _raise_fault), "RuntimeError",
+     "handler fault"),
+    # a handler imports its layers when it runs, so a failed import ends there too
+    (lambda mp: mp.setitem(sys.modules, "omegadec.decomposition", None), "ModuleNotFoundError",
+     "import of omegadec.decomposition halted; None in sys.modules"),
+], ids=["handler-raises", "import-fails"])
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch, fault, error, message):
+    fault(monkeypatch)
+    code = main(BOUND)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.err == ""
+    assert strict_json(captured.out) == {"error": error, "message": message}
 
 
 def test_help_still_exits_zero(capsys):

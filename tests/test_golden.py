@@ -17,10 +17,12 @@ verdict, complex summaries and the free refinement. The `bridge to-poly` and
 `pos bound` cases were stored before the tensor decompositions moved onto
 their squared-variable polynomial counterparts. Report input paths are
 relative to the repository root, so the commands run from there. The cases
-of the exact commands also run together in one fresh interpreter, which must
-keep their exit codes without ever loading numpy. Every fixture file these
-cases read, with any one of its values swapped for a value of another JSON
-type, must still end in one strict-JSON report or error envelope; a JSON
+of each command in the module table below also run together in one fresh
+interpreter of their own, which must keep their exit codes without loading
+the modules the table rules out; `import omegadec` alone loads no submodule.
+Every fixture file these cases read, with any one of its values swapped for
+a value of another JSON type, must still end in one strict-JSON report or
+error envelope, never in the exit-4 internal-error envelope; a JSON
 integer under a key the README types as `int`, swapped for `1.5` or `true`,
 must end in the exit-2 envelope, and so must any value under a key it types as
 a rational or a float, swapped for `true`, and any JSON float swapped for the
@@ -34,7 +36,7 @@ import sys
 
 import pytest
 
-from omegadec.cli import build_parser, main
+from omegadec.cli import EXIT_INTERNAL, build_parser, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -97,33 +99,58 @@ def test_one_parser_serves_consecutive_commands(capsys, monkeypatch):
             assert capsys.readouterr().out == fh.read()
 
 
-EXACT_COMMANDS = ("complex", "action", "dec", "family")
+SUBMODULES = {f"omegadec.{name[:-3]}"
+              for name in os.listdir(os.path.join(ROOT, "src", "omegadec"))
+              if name.endswith(".py") and name != "__init__.py"}
 
-# Runs each command line of argv[1] through `main` in one fresh interpreter and
-# prints the exit codes and whether numpy got loaded, after the reports.
-NUMPY_PROBE = """
+# The modules each command, or subcommand, must never load; the first row has
+# no command line and only imports the package.
+NEVER_LOADED = {
+    "import omegadec": SUBMODULES,
+    "complex": {"omegadec.decomposition", "numpy"},
+    "action": {"omegadec.decomposition", "numpy"},
+    "family": {"omegadec.decomposition", "numpy"},
+    "dec": {"numpy"},
+    "pos bound": {"numpy"},
+    "bridge to-poly": {"numpy"},
+    "bridge separations": {"omegadec.positivity"},
+}
+
+# Imports the package, runs each command line of argv[1] through `main` in the
+# same fresh interpreter, and prints the exit codes and the loaded modules
+# after the reports.
+MODULE_PROBE = """
 import json, sys
-from omegadec.cli import main
-codes = [main(argv.split()) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+import omegadec
+codes = []
+argvs = json.loads(sys.argv[1])
+if argvs:
+    from omegadec.cli import main
+    codes = [main(argv.split()) for argv in argvs]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def test_exact_commands_never_load_numpy():
-    parser = build_parser()
-    commands = [parser.parse_args(argv.split()).command for _, argv, _ in CASES]
-    assert set(EXACT_COMMANDS) <= set(commands)
-    cases = [(argv, code) for (_, argv, code), command in zip(CASES, commands)
-             if command in EXACT_COMMANDS]
+def command_key(argv: str) -> str:
+    args = build_parser().parse_args(argv.split())
+    subcommand = f"{args.command} {args.subcmd}"
+    return subcommand if subcommand in NEVER_LOADED else args.command
+
+
+@pytest.mark.parametrize("command", NEVER_LOADED)
+def test_each_command_loads_only_its_layers(command):
+    cases = [(argv, code) for _, argv, code in CASES if command_key(argv) == command]
+    assert cases or command == "import omegadec"
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+    done = subprocess.run([sys.executable, "-c", MODULE_PROBE,
                            json.dumps([argv for argv, _ in cases])],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     probe = json.loads(done.stdout.splitlines()[-1])
-    assert probe == {"codes": [code for _, code in cases], "numpy": False}
+    assert probe["codes"] == [code for _, code in cases]
+    assert not NEVER_LOADED[command] & set(probe["modules"])
 
 
 SWAPS = ([], {}, "x", 1.5, True, None, -1)
@@ -196,11 +223,10 @@ def test_wrong_json_types_end_in_a_strict_json_report(name, argv, tmp_path, caps
                 with open(mutated, "w", encoding="utf-8") as fh:
                     json.dump(swapped(doc, path, value), fh)
                 where = f"{word} at {list(path)} -> {value!r}"
-                try:
-                    code = main(words[:pos] + [mutated] + words[pos + 1:])
-                except Exception as exc:    # any exception escaping main is the failure
-                    pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+                code = main(words[:pos] + [mutated] + words[pos + 1:])
                 out = capsys.readouterr().out
+                # exit 4 is an exception main caught that no input check expected
+                assert code != EXIT_INTERNAL, f"{where}: {out}"
                 assert code in (0, 1, 2, 3), where
                 json.loads(out, parse_constant=lambda c: pytest.fail(f"{where}: {c}"))
                 if integer and value in (1.5, True):
