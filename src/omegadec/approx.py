@@ -45,8 +45,8 @@ MAUREY_CONSTANT = 8.0 * math.exp(4.0)
 
 def sample_budget(epsilon: float) -> int:
     """Number of draws sufficient for Schatten-2 error epsilon: ceil(8e^4/eps^2)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and > 0")
     return math.ceil(MAUREY_CONSTANT / epsilon**2)
 
 
@@ -304,8 +304,7 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     size is at most |G| times the draw budget, independent of the matrix
     dimension; the achieved Schatten-2 error is reported alongside.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    k = sample_budget(epsilon)
     if not is_free(a):
         raise ActionNotFree("approximation requires a free action")
     gram = sg.gram
@@ -318,7 +317,6 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     if not is_gram_invariant(gram, a, 1e-9):
         raise NotInvariant("witness matrix is not invariant under the action")
 
-    k = sample_budget(epsilon)
     rng = np.random.default_rng(seed)
     if len(sg.weights) <= k:
         weights, factors = sg.weights, sg.factors

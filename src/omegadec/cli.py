@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -35,6 +34,7 @@ class _Run:
 
     def read(self, path: str) -> dict:
         """Parse the UTF-8 input file and record the digest of the same bytes."""
+        import hashlib      # only commands that read a file load OpenSSL
         with open(path, "rb") as fh:
             data = fh.read()
         try:
@@ -384,8 +384,9 @@ def _check_options(args) -> None:
     """Read every tolerance, guard and epsilon option into args, or raise ValueError.
 
     A NaN or infinite tolerance would pass every comparison, and a guard
-    below 1 would trip on any input. argparse does not read them, since its
-    type errors go to stderr as usage text rather than into the envelope.
+    below 1 would trip on any input. They are read after parsing, not by
+    argparse (whose errors reach the envelope as UsageError), so that each
+    failure stays a ValueError that names the option's rule.
     """
     tolerance = (float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
     guard = (int, lambda v: v >= 1, "an integer >= 1")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
 from .complexes import WeightedComplex, _integer, is_connected
 from .errors import (
     DEFAULT_MAX_WORK,
@@ -154,6 +154,7 @@ def locals_agree(a: SymmetryAction, site_vars: Sequence[int],
     each pair of a stored local and an orbit member once, itself included.
     Exactness is decided for the whole decomposition, not per pair.
     """
+    _tolerance(tol)
     if len(a) == 1:
         return True
     mode = RATIONAL if all(p.mode == RATIONAL for p in stored.values()) else FLOAT
@@ -502,15 +503,6 @@ def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
     return group_order * math.comb(d + m, d) ** (n + 1)
 
 
-def _fold_scale(d: OmegaGDecomposition) -> OmegaGDecomposition:
-    """Push the global per-site scale into every local polynomial."""
-    if d.scale == ONE:
-        return d
-    locals_ = {site: {beta: poly.scale_mul(d.scale) for beta, poly in mapping.items()}
-               for site, mapping in d.locals.items()}
-    return OmegaGDecomposition(d.complex, d.action, d.index_size, d.site_vars, locals_)
-
-
 def _shared_action(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> SymmetryAction:
     """The action of both factors, or the trivial group when they differ."""
     a, b = d1.action, d2.action
@@ -523,7 +515,8 @@ def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomp
     """Decomposition of the sum of two contractions on a shared complex.
 
     Index sets are concatenated; assignments mixing the two blocks hit zero
-    locals, which needs connectivity.
+    locals, which needs connectivity. Each summand's per-site scale is pushed
+    into its locals.
     """
     if d1.complex != d2.complex:
         raise ValueError("summands live on different complexes")
@@ -531,18 +524,15 @@ def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomp
         raise IncompatibleBlockSizes("summands disagree on site widths")
     if not is_connected(d1.complex):
         raise NotConnected("index concatenation requires a connected complex")
-    a, b = _fold_scale(d1), _fold_scale(d2)
-    shift = a.index_size
     locals_: dict[int, dict[Beta, RadPoly]] = {}
-    for site, mapping in a.locals.items():
-        for beta, poly in mapping.items():
-            locals_.setdefault(site, {})[beta] = poly
-    for site, mapping in b.locals.items():
-        for beta, poly in mapping.items():
-            shifted = tuple(v + shift for v in beta)
-            locals_.setdefault(site, {})[shifted] = poly
+    for d, shift in ((d1, 0), (d2, d1.index_size)):
+        for site, mapping in d.locals.items():
+            for beta, poly in mapping.items():
+                if d.scale != ONE:
+                    poly = poly.scale_mul(d.scale)
+                locals_.setdefault(site, {})[tuple(v + shift for v in beta)] = poly
     return OmegaGDecomposition(d1.complex, _shared_action(d1, d2),
-                               a.index_size + b.index_size, d1.site_vars, locals_)
+                               d1.index_size + d2.index_size, d1.site_vars, locals_)
 
 
 def pair_assignment(beta1: Beta, beta2: Beta, size: int) -> Beta:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .blockpoly import RATIONAL, BlockPolynomial
+from .blockpoly import RATIONAL, BlockPolynomial, _tolerance
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
 
@@ -16,6 +16,7 @@ def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
     its key moved by g, finds itself in the same term dict, so no moved copy
     is built; a permutation of sites maps distinct keys to distinct keys.
     """
+    _tolerance(tol)
     if isinstance(p, BlockPolynomial):
         p = RadPoly.from_poly(p)
     if p.mode != RATIONAL or len(p.parts) != 1:

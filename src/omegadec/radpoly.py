@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
 from .errors import IncommensurableScales
 from .scalars import ONE, ScaledScalar
 
@@ -167,10 +167,9 @@ class RadPoly:
             return self.to_float()
 
     def to_float(self) -> BlockPolynomial:
-        total = BlockPolynomial.zero(self.sites, FLOAT)
-        for s, p in self.parts:
-            total = total + p.astype_float().scaled(float(s))
-        return total
+        acc = RadSum(self.sites, FLOAT)
+        acc.add(self)
+        return acc.result().as_polynomial()
 
     def allclose(self, other, tol: float = 1e-9) -> bool:
         other = RadPoly.coerce(other)
@@ -178,6 +177,7 @@ class RadPoly:
 
     def matches(self, other: "RadPoly", tol: float = 1e-9) -> bool:
         """Equality when both sides are exact, else `allclose` within tol."""
+        _tolerance(tol)
         if self.mode == other.mode == RATIONAL:
             return self == other
         return self.allclose(other, tol)
@@ -256,10 +256,12 @@ class RadSum:
             combos = [(scale * s, polys + [p]) for scale, polys in combos for s, p in f.parts]
         if len(combos) == 1:
             self._add_product(*combos[0], mode)
+            self.drop_zeros()
             return
         private = RadSum(self.sites, mode)
         for scale, polys in combos:
             private._add_product(scale, polys, mode)
+        private.drop_zeros()
         self.add(private.result())
 
     def _to_float(self) -> None:
@@ -272,22 +274,26 @@ class RadSum:
             self.add_part(s, p)
         self.drop_zeros()
 
-    def _add_product(self, scale: ScaledScalar, polys: list[BlockPolynomial], mode: str) -> None:
-        """Merge scale times the product of the single-site polys, computed in mode.
+    def add_part(self, s: ScaledScalar, p: BlockPolynomial) -> None:
+        """Merge s*p; a part that cancels stays until `drop_zeros`."""
+        self._add_product(s, [p], p.mode)
 
-        Each coefficient is the product from one, left to right, as `outer`
-        forms it. A float sum reads an exact product through `float`, drops a
-        zero product and folds a scale other than one in after the product,
-        as `add_part` does with the product polynomial.
+    def _add_product(self, scale: ScaledScalar, polys: list[BlockPolynomial], mode: str) -> None:
+        """Merge scale times the product of polys, computed in mode.
+
+        polys is one polynomial on the sites of the sum, or single-site
+        factors, one per site. Each product coefficient is formed left to
+        right from the first factor's, as `outer` forms it. A float sum reads
+        an exact product through `float`, drops a zero product and folds a
+        scale other than one in after the product. A part that cancels stays
+        until `drop_zeros`.
         """
         if mode == FLOAT:
             polys = [p.astype_float() for p in polys]
-        prefixes: dict[tuple, object] = {(): 1.0 if mode == FLOAT else 1}
-        for p in polys[:-1]:
-            prefixes = {prefix + k: c0 * c
-                        for prefix, c0 in prefixes.items() for k, c in p.terms.items()}
-        last = polys[-1].terms
+        if not all(p.terms for p in polys):
+            return
         float_sum = self.mode == FLOAT
+        read = fold = None
         if float_sum:
             read = float if mode == RATIONAL else None
             fold = None if scale == ONE else float(scale)
@@ -296,55 +302,34 @@ class RadSum:
         else:
             part, ratio = self._commensurable(scale)
         if part is None:
+            if len(polys) == 1 and read is None and fold is None:
+                self.parts.append([scale, polys[0].terms, False])
+                return
             part, ratio = [scale, {}, True], 1
             self.parts.append(part)
         elif not part[2]:
             part[1], part[2] = dict(part[1]), True
         terms = part[1]
-        for prefix, c0 in prefixes.items():
-            for k, c in last.items():
-                c = c0 * c
-                if float_sum:
-                    if read is not None:
-                        c = read(c)
+        if len(polys) == 1:
+            products = polys[0].terms.items()
+        else:
+            prefixes = polys[0].terms
+            for p in polys[1:-1]:
+                prefixes = {prefix + k: c0 * c
+                            for prefix, c0 in prefixes.items() for k, c in p.terms.items()}
+            last = polys[-1].terms.items()
+            products = ((prefix + k, c0 * c) for prefix, c0 in prefixes.items() for k, c in last)
+        for key, c in products:
+            if float_sum:
+                if read is not None:
+                    c = read(c)
+                if not c:
+                    continue
+                if fold is not None:
+                    c = c * fold
                     if not c:
                         continue
-                    if fold is not None:
-                        c = c * fold
-                        if not c:
-                            continue
-                elif ratio != 1:
-                    c = c * ratio
-                key = prefix + k
-                t = terms.get(key)
-                if t is None:
-                    terms[key] = c
-                elif t := t + c:
-                    terms[key] = t
-                else:
-                    del terms[key]
-        if not terms:
-            self.drop_zeros()
-
-    def add_part(self, s: ScaledScalar, p: BlockPolynomial) -> None:
-        """Merge s*p; a part that cancels stays until `drop_zeros`."""
-        if p.is_zero():
-            return
-        if self.mode == FLOAT:
-            if p.mode != FLOAT or s != ONE:
-                p = p.astype_float().scaled(float(s))
-                s = ONE
-            part, ratio = (self.parts[0] if self.parts else None), 1
-        else:
-            part, ratio = self._commensurable(s)
-        if part is None:
-            self.parts.append([s, p.terms, False])
-            return
-        if not part[2]:
-            part[1], part[2] = dict(part[1]), True
-        terms = part[1]
-        for key, c in p.terms.items():
-            if ratio != 1:
+            elif ratio != 1:
                 c = c * ratio
             t = terms.get(key)
             if t is None:

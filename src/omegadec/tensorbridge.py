@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational, _real
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational, _real, _tolerance
 from .complexes import WeightedComplex, _integer, standard_complex
 from .decomposition import (
     DEFAULT_MAX_WORK,
@@ -113,6 +113,7 @@ class DenseTensor:
             a == b for a, b in zip(self.entries, other.entries))
 
     def allclose(self, other: "DenseTensor", tol: float = 1e-9) -> bool:
+        _tolerance(tol)
         if self.dims != other.dims:
             return False
         ref = max((abs(float(x)) for x in self.entries), default=0.0)
@@ -251,6 +252,7 @@ class TensorDecomposition:
     def check_psd(self, tol: float = 1e-9) -> bool:
         """Every matrix is PSD on its support; zero rows and columns add only
         zero eigenvalues, and an empty matrix is PSD."""
+        _tolerance(tol)
         import numpy as np
         from .positivity import psd_floor
         for site, j in self.psd_mats:

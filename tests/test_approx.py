@@ -1,6 +1,7 @@
 """Norms, separable witnesses, and the sampling approximation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_mu_subadditive_on_combined_witness():
 def test_sample_budget_values():
     assert sample_budget(1.0) == 437
     assert sample_budget(0.5) == math.ceil(8 * math.exp(4) / 0.25) == 1748
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    sg = _random_separable_witness(np.random.default_rng(6))
+    for call in (lambda: sample_budget(epsilon),
+                 lambda: approx_separable(sg, double_edge_swap_action(), epsilon)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no division by zero draws on the way
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                call()
 
 
 def test_approx_verbatim_small_witness():

@@ -1,11 +1,11 @@
 """The contraction's product loop and label walk against the loops they replaced.
 
-`old_rad_outer` plus `old_add` is how every site product was once added: the
-product polynomial was built by `outer` and merged as a RadPoly.
-`old_label_assignments` re-filtered every compatible key for every child. The
-library must give the same terms in the same order, the same parts and
-representative scales, the same float bits, and the same yields and work
-count.
+`ref_rad_outer` plus `RefSum.add` (tests/radref.py) is how every site product
+was once added: the product polynomial was built by `outer` and merged as a
+RadPoly, one part at a time. `old_label_assignments` re-filtered every
+compatible key for every child. The library must give the same terms in the
+same order, the same parts and representative scales, the same float bits,
+and the same yields and work count.
 """
 
 import random
@@ -14,40 +14,13 @@ from itertools import product
 
 import pytest
 
-from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
+from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.complexes import standard_complex
 from omegadec.decomposition import contract_assignments, elementary_sum, label_assignments
 from omegadec.errors import SearchSpaceTooLarge
-from omegadec.radpoly import RadPoly, RadSum, rad_outer
+from omegadec.radpoly import RadPoly, rad_outer
 from omegadec.scalars import ONE, ScaledScalar
-
-
-def old_rad_outer(factors):
-    factors = [RadPoly.coerce(f) for f in factors]
-    sites = tuple(f.sites[0] for f in factors)
-    mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
-    combos = [(ONE, [])]
-    for f in factors:
-        if f.is_zero():
-            return RadPoly.zero(sites, mode)
-        nxt = []
-        for scale, polys in combos:
-            for s, p in f.parts:
-                nxt.append((scale * s, polys + [p]))
-        combos = nxt
-    parts = [(scale, outer(polys)) for scale, polys in combos]
-    return RadPoly(sites, parts, mode)
-
-
-def old_add(acc, x):
-    if x.mode == FLOAT and acc.mode == RATIONAL:
-        old = acc.merged_parts()
-        acc.mode, acc.parts = FLOAT, []
-        for s, p in old:
-            acc.add_part(s, p)
-    for s, p in x.parts:
-        acc.add_part(s, p)
-    acc.drop_zeros()
+from radref import RefSum, ref_rad_outer, structure
 
 
 def old_label_assignments(positions, label_count, index_size, site_keys, max_work=10**7):
@@ -85,26 +58,20 @@ def old_contract(c, index_size, site_locals, site_vars):
     V = c.vertex_count
     mode = FLOAT if any(p.mode == FLOAT
                         for locs in site_locals.values() for p in locs.values()) else RATIONAL
-    acc = RadSum(tuple(site_vars), mode)
+    acc = RefSum(tuple(site_vars), mode)
     locs = [site_locals.get(i, {}) for i in range(V)]
     positions = [c.label_positions_at(i) for i in range(V)]
     for keys in old_label_assignments(positions, c.label_count, index_size,
                                       [loc.keys() for loc in locs]):
-        old_add(acc, old_rad_outer([loc[key] for loc, key in zip(locs, keys)]))
+        acc.add(ref_rad_outer([loc[key] for loc, key in zip(locs, keys)]))
     return acc.result()
 
 
 def old_elementary_sum(terms):
-    acc = RadSum(tuple(RadPoly.coerce(f).sites[0] for f in terms[0]))
+    acc = RefSum(tuple(RadPoly.coerce(f).sites[0] for f in terms[0]))
     for term in terms:
-        old_add(acc, old_rad_outer(term))
+        acc.add(ref_rad_outer(term))
     return acc.result()
-
-
-def structure(p: RadPoly):
-    """The mode, then per part its scale and its terms in order, a float by its bits."""
-    return p.mode, [(s, [(k, type(c), c.hex() if isinstance(c, float) else c)
-                         for k, c in q.terms.items()]) for s, q in p.parts]
 
 
 # sqrt2 and sqrt8 are commensurable, sqrt3 and the fourth root of 2 are not
@@ -170,7 +137,7 @@ def test_elementary_sum_and_rad_outer_match_the_old_product_loop(seed):
         terms.insert(rng.randint(0, len(terms)), [RadPoly.zero((w,), FLOAT) for w in widths])
     assert structure(elementary_sum(terms)) == structure(old_elementary_sum(terms))
     for term in terms:
-        assert structure(rad_outer(term)) == structure(old_rad_outer(term))
+        assert structure(rad_outer(term)) == structure(ref_rad_outer(term))
 
 
 def test_float_products_that_underflow_or_cancel_are_dropped():

@@ -86,6 +86,41 @@ def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+# The stderr summary `--pretty` adds; the other commands print none.
+PRETTY = {
+    "dec_verify_double_edge": "index 2, 8 stored locals",
+    "dec_contract_squares": "index 2, 4 stored locals",
+    "dec_verify_circle4": "index 32, 128 stored locals",
+    "dec_verify_blending_simplex2": "index 24, 72 stored locals",
+    "dec_verify_radicals": "index 2, 8 stored locals",
+    "dec_verify_float": "index 2, 8 stored locals",
+    "family_check_planted_negative": "\n".join([
+        "n=1: min entry -2 at (0, 1)", "n=2: min entry 0 at (0, 0, 0)",
+        "n=3: min entry -2 at (0, 0, 0, 1)", "n=4: min entry 0 at (0, 0, 0, 0, 0)",
+        "n=5: min entry -2 at (0, 0, 0, 0, 0, 1)", "n=6: min entry 0 at (0, 0, 0, 0, 0, 0, 0)"]),
+    "family_check_nonnegative": "\n".join([
+        "n=1: min entry 2 at (0, 0)", "n=2: min entry 2 at (0, 0, 0)",
+        "n=3: min entry 2 at (0, 0, 0, 0)", "n=4: min entry 2 at (0, 0, 0, 0, 0)"]),
+    "bridge_separations_m4": "m=4: rank 3, psd index 2, nn bounds [2, 4]",
+    "approx_run_witness": "error 9.039e-17 with 20 sampled terms",
+    "action_check_circle5": "group of order 5, free=True, blending=False",
+    "complex_build_double_edge": "complex on 2 vertices, 2 multifacet labels",
+    "complex_info_circle5": "complex on 5 vertices, 5 multifacet labels",
+    "pos_bound_m1_d2_n1_g2": "separable index bound: 18",
+}
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_pretty_adds_only_a_summary_on_stderr(name, argv, code, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(["--pretty"] + argv.split()) == code
+    with open(os.path.join(GOLDEN, f"{name}.stdout"), encoding="utf-8") as fh:
+        expected = fh.read()
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == (PRETTY[name] + "\n" if name in PRETTY else "")
+
+
 def test_one_parser_serves_consecutive_commands(capsys, monkeypatch):
     """Reports of different commands run back to back in one process stay golden."""
     monkeypatch.chdir(ROOT)
@@ -111,7 +146,7 @@ NEVER_LOADED = {
     "action": {"omegadec.decomposition", "numpy"},
     "family": {"omegadec.decomposition", "numpy"},
     "dec": {"numpy"},
-    "pos bound": {"numpy"},
+    "pos bound": {"numpy", "hashlib"},
     "bridge to-poly": {"numpy"},
     "bridge separations": {"omegadec.positivity"},
 }

@@ -280,16 +280,31 @@ def test_invariant_sos_family_reconstructs():
 
 
 def test_nan_tolerance_is_rejected_by_every_comparison_rule():
-    from omegadec.tensorbridge import psd_distance_factorization
+    from omegadec.invariance import is_invariant
+    from omegadec.tensorbridge import DenseTensor, TensorDecomposition, psd_distance_factorization
     nan = float("nan")
     a = double_edge_swap_action()
     g = quartic_gram()
     fam = invariant_sos_family(g, a)
     p = gram_map(g)
-    # each of these passed at a NaN tolerance, since every comparison with NaN is false
+    exact = squares_double_edge_decomposition()
+    trivial = OmegaGDecomposition(exact.complex, trivial_action(exact.complex), 2, (1, 1),
+                                  exact.locals)
+    square = RadPoly.from_poly(squares_target_polynomial())
+    edge = standard_complex("single_edge")
+    # each of these passed at a NaN tolerance, since every comparison with NaN is
+    # false; the exact ones and the empty ones compared no float at all
     checks = [lambda: p.allclose(p + p, nan), lambda: psd_floor(-np.eye(2), nan),
               lambda: is_gram_invariant(g, a, nan), lambda: fam.family_invariant(a, nan),
-              lambda: psd_distance_factorization(3).check_psd(nan)]
+              lambda: psd_distance_factorization(3).check_psd(nan),
+              lambda: square.matches(square, nan), lambda: is_invariant(square, a, nan),
+              lambda: exact.check_symmetry(nan), lambda: trivial.check_symmetry(nan),
+              lambda: sos_family_witness_single_edge().check_joint_symmetry(nan),
+              lambda: TensorDecomposition("plain", edge, None, 1, 1,
+                                          vectors={(0, (1,)): (1,)}).check_symmetry(nan),
+              lambda: TensorDecomposition("psd", edge, None, 1, 1,
+                                          psd_mats={(0, 0): {}}).check_psd(nan),
+              lambda: DenseTensor((0,), []).allclose(DenseTensor((0,), []), nan)]
     for check in checks:
         with pytest.raises(ValueError, match="tolerance must not be NaN"):
             check()

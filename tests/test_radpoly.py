@@ -1,6 +1,8 @@
 """Radical-scaled polynomial combinations."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.errors import IncommensurableScales
 from omegadec.radpoly import RadPoly, RadSum, rad_outer
 from omegadec.scalars import ONE, ScaledScalar
+from radref import RefSum, ref_rad_outer, ref_radpoly, ref_to_float, structure
 
 
 def x(sites=(1,)):
@@ -207,3 +210,115 @@ def test_in_place_sum_matches_chained_addition(data):
                               else RATIONAL)
         assert same_structure(chained, RadPoly._trusted((1, 1), tuple(ref[1]), ref[0]))
     assert same_structure(acc.result(), chained)
+
+
+def test_a_cancelled_part_keeps_its_place():
+    sqrt2, sqrt3, sqrt8 = ScaledScalar(2, 2), ScaledScalar(3, 2), ScaledScalar(8, 2)
+    p = RadPoly((1,), [(sqrt2, x()), (sqrt3, x()), (sqrt2, -x()), (sqrt8, x())])
+    assert [(s, p.terms) for s, p in p.parts] == [(sqrt2, {((1,),): 2}), (sqrt3, {((1,),): 1})]
+    # The rational part of this product cancels after two of its eight
+    # combinations and comes back in a later one, so it keeps its place
+    # and its representative scale, as in the product built by `outer`.
+    a = RadPoly((1,), [(ONE, x()), (sqrt2, BlockPolynomial.univar({2: 1}))])
+    b = RadPoly((1,), [(ONE, x()), (sqrt2, x())])
+    c = RadPoly((1,), [(ONE, x()), (sqrt2, x().scaled(Fraction(-1, 2)))])
+    for got in (rad_outer([a, b, c]), ref_rad_outer([a, b, c])):
+        assert [(s, p.terms) for s, p in got.parts] == [
+            (ONE, {((2,), (1,), (1,)): 1}), (sqrt2, {((1,), (1,), (1,)): Fraction(1, 2)})]
+
+
+# Seeded differential against the reference merges of tests/radref.py. The
+# values include 1e-170, whose square underflows to 0.0, and the scales include
+# the commensurable pair sqrt2, sqrt8 and the fourth root of 2.
+DIFF_SCALES = [ONE, ScaledScalar(2, 2), ScaledScalar(3, 2), ScaledScalar(8, 2), ScaledScalar(2, 4)]
+DIFF_VALUES = {RATIONAL: [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)],
+               FLOAT: [1.0, -1.0, 0.1, -0.1, 3.0, 1e-170, -1e-170]}
+DIFF_MODES = {"rational": [RATIONAL], "float": [FLOAT], "mixed": [RATIONAL, FLOAT]}
+
+
+def random_poly(rng, sites, mode):
+    keys = list(product(*[list(product(range(2), repeat=m)) for m in sites]))
+    chosen = rng.sample(keys, rng.randint(0, min(3, len(keys))))
+    return BlockPolynomial(sites, {k: rng.choice(DIFF_VALUES[mode]) for k in chosen}, mode)
+
+
+def random_parts(rng, sites, modes):
+    """Up to four parts, a third of them cancelling an earlier part at an equal or
+    commensurable scale, in whole or in part."""
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        if parts and rng.random() < 0.35:
+            s, p = rng.choice(parts)
+            t = rng.choice([t for t in DIFF_SCALES if s.ratio_to(t) is not None])
+            parts.append((t, p.scaled(-s.ratio_to(t))))
+        else:
+            parts.append((rng.choice(DIFF_SCALES), random_poly(rng, sites, rng.choice(modes))))
+    return parts
+
+
+def random_radpoly(rng, sites, modes):
+    return ref_radpoly(sites, random_parts(rng, sites, modes), rng.choice(modes))
+
+
+def random_factors(rng, modes):
+    return [random_radpoly(rng, (rng.randint(1, 2),), modes) for _ in range(rng.randint(1, 3))]
+
+
+def common_mode(*xs):
+    return FLOAT if any(x.mode == FLOAT for x in xs) else RATIONAL
+
+
+def diff_case(op, rng, modes):
+    """(library result, reference result) of one seeded operation."""
+    sites = rng.choice([(1,), (2,), (1, 1)])
+    a, b = random_radpoly(rng, sites, modes), random_radpoly(rng, sites, modes)
+    if op == "construct":
+        parts, mode = random_parts(rng, sites, modes), rng.choice(modes)
+        return RadPoly(sites, parts, mode), ref_radpoly(sites, parts, mode)
+    if op == "add":
+        return a + b, ref_radpoly(sites, a.parts + b.parts, common_mode(a, b))
+    if op == "sub":
+        return a - b, ref_radpoly(sites, a.parts + tuple((s, -p) for s, p in b.parts),
+                                  common_mode(a, b))
+    if op == "mul":
+        return a * b, ref_radpoly(sites, [(s * t, p * q) for s, p in a.parts for t, q in b.parts],
+                                  common_mode(a, b))
+    if op == "scaled":
+        c = rng.choice([0, 2, Fraction(-1, 3), 0.5, -3.0, 1e-170])
+        return a.scaled(c), ref_radpoly(sites, [(s, p.scaled(c)) for s, p in a.parts], a.mode)
+    if op == "scale_mul":
+        t = rng.choice(DIFF_SCALES)
+        return a.scale_mul(t), ref_radpoly(sites, [(t * s, p) for s, p in a.parts], a.mode)
+    if op == "to_float":
+        return a.to_float(), ref_to_float(a)
+    if op == "rad_outer":
+        factors = random_factors(rng, modes)
+        return rad_outer(factors), ref_rad_outer(factors)
+    if op == "add_outer":     # products and whole RadPolys added in turn to one sum
+        factors = random_factors(rng, modes)
+        sites = tuple(f.sites[0] for f in factors)
+    start = rng.choice(modes)
+    acc, ref = RadSum(sites, start), RefSum(sites, start)
+    for _ in range(rng.randint(1, 3)):
+        x = random_radpoly(rng, sites, modes)
+        acc.add(x)
+        ref.add(x)
+        if op == "add_outer":
+            factors = [random_radpoly(rng, f.sites, modes) for f in factors]
+            acc.add_outer(factors)
+            ref.add(ref_rad_outer(factors))
+    return acc.result(), ref.result()
+
+
+DIFF_OPS = ["construct", "add", "sub", "mul", "scaled", "scale_mul", "to_float", "add_sum",
+            "rad_outer", "add_outer"]
+
+
+@pytest.mark.parametrize("op", DIFF_OPS)
+def test_radical_layer_matches_the_reference_merges(op):
+    """120 seeded cases per operation, 1200 in all, in rational, float and mixed
+    modes: equal parts, scales, term order, coefficient types and float bits."""
+    for seed in range(120):
+        rng = random.Random(f"{op}:{seed}")
+        got, want = diff_case(op, rng, DIFF_MODES[["rational", "float", "mixed"][seed % 3]])
+        assert structure(got) == structure(want), (op, seed)
