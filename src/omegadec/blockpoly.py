@@ -60,10 +60,14 @@ def _real(c, what: str = "float coefficients") -> float:
 
 
 def _tolerance(tol: float) -> float:
-    """tol, for a float comparison: a NaN tolerance is a ValueError, since
-    every comparison with NaN is false and would let any difference through."""
+    """tol, for a float comparison: a NaN, infinite or negative tolerance is a
+    ValueError. Every comparison with NaN is false and an infinite bound holds
+    for any finite difference, so either would let any difference through; a
+    negative bound would fail every comparison, equal sides included."""
     if math.isnan(tol):
         raise ValueError("tolerance must not be NaN")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     return tol
 
 

@@ -4,8 +4,9 @@ Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or input
 error, 3 resource guard exceeded, 4 internal error (any other exception).
 
 Each handler imports the layers its command runs, so `complex`, `action` and
-`family` never load `decomposition`, and numpy is loaded only by `pos` (not
-`pos bound`), `bridge separations`, `approx` and `accept`.
+`family` never load `decomposition`. numpy is loaded only by `pos` (not
+`pos bound`), `approx` and `accept`; `complex`, `action`, `family`, `dec`,
+`pos bound`, `bridge to-poly` and `bridge separations` run without it.
 """
 
 from __future__ import annotations

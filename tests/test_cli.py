@@ -86,6 +86,23 @@ def test_bridge_separations_guard_exit_code(capsys):
     assert strict_json(out)["error"] == "SizeTooLarge"
 
 
+def test_bridge_separations_guard_boundary(capsys):
+    # the contraction's own guard fires first; the search count, (m - 1) * 50 * 400
+    # updates, is 60 000 at m = 4 and is checked after it
+    argv = ("bridge", "separations", "--m", "4")
+    code, out = run(capsys, "--max-assignments", "1", *argv)
+    assert code == 3
+    assert strict_json(out)["error"] == "SearchSpaceTooLarge"
+    code, out = run(capsys, "--max-assignments", "59999", *argv)
+    assert code == 3
+    assert strict_json(out) == {"error": "SizeTooLarge",
+                                "message": "60000 updates exceed 59999"}
+    code, out = run(capsys, "--max-assignments", "60000", *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, "bridge_separations_m4.stdout"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("obj", [
     {"D": 1, "m": 1, "coeffs": [[[-0.5]]]},
     {"D": 1, "m": 1, "coeffs": [[[True]]]},

@@ -148,7 +148,7 @@ NEVER_LOADED = {
     "dec": {"numpy"},
     "pos bound": {"numpy", "hashlib"},
     "bridge to-poly": {"numpy"},
-    "bridge separations": {"omegadec.positivity"},
+    "bridge separations": {"omegadec.positivity", "numpy"},
 }
 
 # Imports the package, runs each command line of argv[1] through `main` in the

@@ -279,10 +279,10 @@ def test_invariant_sos_family_reconstructs():
     assert fam.family_invariant(a, 1e-9)
 
 
-def test_nan_tolerance_is_rejected_by_every_comparison_rule():
+def comparison_rules():
+    """Each public float comparison rule, as a call at tolerance ``tol``."""
     from omegadec.invariance import is_invariant
     from omegadec.tensorbridge import DenseTensor, TensorDecomposition, psd_distance_factorization
-    nan = float("nan")
     a = double_edge_swap_action()
     g = quartic_gram()
     fam = invariant_sos_family(g, a)
@@ -292,24 +292,49 @@ def test_nan_tolerance_is_rejected_by_every_comparison_rule():
                                   exact.locals)
     square = RadPoly.from_poly(squares_target_polynomial())
     edge = standard_complex("single_edge")
+    return {
+        "BlockPolynomial.allclose": lambda tol: p.allclose(p + p, tol),
+        "psd_floor": lambda tol: psd_floor(-np.eye(2), tol),
+        "is_gram_invariant": lambda tol: is_gram_invariant(g, a, tol),
+        "SosFamily.family_invariant": lambda tol: fam.family_invariant(a, tol),
+        "TensorDecomposition.check_psd": lambda tol: psd_distance_factorization(3).check_psd(tol),
+        "RadPoly.matches": lambda tol: square.matches(square, tol),
+        "is_invariant": lambda tol: is_invariant(square, a, tol),
+        "check_symmetry": lambda tol: exact.check_symmetry(tol),
+        "check_symmetry trivial group": lambda tol: trivial.check_symmetry(tol),
+        "check_joint_symmetry":
+            lambda tol: sos_family_witness_single_edge().check_joint_symmetry(tol),
+        "TensorDecomposition.check_symmetry":
+            lambda tol: TensorDecomposition("plain", edge, None, 1, 1,
+                                            vectors={(0, (1,)): (1,)}).check_symmetry(tol),
+        "empty TensorDecomposition.check_psd":
+            lambda tol: TensorDecomposition("psd", edge, None, 1, 1,
+                                            psd_mats={(0, 0): {}}).check_psd(tol),
+        "DenseTensor.allclose":
+            lambda tol: DenseTensor((0,), []).allclose(DenseTensor((0,), []), tol),
+    }
+
+
+COMPARISON_RULES = list(comparison_rules())
+
+
+def test_nan_tolerance_is_rejected_by_every_comparison_rule():
     # each of these passed at a NaN tolerance, since every comparison with NaN is
     # false; the exact ones and the empty ones compared no float at all
-    checks = [lambda: p.allclose(p + p, nan), lambda: psd_floor(-np.eye(2), nan),
-              lambda: is_gram_invariant(g, a, nan), lambda: fam.family_invariant(a, nan),
-              lambda: psd_distance_factorization(3).check_psd(nan),
-              lambda: square.matches(square, nan), lambda: is_invariant(square, a, nan),
-              lambda: exact.check_symmetry(nan), lambda: trivial.check_symmetry(nan),
-              lambda: sos_family_witness_single_edge().check_joint_symmetry(nan),
-              lambda: TensorDecomposition("plain", edge, None, 1, 1,
-                                          vectors={(0, (1,)): (1,)}).check_symmetry(nan),
-              lambda: TensorDecomposition("psd", edge, None, 1, 1,
-                                          psd_mats={(0, 0): {}}).check_psd(nan),
-              lambda: DenseTensor((0,), []).allclose(DenseTensor((0,), []), nan)]
-    for check in checks:
+    for check in comparison_rules().values():
         with pytest.raises(ValueError, match="tolerance must not be NaN"):
-            check()
-    # an infinite tolerance is still a rule, if a loose one: the CLI rejects it instead
-    assert p.allclose(p, 0.0) and p.allclose(p + p, float("inf"))
+            check(float("nan"))
+
+
+@pytest.mark.parametrize("rule", COMPARISON_RULES)
+def test_infinite_or_negative_tolerance_is_rejected(rule):
+    # an infinite bound held for every finite difference, so it passed anything;
+    # a negative one failed equal sides
+    check = comparison_rules()[rule]
+    for tol in (float("inf"), -1e-9, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check(tol)
+    check(0.0)
 
 
 def test_invariant_sos_family_rank_one():
@@ -457,10 +482,13 @@ def test_family_invariant_matches_per_member_oracle(action):
         roots += [root * mask for root in roots[1:]] + [np.zeros((dim, dim))]
         for root in roots:
             family = SosFamily(g, root)
-            for tol in (0.5, 1e-9, 1e-14, 0.0, -1.0):
+            for tol in (0.5, 1e-9, 1e-14, 0.0):
                 verdict = family.family_invariant(action, tol)
                 assert verdict == family_invariant_oracle(family, action, tol), (m, d, tol)
                 verdicts.add(verdict)
+            # a negative tolerance is rejected, not compared
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                family.family_invariant(action, -1.0)
     assert verdicts == {True, False}
     other = circle_rotation_action(3) if n == 1 else double_edge_swap_action()
     with pytest.raises(IncompatibleBlockSizes):

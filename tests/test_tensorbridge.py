@@ -501,11 +501,27 @@ def test_nn_rank_work_guard():
         separations_report(4, max_work=1000)
 
 
+def test_separations_guard_boundary():
+    with pytest.raises(SearchSpaceTooLarge):
+        separations_report(4, max_work=1)
+    with pytest.raises(SizeTooLarge, match="^60000 updates exceed 59999$"):
+        separations_report(4, max_work=59999)
+    assert separations_report(4, max_work=60000)["nn_upper_bound"] == 4
+
+
 def test_separations_report():
     rep = separations_report(8, seed=0)
     assert rep["bipartite_rank"] == 3
     assert rep["psd_index"] == 2 and rep["psd_verified"]
     assert rep["nn_lower_bound"] == 3 <= rep["nn_upper_bound"] <= 8
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_separations_upper_bound_is_what_the_search_returns(m):
+    # the report gives the trivial bound without running the search; at the
+    # default settings the search returns the same bound
+    searched = nn_rank_upper_bound(distance_matrix(m).to_numpy(), seed=0)
+    assert separations_report(m)["nn_upper_bound"] == searched == m
 
 
 def test_dense_tensor_json_round_trip():
