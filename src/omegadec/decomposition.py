@@ -44,43 +44,49 @@ def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
 
     Site i reads the distinct label positions ``positions[i]`` and stores the
     keys ``site_keys[i]``, tuples of values in 1..index_size. An assignment is
-    yielded when every site stores the key it induces. Each site's keys are
-    narrowed with the partial assignment, so sparsity prunes the search: a node
-    groups the keys of every site it fixes by their value there, once, and each
-    child takes its group. Every tried label value counts one step against
-    ``max_work``.
+    yielded when every site stores the key it induces. Each site's keys go
+    into a trie once, a level per position in ascending order and a key per
+    leaf. The walk fixes positions in that order with a trie node per site, so
+    sparsity prunes the search: a position tries the sorted common children of
+    the sites reading it, each child descending their tries. Every tried label
+    value counts one step against ``max_work``.
     """
-    compat = [tuple(keys) for keys in site_keys]
-    if not all(compat):
-        return
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(label_count)]
-    for i, site_positions in enumerate(positions):
-        for slot, pos in enumerate(site_positions):
-            touch[pos].append((i, slot))
+    tries = []
+    touch: list[list[int]] = [[] for _ in range(label_count)]
+    for i, (site_positions, keys) in enumerate(zip(positions, site_keys)):
+        slots = sorted(range(len(site_positions)), key=site_positions.__getitem__)
+        holder: dict = {}       # its one child, under 0, is the root
+        for k in keys:
+            node, v = holder, 0
+            for slot in slots:
+                node, v = node.setdefault(v, {}), k[slot]
+            node[v] = k
+        if not holder:
+            return
+        tries.append(holder[0])
+        for pos in site_positions:
+            touch[pos].append(i)
     work = 0
-    # partial assignments: the next position to fix, the keys still compatible
-    stack = [(0, compat)]
+    # partial assignments: the next position to fix, each site's trie node
+    stack = [(0, tries)]
     while stack:
-        pos, compat = stack.pop()
+        pos, nodes = stack.pop()
         if pos == label_count:
-            yield tuple(keys[0] for keys in compat)
+            yield tuple(nodes)
             continue
-        groups = []
-        allowed: set[int] | None = None
-        for i, slot in touch[pos]:
-            by_value: dict[int, list[Beta]] = {}
-            for k in compat[i]:
-                by_value.setdefault(k[slot], []).append(k)
-            groups.append((i, by_value))
-            allowed = set(by_value) if allowed is None else allowed & by_value.keys()
+        sites = touch[pos]
+        if sites:
+            allowed = nodes[sites[0]].keys()
+            for i in sites[1:]:
+                allowed = allowed & nodes[i].keys()
         children = []
-        for v in range(1, index_size + 1) if allowed is None else sorted(allowed):
+        for v in sorted(allowed) if sites else range(1, index_size + 1):
             work += 1
             if work > max_work:
                 raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
-            nxt = list(compat)
-            for i, by_value in groups:
-                nxt[i] = by_value[v]
+            nxt = list(nodes)
+            for i in sites:
+                nxt[i] = nodes[i][v]
             children.append((pos + 1, nxt))
         stack += reversed(children)
 
@@ -450,22 +456,22 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     return build(plus), build(minus)
 
 
-def _rank_exact(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+def _rank_exact(rows: list[list[int | Fraction]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination, each row cleared of its
+    denominators first, which keeps the rank; every Bareiss division is exact."""
+    rows = [[x.numerator * (d // x.denominator) for x in r]
+            for r in rows for d in (math.lcm(*(x.denominator for x in r)),)]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+            a = rows[i][col]
+            rows[i] = [(pv * x - a * y) // prev for x, y in zip(rows[i], rows[rank])]
+        prev = pv
         rank += 1
         if rank == len(rows):
             break
@@ -485,9 +491,9 @@ def bipartite_rank(p) -> int:
     col_of = {b: j for j, b in enumerate(cols_idx)}
     row_of = {b: i for i, b in enumerate(rows_idx)}
     if p.mode == RATIONAL:
-        mat = [[Fraction(0)] * len(cols_idx) for _ in rows_idx]
+        mat = [[0] * len(cols_idx) for _ in rows_idx]
         for (b0, b1), coeff in p.terms.items():
-            mat[row_of[b0]][col_of[b1]] = Fraction(coeff)
+            mat[row_of[b0]][col_of[b1]] = coeff
         return _rank_exact(mat)
     import numpy as np      # only the float rank needs it; exact commands never load it
     mat = np.zeros((len(rows_idx), len(cols_idx)))

@@ -202,6 +202,9 @@ def _nonzero_parts(parts) -> tuple:
     return tuple((s, p) for s, p in parts if not p.is_zero())
 
 
+_SHARED, _TUPLES, _CODED = range(3)     # how a RadSum part holds its terms
+
+
 class RadSum:
     """A running sum of radical-scaled parts, merged in place.
 
@@ -210,16 +213,24 @@ class RadSum:
     the end. `add(x)` followed by `result()` gives the parts, their order,
     their representative scales and their float summation order that
     `acc = acc + x` gives, without copying the whole sum at every step.
+
+    A part is [scale, terms, state]. It shares the terms of the polynomial it
+    came from (_SHARED) until something merges into it, then holds a private
+    copy keyed by tuples (_TUPLES). Once a site product merges into it, its
+    keys are ints (_CODED): each site numbers its exponent blocks as they
+    arrive, and a key is ``((n_0 << w | n_1) << w | n_2) ...``, w growing
+    when a site outgrows it. Keys decode in insertion order, so the codes
+    change no term, order or float bit.
     """
 
-    __slots__ = ("sites", "mode", "parts")
+    __slots__ = ("sites", "mode", "parts", "codes", "width")
 
     def __init__(self, sites: tuple[int, ...], mode: str = RATIONAL):
         self.sites = sites
         self.mode = mode
-        # [scale, terms, whether the terms are a private copy]: a part shares the
-        # terms of the polynomial it came from until something merges into it
         self.parts: list[list] = []
+        self.codes: list[dict] = []     # per site: exponent block -> its number
+        self.width = 0                  # the bits of each number in a coded key
 
     def add(self, x: RadPoly) -> None:
         """Add a RadPoly with the same sites; parts that cancel are dropped."""
@@ -254,15 +265,12 @@ class RadSum:
         combos: list[tuple[ScaledScalar, list[BlockPolynomial]]] = [(ONE, [])]
         for f in factors:
             combos = [(scale * s, polys + [p]) for scale, polys in combos for s, p in f.parts]
-        if len(combos) == 1:
-            self._add_product(*combos[0], mode)
-            self.drop_zeros()
-            return
-        private = RadSum(self.sites, mode)
+        acc = self if len(combos) == 1 else RadSum(self.sites, mode)
         for scale, polys in combos:
-            private._add_product(scale, polys, mode)
-        private.drop_zeros()
-        self.add(private.result())
+            acc._add_product(scale, polys, mode)
+        acc.drop_zeros()
+        if acc is not self:
+            self.add(acc.result())
 
     def _to_float(self) -> None:
         """Switch to float mode, folding every part into one float part."""
@@ -303,22 +311,15 @@ class RadSum:
             part, ratio = self._commensurable(scale)
         if part is None:
             if len(polys) == 1 and read is None and fold is None:
-                self.parts.append([scale, polys[0].terms, False])
+                self.parts.append([scale, polys[0].terms, _SHARED])
                 return
-            part, ratio = [scale, {}, True], 1
+            part, ratio = [scale, {}, _TUPLES], 1
             self.parts.append(part)
-        elif not part[2]:
-            part[1], part[2] = dict(part[1]), True
+        elif part[2] == _SHARED:
+            part[1], part[2] = dict(part[1]), _TUPLES
+        products = (polys[0].terms.items() if len(polys) == 1 and part[2] == _TUPLES
+                    else self._coded_products(part, polys))
         terms = part[1]
-        if len(polys) == 1:
-            products = polys[0].terms.items()
-        else:
-            prefixes = polys[0].terms
-            for p in polys[1:-1]:
-                prefixes = {prefix + k: c0 * c
-                            for prefix, c0 in prefixes.items() for k, c in p.terms.items()}
-            last = polys[-1].terms.items()
-            products = ((prefix + k, c0 * c) for prefix, c0 in prefixes.items() for k, c in last)
         for key, c in products:
             if float_sum:
                 if read is not None:
@@ -338,6 +339,47 @@ class RadSum:
                 terms[key] = t
             else:
                 del terms[key]
+
+    def _coded_products(self, part: list, polys: list[BlockPolynomial]):
+        """The product terms of polys under coded keys, once part's keys are coded;
+        each is formed as `_add_product` says, the first sites' prefix expanded once."""
+        if not self.codes:
+            self.codes = [{} for _ in self.sites]
+        whole = [polys[0].terms] if len(polys) == 1 else []     # one polynomial on all sites
+        for keys in whole + ([part[1]] if part[2] == _TUPLES else []):
+            for key in keys:
+                for codes, block in zip(self.codes, key):
+                    codes.setdefault(block, len(codes))
+        factors = [[(codes.setdefault(k[0], len(codes)), c) for k, c in p.terms.items()]
+                   for codes, p in zip(self.codes, polys)] if not whole else None
+        most = max(map(len, self.codes))
+        if most > 1 << self.width:      # the coded parts go back to tuples until coded again
+            for q in self.parts:
+                if q[2] == _CODED:
+                    q[1], q[2] = self._decoded(q[1]), _TUPLES
+            self.width = most.bit_length()
+        if part[2] == _TUPLES:
+            part[1], part[2] = {self._code(k): c for k, c in part[1].items()}, _CODED
+        if whole:
+            return ((self._code(k), c) for k, c in whole[0].items())
+        w, prefixes = self.width, factors[0]
+        for factor in factors[1:-1]:
+            prefixes = [(prefix << w | n, c0 * c) for prefix, c0 in prefixes for n, c in factor]
+        return ((prefix << w | n, c0 * c) for prefix, c0 in prefixes for n, c in factors[-1])
+
+    def _code(self, key: tuple) -> int:
+        code = 0
+        for codes, block in zip(self.codes, key):
+            code = code << self.width | codes[block]
+        return code
+
+    def _decoded(self, terms: dict) -> dict:
+        """Coded terms keyed by tuples again, in the same order."""
+        w, mask, last = self.width, (1 << self.width) - 1, len(self.codes) - 1
+        shifts = [w * (last - i) for i in range(last + 1)]
+        columns = [[blocks[key >> s & mask] for key in terms]      # one per site
+                   for blocks, s in zip(map(list, self.codes), shifts)]
+        return dict(zip(zip(*columns), terms.values()))
 
     def _commensurable(self, s: ScaledScalar) -> tuple[list | None, int | Fraction | None]:
         """The part whose scale has a rational ratio to s, with that ratio.
@@ -360,8 +402,9 @@ class RadSum:
         self.parts = [part for part in self.parts if part[1]]
 
     def merged_parts(self) -> tuple[tuple[ScaledScalar, BlockPolynomial], ...]:
-        return tuple((s, BlockPolynomial._trusted(self.sites, terms, self.mode))
-                     for s, terms, _ in self.parts)
+        return tuple((s, BlockPolynomial._trusted(
+            self.sites, self._decoded(terms) if state == _CODED else terms, self.mode))
+            for s, terms, state in self.parts)
 
     def result(self) -> RadPoly:
         return RadPoly._trusted(self.sites, self.merged_parts(), self.mode)

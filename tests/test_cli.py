@@ -103,6 +103,26 @@ def test_bridge_separations_guard_boundary(capsys):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("argv,steps,golden", [
+    ("dec contract fixtures/squares_double_edge.json", 4, "dec_contract_squares"),
+    ("dec verify tests/golden/verify_circle4.json", 128, "dec_verify_circle4"),
+])
+def test_contraction_guard_boundary(capsys, monkeypatch, argv, steps, golden):
+    # the label walk counts one step per tried label value: the fewest steps
+    # these contractions need, measured before the walk moved onto key tries;
+    # reports name their inputs relative to the repository root
+    monkeypatch.chdir(os.path.join(FIXTURES, ".."))
+    argv = argv.split()
+    code, out = run(capsys, "--max-assignments", str(steps), *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{golden}.stdout"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    code, out = run(capsys, "--max-assignments", str(steps - 1), *argv)
+    assert code == 3
+    assert strict_json(out) == {"error": "SearchSpaceTooLarge",
+                                "message": f"contraction exceeded {steps - 1} steps"}
+
+
 @pytest.mark.parametrize("obj", [
     {"D": 1, "m": 1, "coeffs": [[[-0.5]]]},
     {"D": 1, "m": 1, "coeffs": [[[True]]]},

@@ -1,11 +1,14 @@
-"""The contraction's product loop and label walk against the loops they replaced.
+"""The contraction's product loop and label walk against independent oracles.
 
 `ref_rad_outer` plus `RefSum.add` (tests/radref.py) is how every site product
 was once added: the product polynomial was built by `outer` and merged as a
-RadPoly, one part at a time. `old_label_assignments` re-filtered every
-compatible key for every child. The library must give the same terms in the
-same order, the same parts and representative scales, the same float bits,
-and the same yields and work count.
+RadPoly under tuple keys, one part at a time. The library merges site
+products under integer codes of the keys, which widen as sites see new
+exponent blocks, and must give the same terms in the same order, the same
+parts and representative scales, and the same float bits. The label walk
+descends one key trie per site; it must yield exactly the assignments a
+brute-force enumeration of every assignment keeps, and `old_label_assignments`,
+which re-filtered every compatible key for every child, pins its work count.
 """
 
 import random
@@ -18,7 +21,7 @@ from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.complexes import standard_complex
 from omegadec.decomposition import contract_assignments, elementary_sum, label_assignments
 from omegadec.errors import SearchSpaceTooLarge
-from omegadec.radpoly import RadPoly, rad_outer
+from omegadec.radpoly import RadPoly, RadSum, rad_outer
 from omegadec.scalars import ONE, ScaledScalar
 from radref import RefSum, ref_rad_outer, structure
 
@@ -84,8 +87,8 @@ VALUES = {
 }
 
 
-def random_local(rng, width, kind):
-    keys = list(product(range(2), repeat=width))
+def random_local(rng, width, kind, exps=2):
+    keys = list(product(range(exps), repeat=width))
 
     def poly(values, mode=RATIONAL):
         chosen = rng.sample(keys, rng.randint(1, min(3, len(keys))))
@@ -155,6 +158,65 @@ def test_float_products_that_underflow_or_cancel_are_dropped():
     assert elementary_sum(cancel).is_zero() and old_elementary_sum(cancel).is_zero()
 
 
+def wide_poly(rng, sites, grow, top, values):
+    """A polynomial on all sites whose exponents at site grow run up to top - 1."""
+    def key():
+        return tuple(tuple(rng.randrange(top if i == grow else 2) for _ in range(w))
+                     for i, w in enumerate(sites))
+    mode = FLOAT if isinstance(values[0], float) else RATIONAL
+    return BlockPolynomial(sites, {key(): rng.choice(values) for _ in range(3)}, mode)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_coded_keys_widen_when_a_site_sees_new_blocks(seed):
+    """The first product holds exponents 0 and 1; then products, whole RadPolys
+    and single parts whose exponents at one site reach 12 arrive in turn, past
+    the width the codes first took, and some products cancel earlier ones."""
+    rng = random.Random(3000 + seed)
+    mix = [("int", "fraction"), ("float", "int"), ("radical", "scaled", "int")][seed % 3]
+    sites = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 4)))
+    grow = rng.randrange(len(sites))
+    acc, ref = RadSum(sites), RefSum(sites)
+
+    def factors(top):
+        return [random_local(rng, w, rng.choice(mix), top if i == grow else 2)
+                for i, w in enumerate(sites)]
+
+    done = [[random_local(rng, w, "int") for w in sites]]     # codes the first part
+    acc.add_outer(done[0])
+    ref.add(ref_rad_outer(done[0]))
+    first_width = acc.width
+    for top in range(3, 14):
+        step = rng.choice(["outer", "outer", "cancel", "add", "add_part"])
+        values = VALUES["float" if "float" in mix and rng.random() < 0.5 else "fraction"]
+        if step == "add":
+            x = RadPoly.scaled_poly(rng.choice(SCALES), wide_poly(rng, sites, grow, top, values))
+            acc.add(x)
+            ref.add(x)
+        elif step == "add_part":
+            s, p = rng.choice(SCALES), wide_poly(rng, sites, grow, top, values)
+            acc.add_part(s, p)
+            ref.add_part(s, p)
+            acc.drop_zeros()
+            ref.drop_zeros()
+        else:
+            f = factors(top) if step == "outer" else rng.choice(done)
+            if step == "cancel":
+                f = [-f[0]] + f[1:]
+            done.append(f)
+            acc.add_outer(f)
+            ref.add(ref_rad_outer(f))
+        assert structure(acc.result()) == structure(ref.result()), (seed, top, step)
+    # five blocks no earlier addend held outgrow the width if the loop left it
+    fresh = {((20 + j,) + (0,) * (sites[grow] - 1),): j + 1 for j in range(5)}
+    f = [RadPoly.from_poly(BlockPolynomial((w,), fresh)) if i == grow
+         else random_local(rng, w, "int") for i, w in enumerate(sites)]
+    acc.add_outer(f)
+    ref.add(ref_rad_outer(f))
+    assert structure(acc.result()) == structure(ref.result())
+    assert acc.width > first_width
+
+
 def run_walk(walk, positions, label_count, index_size, site_keys, max_work):
     """The keys yielded before the walk ends, and whether its work guard fired."""
     out = []
@@ -166,8 +228,8 @@ def run_walk(walk, positions, label_count, index_size, site_keys, max_work):
     return out, False
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_bucketed_walk_matches_the_filtering_walk(seed):
+def walk_case(seed):
+    """A seeded complex's label positions, count and index size, and stored keys."""
     rng = random.Random(2000 + seed)
     c = standard_complex(*rng.choice(COMPLEXES + [("circle", 5)]))
     index_size = rng.randint(1, 3)
@@ -176,7 +238,28 @@ def test_bucketed_walk_matches_the_filtering_walk(seed):
     for pos in positions:
         grid = list(product(range(1, index_size + 1), repeat=len(pos)))
         site_keys.append(rng.sample(grid, rng.randint(len(grid) // 2, len(grid))))
-    args = (positions, c.label_count, index_size, site_keys)
+    return positions, c.label_count, index_size, site_keys
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_yields_every_assignment_each_site_stores(seed):
+    positions, label_count, index_size, site_keys = walk_case(seed)
+    stored = [set(keys) for keys in site_keys]
+    want = []
+    for alpha in product(range(1, index_size + 1), repeat=label_count):
+        keys = tuple(tuple(alpha[p] for p in pos) for pos in positions)
+        if all(k in held for k, held in zip(keys, stored)):
+            want.append(keys)
+    assert list(label_assignments(positions, label_count, index_size, site_keys)) == want
+    # a site may read its positions in any order, its keys in that order
+    flipped = [[k[::-1] for k in keys] for keys in site_keys]
+    got = label_assignments([pos[::-1] for pos in positions], label_count, index_size, flipped)
+    assert list(got) == [tuple(k[::-1] for k in keys) for keys in want]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bucketed_walk_matches_the_filtering_walk(seed):
+    args = walk_case(seed)
     steps = 0       # the fewest steps the old walk needs to finish
     while run_walk(old_label_assignments, *args, steps)[1]:
         steps += 1

@@ -15,6 +15,7 @@ from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
 from omegadec.decomposition import (
     OmegaGDecomposition,
+    _rank_exact,
     bipartite_rank,
     blending_difference,
     concat_sum,
@@ -321,6 +322,54 @@ def test_bipartite_rank_values():
         bipartite_rank(BlockPolynomial.zero((1, 1, 1)))
     f = quartic_target_polynomial().astype_float()
     assert bipartite_rank(f) == 3
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination in Fractions, the elimination `_rank_exact` ran
+    before it moved to fraction-free integer rows."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / pv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_rank_matches_the_fraction_elimination(seed):
+    """300 seeded rational matrices per seed, built as products of a random
+    m x r and r x n factor, so most are rank-deficient, with some columns
+    zeroed so that elimination skips them; ints and Fractions mixed."""
+    rng = random.Random(f"rank:{seed}")
+    values = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4)]
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        r = rng.randint(0, min(m, n))
+        left = [[rng.choice(values) for _ in range(r)] for _ in range(m)]
+        right = [[rng.choice(values) for _ in range(n)] for _ in range(r)]
+        zeroed = set(rng.sample(range(n), rng.randint(0, n - 1)))
+        rows = [[0 if j in zeroed else sum(a * right[k][j] for k, a in enumerate(row))
+                 for j in range(n)] for row in left]
+        assert _rank_exact(rows) == fraction_rank(rows) <= r
+    assert _rank_exact([]) == fraction_rank([]) == 0
+
+
+def test_integer_rank_of_the_distance_matrix():
+    for m in (2, 3, 12, 40):
+        rows = [[Fraction((i - j) ** 2) for j in range(m)] for i in range(m)]
+        assert _rank_exact(rows) == fraction_rank(rows) == min(m, 3)
 
 
 def test_concat_sum_and_pointwise_product():
