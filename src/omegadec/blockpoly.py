@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .complexes import _integer
 from .errors import IncompatibleBlockSizes
@@ -275,27 +276,27 @@ class BlockPolynomial:
             total = total + val
         return total
 
-    def check_vperm(self, vperm: tuple[int, ...]) -> None:
-        """Raise IncompatibleBlockSizes unless vperm moves each site to one of equal width."""
-        if len(vperm) != len(self.sites):
+    def key_move(self, vperm: tuple[int, ...]) -> Callable[[Key], Key]:
+        """The map from a key to the key holding at site vperm[i] the block of site i.
+        IncompatibleBlockSizes unless vperm permutes the sites, each onto one of equal
+        width; so distinct keys stay distinct, and moving terms merges none of them."""
+        n = len(self.sites)
+        if len(vperm) != n:
             raise IncompatibleBlockSizes("permutation length mismatch")
+        if sorted(vperm) != list(range(n)):
+            raise IncompatibleBlockSizes(f"{tuple(vperm)} is not a permutation of {n} sites")
         for i, gi in enumerate(vperm):
             if self.sites[i] != self.sites[gi]:
                 raise IncompatibleBlockSizes(
                     f"site {i} has {self.sites[i]} variables but site {gi} has {self.sites[gi]}")
+        # itemgetter of two or more positions gives a tuple; a shorter key is its own image
+        return itemgetter(*sorted(range(n), key=vperm.__getitem__)) if n > 1 else tuple
 
     def act(self, vperm: tuple[int, ...]) -> "BlockPolynomial":
         """Move the block at site i to site vperm[i]."""
-        self.check_vperm(vperm)
-        terms: dict[Key, object] = {}
-        for key, c in self.terms.items():
-            blocks = list(key)
-            for i, gi in enumerate(vperm):
-                blocks[gi] = key[i]
-            moved = tuple(blocks)
-            s = terms.get(moved)
-            terms[moved] = c if s is None else s + c
-        return BlockPolynomial._trusted(self.sites, _nonzero(terms), self.mode)
+        move = self.key_move(vperm)
+        return BlockPolynomial._trusted(
+            self.sites, {move(key): c for key, c in self.terms.items()}, self.mode)
 
     def sorted_terms(self) -> list[tuple[Key, object]]:
         """Terms ordered lexicographically on the concatenated exponent blocks."""

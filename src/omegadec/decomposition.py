@@ -263,7 +263,7 @@ class OmegaGDecomposition:
     @classmethod
     def from_obj(cls, complex_: WeightedComplex, action: SymmetryAction | None,
                  obj: dict) -> "OmegaGDecomposition":
-        locals_: dict[int, dict[Beta, RadPoly]] = {}
+        sums: dict[int, dict[Beta, RadSum]] = {}
         for entry in obj.get("locals", []):
             # site and beta are read before they group locals, since 1, 1.0 and true hash alike
             site = _integer(entry["site"], "site")
@@ -271,46 +271,57 @@ class OmegaGDecomposition:
             poly = BlockPolynomial.from_obj(entry["poly"])
             s = ScaledScalar.from_obj(entry["scale"]) if "scale" in entry else ONE
             rp = RadPoly.scaled_poly(s, poly)
-            prev = locals_.setdefault(site, {}).get(beta)
-            locals_[site][beta] = rp if prev is None else prev + rp
+            sums.setdefault(site, {}).setdefault(beta, RadSum(rp.sites)).add(rp)
+        locals_ = {site: {beta: acc.result() for beta, acc in by_beta.items()}
+                   for site, by_beta in sums.items()}
         scale = ScaledScalar.from_obj(obj.get("scale", {"r": "1/1", "k": 1}))
         return cls(complex_, action, obj["index_size"], obj["site_vars"], locals_, scale)
 
 
-def _term_site_vars(terms: Sequence[Sequence[object]], V: int) -> tuple[int, ...]:
-    """Per-site widths of a non-empty list of elementary terms of V factors each."""
+def _read_terms(terms: Sequence[Sequence[object]], V: int) -> tuple[tuple[int, ...], list]:
+    """Per-site widths of a non-empty list of elementary terms of V factors each,
+    and the terms with each factor coerced once to a RadPoly."""
     if not terms:
         raise ValueError("need at least one elementary term")
     for term in terms:
         if len(term) != V:
             raise ValueError(f"term has {len(term)} factors, expected {V}")
-    site_vars = []
+    columns: list[list[RadPoly]] = []
     for i in range(V):
-        widths = {RadPoly.coerce(t[i]).sites[0] for t in terms}
+        columns.append([RadPoly.coerce(t[i]) for t in terms])
+        widths = {f.sites[0] for f in columns[i]}
         if len(widths) != 1:
             raise IncompatibleBlockSizes(f"terms disagree on site {i} width: {widths}")
-        site_vars.append(widths.pop())
-    return tuple(site_vars)
+    return tuple(column[0].sites[0] for column in columns), list(zip(*columns))
 
 
-def _orbit_site_vars(terms: Sequence[Sequence[object]], a: SymmetryAction) -> tuple[int, ...]:
-    """Per-site widths of terms with one factor per vertex, equal along vertex orbits."""
-    site_vars = _term_site_vars(terms, a.complex.vertex_count)
+def _read_orbit_terms(terms: Sequence[Sequence[object]], a: SymmetryAction
+                      ) -> tuple[tuple[int, ...], list]:
+    """`_read_terms` for one factor per vertex, the widths equal along vertex orbits."""
+    site_vars, factors = _read_terms(terms, a.complex.vertex_count)
     for g in range(len(a)):
         for i, width in enumerate(site_vars):
             gi = a.vertex_image(g, i)
             if site_vars[gi] != width:
                 raise IncompatibleBlockSizes(
                     f"sites {i} and {gi} share an orbit but differ in width")
-    return site_vars
+    return site_vars, factors
 
 
 def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     """The polynomial of an elementary decomposition: sum of site products."""
-    site_vars = _term_site_vars(terms, len(terms[0]) if terms else 0)
+    return _product_sum(*_read_terms(terms, len(terms[0]) if terms else 0))
+
+
+def _product_sum(site_vars: tuple[int, ...], factors: list) -> RadPoly:
+    """The sum of the site products of read terms, each factor checked to lie on one site."""
+    if not site_vars:
+        raise ValueError("empty factor list")
     acc = RadSum(site_vars)
-    for term in terms:
-        acc.add_outer([RadPoly.coerce(f) for f in term])
+    for term in factors:
+        if any(f.sites != (m,) for f, m in zip(term, site_vars)):
+            raise ValueError("site mismatch")
+        acc.add_outer(term)
     return acc.result()
 
 
@@ -325,9 +336,9 @@ def from_elementary(terms: Sequence[Sequence[object]],
     if not is_connected(c):
         raise NotConnected("elementary reuse requires a connected complex")
     V = c.vertex_count
-    site_vars = _term_site_vars(terms, V)
+    site_vars, factors = _read_terms(terms, V)
     locals_: dict[int, dict[Beta, object]] = {}
-    for j, term in enumerate(terms):
+    for j, term in enumerate(factors):
         for i in range(V):
             width = len(c.label_positions_at(i))
             locals_.setdefault(i, {})[(j + 1,) * width] = term[i]
@@ -348,11 +359,11 @@ def symmetrize_average(terms: Sequence[Sequence[object]],
         raise NotConnected("symmetrization requires a connected complex")
     if not is_free(a):
         raise ActionNotFree("symmetrization requires a free action on the multifacets")
-    site_vars = _orbit_site_vars(terms, a)
+    site_vars, factors = _read_orbit_terms(terms, a)
     locals_: dict[int, dict[Beta, RadPoly]] = {}
     for i, gi, betas in free_extension(a, len(terms)):
-        for term, beta in zip(terms, betas):
-            poly = RadPoly.coerce(term[gi])
+        for term, beta in zip(factors, betas):
+            poly = term[gi]
             if not poly.is_zero():
                 locals_.setdefault(i, {})[beta] = poly
     scale = ScaledScalar(Fraction(1, len(a)), c.vertex_count)
@@ -411,8 +422,8 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     if not terms:
         empty = OmegaGDecomposition(c, a, 0, (1,) * V, {})
         return empty, empty
-    site_vars = _orbit_site_vars(terms, a)
-    p = elementary_sum(terms)
+    site_vars, factors = _read_orbit_terms(terms, a)
+    p = _product_sum(site_vars, factors)
     if not is_invariant(p, a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
 
@@ -429,7 +440,6 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
                              for o in a.vertex_orbits())
     scale = ScaledScalar(Fraction(1, total), V)
     # split vectors have entries +-1, so each local sums signed copies of the factors
-    factors = [[RadPoly.coerce(f) for f in term] for term in terms]
     signed = {1: factors, -1: [[-f for f in term] for term in factors]}
 
     def build(vectors: list[tuple[int, ...]]) -> OmegaGDecomposition:
@@ -502,11 +512,41 @@ def bipartite_rank(p) -> int:
     return int(np.linalg.matrix_rank(mat, tol=1e-9 * max(1.0, float(np.abs(mat).max()))))
 
 
+def _comb_power(m: int, d: int, n: int, limit: int) -> int | None:
+    """comb(m+d, d)**(n+1), or None once it passes limit.
+
+    It is multiplied up a factor at a time, and every step at least doubles
+    it, so huge m, d or n stop within log2(limit) + 1 steps.
+    """
+    side = 1
+    for k in range(1, min(m, d) + 1):
+        side = side * (max(m, d) + k) // k          # comb(max + k, k)
+        if side > limit:
+            return None
+    power = side
+    for _ in range(n if side > 1 else 0):
+        power *= side
+        if power > limit:
+            return None
+    return power
+
+
+BOUND_DIGITS = 4300     # Python's default limit on the digits of an int it prints
+
+
 def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
-    """Conic-combination size bound: |G| times the local dimension count."""
+    """Conic-combination size bound: |G| times the local dimension count.
+
+    A bound of more than BOUND_DIGITS digits is a ValueError, decided before
+    the bound is built.
+    """
     if min(m, d, n, group_order) < 0 or group_order < 1:
         raise ValueError("inputs must be nonnegative with group order >= 1")
-    return group_order * math.comb(d + m, d) ** (n + 1)
+    limit = 10**BOUND_DIGITS
+    power = _comb_power(m, d, n, limit)
+    if power is None or group_order * power >= limit:
+        raise ValueError(f"bound has more than {BOUND_DIGITS} digits, the most a report prints")
+    return group_order * power
 
 
 def _shared_action(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> SymmetryAction:

@@ -109,11 +109,15 @@ def _necklaces(f: LocalFamily, n: int) -> Iterator[tuple[list[int], int]]:
 
 
 def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
-    """The guard counts every index of size n, evaluated or not."""
+    """The guard counts every index of size n, evaluated or not: m**(n+1), multiplied
+    up only until it passes max_tuples."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if f.m ** (n + 1) > max_tuples:
-        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
+    tuples = 1
+    for _ in range(n + 1 if f.m > 1 else 1):       # m = 1 gives one tuple at every n
+        tuples *= f.m
+        if tuples > max_tuples:
+            raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
 
 
 def transfer_tensor(f: LocalFamily, n: int) -> DenseTensor:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .blockpoly import RATIONAL, BlockPolynomial, _tolerance
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
@@ -13,8 +11,8 @@ def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
     """True iff every group element fixes p, by `RadPoly.matches` within tol.
 
     An exact polynomial of one part is fixed by g exactly when every term,
-    its key moved by g, finds itself in the same term dict, so no moved copy
-    is built; a permutation of sites maps distinct keys to distinct keys.
+    its key moved by g as `BlockPolynomial.act` moves it, finds itself in the
+    same term dict, so no moved copy is built.
     """
     _tolerance(tol)
     if isinstance(p, BlockPolynomial):
@@ -26,12 +24,7 @@ def is_invariant(p, a: SymmetryAction, tol: float = 1e-12) -> bool:
     identity = tuple(range(len(q.sites)))
     for g in range(len(a)):
         vperm = a.vperm(g)
-        q.check_vperm(vperm)
-        if vperm == identity:
-            continue
-        # the moved key holds at site vperm[i] the block of site i; a permutation
-        # other than the identity has two sites or more, so itemgetter gives a tuple
-        moved = itemgetter(*sorted(range(len(vperm)), key=vperm.__getitem__))
-        if any(terms.get(moved(key)) != c for key, c in terms.items()):
+        move = q.key_move(vperm)
+        if vperm != identity and any(terms.get(move(key)) != c for key, c in terms.items()):
             return False
     return True

@@ -26,6 +26,7 @@ from .complexes import WeightedComplex, _integer, is_connected
 from .decomposition import (  # caratheodory_bound is re-exported from its numpy-free home
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
+    _comb_power,
     caratheodory_bound,
     checked_action,
     checked_local,
@@ -52,7 +53,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .invariance import is_invariant
-from .radpoly import RadPoly
+from .radpoly import RadPoly, RadSum
 from .scalars import ONE, ScaledScalar
 from .symmetry import SymmetryAction, is_free
 
@@ -91,24 +92,6 @@ def monomials_upto(m: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _gram_dim(n: int, m: int, d: int) -> int | None:
-    """The Gram side comb(m+d, d)**(n+1), or None once its square passes 2**62 entries.
-
-    Every step at least doubles it, so huge n, m or d stop within 32 steps.
-    """
-    D = 1
-    for k in range(1, min(m, d) + 1):
-        D = D * (max(m, d) + k) // k          # comb(max + k, k)
-        if D * D > 2**62:
-            return None
-    dim = D
-    for _ in range(n if D > 1 else 0):
-        dim *= D
-        if dim * dim > 2**62:
-            return None
-    return dim
-
-
 class GramRepresentation:
     """Symmetric matrix over the tensor product of per-site monomial bases."""
 
@@ -119,7 +102,7 @@ class GramRepresentation:
         if min(self.n, self.m, self.d) < 0:
             raise ValueError("n, m and d must be nonnegative")
         mat = real_array(entries, "Gram entries")
-        dim = _gram_dim(self.n, self.m, self.d)
+        dim = _comb_power(self.m, self.d, self.n, 2**31)      # dim**2 entries, at most 2**62
         if dim is None:
             raise DimensionMismatch(f"expected over 2**62 entries, got {mat.shape}")
         if mat.shape == (dim * dim,):
@@ -446,12 +429,12 @@ class SosOmegaGDecomposition:
         return product(*self.site_index)
 
     def sum_squares(self, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
-        acc = RadPoly.zero(self.site_vars)
+        acc = RadSum(self.site_vars)
         for K in self.grid():
             q = self.member(K, max_work)
             if not q.is_zero():
-                acc = acc + q * q
-        return acc
+                acc.add(q * q)
+        return acc.result()
 
     def check_joint_symmetry(self, tol: float = 1e-9) -> bool:
         return locals_agree(self.action, self.site_vars, self.locals, tol)
@@ -598,15 +581,12 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
         per_site.setdefault(site, {}).setdefault(k, {})[beta] = poly
     locals_: dict[int, dict[tuple, RadPoly]] = {}
     for site, by_k in per_site.items():
-        acc: dict[tuple, RadPoly] = {}
+        sums: dict[tuple, RadSum] = {}
         for k, mapping in by_k.items():
             for b1, p1 in mapping.items():
                 for b2, p2 in mapping.items():
-                    key = pair_assignment(b1, b2, I)
-                    prod_ = p1 * p2
-                    prev = acc.get(key)
-                    acc[key] = prod_ if prev is None else prev + prod_
-        locals_[site] = acc
+                    sums.setdefault(pair_assignment(b1, b2, I), RadSum(p1.sites)).add(p1 * p2)
+        locals_[site] = {key: acc.result() for key, acc in sums.items()}
     return OmegaGDecomposition(sos.complex, sos.action, I * I, sos.site_vars,
                                locals_, sos.scale**2)
 
@@ -660,10 +640,10 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         local = sep.locals[site][beta].scale_mul(sep.scale)
         if splits and (site, beta) in splits:
             split = [RadPoly.coerce(t) for t in splits[(site, beta)]]
-            total = RadPoly.zero(local.sites)
+            total = RadSum(local.sites)
             for t in split:
-                total = total + t * t
-            if not total.matches(local):
+                total.add(t * t)
+            if not total.result().matches(local):
                 raise MissingSquareSplits(f"supplied split of {(site, beta)} does not "
                                           "square to its local")
         else:

@@ -52,7 +52,7 @@ class RadPoly:
 
     @classmethod
     def zero(cls, sites: Iterable[int], mode: str = RATIONAL) -> "RadPoly":
-        return cls(sites, (), mode)
+        return cls._trusted(tuple(sites), (), mode)
 
     @classmethod
     def from_poly(cls, p: BlockPolynomial) -> "RadPoly":
@@ -103,7 +103,7 @@ class RadPoly:
         parts = [(s, p.scaled(c)) for s, p in self.parts]
         if isinstance(c, float) and self.mode == RATIONAL:
             return RadPoly(self.sites, parts, self.mode)       # collapses to float mode
-        return RadPoly._trusted(self.sites, _nonzero_parts(parts), self.mode)
+        return RadPoly._trusted(self.sites, tuple((s, p) for s, p in parts if p.terms), self.mode)
 
     def scale_mul(self, s: ScaledScalar) -> "RadPoly":
         """Multiply by a positive radical scalar, exactly."""
@@ -113,8 +113,8 @@ class RadPoly:
         return RadPoly._trusted(self.sites, tuple(parts), self.mode)
 
     def act(self, vperm: tuple[int, ...]) -> "RadPoly":
-        parts = _nonzero_parts((s, p.act(vperm)) for s, p in self.parts)
-        return RadPoly._trusted(self.sites, parts, self.mode)
+        return RadPoly._trusted(self.sites, tuple((s, p.act(vperm)) for s, p in self.parts),
+                                self.mode)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -198,10 +198,6 @@ class RadPoly:
         return "RadPoly(" + " + ".join(f"{s!r}*{p!r}" for s, p in self.parts) + ")"
 
 
-def _nonzero_parts(parts) -> tuple:
-    return tuple((s, p) for s, p in parts if not p.is_zero())
-
-
 _SHARED, _TUPLES, _CODED = range(3)     # how a RadSum part holds its terms
 
 
@@ -216,11 +212,12 @@ class RadSum:
 
     A part is [scale, terms, state]. It shares the terms of the polynomial it
     came from (_SHARED) until something merges into it, then holds a private
-    copy keyed by tuples (_TUPLES). Once a site product merges into it, its
-    keys are ints (_CODED): each site numbers its exponent blocks as they
-    arrive, and a key is ``((n_0 << w | n_1) << w | n_2) ...``, w growing
-    when a site outgrows it. Keys decode in insertion order, so the codes
-    change no term, order or float bit.
+    copy keyed by tuples (_TUPLES), shared again once `result()` hands it out,
+    so a result is a snapshot that later merges leave alone. Once a site
+    product merges into it, its keys are ints (_CODED): each site numbers its
+    exponent blocks as they arrive, and a key is ``((n_0 << w | n_1) << w |
+    n_2) ...``, w growing when a site outgrows it. Keys decode in insertion
+    order, so the codes change no term, order or float bit.
     """
 
     __slots__ = ("sites", "mode", "parts", "codes", "width")
@@ -243,7 +240,7 @@ class RadSum:
         self.drop_zeros()
 
     def add_outer(self, factors) -> None:
-        """Add the product of single-site RadPoly factors, one per site of the sum.
+        """Add the product of single-site RadPoly factors, one per site, checked by the caller.
 
         The sum gets the terms, term order, parts, representative scales and
         float bits that adding the product as one RadPoly would give, but the
@@ -252,11 +249,6 @@ class RadSum:
         products of the part combinations of a factor with several radical
         parts are summed on their own first, as in the product RadPoly.
         """
-        if not factors:
-            raise ValueError("empty factor list")
-        if len(factors) != len(self.sites) or any(
-                f.sites != (m,) for f, m in zip(factors, self.sites)):
-            raise ValueError("site mismatch")
         mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
         if mode == FLOAT:
             self._to_float()
@@ -402,6 +394,11 @@ class RadSum:
         self.parts = [part for part in self.parts if part[1]]
 
     def merged_parts(self) -> tuple[tuple[ScaledScalar, BlockPolynomial], ...]:
+        """The parts as polynomials. A private part's terms are handed out, not
+        copied, and the part is marked shared, so a later merge copies them first."""
+        for part in self.parts:
+            if part[2] == _TUPLES:
+                part[2] = _SHARED
         return tuple((s, BlockPolynomial._trusted(
             self.sites, self._decoded(terms) if state == _CODED else terms, self.mode))
             for s, terms, state in self.parts)
@@ -413,6 +410,8 @@ class RadSum:
 def rad_outer(factors: Iterable) -> RadPoly:
     """Product of single-site RadPoly factors placed on consecutive sites."""
     factors = [RadPoly.coerce(f) for f in factors]
+    if not factors:
+        raise ValueError("empty factor list")
     if any(len(f.sites) != 1 for f in factors):
         raise ValueError("rad_outer expects single-site factors")
     acc = RadSum(tuple(f.sites[0] for f in factors))

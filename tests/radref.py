@@ -4,8 +4,11 @@
 loop took it over, and `ref_to_float` the chain of polynomial additions
 `RadPoly.to_float` was. `ref_radpoly` builds a RadPoly from parts the way the
 constructor does, and `ref_rad_outer` a product of single-site factors by
-multiplying out every combination of parts with `outer`. Tests compare the
-library with these part by part, term by term and float bit by float bit.
+multiplying out every combination of parts with `outer`. `ref_act` and
+`ref_rad_act` move terms as `act` did when it still merged colliding keys and
+dropped zeros, and `ref_fold` sums as the folds did before they ran on
+`RadSum`: `acc = acc + x` from the zero polynomial. Tests compare the library
+with these part by part, term by term and float bit by float bit.
 """
 
 from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial, outer
@@ -104,6 +107,30 @@ def ref_rad_outer(factors) -> RadPoly:
             return RadPoly._trusted(sites, (), mode)
         combos = [(scale * s, polys + [p]) for scale, polys in combos for s, p in f.parts]
     return ref_radpoly(sites, [(scale, outer(polys)) for scale, polys in combos], mode)
+
+
+def ref_act(p: BlockPolynomial, vperm) -> BlockPolynomial:
+    terms = {}
+    for key, c in p.terms.items():
+        blocks = list(key)
+        for i, gi in enumerate(vperm):
+            blocks[gi] = key[i]
+        moved = tuple(blocks)
+        s = terms.get(moved)
+        terms[moved] = c if s is None else s + c
+    return BlockPolynomial._trusted(p.sites, {k: c for k, c in terms.items() if c}, p.mode)
+
+
+def ref_rad_act(x: RadPoly, vperm) -> RadPoly:
+    moved = ((s, ref_act(p, vperm)) for s, p in x.parts)
+    return RadPoly._trusted(x.sites, tuple((s, p) for s, p in moved if p.terms), x.mode)
+
+
+def ref_fold(sites, addends) -> RadPoly:
+    acc = RadPoly(sites, ())
+    for x in addends:
+        acc = acc + x
+    return acc
 
 
 def structure(p):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -123,6 +124,29 @@ def test_contraction_guard_boundary(capsys, monkeypatch, argv, steps, golden):
                                 "message": f"contraction exceeded {steps - 1} steps"}
 
 
+@pytest.mark.parametrize("option,limit,argv,code,golden,error,message", [
+    ("--max-assignments", 128, "family check fixtures/planted_negative_family.json --n-max 6",
+     1, "family_check_planted_negative", "SizeTooLarge", "2**7 tuples exceed 127"),
+    ("--max-assignments", 4, "pos factorizable --complex fixtures/double_edge_complex.json"
+     " --action fixtures/double_edge_swap_action.json --index-size 2",
+     0, "pos_factorizable_double_edge", "SearchSpaceTooLarge", "2**2 assignments exceed 3"),
+    ("--max-group", 5,
+     "action check fixtures/circle5_complex.json fixtures/circle5_rotation_action.json",
+     0, "action_check_circle5", "GroupTooLarge", "group exceeds cap 4"),
+])
+def test_guard_boundaries(capsys, monkeypatch, option, limit, argv, code, golden, error,
+                          message):
+    # the smallest limit each golden command runs under, and one below it exits 3
+    monkeypatch.chdir(os.path.join(FIXTURES, ".."))
+    got, out = run(capsys, option, str(limit), *argv.split())
+    assert got == code
+    with open(os.path.join(GOLDEN, f"{golden}.stdout"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    got, out = run(capsys, option, str(limit - 1), *argv.split())
+    assert got == 3
+    assert strict_json(out) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize("obj", [
     {"D": 1, "m": 1, "coeffs": [[[-0.5]]]},
     {"D": 1, "m": 1, "coeffs": [[[True]]]},
@@ -152,6 +176,23 @@ def test_pos_bound(capsys):
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 0
     assert json.loads(out)["result"]["bound"] == 18
+
+
+def test_pos_bound_digit_limit(capsys):
+    # 2**(n+1) has at most 4300 digits up to n = 14283; no bound is built past that
+    n = 14283
+    assert 2 ** (n + 1) < 10**4300 <= 2 ** (n + 2)
+    code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "1", "--n", str(n), "--g", "1")
+    assert code == 0
+    assert strict_json(out)["result"]["bound"] == 2 ** (n + 1)
+    too_long = {"error": "ValueError",
+                "message": "bound has more than 4300 digits, the most a report prints"}
+    for argv in ([1, 1, n + 1, 1], [2000, 2000, 10, 1], [20000, 20000, 3000, 1]):
+        start = time.perf_counter()
+        code, out = run(capsys, "pos", "bound", *(f"--{k}={v}" for k, v in zip("mdng", argv)))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert strict_json(out) == too_long
 
 
 def test_usage_errors(capsys):

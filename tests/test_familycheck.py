@@ -1,6 +1,7 @@
 """Transfer tensors and the bounded positivity checker."""
 
 import gc
+import time
 from itertools import product
 
 import numpy as np
@@ -110,6 +111,23 @@ def test_guards_and_validation():
         _min_trace(sign, -1, 10)
     with pytest.raises(ValueError):
         LocalFamily(2, 2, (((1, 2),),))
+
+
+@pytest.mark.parametrize("n", [10**7, 3 * 10**7])
+def test_the_guard_decides_without_the_power(n):
+    # the guard stops multiplying once it passes the limit; 3**(n + 1) itself takes seconds
+    fam = LocalFamily(1, 3, [[[1, 1, 1]]])
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match=rf"^3\*\*{n + 1} tuples exceed 10000000$"):
+        bounded_positivity_check(fam, n, n_min=n)
+    assert time.perf_counter() - start < 1.0
+    unit = LocalFamily(1, 1, [[[1]]])
+    for limit, passes in ((1, True), (0, False)):
+        if passes:
+            _min_trace(unit, 3, limit)
+        else:
+            with pytest.raises(SizeTooLarge, match=r"^1\*\*4 tuples exceed 0$"):
+                _min_trace(unit, 3, limit)
     with pytest.raises(ValueError, match="m must be >= 1"):
         LocalFamily(1, 0, [[[]]])
     for D, m in ((2.0, 1), (1, 1.5), (True, 1)):

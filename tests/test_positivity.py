@@ -722,6 +722,22 @@ def test_caratheodory_values():
     assert caratheodory_bound(2, 1, 2, 6) == 162
 
 
+@pytest.mark.parametrize("m,d,g", [(1, 1, 1), (1, 1, 3), (2, 3, 7), (40, 40, 1), (0, 9, 10**4299)],
+                         ids=["m1d1", "m1d1g3", "m2d3g7", "m40d40", "d0g10**4299"])
+def test_caratheodory_bound_digit_limit(m, d, g):
+    # the largest n whose bound has at most 4300 digits passes, n + 1 does not
+    side, limit = math.comb(m + d, d), 10**4300
+    n, bound = 0, g * side
+    while side > 1 and bound * side < limit:
+        n, bound = n + 1, bound * side
+    assert caratheodory_bound(m, d, n, g) == bound < limit
+    if side > 1:
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            caratheodory_bound(m, d, n + 1, g)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        caratheodory_bound(m, d, n, 10**4300)
+
+
 def test_cone_check_modes():
     neg = BlockPolynomial((1,), {((2,),): -1.0}, FLOAT)
     assert cone_check(neg, "nn_coeff").ok is False
@@ -762,6 +778,13 @@ def test_gram_validation():
     # the size check runs before any basis enumeration, so huge sizes fail fast
     for n, m, d in ((10**12, 1, 1), (0, 10**7, 10**7), (0, 1200, 1)):
         with pytest.raises(DimensionMismatch):
+            GramRepresentation(n, m, d, [1.0])
+    # a side of 2**31 has 2**62 entries, the most the check admits
+    for n, m, d, message in ((30, 1, 1, "expected 2147483648x2147483648 entries"),
+                             (31, 1, 1, "expected over 2\\*\\*62 entries"),
+                             (0, 1, 2**31 - 1, "expected 2147483648x2147483648 entries"),
+                             (0, 1, 2**31, "expected over 2\\*\\*62 entries")):
+        with pytest.raises(DimensionMismatch, match=message):
             GramRepresentation(n, m, d, [1.0])
 
 
