@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .blockpoly import BlockPolynomial, _real
-from .decomposition import OmegaGDecomposition, symmetrize_average
+from .complexes import require_connected
+from .decomposition import OmegaGDecomposition, _free_build
 from .errors import (
     ActionNotFree,
     DimensionMismatch,
@@ -38,6 +39,7 @@ from .positivity import (
     quadratic_form,
     real_array,
 )
+from .radpoly import RadPoly
 from .symmetry import SymmetryAction, is_free
 
 MAUREY_CONSTANT = 8.0 * math.exp(4.0)
@@ -330,10 +332,13 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     error = float(np.linalg.norm(gram.entries - N))
 
     basis = homogeneous_basis(gram.m, gram.d)
-    poly_terms = []
+    forms = []
     for w, mats in zip(weights.tolist(), factors):
         polys = [quadratic_form(F, basis, 1) for F in mats]
         polys[0] = polys[0].scaled(w)
-        poly_terms.append(tuple(polys))
-    dec = symmetrize_average(poly_terms, a)
+        forms.append([RadPoly.from_poly(p) for p in polys])
+    require_connected(a.complex, "symmetrization")     # freeness is checked above
+    if not forms:
+        raise ValueError("need at least one elementary term")
+    dec = _free_build(a, (len(basis[0]),) * V, forms)
     return ApproxResult(dec, error, k, k * len(a), len(weights), N)

@@ -162,8 +162,15 @@ def _cmd_pos(run: _Run) -> int:
     if run.args.subcmd == "bound":
         from .decomposition import caratheodory_bound
         bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
-        run.pretty(f"separable index bound: {bound}")
-        return run.report("pos bound", {"bound": bound})
+        # the bound has at most BOUND_DIGITS digits, which print whatever
+        # PYTHONINTMAXSTRDIGITS says; the interpreter's limit is restored after
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            run.pretty(f"separable index bound: {bound}")
+            return run.report("pos bound", {"bound": bound})
+        finally:
+            sys.set_int_max_str_digits(limit)
     from .positivity import (GramRepresentation, factorizability_solve, gram_map,
                              invariant_sos_family)
     if run.args.subcmd == "gram-map":

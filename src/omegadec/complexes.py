@@ -17,9 +17,12 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
+    DEFAULT_MAX_WORK,
     EmptyFacet,
     InvalidSize,
     NonMaximalFacet,
+    NotConnected,
+    SizeTooLarge,
     UncoveredVertex,
     VertexOutOfRange,
 )
@@ -110,9 +113,11 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
     Rejects vertices and weights that are not integers (bools and floats
     included), empty facets, negative vertices, weights below 1, non-maximal
     facets (including duplicates), vertices outside ``vertex_count`` and
-    vertex ranges with gaps. The derived weight map needs no check: the facets
-    containing a set also contain each of its subsets, so the gcd over the
-    former is a multiple of the gcd over the latter.
+    vertex ranges with gaps, then, with SizeTooLarge, a complex that would
+    store more than DEFAULT_MAX_WORK label entries. The derived weight map
+    needs no check: the facets containing a set also contain each of its
+    subsets, so the gcd over the former is a multiple of the gcd over the
+    latter.
     """
     sets: list[frozenset[int]] = []
     weights: list[int] = []
@@ -151,6 +156,11 @@ def build_complex(facet_list: Sequence[tuple[Iterable[int], int]],
                             _NAMED_UNCOVERED))
         more = f" and {uncovered - len(named)} more" if uncovered > len(named) else ""
         raise UncoveredVertex(f"vertices {named}{more} lie in no facet")
+    # a facet of weight w stores w labels and w positions at each of its vertices
+    entries = sum(w * (1 + len(f)) for f, w in zip(sets, weights))
+    if entries > DEFAULT_MAX_WORK:
+        raise SizeTooLarge(f"complex would store {entries} label entries, "
+                           f"more than {DEFAULT_MAX_WORK}")
     return WeightedComplex(vertex_count, tuple(zip(sets, weights)))
 
 
@@ -197,3 +207,9 @@ def is_connected(c: WeightedComplex) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == c.vertex_count
+
+
+def require_connected(c: WeightedComplex, construction: str) -> None:
+    """Raise NotConnected unless c is connected, as the construction requires."""
+    if not is_connected(c):
+        raise NotConnected(f"{construction} requires a connected complex")

@@ -16,14 +16,13 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
-from .complexes import WeightedComplex, _integer, is_connected
+from .complexes import WeightedComplex, _integer, require_connected
 from .errors import (
     DEFAULT_MAX_WORK,
     ActionNotBlending,
     ActionNotFree,
     IncompatibleBlockSizes,
     NotBipartite,
-    NotConnected,
     NotInvariant,
     SearchSpaceTooLarge,
     SizeTooLarge,
@@ -295,17 +294,14 @@ def _read_terms(terms: Sequence[Sequence[object]], V: int) -> tuple[tuple[int, .
     return tuple(column[0].sites[0] for column in columns), list(zip(*columns))
 
 
-def _read_orbit_terms(terms: Sequence[Sequence[object]], a: SymmetryAction
-                      ) -> tuple[tuple[int, ...], list]:
-    """`_read_terms` for one factor per vertex, the widths equal along vertex orbits."""
-    site_vars, factors = _read_terms(terms, a.complex.vertex_count)
+def _check_orbit_widths(site_vars: tuple[int, ...], a: SymmetryAction) -> None:
+    """Raise unless the widths of one factor per vertex agree along vertex orbits."""
     for g in range(len(a)):
         for i, width in enumerate(site_vars):
             gi = a.vertex_image(g, i)
             if site_vars[gi] != width:
                 raise IncompatibleBlockSizes(
                     f"sites {i} and {gi} share an orbit but differ in width")
-    return site_vars, factors
 
 
 def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
@@ -325,62 +321,58 @@ def _product_sum(site_vars: tuple[int, ...], factors: list) -> RadPoly:
     return acc.result()
 
 
-def from_elementary(terms: Sequence[Sequence[object]],
-                    c: WeightedComplex) -> OmegaGDecomposition:
-    """Reuse the factors of an elementary decomposition as local polynomials.
-
-    The j-th term sits on the constant assignment j; connectivity makes every
-    non-constant assignment hit a zero local, so contraction reproduces the
-    elementary sum exactly.
-    """
-    if not is_connected(c):
-        raise NotConnected("elementary reuse requires a connected complex")
-    V = c.vertex_count
-    site_vars, factors = _read_terms(terms, V)
-    locals_: dict[int, dict[Beta, object]] = {}
-    for j, term in enumerate(factors):
-        for i in range(V):
-            width = len(c.label_positions_at(i))
-            locals_.setdefault(i, {})[(j + 1,) * width] = term[i]
-    return OmegaGDecomposition(c, None, len(terms), site_vars, locals_)
-
-
-def symmetrize_average(terms: Sequence[Sequence[object]],
-                       a: SymmetryAction) -> OmegaGDecomposition:
-    """Invariant decomposition contracting to the group average of the input sum.
-
-    Requires a free action on a connected complex. Index pairs (term, group
-    element) come from the free extension, so exactly the |G| translated
-    copies of the input survive contraction; the per-site scale
-    (1/|G|)**(1/V) turns the total into the average.
-    """
-    c = a.complex
-    if not is_connected(c):
-        raise NotConnected("symmetrization requires a connected complex")
-    if not is_free(a):
-        raise ActionNotFree("symmetrization requires a free action on the multifacets")
-    site_vars, factors = _read_orbit_terms(terms, a)
+def _free_build(a: SymmetryAction, site_vars: tuple[int, ...],
+                factors: list) -> OmegaGDecomposition:
+    """Free symmetrization of read terms, whose widths must agree along vertex
+    orbits: the index pairs (term, group element) of the free extension leave
+    exactly the |G| translated copies of the input in the contraction, and the
+    per-site scale (1/|G|)**(1/V) turns their total into the average."""
+    _check_orbit_widths(site_vars, a)
     locals_: dict[int, dict[Beta, RadPoly]] = {}
-    for i, gi, betas in free_extension(a, len(terms)):
+    for i, gi, betas in free_extension(a, len(factors)):
         for term, beta in zip(factors, betas):
             poly = term[gi]
             if not poly.is_zero():
                 locals_.setdefault(i, {})[beta] = poly
-    scale = ScaledScalar(Fraction(1, len(a)), c.vertex_count)
-    return OmegaGDecomposition(c, a, len(terms) * len(a), site_vars, locals_, scale)
+    scale = ScaledScalar(Fraction(1, len(a)), a.complex.vertex_count)
+    return OmegaGDecomposition(a.complex, a, len(factors) * len(a), site_vars, locals_, scale)
+
+
+def from_elementary(terms: Sequence[Sequence[object]],
+                    c: WeightedComplex) -> OmegaGDecomposition:
+    """Reuse the factors of an elementary decomposition as local polynomials: the
+    free symmetrization over the trivial group. The j-th term sits on the constant
+    assignment j; connectivity makes every non-constant assignment hit a zero
+    local, so contraction reproduces the elementary sum exactly."""
+    require_connected(c, "elementary reuse")
+    return _free_build(trivial_action(c), *_read_terms(terms, c.vertex_count))
+
+
+def _require_free(a: SymmetryAction) -> None:
+    require_connected(a.complex, "symmetrization")
+    if not is_free(a):
+        raise ActionNotFree("symmetrization requires a free action on the multifacets")
+
+
+def symmetrize_average(terms: Sequence[Sequence[object]],
+                       a: SymmetryAction) -> OmegaGDecomposition:
+    """Invariant decomposition contracting to the group average of the input sum;
+    requires a free action on a connected complex."""
+    _require_free(a)
+    return _free_build(a, *_read_terms(terms, a.complex.vertex_count))
 
 
 def symmetrize_free(terms: Sequence[Sequence[object]],
                     a: SymmetryAction) -> OmegaGDecomposition:
-    """Invariant decomposition of an invariant elementary sum, free action case.
-
-    The locals are the input factors rearranged (times the positive per-site
-    scale), and the index count is |G| times the input term count.
-    """
-    p = elementary_sum(terms)
-    if not is_invariant(p, a, 1e-9):
+    """Invariant decomposition of an invariant elementary sum, free action case: the
+    input factors rearranged, with |G| times the input term count as index size."""
+    site_vars, factors = _read_terms(terms, len(terms[0]) if terms else 0)
+    if not is_invariant(_product_sum(site_vars, factors), a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
-    return symmetrize_average(terms, a)
+    _require_free(a)
+    if len(site_vars) != a.complex.vertex_count:    # a zero sum is invariant at any length
+        raise ValueError(f"term has {len(site_vars)} factors, expected {a.complex.vertex_count}")
+    return _free_build(a, site_vars, factors)
 
 
 def symmetric_indicator_split(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -414,15 +406,15 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     the vector, so the subtracted part is empty.
     """
     c = a.complex
-    if not is_connected(c):
-        raise NotConnected("difference construction requires a connected complex")
+    require_connected(c, "difference construction")
     if not is_blending(a):
         raise ActionNotBlending("difference construction requires a blending vertex action")
     V = c.vertex_count
     if not terms:
         empty = OmegaGDecomposition(c, a, 0, (1,) * V, {})
         return empty, empty
-    site_vars, factors = _read_orbit_terms(terms, a)
+    site_vars, factors = _read_terms(terms, V)
+    _check_orbit_widths(site_vars, a)
     p = _product_sum(site_vars, factors)
     if not is_invariant(p, a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
@@ -568,8 +560,7 @@ def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomp
         raise ValueError("summands live on different complexes")
     if d1.site_vars != d2.site_vars:
         raise IncompatibleBlockSizes("summands disagree on site widths")
-    if not is_connected(d1.complex):
-        raise NotConnected("index concatenation requires a connected complex")
+    require_connected(d1.complex, "index concatenation")
     locals_: dict[int, dict[Beta, RadPoly]] = {}
     for d, shift in ((d1, 0), (d2, d1.index_size)):
         for site, mapping in d.locals.items():

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _real, _tolerance
-from .complexes import WeightedComplex, _integer, is_connected
+from .complexes import WeightedComplex, _integer, require_connected
 from .decomposition import (  # caratheodory_bound is re-exported from its numpy-free home
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
@@ -46,7 +46,6 @@ from .errors import (
     LocalsNotAligned,
     MissingCertificate,
     MissingSquareSplits,
-    NotConnected,
     NotFactorizable,
     NotInvariantPolynomial,
     NotPSD,
@@ -451,8 +450,7 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
     group elements, exactly as for single polynomials.
     """
     c = a.complex
-    if not is_connected(c):
-        raise NotConnected("family symmetrization requires a connected complex")
+    require_connected(c, "family symmetrization")
     if not is_free(a):
         raise ActionNotFree("family symmetrization requires a free action")
     V = c.vertex_count

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .blockpoly import _rational
 from .complexes import _integer
+from .errors import SizeTooLarge
 
 
 def integer_root(x: int, k: int) -> tuple[int, bool]:
@@ -35,9 +36,7 @@ def integer_root(x: int, k: int) -> tuple[int, bool]:
     return r, r**k == x
 
 
-def _divisors_desc(k: int) -> list[int]:
-    divs = [d for d in range(1, k + 1) if k % d == 0]
-    return divs[::-1]
+RADICAND_BITS = 8192     # a product stops before it builds a radicand of 2**RADICAND_BITS
 
 
 class ScaledScalar:
@@ -66,9 +65,13 @@ class ScaledScalar:
         return self
 
     def _normalize(self, num: int, den: int, k: int) -> None:
-        for m in _divisors_desc(k):
-            if m == 1:
-                break
+        # a perfect m-th power above 1 has m below its bit length, and the value
+        # one (num == den == 1, being coprime) has root index one
+        if num == den:
+            k = 1
+        for m in range(min(k, max(num.bit_length(), den.bit_length())), 1, -1):
+            if k % m:
+                continue
             rn, okn = integer_root(num, m)
             if not okn:
                 continue
@@ -121,6 +124,11 @@ class ScaledScalar:
         """self * (num/den)**(1/k) for coprime positive ints, over the common root index."""
         lcm = self.k * k // math.gcd(self.k, k)
         a, b = lcm // self.k, lcm // k
+        # x**a is at least 2**(a * (x.bit_length() - 1))
+        bits = max(a * (self.num.bit_length() - 1) + b * (num.bit_length() - 1),
+                   a * (self.den.bit_length() - 1) + b * (den.bit_length() - 1))
+        if bits >= RADICAND_BITS:
+            raise SizeTooLarge(f"a radicand of a product would pass {RADICAND_BITS} bits")
         n = self.num**a * num**b
         d = self.den**a * den**b
         g = math.gcd(n, d)

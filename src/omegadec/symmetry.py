@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .complexes import WeightedComplex, _integer, is_connected
+from .complexes import WeightedComplex, _integer, require_connected
 from .errors import (
     DEFAULT_MAX_GROUP,
     ActionNotFree,
     CollapseNotLinear,
     GroupTooLarge,
-    NotConnected,
     WeightNotPreserved,
 )
 
@@ -242,8 +241,7 @@ def free_refinement(a: SymmetryAction) -> SymmetryAction:
     (g*l, g*h), which has trivial stabilizers since left multiplication of the
     group on itself is free.
     """
-    if not is_connected(a.complex):
-        raise NotConnected("free refinement requires a connected complex")
+    require_connected(a.complex, "free refinement")
     c = a.complex
     order = len(a)
     new_c = WeightedComplex(c.vertex_count,

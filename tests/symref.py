@@ -1,0 +1,115 @@
+"""A sympy oracle for the free constructions, sharing no code with the exact core.
+
+It reads plain data only: factors as lists of (radicand, root index,
+{exponents: coefficient}) parts, complexes as (vertices, weight) facet
+lists, groups as vertex-permutation generators, and a decomposition as the
+JSON object `to_obj` writes. Factors become sympy polynomials in the
+site-blocked symbols x{i}_{v}, scales become `sympy.Rational` and
+`sympy.root`, and a decomposition is expanded by the paper's defining sum:
+scale**V times the sum, over every assignment of 1..N to the multifacet
+labels, of the product over sites of the local at the labels the site reads.
+"""
+
+from itertools import product
+
+import sympy
+
+
+def symbol(site, var):
+    return sympy.Symbol(f"x{site}_{var}")
+
+
+def monomial(site, exps):
+    return sympy.Mul(*(symbol(site, v) ** e for v, e in enumerate(exps)))
+
+
+def scalar(obj):
+    """{"r": "num/den", "k": k} as the positive real (num/den)**(1/k)."""
+    return sympy.root(sympy.Rational(obj["r"]), obj["k"])
+
+
+def factor(parts, site):
+    """A factor given as (radicand, root index, {exponents: coefficient}) parts."""
+    return sympy.Add(*(sympy.root(sympy.Rational(r), k) * sympy.Rational(c) * monomial(site, e)
+                       for r, k, terms in parts for e, c in terms.items()))
+
+
+def elementary(terms):
+    """sum over terms of the product over sites of the factors."""
+    return sympy.expand(sympy.Add(*(sympy.Mul(*(factor(f, i) for i, f in enumerate(term)))
+                                    for term in terms)))
+
+
+def group(generators, vertex_count):
+    """Every vertex permutation that the generators produce."""
+    identity = tuple(range(vertex_count))
+    found, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in found:
+                found.add(q)
+                todo.append(q)
+    return sorted(found)
+
+
+def moved(expr, perm, widths):
+    """expr with the variables of site i renamed to those of site perm[i]."""
+    return expr.xreplace({symbol(i, v): symbol(perm[i], v)
+                          for i, w in enumerate(widths) for v in range(w)})
+
+
+def closure(terms, perms):
+    """Each term moved by each permutation: its factor at site i goes to site perm[i]."""
+    out = []
+    for term in terms:
+        for perm in perms:
+            at = [None] * len(term)
+            for i, f in enumerate(term):
+                at[perm[i]] = f
+            out.append(at)
+    return out
+
+
+def average(terms, perms):
+    """The group average of the elementary sum: that of the closure over |G|."""
+    return elementary(closure(terms, perms)) / len(perms)
+
+
+def label_positions(facets, vertex_count):
+    """The labels a vertex reads: each facet of weight w owns w consecutive labels."""
+    positions, start = [[] for _ in range(vertex_count)], 0
+    for vertices, weight in facets:
+        for v in vertices:
+            positions[v].extend(range(start, start + weight))
+        start += weight
+    return [sorted(p) for p in positions], start
+
+
+def contraction(facets, dec):
+    """The defining label-assignment sum of a decomposition given as its `to_obj`."""
+    V = len(dec["site_vars"])
+    locals_ = {}
+    for entry in dec["locals"]:
+        poly = entry["poly"]
+        value = sympy.Add(*(sympy.Rational(t["coeff"]) * monomial(entry["site"], t["exps"][0])
+                            for t in poly["terms"]))
+        if "scale" in entry:
+            value *= scalar(entry["scale"])
+        key = (entry["site"], tuple(entry["beta"]))
+        locals_[key] = locals_.get(key, 0) + value
+    positions, label_count = label_positions(facets, V)
+    total = []
+    for labels in product(range(1, dec["index_size"] + 1), repeat=label_count):
+        factors = [locals_.get((i, tuple(labels[p] for p in positions[i]))) for i in range(V)]
+        if all(f is not None for f in factors):
+            total.append(sympy.Mul(*factors))
+    return sympy.expand(scalar(dec["scale"]) ** V * sympy.Add(*total))
+
+
+def equal(a, b):
+    """Exact equality of two polynomials with radical coefficients. sympy writes
+    a product of rational powers of integers in one form, so expanding their
+    difference leaves 0 exactly when they agree."""
+    return sympy.expand(a - b) == 0

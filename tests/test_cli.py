@@ -195,6 +195,47 @@ def test_pos_bound_digit_limit(capsys):
         assert strict_json(out) == too_long
 
 
+@pytest.mark.parametrize("n", [3000, 14283])
+def test_pos_bound_ignores_the_int_digit_limit(n):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    argv = [sys.executable, "-m", "omegadec.cli", "pos", "bound", "--m", "1", "--d", "1",
+            "--n", str(n), "--g", "1"]
+    plain = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    low = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONINTMAXSTRDIGITS="640"),
+                         timeout=120)
+    assert plain.returncode == low.returncode == 0
+    assert strict_json(plain.stdout)["result"]["bound"] == 2 ** (n + 1)
+    assert low.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("weight", [10**9, 10**30])
+def test_complex_with_huge_weights_exits_3(capsys, tmp_path, weight):
+    path = write_json(tmp_path, "heavy.json", {"n": 1, "facets": [
+        {"vertices": [0, 1], "weight": weight}]})
+    start = time.perf_counter()
+    code, out = run(capsys, "complex", "info", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert strict_json(out) == {"error": "SizeTooLarge", "message": (
+        f"complex would store {3 * weight} label entries, more than 10000000")}
+
+
+@pytest.mark.parametrize("command", ["verify", "contract"])
+@pytest.mark.parametrize("r", ["1/1", "2/1", "2/3"])
+def test_huge_root_index_scale_ends_quickly(capsys, tmp_path, command, r):
+    with open(fixture("squares_double_edge.json"), encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    bundle["decomposition"]["scale"] = {"r": r, "k": 10**30}
+    start = time.perf_counter()
+    code, out = run(capsys, "dec", command, write_json(tmp_path, "bundle.json", bundle))
+    assert time.perf_counter() - start < 1.0
+    assert code == (0 if r == "1/1" else 1)
+    strict_json(out)
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert strict_json(capsys.readouterr().out)["error"] == "UsageError"

@@ -1,9 +1,12 @@
 """Weighted simplicial complexes: construction, queries, invariants."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegadec import complexes
 from omegadec.complexes import (
     WeightedComplex,
     build_complex,
@@ -16,6 +19,7 @@ from omegadec.errors import (
     EmptyFacet,
     InvalidSize,
     NonMaximalFacet,
+    SizeTooLarge,
     UncoveredVertex,
     VertexOutOfRange,
 )
@@ -219,6 +223,24 @@ def test_large_complexes_build():
     assert circle.label_count == 1100
     assert circle.label_positions_at(0) == (0, 1099)
     assert all(circle.label_positions_at(v) == (v - 1, v) for v in range(1, 1100))
+
+
+def test_label_entries_are_counted_before_they_are_stored(monkeypatch):
+    # a facet of weight w stores w labels and w positions at each of its vertices
+    facets = [({0, 1}, 2), ({1, 2}, 1)]     # 2 * 3 + 1 * 3 = 9 entries
+    monkeypatch.setattr(complexes, "DEFAULT_MAX_WORK", 9)
+    assert build_complex(facets).label_count == 3
+    monkeypatch.setattr(complexes, "DEFAULT_MAX_WORK", 8)
+    with pytest.raises(SizeTooLarge, match="^complex would store 9 label entries, more than 8$"):
+        build_complex(facets)
+
+
+@pytest.mark.parametrize("weight", [10**9, 10**30])
+def test_huge_weights_stop_before_allocating(weight):
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge):
+        build_complex([({0, 1}, weight)])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_round_trip():

@@ -188,7 +188,7 @@ def test_each_command_loads_only_its_layers(command):
     assert not NEVER_LOADED[command] & set(probe["modules"])
 
 
-SWAPS = ([], {}, "x", 1.5, True, None, -1)
+SWAPS = ([], {}, "x", 1.5, True, None, -1, 10**30)
 # the keys whose values README "File formats" types as `int`
 INT_KEYS = {"n", "vertices", "weight", "vertex_perm", "multifacet_perm", "exps", "sites",
             "index_size", "site_vars", "site", "beta", "k", "D", "m", "d", "dims", "coeffs"}

@@ -1,13 +1,16 @@
 """Exact radical scalar arithmetic."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegadec.scalars import ONE, ScaledScalar, integer_root
+from omegadec.errors import SizeTooLarge
+from omegadec.scalars import ONE, RADICAND_BITS, ScaledScalar, integer_root
 
 
 @given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=7))
@@ -98,3 +101,43 @@ def test_product_value_consistency(r1, r2, k1, k2):
 def test_serialization_round_trip():
     s = ScaledScalar(Fraction(15, 8), 2)
     assert ScaledScalar.from_obj(s.to_obj()) == s
+
+
+def ref_normalize(num, den, k):
+    """The scan the normalization ran before it was bounded: every divisor of k,
+    largest first, until num and den are both perfect powers of it."""
+    for m in (d for d in range(k, 1, -1) if k % d == 0):
+        (rn, okn), (rd, okd) = integer_root(num, m), integer_root(den, m)
+        if okn and okd:
+            return rn, rd, k // m
+    return num, den, k
+
+
+def test_normalization_matches_the_divisor_scan():
+    rng = random.Random(7)
+    for _ in range(3000):
+        num, den = (rng.randint(1, 6) ** rng.randint(0, 12) for _ in range(2))
+        g = math.gcd(num, den)
+        num, den, k = num // g, den // g, rng.randint(1, 72)
+        s = ScaledScalar(Fraction(num, den), k)
+        assert (s.num, s.den, s.k) == ref_normalize(num, den, k), (num, den, k)
+
+
+def test_huge_root_indices_end_quickly():
+    start = time.perf_counter()
+    assert ScaledScalar(1, 10**30) == ONE
+    assert ScaledScalar(Fraction(4, 9), 10**30) == ScaledScalar(Fraction(2, 3), 5 * 10**29)
+    with pytest.raises(SizeTooLarge):
+        ScaledScalar(2, 100003) * ScaledScalar(3, 100019)
+    with pytest.raises(SizeTooLarge):
+        ScaledScalar(2, 10**30) / ScaledScalar(3, 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_radicand_limit():
+    # 2 * (1/2)**(1/k) is (2**k / 2)**(1/k), a radicand of at least 2**k before it is reduced
+    k = RADICAND_BITS - 1
+    assert ScaledScalar(2) * ScaledScalar(Fraction(1, 2), k) == ScaledScalar(2**(k - 1), k)
+    message = f"^a radicand of a product would pass {RADICAND_BITS} bits$"
+    with pytest.raises(SizeTooLarge, match=message):
+        ScaledScalar(2) * ScaledScalar(Fraction(1, 2), RADICAND_BITS)

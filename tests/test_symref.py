@@ -1,0 +1,115 @@
+"""The free constructions against the sympy oracle in tests/symref.py.
+
+Each case draws factors as plain data, rational or with radical parts and
+now and then zero, and hands the library and the oracle the same data. The
+oracle expands the decomposition the library built by the defining
+label-assignment sum and checks it against the polynomial the construction
+promises: the elementary sum for `from_elementary` and `symmetrize_free`, its
+group average for `symmetrize_average`, and invariance under every
+generator for `symmetrize_free`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from omegadec.blockpoly import BlockPolynomial
+from omegadec.complexes import build_complex
+from omegadec.decomposition import from_elementary, symmetrize_average, symmetrize_free
+from omegadec.radpoly import RadPoly
+from omegadec.scalars import ScaledScalar
+from omegadec.symmetry import build_action
+from symref import average, closure, contraction, elementary, equal, group, moved
+
+# (facets, generators as (vertex perm, label perm) pairs)
+CIRCLE3 = [((0, 1), 1), ((1, 2), 1), ((2, 0), 1)]
+CIRCLE4 = [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((3, 0), 1)]
+DOUBLE_EDGE = [((0, 1), 2)]
+LINE2 = [((0, 1), 1), ((1, 2), 1)]
+FREE = [(DOUBLE_EDGE, [((1, 0), (1, 0))]),
+        (CIRCLE3, [((1, 2, 0), (1, 2, 0))]),
+        (CIRCLE4, [((1, 2, 3, 0), (1, 2, 3, 0))]),
+        (LINE2, [((2, 1, 0), (1, 0))])]
+TRIVIAL = [CIRCLE3, CIRCLE4, DOUBLE_EDGE, LINE2, [((0, 1, 2), 1)], [((0, 1), 1)],
+           [((0, 1), 1), ((1, 2), 1), ((2, 3), 1)]]
+# (radicand, root index) of a part: rational, or sqrt 2, sqrt 8, sqrt 3 and 2**(1/4)
+SCALES = [("1", 1), ("2", 2), ("8", 2), ("3", 2), ("2", 4), ("1/3", 3)]
+
+
+def random_factor(rng, w, radical):
+    """Parts (radicand, root index, {exponents: coefficient}); no parts is zero."""
+    if rng.random() < 0.15:
+        return []
+    scales = rng.sample(SCALES, rng.randint(1, 2)) if radical else [SCALES[0]]
+    return [(r, k, {tuple(rng.randrange(3) for _ in range(w)):
+                    str(Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 3])))
+                    for _ in range(rng.randint(1, 2))})
+            for r, k in scales]
+
+
+def library_factor(parts, w):
+    return RadPoly((w,), [(ScaledScalar(Fraction(r), k),
+                           BlockPolynomial((w,), {(e,): Fraction(c) for e, c in terms.items()}))
+                          for r, k, terms in parts])
+
+
+def library_terms(terms, widths):
+    return [[library_factor(f, w) for f, w in zip(term, widths)] for term in terms]
+
+
+def vertex_count(facets):
+    return 1 + max(v for vertices, _ in facets for v in vertices)
+
+
+def orbit_widths(rng, facets, generators):
+    V = vertex_count(facets)
+    widths = [0] * V
+    for i in range(V):
+        if not widths[i]:
+            w = rng.randint(1, 2)
+            for p in group([g for g, _ in generators], V):
+                widths[p[i]] = w
+    return widths
+
+
+def case_from_elementary(rng):
+    facets = rng.choice(TRIVIAL)
+    widths = [rng.randint(1, 2) for _ in range(vertex_count(facets))]
+    radical = rng.random() < 0.5
+    terms = [[random_factor(rng, w, radical) for w in widths] for _ in range(rng.randint(1, 3))]
+    dec = from_elementary(library_terms(terms, widths), build_complex(facets))
+    assert equal(contraction(facets, dec.to_obj()), elementary(terms))
+
+
+def case_symmetrize_average(rng):
+    facets, generators = rng.choice(FREE)
+    widths = orbit_widths(rng, facets, generators)
+    radical = rng.random() < 0.5
+    terms = [[random_factor(rng, w, radical) for w in widths] for _ in range(rng.randint(1, 2))]
+    a = build_action(build_complex(facets), generators)
+    dec = symmetrize_average(library_terms(terms, widths), a)
+    perms = group([g for g, _ in generators], len(widths))
+    assert equal(contraction(facets, dec.to_obj()), average(terms, perms))
+
+
+def case_symmetrize_free(rng):
+    """The orbit closure of one random term is an invariant elementary sum."""
+    facets, generators = rng.choice(FREE)
+    widths = orbit_widths(rng, facets, generators)
+    term = [random_factor(rng, w, rng.random() < 0.5) for w in widths]
+    terms = closure([term], group([g for g, _ in generators], len(widths)))
+    a = build_action(build_complex(facets), generators)
+    got = contraction(facets, symmetrize_free(library_terms(terms, widths), a).to_obj())
+    assert equal(got, elementary(terms))
+    for g, _ in generators:
+        assert equal(moved(got, g, widths), got)
+
+
+CASES = [case_from_elementary, case_symmetrize_average, case_symmetrize_free]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
+def test_agrees_with_the_sympy_oracle(case):
+    for seed in range(24):
+        case(random.Random(f"{case.__name__}-{seed}"))
