@@ -135,16 +135,56 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
                          site_locals: Mapping[int, Mapping[Beta, RadPoly]],
                          site_vars: Sequence[int],
                          max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
-    """Sum the per-site local products over all index assignments."""
+    """Sum the per-site local products over all index assignments.
+
+    The product of each assignment is added in walk order, except in an
+    exact contraction whose locals are each one part of scale one. There,
+    each distinct local value (its terms in order, with their types) gets a
+    code, the walk counts each tuple of per-site codes, and each distinct
+    product is added once, in order of first occurrence, times its count.
+    The values and the terms are those of adding every product, but a term
+    that a partial sum cancels part way through the walk may come back at
+    another place, and an integral coefficient as an int where adding every
+    product held a Fraction, or the reverse. A float product is not
+    grouped, since count times it need not be bit-equal to adding it count
+    times; nor is a local with several parts or a scale other than one,
+    since a part cancelled part way through comes back at the end of the
+    parts, with the scale of the product that brings it back.
+    """
     V = complex_.vertex_count
     mode = FLOAT if any(p.mode == FLOAT
                         for locs in site_locals.values() for p in locs.values()) else RATIONAL
     acc = RadSum(tuple(site_vars), mode)
     locs = [site_locals.get(i, {}) for i in range(V)]
     positions = [complex_.label_positions_at(i) for i in range(V)]
-    for keys in label_assignments(positions, complex_.label_count, index_size,
-                                  [loc.keys() for loc in locs], max_work):
-        acc.add_outer([loc[key] for loc, key in zip(locs, keys)])
+    walk = label_assignments(positions, complex_.label_count, index_size,
+                             [loc.keys() for loc in locs], max_work)
+    if mode == FLOAT or not all(len(p.parts) == 1 and p.parts[0][0] == ONE
+                                for loc in locs for p in loc.values()):
+        for keys in walk:
+            acc.add_outer([loc[key] for loc, key in zip(locs, keys)])
+        return acc.result()
+    values: list[RadPoly] = []      # the local of each code
+    code_of: dict = {}              # a local's value -> its code
+    seen: dict[int, int] = {}       # id of a local -> its code
+    site_codes = []
+    for loc in locs:
+        codes = {}
+        for beta, p in loc.items():
+            if id(p) not in seen:
+                value = tuple((k, type(c), c) for k, c in p.parts[0][1].terms.items())
+                if value not in code_of:
+                    code_of[value] = len(values)
+                    values.append(p)
+                seen[id(p)] = code_of[value]
+            codes[beta] = seen[id(p)]
+        site_codes.append(codes)
+    counts: dict[tuple[int, ...], int] = {}
+    for keys in walk:
+        t = tuple([codes[key] for codes, key in zip(site_codes, keys)])
+        counts[t] = counts.get(t, 0) + 1
+    for t, count in counts.items():
+        acc.add_outer([values[c] for c in t], count)
     return acc.result()
 
 

@@ -239,15 +239,20 @@ class RadSum:
             self.add_part(s, p)
         self.drop_zeros()
 
-    def add_outer(self, factors) -> None:
-        """Add the product of single-site RadPoly factors, one per site, checked by the caller.
+    def add_outer(self, factors, count: int = 1) -> None:
+        """Add count times the product of single-site RadPoly factors, one per
+        site, checked by the caller.
 
         The sum gets the terms, term order, parts, representative scales and
         float bits that adding the product as one RadPoly would give, but the
         product is not built: each term of the last site is multiplied into
         the product of the other sites and merged straight into the sum. The
         products of the part combinations of a factor with several radical
-        parts are summed on their own first, as in the product RadPoly.
+        parts are summed on their own first, as in the product RadPoly. A
+        count above one multiplies each product coefficient once, exactly, so
+        it stands for adding the product count times only where the order of
+        additions cannot show: in an exact sum of one-part factors of scale
+        one (see `contract_assignments`).
         """
         mode = FLOAT if any(f.mode == FLOAT for f in factors) else RATIONAL
         if mode == FLOAT:
@@ -259,7 +264,7 @@ class RadSum:
             combos = [(scale * s, polys + [p]) for scale, polys in combos for s, p in f.parts]
         acc = self if len(combos) == 1 else RadSum(self.sites, mode)
         for scale, polys in combos:
-            acc._add_product(scale, polys, mode)
+            acc._add_product(scale, polys, mode, count)
         acc.drop_zeros()
         if acc is not self:
             self.add(acc.result())
@@ -278,15 +283,18 @@ class RadSum:
         """Merge s*p; a part that cancels stays until `drop_zeros`."""
         self._add_product(s, [p], p.mode)
 
-    def _add_product(self, scale: ScaledScalar, polys: list[BlockPolynomial], mode: str) -> None:
-        """Merge scale times the product of polys, computed in mode.
+    def _add_product(self, scale: ScaledScalar, polys: list[BlockPolynomial], mode: str,
+                     count: int = 1) -> None:
+        """Merge count times scale times the product of polys, computed in mode.
 
         polys is one polynomial on the sites of the sum, or single-site
         factors, one per site. Each product coefficient is formed left to
-        right from the first factor's, as `outer` forms it. A float sum reads
-        an exact product through `float`, drops a zero product and folds a
-        scale other than one in after the product. A part that cancels stays
-        until `drop_zeros`.
+        right from the first factor's, as `outer` forms it. An exact sum
+        multiplies it once, by count times the rational ratio of scale to
+        the part's scale. A float sum reads an exact product through
+        `float`, drops a zero product and folds count times a scale in after
+        the product, unless both are one. A part that cancels stays until
+        `drop_zeros`.
         """
         if mode == FLOAT:
             polys = [p.astype_float() for p in polys]
@@ -296,19 +304,20 @@ class RadSum:
         read = fold = None
         if float_sum:
             read = float if mode == RATIONAL else None
-            fold = None if scale == ONE else float(scale)
+            fold = None if scale == ONE and count == 1 else float(scale) * count
             # a float sum holds at most one part, of scale one
             part, ratio, scale = (self.parts[0] if self.parts else None), 1, ONE
         else:
             part, ratio = self._commensurable(scale)
         if part is None:
-            if len(polys) == 1 and read is None and fold is None:
+            if len(polys) == 1 and read is None and fold is None and count == 1:
                 self.parts.append([scale, polys[0].terms, _SHARED])
                 return
             part, ratio = [scale, {}, _TUPLES], 1
             self.parts.append(part)
         elif part[2] == _SHARED:
             part[1], part[2] = dict(part[1]), _TUPLES
+        ratio *= count
         products = (polys[0].terms.items() if len(polys) == 1 and part[2] == _TUPLES
                     else self._coded_products(part, polys))
         terms = part[1]

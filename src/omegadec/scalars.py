@@ -140,6 +140,9 @@ class ScaledScalar:
         if j < 0:
             return ONE / self ** (-j)
         g = math.gcd(j, self.k)
+        # the bound of _times: x**e is at least 2**(e * (x.bit_length() - 1))
+        if j // g * (max(self.num.bit_length(), self.den.bit_length()) - 1) >= RADICAND_BITS:
+            raise SizeTooLarge(f"a radicand of a power would pass {RADICAND_BITS} bits")
         return ScaledScalar._reduced(self.num ** (j // g), self.den ** (j // g), self.k // g)
 
     def root(self, j: int) -> "ScaledScalar":

@@ -17,10 +17,12 @@ from omegadec.scalars import ONE
 
 
 class RefSum:
-    """A running sum of [scale, terms, private] parts, merged one part at a time."""
+    """A running sum of [scale, terms, private] parts, merged one part at a time.
+    `cancelled` holds every key whose coefficient some merge took to zero."""
 
     def __init__(self, sites, mode=RATIONAL):
         self.sites, self.mode, self.parts = tuple(sites), mode, []
+        self.cancelled = set()
 
     def add(self, x: RadPoly) -> None:
         if x.mode == FLOAT and self.mode == RATIONAL:
@@ -60,6 +62,7 @@ class RefSum:
                 terms[key] = t
             else:
                 del terms[key]
+                self.cancelled.add(key)
 
     def _commensurable(self, s):
         for part in self.parts:

@@ -108,6 +108,16 @@ def contraction(facets, dec):
     return sympy.expand(scalar(dec["scale"]) ** V * sympy.Add(*total))
 
 
+def radpoly(parts):
+    """A polynomial given as the JSON list `RadPoly.to_obj` writes: each part's
+    scale, one when absent, times its terms, whose exponents are per site."""
+    return sympy.expand(sympy.Add(*(
+        (scalar(part["scale"]) if "scale" in part else 1)
+        * sympy.Rational(t["coeff"])
+        * sympy.Mul(*(monomial(i, e) for i, e in enumerate(t["exps"])))
+        for part in parts for t in part["poly"]["terms"])))
+
+
 def equal(a, b):
     """Exact equality of two polynomials with radical coefficients. sympy writes
     a product of rational powers of integers in one form, so expanding their

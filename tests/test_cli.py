@@ -236,6 +236,25 @@ def test_huge_root_index_scale_ends_quickly(capsys, tmp_path, command, r):
     strict_json(out)
 
 
+@pytest.mark.parametrize("command", ["verify", "contract"])
+@pytest.mark.parametrize("bits", [4095, 4096])
+def test_scale_power_radicand_limit(capsys, tmp_path, command, bits):
+    """Contraction raises the scale to the vertex count, here 2: a radicand of
+    2**4096 squared reaches 2**8192 and stops before the power is built."""
+    with open(fixture("squares_double_edge.json"), encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    del bundle["expected"]
+    bundle["decomposition"]["scale"] = {"r": str(2**bits), "k": 1}
+    code, out = run(capsys, "dec", command, write_json(tmp_path, "bundle.json", bundle))
+    if bits == 4095:
+        assert code == 0
+        assert strict_json(out)["result"]
+    else:
+        assert code == 3
+        assert strict_json(out) == {"error": "SizeTooLarge",
+                                    "message": "a radicand of a power would pass 8192 bits"}
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert strict_json(capsys.readouterr().out)["error"] == "UsageError"

@@ -9,6 +9,15 @@ parts and representative scales, and the same float bits. The label walk
 descends one key trie per site; it must yield exactly the assignments a
 brute-force enumeration of every assignment keeps, and `old_label_assignments`,
 which re-filtered every compatible key for every child, pins its work count.
+
+An exact contraction whose locals are each one part of scale one adds each
+distinct tuple of local values once, times its count; `grouped_sum` writes
+that apart and must match it exactly. Against the old loop it gives the same
+values and report bytes, and the same terms in the same order and with the
+same types, except for terms that a partial sum of either loop cancels to
+zero part way through. Float, radical and scaled locals still run the old
+loop, bit for bit. The tests draw locals from small pools, with negations
+where partial sums should cancel, so that tuples repeat.
 """
 
 import random
@@ -19,8 +28,14 @@ import pytest
 
 from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.complexes import standard_complex
-from omegadec.decomposition import contract_assignments, elementary_sum, label_assignments
+from omegadec.decomposition import (
+    contract_assignments,
+    elementary_sum,
+    label_assignments,
+    symmetrize_free,
+)
 from omegadec.errors import SearchSpaceTooLarge
+from omegadec.fixtures import circle_rotation_action
 from omegadec.radpoly import RadPoly, RadSum, rad_outer
 from omegadec.scalars import ONE, ScaledScalar
 from radref import RefSum, ref_rad_outer, structure
@@ -57,17 +72,41 @@ def old_label_assignments(positions, label_count, index_size, site_keys, max_wor
         stack += reversed(children)
 
 
-def old_contract(c, index_size, site_locals, site_vars):
-    V = c.vertex_count
+def old_walk(c, index_size, site_locals):
+    """The locals of each assignment, in the order of the old walk."""
+    locs = [site_locals.get(i, {}) for i in range(c.vertex_count)]
+    positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
+    for keys in old_label_assignments(positions, c.label_count, index_size,
+                                      [loc.keys() for loc in locs]):
+        yield [loc[key] for loc, key in zip(locs, keys)]
+
+
+def old_sum(c, index_size, site_locals, site_vars):
     mode = FLOAT if any(p.mode == FLOAT
                         for locs in site_locals.values() for p in locs.values()) else RATIONAL
     acc = RefSum(tuple(site_vars), mode)
-    locs = [site_locals.get(i, {}) for i in range(V)]
-    positions = [c.label_positions_at(i) for i in range(V)]
-    for keys in old_label_assignments(positions, c.label_count, index_size,
-                                      [loc.keys() for loc in locs]):
-        acc.add(ref_rad_outer([loc[key] for loc, key in zip(locs, keys)]))
-    return acc.result()
+    for factors in old_walk(c, index_size, site_locals):
+        acc.add(ref_rad_outer(factors))
+    return acc
+
+
+def old_contract(c, index_size, site_locals, site_vars):
+    return old_sum(c, index_size, site_locals, site_vars).result()
+
+
+def grouped_sum(c, index_size, site_locals, site_vars):
+    """The grouped contraction written apart, for exact one-part locals of
+    scale one: the product of each distinct tuple of local values (terms in
+    order, with their types), in order of first occurrence, times its count."""
+    counts = {}
+    for factors in old_walk(c, index_size, site_locals):
+        value = tuple(tuple((k, type(x), x) for k, x in f.parts[0][1].terms.items())
+                      for f in factors)
+        counts.setdefault(value, [factors, 0])[1] += 1
+    acc = RefSum(tuple(site_vars))
+    for factors, count in counts.values():
+        acc.add(ref_rad_outer(factors).scaled(count))
+    return acc
 
 
 def old_elementary_sum(terms):
@@ -143,6 +182,25 @@ def test_elementary_sum_and_rad_outer_match_the_old_product_loop(seed):
         assert structure(rad_outer(term)) == structure(ref_rad_outer(term))
 
 
+@pytest.mark.parametrize("seed", range(18))
+def test_a_counted_product_is_the_product_added_count_times(seed):
+    rng = random.Random(5000 + seed)
+    mix = MIXES[seed % len(MIXES)]
+    widths = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+    factors = [random_local(rng, w, rng.choice(mix)) for w in widths]
+    count = rng.randint(2, 5)
+    acc, ref = RadSum(tuple(widths)), RefSum(tuple(widths))
+    acc.add_outer(factors, count)
+    for _ in range(count):
+        ref.add(ref_rad_outer(factors))
+    got, want = acc.result(), ref.result()
+    assert got.mode == want.mode
+    if got.mode == RATIONAL:
+        assert got == want
+    else:
+        assert got.allclose(want, 1e-12)
+
+
 def test_float_products_that_underflow_or_cancel_are_dropped():
     tiny = RadPoly.from_poly(BlockPolynomial((1,), {((0,),): 1e-200, ((1,),): 1.0}, FLOAT))
     one = RadPoly.from_poly(BlockPolynomial((1,), {((0,),): 1.0}, FLOAT))
@@ -215,6 +273,157 @@ def test_coded_keys_widen_when_a_site_sees_new_blocks(seed):
     ref.add(ref_rad_outer(f))
     assert structure(acc.result()) == structure(ref.result())
     assert acc.width > first_width
+
+
+def positive(p):
+    return RadPoly._trusted(p.sites, tuple(
+        (s, BlockPolynomial._trusted(q.sites, {k: abs(x) for k, x in q.terms.items()}, q.mode))
+        for s, q in p.parts), p.mode)
+
+
+def pooled_locals(rng, c, index_size, site_vars, mix, negations):
+    """Locals drawn from a pool of few values per width, so that whole tuples of
+    locals repeat across assignments. A pool holds a local of the first kind
+    of mix, one of any kind, a copy of the first as another object and, for a
+    one-part local of scale one, the first with its terms in reverse order
+    and, if exact, the first with every coefficient a Fraction.
+    With negations the pool adds the negation of each, so that partial sums
+    cancel; without, every coefficient is positive, so that none does. The
+    first local stored at site 0 is its pool's first, so that every
+    contraction holds a local of the first kind."""
+    pools = {}
+    for w in sorted(set(site_vars)):
+        first, second = random_local(rng, w, mix[0]), random_local(rng, w, rng.choice(mix))
+        if not negations:
+            first, second = positive(first), positive(second)
+        pool = [first, second, RadPoly(first.sites, first.parts)]
+        if len(first.parts) == 1 and first.parts[0][0] == ONE:
+            q = first.parts[0][1]
+            pool.append(RadPoly.from_poly(BlockPolynomial._trusted(
+                q.sites, dict(reversed(q.terms.items())), q.mode)))
+            if q.mode == RATIONAL:      # integral Fractions, equal to the ints of first
+                pool.append(RadPoly.from_poly(BlockPolynomial._trusted(
+                    q.sites, {k: Fraction(x) for k, x in q.terms.items()}, q.mode)))
+        pools[w] = pool + [-p for p in pool] if negations else pool
+    locals_ = {i: {beta: rng.choice(pools[site_vars[i]])
+                   for beta in product(range(1, index_size + 1),
+                                       repeat=len(c.label_positions_at(i)))
+                   if rng.random() < 0.8}
+               for i in range(c.vertex_count)}
+    for beta in list(locals_[0])[:1]:
+        locals_[0][beta] = pools[site_vars[0]][0]
+    return locals_
+
+
+def kept_terms(p, cancelled):
+    """The terms, in order and with their types, of the keys never cancelled."""
+    return [[(k, type(x), x) for k, x in q.terms.items() if k not in cancelled]
+            for _, q in p.parts]
+
+
+# exact one-part locals of scale one are grouped; the others run the product loop
+GROUPED_POOLS = [("int",), ("fraction",), ("int", "fraction")]
+UNGROUPED_POOLS = [("radical", "int"), ("scaled", "fraction"), ("float",), ("float", "int"),
+                   ("radical", "scaled", "float")]
+
+
+def check_grouped(c, index_size, locals_, site_vars):
+    """Check an exact contraction against `grouped_sum` and the product loop;
+    True if some term moved or changed type after a cancellation."""
+    got = contract_assignments(c, index_size, locals_, site_vars)
+    old = old_sum(c, index_size, locals_, site_vars)
+    want = old.result()
+    grouped = grouped_sum(c, index_size, locals_, site_vars)
+    assert structure(got) == structure(grouped.result())
+    assert got.to_obj() == want.to_obj()
+    assert [dict(q.terms) for _, q in got.parts] == [dict(q.terms) for _, q in want.parts]
+    cancelled = old.cancelled | grouped.cancelled
+    assert kept_terms(got, cancelled) == kept_terms(want, cancelled)
+    return kept_terms(got, ()) != kept_terms(want, ())
+
+
+@pytest.mark.parametrize("complex_", COMPLEXES, ids=[f"{k}{n}" for k, n in COMPLEXES])
+def test_grouped_contraction_matches_the_old_product_loop(complex_):
+    """Radical, scaled and float pools run the product loop, bit for bit. Exact
+    pools are grouped as `grouped_sum` writes it apart; against the product
+    loop they give the same values and report bytes. A term that some partial
+    sum of either loop cancels may come back at another place, and an
+    integral one as an int where the loop held a Fraction or the reverse
+    (the two compare, hash and print alike); every other term keeps its
+    place and its type. With no negations nothing cancels, and the results
+    are the same throughout."""
+    c = standard_complex(*complex_)
+    for seed in range(16):
+        rng = random.Random(f"{complex_}-{seed}")
+        pools = (GROUPED_POOLS + UNGROUPED_POOLS)[seed % 8]
+        negations = seed // 8 == 1
+        index_size = rng.randint(1, 3)
+        site_vars = [rng.randint(1, 2) for _ in range(c.vertex_count)]
+        locals_ = pooled_locals(rng, c, index_size, site_vars, pools, negations)
+        got = contract_assignments(c, index_size, locals_, site_vars)
+        if pools in UNGROUPED_POOLS or not negations:
+            assert structure(got) == structure(old_contract(c, index_size, locals_, site_vars))
+        if pools in GROUPED_POOLS:
+            check_grouped(c, index_size, locals_, site_vars)
+
+
+def test_grouped_terms_move_only_where_a_partial_sum_cancels():
+    """Negation pools on every complex, checked as in `check_grouped`; some of
+    them do move or retype a term, so the check meets that case."""
+    moved = 0
+    for seed in range(240):
+        c = standard_complex(*COMPLEXES[seed % len(COMPLEXES)])
+        rng = random.Random(f"cancel-{seed}")
+        index_size = rng.randint(1, 3)
+        site_vars = [rng.randint(1, 2) for _ in range(c.vertex_count)]
+        locals_ = pooled_locals(rng, c, index_size, site_vars, GROUPED_POOLS[seed % 3], True)
+        moved += check_grouped(c, index_size, locals_, site_vars)
+    assert moved     # the cases reach the one allowed difference
+
+
+def test_a_closed_orbit_adds_one_product_per_term(monkeypatch):
+    """On the circle of five, the free extension of the rotation orbit T of one
+    term stores |G| translated copies of each term: the walk yields |G|*|T|
+    assignments, and the contraction merges |T| products."""
+    a = circle_rotation_action(5)
+    c = a.complex
+    x = [RadPoly.from_poly(BlockPolynomial((1,), {((e,),): e + 1})) for e in range(5)]
+    orbit = [tuple(x[(i + g) % 5] for i in range(5)) for g in range(5)]
+    dec = symmetrize_free(orbit, a)
+    locs = [dec.locals[i] for i in range(5)]
+    walk = label_assignments([c.label_positions_at(i) for i in range(5)], c.label_count,
+                             dec.index_size, [loc.keys() for loc in locs])
+    assert len(list(walk)) == 25
+    calls = []
+    merge = RadSum._add_product
+
+    def counted(self, *args):
+        calls.append(args)
+        return merge(self, *args)
+
+    monkeypatch.setattr(RadSum, "_add_product", counted)
+    got = dec.contract()
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert got == elementary_sum(orbit)
+
+
+def test_grouped_contraction_trips_the_work_guard_where_the_old_walk_does():
+    rng = random.Random(11)
+    c = standard_complex("circle", 4)
+    site_vars = [1, 2, 1, 2]
+    locals_ = pooled_locals(rng, c, 3, site_vars, ("int", "fraction"), True)
+    locs = [locals_[i] for i in range(c.vertex_count)]
+    args = ([c.label_positions_at(i) for i in range(c.vertex_count)], c.label_count, 3,
+            [loc.keys() for loc in locs])
+    steps = 0       # the fewest steps the old walk needs to finish
+    while run_walk(old_label_assignments, *args, steps)[1]:
+        steps += 1
+    assert steps > 10
+    with pytest.raises(SearchSpaceTooLarge, match=f"^contraction exceeded {steps - 1} steps$"):
+        contract_assignments(c, 3, locals_, site_vars, steps - 1)
+    got = contract_assignments(c, 3, locals_, site_vars, steps)
+    assert got.to_obj() == old_contract(c, 3, locals_, site_vars).to_obj()
 
 
 def run_walk(walk, positions, label_count, index_size, site_keys, max_work):

@@ -141,3 +141,26 @@ def test_product_radicand_limit():
     message = f"^a radicand of a product would pass {RADICAND_BITS} bits$"
     with pytest.raises(SizeTooLarge, match=message):
         ScaledScalar(2) * ScaledScalar(Fraction(1, 2), RADICAND_BITS)
+
+
+def test_power_radicand_limit():
+    # 2**n has RADICAND_BITS bits; one more factor of 2 reaches 2**RADICAND_BITS
+    n = RADICAND_BITS - 1
+    message = f"^a radicand of a power would pass {RADICAND_BITS} bits$"
+    assert ScaledScalar(2) ** n == ScaledScalar(2**n)
+    assert ScaledScalar(2) ** -n == ScaledScalar(Fraction(1, 2**n))
+    # the common factor of the exponent and the root index is taken out first
+    assert ScaledScalar(Fraction(1, 2), 3) ** (3 * n) == ScaledScalar(Fraction(1, 2**n))
+    assert ScaledScalar(Fraction(1, 2), 3) ** -(3 * n) == ScaledScalar(2**n)
+    assert ScaledScalar(Fraction(1, 2), 3) ** 3 == ScaledScalar(Fraction(1, 2))
+    for j in (n + 1, -(n + 1)):
+        with pytest.raises(SizeTooLarge, match=message):
+            ScaledScalar(2) ** j
+        with pytest.raises(SizeTooLarge, match=message):
+            ScaledScalar(Fraction(1, 2), 3) ** (3 * j)
+    # a radicand that already reaches the limit stops even the first power, as in a product
+    assert ScaledScalar(2**n) ** 1 == ScaledScalar(2**n)
+    with pytest.raises(SizeTooLarge, match=message):
+        ScaledScalar(2**(n + 1)) ** 1
+    with pytest.raises(SizeTooLarge, match=message):
+        ScaledScalar(Fraction(1, 2**(n + 1))) ** -1

@@ -1,4 +1,4 @@
-"""The free constructions against the sympy oracle in tests/symref.py.
+"""The free constructions and `contract` against the sympy oracle in tests/symref.py.
 
 Each case draws factors as plain data, rational or with radical parts and
 now and then zero, and hands the library and the oracle the same data. The
@@ -6,21 +6,29 @@ oracle expands the decomposition the library built by the defining
 label-assignment sum and checks it against the polynomial the construction
 promises: the elementary sum for `from_elementary` and `symmetrize_free`, its
 group average for `symmetrize_average`, and invariance under every
-generator for `symmetrize_free`.
+generator for `symmetrize_free`. On every standard complex, the oracle's sum
+for a decomposition whose locals repeat, drawn from a small pool with
+negations, must equal the library's `contract`.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from omegadec.blockpoly import BlockPolynomial
-from omegadec.complexes import build_complex
-from omegadec.decomposition import from_elementary, symmetrize_average, symmetrize_free
+from omegadec.complexes import build_complex, standard_complex
+from omegadec.decomposition import (
+    OmegaGDecomposition,
+    from_elementary,
+    symmetrize_average,
+    symmetrize_free,
+)
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import build_action
-from symref import average, closure, contraction, elementary, equal, group, moved
+from symref import average, closure, contraction, elementary, equal, group, moved, radpoly
 
 # (facets, generators as (vertex perm, label perm) pairs)
 CIRCLE3 = [((0, 1), 1), ((1, 2), 1), ((2, 0), 1)]
@@ -113,3 +121,48 @@ CASES = [case_from_elementary, case_symmetrize_average, case_symmetrize_free]
 def test_agrees_with_the_sympy_oracle(case):
     for seed in range(24):
         case(random.Random(f"{case.__name__}-{seed}"))
+
+
+# each standard complex as (kind, n) and as its facets
+STANDARD = [(("simplex", 0), [((0,), 1)]), (("simplex", 2), [((0, 1, 2), 1)]),
+            (("line", 1), [((0, 1), 1)]), (("line", 3), LINE2 + [((2, 3), 1)]),
+            (("circle", 3), CIRCLE3), (("circle", 4), CIRCLE4),
+            (("double_edge", 1), DOUBLE_EDGE), (("single_edge", 1), [((0, 1), 1)])]
+
+
+def negated(parts):
+    return [(r, k, {e: str(-Fraction(c)) for e, c in terms.items()}) for r, k, terms in parts]
+
+
+def case_contract(rng, standard, radical):
+    """Locals drawn from a pool of two nonzero factors per width and the
+    negation of the first, so that the products of whole assignments repeat and partial
+    sums cancel; each pool entry is one RadPoly, stored at every key that
+    draws it."""
+    kind, facets = standard
+    c = standard_complex(*kind)
+    V = vertex_count(facets)
+    widths = [rng.randint(1, 2) for _ in range(V)]
+    index_size = rng.randint(2, 2 if V > 3 else 3)
+    pools = {}
+    for w in set(widths):
+        drawn = []
+        while len(drawn) < 2:
+            drawn += [f for f in [random_factor(rng, w, radical)] if f]
+        pools[w] = [library_factor(f, w) for f in drawn + [negated(drawn[0])]]
+    locals_ = {i: {beta: rng.choice(pools[widths[i]])
+                   for beta in product(range(1, index_size + 1),
+                                       repeat=len(c.label_positions_at(i)))}
+               for i in range(V)}
+    r, k = rng.choice(SCALES)
+    dec = OmegaGDecomposition(c, None, index_size, widths, locals_,
+                              ScaledScalar(Fraction(r), k))
+    assert equal(radpoly(dec.contract().to_obj()), contraction(facets, dec.to_obj()))
+
+
+@pytest.mark.parametrize("standard", STANDARD, ids=[f"{k}{n}" for (k, n), _ in STANDARD])
+def test_contract_agrees_with_the_sympy_oracle(standard):
+    rng = random.Random(f"contract-{standard[0]}")
+    case_contract(rng, standard, False)
+    if standard[0][0] in ("circle", "line", "double_edge"):
+        case_contract(rng, standard, True)
