@@ -11,6 +11,7 @@ symmetrization constructions stay exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -247,12 +248,23 @@ class OmegaGDecomposition:
     def __init__(self, complex_: WeightedComplex, action: SymmetryAction | None,
                  index_size: int, site_vars: Sequence[int],
                  locals_: Mapping[int, Mapping[Beta, object]],
-                 scale: ScaledScalar = ONE):
+                 scale: ScaledScalar = ONE, *, _trusted: bool = False):
+        """Check the action, the sizes and every local, and keep the nonzero locals.
+
+        ``_trusted`` is for the library's own builders: their action, int
+        sizes, int sites and assignments and single-site RadPoly locals of the
+        right widths are taken as given, and only zero locals are dropped.
+        """
         self.complex = complex_
+        self.scale = scale
+        if _trusted:
+            self.action, self.index_size, self.site_vars = action, index_size, site_vars
+            self.locals = {site: kept for site, mapping in locals_.items()
+                           if (kept := {b: p for b, p in mapping.items() if not p.is_zero()})}
+            return
         self.action = checked_action(complex_, action)
         self.index_size = _integer(index_size, "index_size")
         self.site_vars = checked_site_vars(complex_, site_vars)
-        self.scale = scale
         store: SiteLocals = {}
         for site, mapping in locals_.items():
             for beta, poly in mapping.items():
@@ -346,19 +358,67 @@ def _check_orbit_widths(site_vars: tuple[int, ...], a: SymmetryAction) -> None:
 
 def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     """The polynomial of an elementary decomposition: sum of site products."""
-    return _product_sum(*_read_terms(terms, len(terms[0]) if terms else 0))
+    site_vars, factors = _read_terms(terms, len(terms[0]) if terms else 0)
+    _require_single_site(factors)
+    return _product_sum(site_vars, factors)
+
+
+def _require_single_site(factors: list) -> None:
+    """Raise unless every read factor lies on one site; the read took each
+    width from the first site of a factor."""
+    if any(len(f.sites) != 1 for term in factors for f in term):
+        raise ValueError("site mismatch")
 
 
 def _product_sum(site_vars: tuple[int, ...], factors: list) -> RadPoly:
-    """The sum of the site products of read terms, each factor checked to lie on one site."""
+    """The sum of the site products of read single-site terms."""
     if not site_vars:
         raise ValueError("empty factor list")
     acc = RadSum(site_vars)
     for term in factors:
-        if any(f.sites != (m,) for f, m in zip(term, site_vars)):
-            raise ValueError("site mismatch")
         acc.add_outer(term)
     return acc.result()
+
+
+def _closed(a: SymmetryAction, site_vars: tuple[int, ...], factors: list) -> bool:
+    """True if the vertex permutation of every generator of a maps the multiset
+    of read terms onto itself, putting the factor of site i at site g(i).
+
+    Equal keys mean equal factors of equal width, so the sum of such terms is
+    invariant under the group the generators generate, which `build_action`
+    and `free_refinement` make the action's, and its widths agree along
+    vertex orbits. Only exact terms of one factor per vertex are tested;
+    a float term set, or one of another length, is not closed here. (Terms
+    of no factors read as no terms, which would be closed vacuously.)
+    """
+    V = a.complex.vertex_count
+    if len(site_vars) != V or any(f.mode != RATIONAL for term in factors for f in term):
+        return False
+    codes: dict = {}        # a factor's width and parts -> a small int
+    keys = [tuple([codes.setdefault((f.sites, tuple((s, frozenset(p.terms.items()))
+                                                    for s, p in f.parts)), len(codes))
+                   for f in term]) for term in factors]
+    counts = Counter(keys)
+    for vperm, _ in a.generators:
+        moved = [None] * V
+        images: Counter = Counter()
+        for key in keys:
+            for i, k in enumerate(key):
+                moved[vperm[i]] = k
+            images[tuple(moved)] += 1
+        if images != counts:
+            return False
+    return True
+
+
+def _require_invariant(a: SymmetryAction, site_vars: tuple[int, ...], factors: list) -> None:
+    """Raise unless every read factor lies on one site and the sum of the terms
+    is invariant: closed terms are, and any others are summed and tested."""
+    _require_single_site(factors)
+    if _closed(a, site_vars, factors):
+        return
+    if not is_invariant(_product_sum(site_vars, factors), a, 1e-9):
+        raise NotInvariant("elementary sum is not invariant under the action")
 
 
 def _free_build(a: SymmetryAction, site_vars: tuple[int, ...],
@@ -366,16 +426,21 @@ def _free_build(a: SymmetryAction, site_vars: tuple[int, ...],
     """Free symmetrization of read terms, whose widths must agree along vertex
     orbits: the index pairs (term, group element) of the free extension leave
     exactly the |G| translated copies of the input in the contraction, and the
-    per-site scale (1/|G|)**(1/V) turns their total into the average."""
+    per-site scale (1/|G|)**(1/V) turns their total into the average. A
+    nonzero factor on more than one site is rejected where it is placed."""
     _check_orbit_widths(site_vars, a)
     locals_: dict[int, dict[Beta, RadPoly]] = {}
     for i, gi, betas in free_extension(a, len(factors)):
         for term, beta in zip(factors, betas):
             poly = term[gi]
             if not poly.is_zero():
+                if len(poly.sites) != 1:
+                    raise IncompatibleBlockSizes(f"local at site {i} has sites {poly.sites}, "
+                                                 f"expected ({site_vars[i]},)")
                 locals_.setdefault(i, {})[beta] = poly
     scale = ScaledScalar(Fraction(1, len(a)), a.complex.vertex_count)
-    return OmegaGDecomposition(a.complex, a, len(factors) * len(a), site_vars, locals_, scale)
+    return OmegaGDecomposition(a.complex, a, len(factors) * len(a), site_vars, locals_, scale,
+                               _trusted=True)
 
 
 def from_elementary(terms: Sequence[Sequence[object]],
@@ -407,8 +472,7 @@ def symmetrize_free(terms: Sequence[Sequence[object]],
     """Invariant decomposition of an invariant elementary sum, free action case: the
     input factors rearranged, with |G| times the input term count as index size."""
     site_vars, factors = _read_terms(terms, len(terms[0]) if terms else 0)
-    if not is_invariant(_product_sum(site_vars, factors), a, 1e-9):
-        raise NotInvariant("elementary sum is not invariant under the action")
+    _require_invariant(a, site_vars, factors)
     _require_free(a)
     if len(site_vars) != a.complex.vertex_count:    # a zero sum is invariant at any length
         raise ValueError(f"term has {len(site_vars)} factors, expected {a.complex.vertex_count}")
@@ -451,13 +515,11 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
         raise ActionNotBlending("difference construction requires a blending vertex action")
     V = c.vertex_count
     if not terms:
-        empty = OmegaGDecomposition(c, a, 0, (1,) * V, {})
+        empty = OmegaGDecomposition(c, a, 0, (1,) * V, {}, _trusted=True)
         return empty, empty
     site_vars, factors = _read_terms(terms, V)
     _check_orbit_widths(site_vars, a)
-    p = _product_sum(site_vars, factors)
-    if not is_invariant(p, a, 1e-9):
-        raise NotInvariant("elementary sum is not invariant under the action")
+    _require_invariant(a, site_vars, factors)
 
     n = V - 1
     split = symmetric_indicator_split(n)
@@ -476,7 +538,7 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
 
     def build(vectors: list[tuple[int, ...]]) -> OmegaGDecomposition:
         if not vectors:
-            return OmegaGDecomposition(c, a, 0, site_vars, {})
+            return OmegaGDecomposition(c, a, 0, site_vars, {}, _trusted=True)
         r = len(terms)
         locals_: dict[int, dict[Beta, RadPoly]] = {}
         # the sum over g of the factor at g*i is |Stab(i)| = |G|/|O| times the
@@ -493,7 +555,8 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
                     for i in orbit:
                         beta = (j * len(vectors) + li + 1,) * len(c.label_positions_at(i))
                         locals_.setdefault(i, {})[beta] = local
-        return OmegaGDecomposition(c, a, r * len(vectors), site_vars, locals_, scale)
+        return OmegaGDecomposition(c, a, r * len(vectors), site_vars, locals_, scale,
+                                   _trusted=True)
 
     return build(plus), build(minus)
 
@@ -609,7 +672,8 @@ def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomp
                     poly = poly.scale_mul(d.scale)
                 locals_.setdefault(site, {})[tuple(v + shift for v in beta)] = poly
     return OmegaGDecomposition(d1.complex, _shared_action(d1, d2),
-                               d1.index_size + d2.index_size, d1.site_vars, locals_)
+                               d1.index_size + d2.index_size, d1.site_vars, locals_,
+                               _trusted=True)
 
 
 def pair_assignment(beta1: Beta, beta2: Beta, size: int) -> Beta:
@@ -632,4 +696,4 @@ def pointwise_product(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> Omega
             for beta2, p2 in m2.items():
                 locals_.setdefault(site, {})[pair_assignment(beta1, beta2, i2)] = p1 * p2
     return OmegaGDecomposition(d1.complex, _shared_action(d1, d2), d1.index_size * i2,
-                               d1.site_vars, locals_, d1.scale * d2.scale)
+                               d1.site_vars, locals_, d1.scale * d2.scale, _trusted=True)

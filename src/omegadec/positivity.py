@@ -586,7 +586,7 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
                     sums.setdefault(pair_assignment(b1, b2, I), RadSum(p1.sites)).add(p1 * p2)
         locals_[site] = {key: acc.result() for key, acc in sums.items()}
     return OmegaGDecomposition(sos.complex, sos.action, I * I, sos.site_vars,
-                               locals_, sos.scale**2)
+                               locals_, sos.scale**2, _trusted=True)
 
 
 def monomial_square_split(p: BlockPolynomial) -> list[RadPoly]:

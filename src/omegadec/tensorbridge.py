@@ -25,6 +25,7 @@ from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
     bipartite_rank,
+    checked_action,
     checked_assignment,
     pair_assignment,
 )
@@ -36,6 +37,7 @@ from .errors import (
     SizeTooLarge,
     VertexActionNotFree,
 )
+from .radpoly import RadPoly
 from .symmetry import SymmetryAction
 
 if TYPE_CHECKING:
@@ -222,12 +224,15 @@ class TensorDecomposition:
                             if any(vec) for x in vec) else RATIONAL
         locals_: dict[int, dict] = {}
         for (site, beta), vec in keyed.items():
-            locals_.setdefault(site, {})[beta] = (
+            locals_.setdefault(site, {})[beta] = RadPoly.from_poly(
                 poly_from_tensor(DenseTensor((m,), vec, mode)) if any(vec)
                 else BlockPolynomial.zero((m,), mode))
         index = self.index_size ** 2 if variant == PSD else self.index_size
-        self.poly = OmegaGDecomposition(complex_, action, index, (m,) * complex_.vertex_count,
-                                        locals_)
+        # psd keys are checked above, where they are read; the keys of plain and
+        # nonnegative vectors come from the caller, and the public constructor checks them
+        self.poly = OmegaGDecomposition(complex_, checked_action(complex_, action), index,
+                                        (m,) * complex_.vertex_count, locals_,
+                                        _trusted=variant == PSD)
         self.action = self.poly.action
 
     def contract(self, max_work: int = DEFAULT_MAX_WORK) -> DenseTensor:

@@ -21,6 +21,7 @@ from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
 from omegadec.decomposition import (
     OmegaGDecomposition,
+    blending_difference,
     from_elementary,
     symmetrize_average,
     symmetrize_free,
@@ -121,6 +122,45 @@ CASES = [case_from_elementary, case_symmetrize_average, case_symmetrize_free]
 def test_agrees_with_the_sympy_oracle(case):
     for seed in range(24):
         case(random.Random(f"{case.__name__}-{seed}"))
+
+
+# the full symmetric group of the simplex on 2, 3 and 4 vertices, by a swap and a cycle
+BLENDING = [([((0, 1), 1)], [((1, 0), (0,))]),
+            ([((0, 1, 2), 1)], [((1, 0, 2), (0,)), ((1, 2, 0), (0,))]),
+            ([((0, 1, 2, 3), 1)], [((1, 0, 2, 3), (0,)), ((1, 2, 3, 0), (0,))])]
+
+
+def halved(parts):
+    return [(r, k, {e: str(Fraction(c) / 2) for e, c in terms.items()}) for r, k, terms in parts]
+
+
+def case_blending_difference(rng, blending):
+    """The orbit closure of one random term, or that closure with one term split
+    into two halves, which is invariant but not closed: q1 - q2 contracts to the
+    elementary sum, and q1 and q2 are each invariant under every generator."""
+    facets, generators = blending
+    V = vertex_count(facets)
+    widths = [rng.randint(1, 2) if V < 4 else 1] * V
+    term = [random_factor(rng, w, V < 4 and rng.random() < 0.5) for w in widths]
+    terms = closure([term], group([g for g, _ in generators], V))
+    if rng.random() < 0.5:
+        half = [halved(terms[0][0])] + terms[0][1:]
+        terms[:1] = [half, half]
+    a = build_action(build_complex(facets), generators)
+    q1, q2 = (contraction(facets, q.to_obj())
+              for q in blending_difference(library_terms(terms, widths), a))
+    assert equal(q1 - q2, elementary(terms))
+    for g, _ in generators:
+        assert equal(moved(q1, g, widths), q1) and equal(moved(q2, g, widths), q2)
+
+
+@pytest.mark.parametrize("blending,cases", zip(BLENDING, (12, 6, 4)),
+                         ids=["simplex1", "simplex2", "simplex3"])
+def test_blending_difference_agrees_with_the_sympy_oracle(blending, cases):
+    # about 2 s on 3 vertices: sympy expands the assignment sums of both parts
+    rng = random.Random(f"blending-{len(blending[0][0][0])}")
+    for _ in range(cases):
+        case_blending_difference(rng, blending)
 
 
 # each standard complex as (kind, n) and as its facets
