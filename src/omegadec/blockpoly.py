@@ -16,10 +16,10 @@ import math
 import numbers
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .complexes import _integer
-from .errors import IncompatibleBlockSizes
+from .errors import IncompatibleBlockSizes, digits_checked
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -33,13 +33,14 @@ def _rational(c):
     Every exact coefficient, tensor entry and scale radicand the library
     takes from outside is read here. A float is a TypeError, since it holds no
     exact rational: ``0.1`` is not read as its binary fraction. So is a bool:
-    JSON ``true`` is not the number 1.
+    JSON ``true`` is not the number 1. A string of more than MAX_DIGITS digits
+    is a ValueError.
     """
     if type(c) is int:
         return c
     if isinstance(c, (float, bool)):
         raise TypeError(f"{type(c).__name__} {c!r} in rational mode holds no exact rational")
-    c = Fraction(c)
+    c = Fraction(digits_checked(c) if isinstance(c, str) else c)
     return int(c) if c.denominator == 1 else c
 
 
@@ -276,10 +277,10 @@ class BlockPolynomial:
             total = total + val
         return total
 
-    def key_move(self, vperm: tuple[int, ...]) -> Callable[[Key], Key]:
-        """The map from a key to the key holding at site vperm[i] the block of site i.
-        IncompatibleBlockSizes unless vperm permutes the sites, each onto one of equal
-        width; so distinct keys stay distinct, and moving terms merges none of them."""
+    def act(self, vperm: tuple[int, ...]) -> "BlockPolynomial":
+        """Move the block at site i to site vperm[i]. IncompatibleBlockSizes unless
+        vperm permutes the sites, each onto one of equal width; so distinct keys
+        stay distinct, and moving terms merges none of them."""
         n = len(self.sites)
         if len(vperm) != n:
             raise IncompatibleBlockSizes("permutation length mismatch")
@@ -290,11 +291,7 @@ class BlockPolynomial:
                 raise IncompatibleBlockSizes(
                     f"site {i} has {self.sites[i]} variables but site {gi} has {self.sites[gi]}")
         # itemgetter of two or more positions gives a tuple; a shorter key is its own image
-        return itemgetter(*sorted(range(n), key=vperm.__getitem__)) if n > 1 else tuple
-
-    def act(self, vperm: tuple[int, ...]) -> "BlockPolynomial":
-        """Move the block at site i to site vperm[i]."""
-        move = self.key_move(vperm)
+        move = itemgetter(*sorted(range(n), key=vperm.__getitem__)) if n > 1 else tuple
         return BlockPolynomial._trusted(
             self.sites, {move(key): c for key, c in self.terms.items()}, self.mode)
 

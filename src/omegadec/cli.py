@@ -19,7 +19,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import DEFAULT_MAX_GROUP, DEFAULT_MAX_WORK, GuardExceeded, OmegaError, UsageError
+from .errors import (DEFAULT_MAX_GROUP, DEFAULT_MAX_WORK, MAX_DIGITS, GuardExceeded, OmegaError,
+                     UsageError, digits_checked)
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -39,7 +40,7 @@ class _Run:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(data.decode("utf-8"), parse_int=lambda s: int(digits_checked(s)))
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         self.inputs[path] = hashlib.sha256(data).hexdigest()
@@ -162,15 +163,8 @@ def _cmd_pos(run: _Run) -> int:
     if run.args.subcmd == "bound":
         from .decomposition import caratheodory_bound
         bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
-        # the bound has at most BOUND_DIGITS digits, which print whatever
-        # PYTHONINTMAXSTRDIGITS says; the interpreter's limit is restored after
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            run.pretty(f"separable index bound: {bound}")
-            return run.report("pos bound", {"bound": bound})
-        finally:
-            sys.set_int_max_str_digits(limit)
+        run.pretty(f"separable index bound: {bound}")
+        return run.report("pos bound", {"bound": bound})
     from .positivity import (GramRepresentation, factorizability_solve, gram_map,
                              invariant_sos_family)
     if run.args.subcmd == "gram-map":
@@ -362,6 +356,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Ints are read and printed
+    under a limit of MAX_DIGITS digits, whatever PYTHONINTMAXSTRDIGITS says;
+    the interpreter's limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

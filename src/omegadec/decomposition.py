@@ -20,6 +20,7 @@ from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
 from .complexes import WeightedComplex, _integer, require_connected
 from .errors import (
     DEFAULT_MAX_WORK,
+    MAX_DIGITS,
     ActionNotBlending,
     ActionNotFree,
     IncompatibleBlockSizes,
@@ -626,21 +627,18 @@ def _comb_power(m: int, d: int, n: int, limit: int) -> int | None:
     return power
 
 
-BOUND_DIGITS = 4300     # Python's default limit on the digits of an int it prints
-
-
 def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
     """Conic-combination size bound: |G| times the local dimension count.
 
-    A bound of more than BOUND_DIGITS digits is a ValueError, decided before
+    A bound of more than MAX_DIGITS digits is a ValueError, decided before
     the bound is built.
     """
     if min(m, d, n, group_order) < 0 or group_order < 1:
         raise ValueError("inputs must be nonnegative with group order >= 1")
-    limit = 10**BOUND_DIGITS
+    limit = 10**MAX_DIGITS
     power = _comb_power(m, d, n, limit)
     if power is None or group_order * power >= limit:
-        raise ValueError(f"bound has more than {BOUND_DIGITS} digits, the most a report prints")
+        raise ValueError(f"bound has more than {MAX_DIGITS} digits, the most a report prints")
     return group_order * power
 
 

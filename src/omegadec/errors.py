@@ -1,7 +1,18 @@
-"""Exception types shared across the toolkit, and the default limits of its guards."""
+"""Exception types shared across the toolkit, the default limits of its guards, and
+the most digits a number it reads may have."""
 
 DEFAULT_MAX_WORK = 10**7      # steps of an enumeration or a search
 DEFAULT_MAX_GROUP = 10080     # elements of a generated group
+MAX_DIGITS = 4300             # digits of an int read or printed: Python's default limit
+
+
+def digits_checked(text: str) -> str:
+    """text, the digits of a number read from JSON, unless it holds more than
+    MAX_DIGITS of them: that is a ValueError, decided before any conversion,
+    whatever the interpreter's own limit (PYTHONINTMAXSTRDIGITS) says."""
+    if len(text) > MAX_DIGITS and (n := sum(map(str.isdigit, text))) > MAX_DIGITS:
+        raise ValueError(f"number has {n} digits, more than {MAX_DIGITS}")
+    return text
 
 
 class OmegaError(Exception):

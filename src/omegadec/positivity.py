@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Mapping, Sequence
@@ -27,13 +26,12 @@ from .decomposition import (  # caratheodory_bound is re-exported from its numpy
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
     _comb_power,
+    _free_build,
     caratheodory_bound,
     checked_action,
     checked_local,
     checked_site_vars,
-    contract_assignments,
     elementary_sum,
-    free_extension,
     locals_agree,
     pair_assignment,
     symmetrize_free,
@@ -412,17 +410,15 @@ class SosOmegaGDecomposition:
             if rp is not None:
                 self.locals[(site, k, beta)] = rp
 
-    def member_locals(self, K: Sequence) -> dict[int, dict[tuple, RadPoly]]:
-        out: dict[int, dict[tuple, RadPoly]] = {}
+    def member(self, K: Sequence, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
+        """The contraction of the plain decomposition of the site-i locals of
+        member index K[i]."""
+        locals_: dict[int, dict[tuple, RadPoly]] = {}
         for (site, k, beta), poly in self.locals.items():
             if k == K[site]:
-                out.setdefault(site, {})[beta] = poly
-        return out
-
-    def member(self, K: Sequence, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
-        raw = contract_assignments(self.complex, self.index_size,
-                                   self.member_locals(K), self.site_vars, max_work)
-        return raw.scale_mul(self.scale ** self.complex.vertex_count)
+                locals_.setdefault(site, {})[beta] = poly
+        return OmegaGDecomposition(self.complex, self.action, self.index_size, self.site_vars,
+                                   locals_, self.scale, _trusted=True).contract(max_work)
 
     def grid(self) -> Iterable[tuple]:
         return product(*self.site_index)
@@ -447,7 +443,9 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
     polynomial such that each family member is the sum over the term index of
     the per-site products; the site-i factor may depend on the member only
     through its i-th component. Free actions then admit the index extension by
-    group elements, exactly as for single polynomials.
+    group elements, exactly as for single polynomials: the free build of the
+    terms at member value k gives the locals (site, k, assignment), k running
+    over the one member range that a family gives every site.
     """
     c = a.complex
     require_connected(c, "family symmetrization")
@@ -471,17 +469,15 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
         if not member.allclose(RadPoly.from_poly(family.member(K)), DEFAULT_EQ_TOL):
             raise LocalsNotAligned(f"factors fail to reconstruct member {K}")
 
-    locals_: dict[tuple, object] = {}
-    for i, gi, betas in free_extension(a, len(term_ids)):
-        for j, beta in zip(term_ids, betas):
-            for k in family.site_index[i]:
-                p = factor(gi, k, j)
-                if not p.is_zero():
-                    locals_[(i, k, beta)] = p
-    scale = ScaledScalar(Fraction(1, len(a)), V)
-    return SosOmegaGDecomposition(c, a, len(term_ids) * len(a),
-                                  [family.sites[i] for i in range(V)],
-                                  family.site_index, locals_, scale)
+    locals_: dict[tuple, RadPoly] = {}
+    for k in family.site_index[0]:
+        dec = _free_build(a, family.sites, [[RadPoly.coerce(factor(i, k, j)) for i in range(V)]
+                                            for j in term_ids])
+        for i, mapping in dec.locals.items():
+            for beta, p in mapping.items():
+                locals_[(i, k, beta)] = p
+    return SosOmegaGDecomposition(c, a, dec.index_size, family.sites, family.site_index,
+                                  locals_, dec.scale)
 
 
 def separable_symmetrize(terms: Sequence[Sequence[object]],

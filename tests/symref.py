@@ -123,3 +123,13 @@ def equal(a, b):
     a product of rational powers of integers in one form, so expanding their
     difference leaves 0 exactly when they agree."""
     return sympy.expand(a - b) == 0
+
+
+def sos_members(facets, sos):
+    """Each member of an sos decomposition, given as the `to_obj` object of a
+    plain one plus its member ranges "site_index", each local entry carrying
+    its member value "k": member K contracts, at each site i, the locals of
+    member value K[i]."""
+    return {K: contraction(facets, dict(sos, locals=[e for e in sos["locals"]
+                                                     if e["k"] == K[e["site"]]]))
+            for K in product(*sos["site_index"])}

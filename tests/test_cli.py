@@ -211,6 +211,54 @@ def test_pos_bound_ignores_the_int_digit_limit(n):
     assert low.stdout == plain.stdout
 
 
+def _long_coefficient_bundle(tmp_path, digits, form):
+    """squares_double_edge.json without `expected`, its first coefficient a
+    number of the given digit count, as a JSON string or integer literal."""
+    with open(fixture("squares_double_edge.json")) as fh:
+        obj = json.load(fh)
+    del obj["expected"]
+    obj["decomposition"]["locals"][0]["poly"]["terms"][0]["coeff"] = "LONG"
+    number = "7" * digits
+    text = json.dumps(obj).replace('"LONG"', json.dumps(number) if form == "str" else number)
+    path = tmp_path / f"long_{digits}_{form}.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("form", ["str", "int"])
+@pytest.mark.parametrize("digits,code", [(1000, 0), (4300, 0), (4301, 2), (5000, 2)])
+def test_input_numbers_ignore_the_int_digit_limit(tmp_path, digits, code, form):
+    path = _long_coefficient_bundle(tmp_path, digits, form)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    argv = [sys.executable, "-m", "omegadec.cli", "dec", "contract", path]
+    plain = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    low = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONINTMAXSTRDIGITS="640"),
+                         timeout=120)
+    assert plain.returncode == low.returncode == code
+    assert low.stdout == plain.stdout
+    if code:
+        assert strict_json(plain.stdout) == {
+            "error": "ValueError", "message": f"number has {digits} digits, more than 4300"}
+    else:
+        terms = strict_json(plain.stdout)["result"]["contraction"][0]["poly"]["terms"]
+        assert {"coeff": "7" * digits, "exps": [[2], [0]]} in terms
+
+
+def test_main_restores_the_callers_int_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(capsys, "dec", "contract", _long_coefficient_bundle(tmp_path, 1000, "int"))
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert "7" * 1000 in out
+
+
 @pytest.mark.parametrize("weight", [10**9, 10**30])
 def test_complex_with_huge_weights_exits_3(capsys, tmp_path, weight):
     path = write_json(tmp_path, "heavy.json", {"n": 1, "facets": [

@@ -8,7 +8,10 @@ promises: the elementary sum for `from_elementary` and `symmetrize_free`, its
 group average for `symmetrize_average`, and invariance under every
 generator for `symmetrize_free`. On every standard complex, the oracle's sum
 for a decomposition whose locals repeat, drawn from a small pool with
-negations, must equal the library's `contract`.
+negations, must equal the library's `contract`. For sos decompositions, the
+double-edge witness and seeded exact and radical ones, the oracle's members
+must equal the library's `member`, and the sum of their squares both
+`sum_squares` and the contraction of `sos_to_plain`.
 """
 
 import random
@@ -16,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 
 from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
@@ -26,10 +30,15 @@ from omegadec.decomposition import (
     symmetrize_average,
     symmetrize_free,
 )
+from omegadec.blockpoly import RATIONAL
+from omegadec.fixtures import sos_family_witness_double_edge
+from omegadec.positivity import sos_to_plain
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import build_action
-from symref import average, closure, contraction, elementary, equal, group, moved, radpoly
+from symref import (average, closure, contraction, elementary, equal, group, moved, radpoly,
+                    sos_members)
+from test_entry_checks import random_sos
 
 # (facets, generators as (vertex perm, label perm) pairs)
 CIRCLE3 = [((0, 1), 1), ((1, 2), 1), ((2, 0), 1)]
@@ -206,3 +215,38 @@ def test_contract_agrees_with_the_sympy_oracle(standard):
     case_contract(rng, standard, False)
     if standard[0][0] in ("circle", "line", "double_edge"):
         case_contract(rng, standard, True)
+
+
+def sos_data(sos):
+    """An sos decomposition as plain data for `sos_members`."""
+    return {"index_size": sos.index_size, "scale": sos.scale.to_obj(),
+            "site_vars": list(sos.site_vars), "site_index": [list(r) for r in sos.site_index],
+            "locals": [{"site": site, "k": k, "beta": list(beta), **part}
+                       for (site, k, beta), p in sos.locals.items() for part in p.to_obj()]}
+
+
+def exact_random_sos(rng):
+    """`random_sos` drawn again until every local is exact, rational or radical."""
+    while True:
+        sos = random_sos(rng)
+        if all(p.mode == RATIONAL for p in sos.locals.values()):
+            return sos
+
+
+def check_sos(facets, sos):
+    """Every member, `sum_squares` and the contraction of `sos_to_plain` against
+    the oracle's members and the sum of their squares."""
+    members = sos_members(facets, sos_data(sos))
+    for K, member in members.items():
+        assert equal(radpoly(sos.member(K).to_obj()), member)
+    squares = sympy.expand(sympy.Add(*(m**2 for m in members.values())))
+    assert equal(radpoly(sos.sum_squares().to_obj()), squares)
+    assert equal(radpoly(sos_to_plain(sos).contract().to_obj()), squares)
+
+
+def test_sos_family_agrees_with_the_sympy_oracle():
+    # about 2-3 s: sympy expands every member and the sum of their squares
+    check_sos(DOUBLE_EDGE, sos_family_witness_double_edge())
+    rng = random.Random("sos")
+    for _ in range(30):
+        check_sos([((0, 1), 1)], exact_random_sos(rng))
