@@ -19,7 +19,7 @@ import numpy as np
 
 from .blockpoly import BlockPolynomial, _real
 from .complexes import require_connected
-from .decomposition import OmegaGDecomposition, _free_build
+from .decomposition import OmegaGDecomposition, _free_build, _read_terms
 from .errors import (
     ActionNotFree,
     DimensionMismatch,
@@ -338,7 +338,5 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
         polys[0] = polys[0].scaled(w)
         forms.append([RadPoly.from_poly(p) for p in polys])
     require_connected(a.complex, "symmetrization")     # freeness is checked above
-    if not forms:
-        raise ValueError("need at least one elementary term")
-    dec = _free_build(a, (len(basis[0]),) * V, forms)
+    dec = _free_build(a, *_read_terms(forms, V))
     return ApproxResult(dec, error, k, k * len(a), len(weights), N)

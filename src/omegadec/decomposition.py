@@ -234,7 +234,8 @@ def free_extension(a: SymmetryAction, count: int
     for i in range(c.vertex_count):
         positions = c.label_positions_at(i)
         for g in range(order):
-            selector = [a.mul(g, z[pos]) for pos in positions]
+            mperm = a.mperm(g)
+            selector = [z[mperm[pos]] for pos in positions]     # g*z(l) = z(g*l)
             yield i, a.vertex_image(g, i), [tuple(j * order + h + 1 for h in selector)
                                             for j in range(count)]
 
@@ -330,70 +331,62 @@ class OmegaGDecomposition:
         return cls(complex_, action, obj["index_size"], obj["site_vars"], locals_, scale)
 
 
-def _read_terms(terms: Sequence[Sequence[object]], V: int) -> tuple[tuple[int, ...], list]:
-    """Per-site widths of a non-empty list of elementary terms of V factors each,
-    and the terms with each factor coerced once to a RadPoly."""
+def _read_terms(terms: Sequence[Sequence[object]], V: int,
+                a: SymmetryAction | None = None) -> tuple[tuple[int, ...], list]:
+    """Per-site widths of a non-empty list of elementary terms of V > 0 factors
+    each, and the terms with each factor coerced once to a RadPoly: the one check
+    of a term list. Site by site, each factor must lie on one site and the widths
+    agree; given an action, the widths also agree along its vertex orbits."""
     if not terms:
         raise ValueError("need at least one elementary term")
     for term in terms:
         if len(term) != V:
             raise ValueError(f"term has {len(term)} factors, expected {V}")
+    if not V:
+        raise ValueError("empty factor list")
     columns: list[list[RadPoly]] = []
     for i in range(V):
         columns.append([RadPoly.coerce(t[i]) for t in terms])
+        if any(len(f.sites) != 1 for f in columns[i]):
+            raise ValueError("site mismatch")
         widths = {f.sites[0] for f in columns[i]}
         if len(widths) != 1:
             raise IncompatibleBlockSizes(f"terms disagree on site {i} width: {widths}")
-    return tuple(column[0].sites[0] for column in columns), list(zip(*columns))
-
-
-def _check_orbit_widths(site_vars: tuple[int, ...], a: SymmetryAction) -> None:
-    """Raise unless the widths of one factor per vertex agree along vertex orbits."""
-    for g in range(len(a)):
+    site_vars = tuple(column[0].sites[0] for column in columns)
+    for g in range(len(a) if a is not None else 0):
         for i, width in enumerate(site_vars):
             gi = a.vertex_image(g, i)
             if site_vars[gi] != width:
                 raise IncompatibleBlockSizes(
                     f"sites {i} and {gi} share an orbit but differ in width")
+    return site_vars, list(zip(*columns))
 
 
 def elementary_sum(terms: Sequence[Sequence[object]]) -> RadPoly:
     """The polynomial of an elementary decomposition: sum of site products."""
-    site_vars, factors = _read_terms(terms, len(terms[0]) if terms else 0)
-    _require_single_site(factors)
-    return _product_sum(site_vars, factors)
-
-
-def _require_single_site(factors: list) -> None:
-    """Raise unless every read factor lies on one site; the read took each
-    width from the first site of a factor."""
-    if any(len(f.sites) != 1 for term in factors for f in term):
-        raise ValueError("site mismatch")
+    return _product_sum(*_read_terms(terms, len(terms[0]) if terms else 0))
 
 
 def _product_sum(site_vars: tuple[int, ...], factors: list) -> RadPoly:
     """The sum of the site products of read single-site terms."""
-    if not site_vars:
-        raise ValueError("empty factor list")
     acc = RadSum(site_vars)
     for term in factors:
         acc.add_outer(term)
     return acc.result()
 
 
-def _closed(a: SymmetryAction, site_vars: tuple[int, ...], factors: list) -> bool:
+def _closed(a: SymmetryAction, factors: list) -> bool:
     """True if the vertex permutation of every generator of a maps the multiset
-    of read terms onto itself, putting the factor of site i at site g(i).
+    of terms, read with one factor per vertex, onto itself, putting the factor
+    of site i at site g(i).
 
     Equal keys mean equal factors of equal width, so the sum of such terms is
     invariant under the group the generators generate, which `build_action`
-    and `free_refinement` make the action's, and its widths agree along
-    vertex orbits. Only exact terms of one factor per vertex are tested;
-    a float term set, or one of another length, is not closed here. (Terms
-    of no factors read as no terms, which would be closed vacuously.)
+    and `free_refinement` make the action's. Only exact terms are tested; a
+    float term set is not closed here.
     """
     V = a.complex.vertex_count
-    if len(site_vars) != V or any(f.mode != RATIONAL for term in factors for f in term):
+    if any(f.mode != RATIONAL for term in factors for f in term):
         return False
     codes: dict = {}        # a factor's width and parts -> a small int
     keys = [tuple([codes.setdefault((f.sites, tuple((s, frozenset(p.terms.items()))
@@ -413,32 +406,22 @@ def _closed(a: SymmetryAction, site_vars: tuple[int, ...], factors: list) -> boo
 
 
 def _require_invariant(a: SymmetryAction, site_vars: tuple[int, ...], factors: list) -> None:
-    """Raise unless every read factor lies on one site and the sum of the terms
-    is invariant: closed terms are, and any others are summed and tested."""
-    _require_single_site(factors)
-    if _closed(a, site_vars, factors):
-        return
-    if not is_invariant(_product_sum(site_vars, factors), a, 1e-9):
+    """Raise unless the sum of the read terms is invariant: closed terms are,
+    and any others are summed and tested."""
+    if not _closed(a, factors) and not is_invariant(_product_sum(site_vars, factors), a, 1e-9):
         raise NotInvariant("elementary sum is not invariant under the action")
 
 
 def _free_build(a: SymmetryAction, site_vars: tuple[int, ...],
                 factors: list) -> OmegaGDecomposition:
-    """Free symmetrization of read terms, whose widths must agree along vertex
+    """Free symmetrization of read terms, whose widths agree along vertex
     orbits: the index pairs (term, group element) of the free extension leave
     exactly the |G| translated copies of the input in the contraction, and the
-    per-site scale (1/|G|)**(1/V) turns their total into the average. A
-    nonzero factor on more than one site is rejected where it is placed."""
-    _check_orbit_widths(site_vars, a)
+    per-site scale (1/|G|)**(1/V) turns their total into the average."""
     locals_: dict[int, dict[Beta, RadPoly]] = {}
     for i, gi, betas in free_extension(a, len(factors)):
         for term, beta in zip(factors, betas):
-            poly = term[gi]
-            if not poly.is_zero():
-                if len(poly.sites) != 1:
-                    raise IncompatibleBlockSizes(f"local at site {i} has sites {poly.sites}, "
-                                                 f"expected ({site_vars[i]},)")
-                locals_.setdefault(i, {})[beta] = poly
+            locals_.setdefault(i, {})[beta] = term[gi]
     scale = ScaledScalar(Fraction(1, len(a)), a.complex.vertex_count)
     return OmegaGDecomposition(a.complex, a, len(factors) * len(a), site_vars, locals_, scale,
                                _trusted=True)
@@ -465,18 +448,16 @@ def symmetrize_average(terms: Sequence[Sequence[object]],
     """Invariant decomposition contracting to the group average of the input sum;
     requires a free action on a connected complex."""
     _require_free(a)
-    return _free_build(a, *_read_terms(terms, a.complex.vertex_count))
+    return _free_build(a, *_read_terms(terms, a.complex.vertex_count, a))
 
 
 def symmetrize_free(terms: Sequence[Sequence[object]],
                     a: SymmetryAction) -> OmegaGDecomposition:
     """Invariant decomposition of an invariant elementary sum, free action case: the
     input factors rearranged, with |G| times the input term count as index size."""
-    site_vars, factors = _read_terms(terms, len(terms[0]) if terms else 0)
-    _require_invariant(a, site_vars, factors)
     _require_free(a)
-    if len(site_vars) != a.complex.vertex_count:    # a zero sum is invariant at any length
-        raise ValueError(f"term has {len(site_vars)} factors, expected {a.complex.vertex_count}")
+    site_vars, factors = _read_terms(terms, a.complex.vertex_count, a)
+    _require_invariant(a, site_vars, factors)
     return _free_build(a, site_vars, factors)
 
 
@@ -518,8 +499,7 @@ def blending_difference(terms: Sequence[Sequence[object]], a: SymmetryAction
     if not terms:
         empty = OmegaGDecomposition(c, a, 0, (1,) * V, {}, _trusted=True)
         return empty, empty
-    site_vars, factors = _read_terms(terms, V)
-    _check_orbit_widths(site_vars, a)
+    site_vars, factors = _read_terms(terms, V, a)
     _require_invariant(a, site_vars, factors)
 
     n = V - 1

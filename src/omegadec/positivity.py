@@ -409,6 +409,14 @@ class SosOmegaGDecomposition:
                                            site, beta, poly)
             if rp is not None:
                 self.locals[(site, k, beta)] = rp
+        # sum_squares reads each grid point and sos_to_plain each local: a repeated
+        # member value or one outside its range would make the two disagree
+        members = [set(values) for values in self.site_index]
+        if any(len(m) != len(values) for m, values in zip(members, self.site_index)):
+            raise ValueError("a member range repeats a value")
+        for site, k, _ in locals_:
+            if k not in members[site]:
+                raise ValueError(f"member value {k!r} outside the range of site {site}")
 
     def member(self, K: Sequence, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
         """The contraction of the plain decomposition of the site-i locals of
@@ -576,7 +584,7 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
     locals_: dict[int, dict[tuple, RadPoly]] = {}
     for site, by_k in per_site.items():
         sums: dict[tuple, RadSum] = {}
-        for k, mapping in by_k.items():
+        for mapping in (by_k[k] for k in sos.site_index[site] if k in by_k):
             for b1, p1 in mapping.items():
                 for b2, p2 in mapping.items():
                     sums.setdefault(pair_assignment(b1, b2, I), RadSum(p1.sites)).add(p1 * p2)

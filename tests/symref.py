@@ -2,9 +2,9 @@
 
 It reads plain data only: factors as lists of (radicand, root index,
 {exponents: coefficient}) parts, complexes as (vertices, weight) facet
-lists, groups as vertex-permutation generators, and a decomposition as the
-JSON object `to_obj` writes. Factors become sympy polynomials in the
-site-blocked symbols x{i}_{v}, scales become `sympy.Rational` and
+lists, groups as vertex-permutation generators, tensors as dims and
+row-major entries, and a decomposition as the JSON object `to_obj` writes.
+Factors become sympy polynomials in the site-blocked symbols x{i}_{v}, scales become `sympy.Rational` and
 `sympy.root`, and a decomposition is expanded by the paper's defining sum:
 scale**V times the sum, over every assignment of 1..N to the multifacet
 labels, of the product over sites of the local at the labels the site reads.
@@ -106,6 +106,13 @@ def contraction(facets, dec):
         if all(f is not None for f in factors):
             total.append(sympy.Mul(*factors))
     return sympy.expand(scalar(dec["scale"]) ** V * sympy.Add(*total))
+
+
+def tensor_polynomial(dims, entries):
+    """A tensor given by its dims and its entries in row-major order, as the sum
+    over its indices of the entry times the product over axes i of x{i}_{index_i}**2."""
+    return sympy.Add(*(sympy.Rational(v) * sympy.Mul(*(symbol(i, j) ** 2 for i, j in enumerate(idx)))
+                       for idx, v in zip(product(*(range(d) for d in dims)), entries)))
 
 
 def radpoly(parts):

@@ -363,6 +363,19 @@ def test_dec_symmetrize_modes(capsys, tmp_path):
     assert result["minus_empty"] is False
 
 
+# the swap of an edge of weight 2 and of its labels is free; of weight 1, blending
+@pytest.mark.parametrize("mode,weight,mperm", [("free", 2, [1, 0]), ("blending", 1, [0])])
+def test_dec_symmetrize_rejects_a_factor_on_no_sites(capsys, tmp_path, mode, weight, mperm):
+    edge = {"n": 1, "facets": [{"vertices": [0, 1], "weight": weight}]}
+    swap = {"generators": [{"vertex_perm": [1, 0], "multifacet_perm": mperm}]}
+    x = {"sites": [1], "terms": [{"exps": [[1]], "coeff": "1"}]}
+    path = write_json(tmp_path, "bundle.json", {"complex": edge, "action": swap,
+                                                "terms": [[{"sites": [], "terms": []}, x]]})
+    code, out = run(capsys, "dec", "symmetrize", path, "--mode", mode)
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError", "message": "site mismatch"}
+
+
 def test_bridge_and_gram_commands(capsys):
     code, out = run(capsys, "bridge", "to-poly", fixture("distance_m4_tensor.json"))
     assert code == 0

@@ -305,9 +305,8 @@ def test_a_factor_on_two_sites_is_rejected_where_terms_enter():
         elementary_sum(terms)
     with pytest.raises(ValueError, match="^site mismatch$"):
         symmetrize_free(terms, double_edge_swap_action())
-    with pytest.raises(IncompatibleBlockSizes) as err:
+    with pytest.raises(ValueError, match="^site mismatch$"):
         symmetrize_average(terms, double_edge_swap_action())
-    assert str(err.value) == "local at site 0 has sites (1, 1), expected (1,)"
     with pytest.raises(ValueError, match="^empty factor list$"):
         rad_outer([])
     with pytest.raises(ValueError, match="^empty factor list$"):

@@ -21,6 +21,8 @@ from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.complexes import build_complex, is_connected, standard_complex
 from omegadec.decomposition import (
     OmegaGDecomposition,
+    blending_difference,
+    elementary_sum,
     free_extension,
     from_elementary,
     symmetrize_average,
@@ -35,7 +37,7 @@ from omegadec.fixtures import (
 from omegadec.positivity import GramRepresentation, separable_symmetrize
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
-from omegadec.symmetry import build_action, free_refinement, trivial_action
+from omegadec.symmetry import build_action, free_refinement, linearizer, trivial_action
 from test_entry_checks import KINDS, random_rad
 
 
@@ -72,6 +74,19 @@ def ref_symmetrize(terms, a):
     return OmegaGDecomposition(a.complex, a, len(terms) * len(a), site_vars, locals_, scale)
 
 
+def ref_free_extension(a, count):
+    """The free extension as it multiplied group elements: label l of site i
+    under g gets g*z(l), z the linearizer."""
+    z = linearizer(a)
+    order = len(a)
+    for i in range(a.complex.vertex_count):
+        positions = a.complex.label_positions_at(i)
+        for g in range(order):
+            selector = [a.mul(g, z[pos]) for pos in positions]
+            yield i, a.vertex_image(g, i), [tuple(j * order + h + 1 for h in selector)
+                                            for j in range(count)]
+
+
 def snapshot(dec):
     return (dec.to_obj(), [(site, list(mapping)) for site, mapping in dec.locals.items()],
             dec.scale, dec.index_size, dec.action.elements, dec.contract().to_obj())
@@ -84,6 +99,20 @@ LINE = standard_complex("line", 2)
 FREE_ACTIONS = [double_edge_swap_action(), circle_rotation_action(3), circle_rotation_action(4),
                 build_action(LINE, [((2, 1, 0), (1, 0))]),
                 free_refinement(simplex_full_symmetry_action(2))]
+
+
+SIMPLEX2 = standard_complex("simplex", 2)
+# the free refinements of the simplex swap, 3-cycle and full symmetric group
+REFINED = [free_refinement(build_action(standard_complex("simplex", 1), [((1, 0), (0,))])),
+           free_refinement(build_action(SIMPLEX2, [((1, 2, 0), (0,))])),
+           free_refinement(build_action(SIMPLEX2, [((1, 0, 2), (0,)), ((1, 2, 0), (0,))]))]
+EXTENSION_ACTIONS = FREE_ACTIONS + [circle_rotation_action(n) for n in range(3, 7)] + REFINED
+
+
+@pytest.mark.parametrize("a", EXTENSION_ACTIONS, ids=range(len(EXTENSION_ACTIONS)))
+def test_free_extension_permutes_the_linearizer(a):
+    for count in (1, 2, 3):
+        assert list(free_extension(a, count)) == list(ref_free_extension(a, count))
 
 
 def random_factor(rng, w, kinds):
@@ -160,6 +189,7 @@ def u(*coeffs, w=1):
 X, Y, X2 = u(0, 1), u(1, 2), u(0, 1, w=2)
 Z1, Z2 = BlockPolynomial.zero((1,)), BlockPolynomial.zero((2,))
 TWO_SITES = BlockPolynomial((1, 1), {((1,), (1,)): 1})
+NO_SITES = BlockPolynomial((), {})
 SWAP = double_edge_swap_action()
 EDGE = standard_complex("single_edge")
 DISCONNECTED = build_action(build_complex([({0, 1}, 1), ({2, 3}, 1)]), [((2, 3, 0, 1), (1, 0))])
@@ -196,31 +226,32 @@ FAULTS = {
     "non-invariant sum": [[X, Y]],
     "a non-polynomial factor": [[X, "x"]],
     "empty factor list": [[]],
+    "zero-site factor": [[NO_SITES, X]],
+    "two-site factor before a width fault": [[TWO_SITES, X], [X, X2]],
 }
 LENGTH_1_OF_2 = ("ValueError", "term has 1 factors, expected 2")
 LENGTH_3_OF_2 = ("ValueError", "term has 3 factors, expected 2")
 EMPTY = ("ValueError", "need at least one elementary term")
 WIDTHS = ("IncompatibleBlockSizes", "terms disagree on site 0 width: {1, 2}")
 ORBIT = ("IncompatibleBlockSizes", "sites 0 and 1 share an orbit but differ in width")
-LOCAL = ("IncompatibleBlockSizes", "local at site 0 has sites (1, 1), expected (1,)")
+SITES = ("ValueError", "site mismatch")
+NO_FACTORS = ("ValueError", "term has 0 factors, expected 2")
 COERCE = ("TypeError", "cannot coerce str to RadPoly")
 NOT_INVARIANT = ("NotInvariant", "elementary sum is not invariant under the action")
 SYM_CONNECTED = ("NotConnected", "symmetrization requires a connected complex")
 SYM_FREE = ("ActionNotFree", "symmetrization requires a free action on the multifacets")
-# each error measured on the parent of the single-build change; None: a decomposition
+# every fault of the term list is found by the one read, so the three builds
+# differ only in the group and invariance conditions; None: a decomposition
 EXPECTED = {
     "from_elementary": [EMPTY, LENGTH_1_OF_2, LENGTH_1_OF_2, LENGTH_3_OF_2, LENGTH_1_OF_2,
-                        LENGTH_3_OF_2, WIDTHS, None, None, LOCAL, None, COERCE,
-                        ("ValueError", "term has 0 factors, expected 2")],
+                        LENGTH_3_OF_2, WIDTHS, None, None, SITES, None, COERCE, NO_FACTORS,
+                        SITES, SITES],
     "symmetrize_average": [EMPTY, LENGTH_1_OF_2, LENGTH_1_OF_2, LENGTH_3_OF_2, LENGTH_1_OF_2,
-                           LENGTH_3_OF_2, WIDTHS, ORBIT, ORBIT, LOCAL, None, COERCE,
-                           ("ValueError", "term has 0 factors, expected 2")],
-    "symmetrize_free": [EMPTY, LENGTH_1_OF_2, ("ValueError", "term has 2 factors, expected 1"),
-                        LENGTH_3_OF_2, LENGTH_1_OF_2,
-                        ("IncompatibleBlockSizes", "permutation length mismatch"), WIDTHS,
-                        ("IncompatibleBlockSizes", "site 0 has 1 variables but site 1 has 2"),
-                        ORBIT, ("ValueError", "site mismatch"), NOT_INVARIANT, COERCE,
-                        ("ValueError", "empty factor list")],
+                           LENGTH_3_OF_2, WIDTHS, ORBIT, ORBIT, SITES, None, COERCE, NO_FACTORS,
+                           SITES, SITES],
+    "symmetrize_free": [EMPTY, LENGTH_1_OF_2, LENGTH_1_OF_2, LENGTH_3_OF_2, LENGTH_1_OF_2,
+                        LENGTH_3_OF_2, WIDTHS, ORBIT, ORBIT, SITES, NOT_INVARIANT, COERCE,
+                        NO_FACTORS, SITES, SITES],
 }
 TABLE = [(f"{name}: {fault}", f, terms, where, expected)
          for name, (f, where) in CONSTRUCTIONS.items()
@@ -245,14 +276,14 @@ TABLE += [
     ("symmetrize_free: disconnected complex, zero product of length 1", symmetrize_free, [[Z1]],
      DISCONNECTED, SYM_CONNECTED),
     ("symmetrize_free: disconnected complex and empty terms", symmetrize_free, [], DISCONNECTED,
-     EMPTY),
+     SYM_CONNECTED),
     ("symmetrize_free: disconnected complex, non-invariant", symmetrize_free, [[X, Y, X, X]],
-     DISCONNECTED, NOT_INVARIANT),
+     DISCONNECTED, SYM_CONNECTED),
     ("symmetrize_free: non-free action", symmetrize_free, [[X, X, X]], NOT_FREE, SYM_FREE),
     ("symmetrize_free: non-free action, zero product of length 1", symmetrize_free, [[Z1]],
      NOT_FREE, SYM_FREE),
     ("symmetrize_free: non-free action, non-invariant", symmetrize_free, [[X, Y, X]], NOT_FREE,
-     NOT_INVARIANT),
+     SYM_FREE),
     ("symmetrize_free: orbit width mismatch on a line, zero product", symmetrize_free,
      [[Z1, Z1, Z2]], LINE_FLIP,
      ("IncompatibleBlockSizes", "sites 0 and 2 share an orbit but differ in width")),
@@ -260,6 +291,12 @@ TABLE += [
      SWAP, LENGTH_3_OF_2),
     ("separable_symmetrize: non-invariant", separable_symmetrize, [[X, Y]], SWAP,
      ("FactorNotInCone", "term 0, site 0 fails the cone check")),
+    ("elementary_sum: zero-site factor", lambda terms, _: elementary_sum(terms), [[NO_SITES, X]],
+     None, SITES),
+    ("blending_difference: zero-site factor", blending_difference, [[NO_SITES, X]],
+     simplex_full_symmetry_action(1), SITES),
+    ("separable_symmetrize: zero-site factor", separable_symmetrize, [[NO_SITES, u(1)]], SWAP,
+     SITES),
     ("approx_separable: non-free action", lambda w, a: approx_separable(witness(2, w), a, 0.5),
      1.0, NOT_FREE, ("ActionNotFree", "approximation requires a free action")),
     ("approx_separable: disconnected complex",

@@ -1,6 +1,7 @@
 """Gram machinery, sos families, cones, factorizability, rank-chain moves."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -62,6 +63,8 @@ from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import trivial_action
 from omegadec.complexes import standard_complex
+from omegadec.tensorbridge import TensorDecomposition, tensor_dec_to_poly_dec
+from test_entry_checks import random_sos
 
 
 def bell_gram():
@@ -852,3 +855,51 @@ def test_decompositions_share_the_local_check(build):
         build(c, (1, 1), {(2, (1,)): one})
     kept = build(c, (1, 1), {(0, (1,)): one, (1, (2,)): BlockPolynomial.zero((1,))})
     assert len(kept.locals) == 1
+
+
+def test_sos_decomposition_rejects_member_values_no_member_reads():
+    # each once made sos_to_plain(s).contract() differ from s.sum_squares()
+    c = standard_complex("single_edge")
+    x = BlockPolynomial.univar({1: 1})
+    for k, poly in [(5, x), (5, BlockPolynomial.zero((1,)))]:
+        with pytest.raises(ValueError, match="^member value 5 outside the range of site 0$"):
+            SosOmegaGDecomposition(c, None, 1, (1, 1), ((0,), (0,)),
+                                   {(0, 0, (1,)): x, (0, k, (1,)): poly, (1, 0, (1,)): x})
+    with pytest.raises(ValueError, match="^a member range repeats a value$"):
+        SosOmegaGDecomposition(c, None, 1, (1, 1), ((0, 0), (0,)),
+                               {(0, 0, (1,)): x, (1, 0, (1,)): x})
+
+
+def test_sos_to_plain_contracts_to_the_sum_of_squares():
+    witnesses = [random_sos(random.Random(f"sos-plain-{seed}")) for seed in range(30)]
+    witnesses += [sos_family_witness_double_edge(), sos_family_witness_single_edge()]
+    for s in witnesses:
+        assert sos_to_plain(s).contract().matches(s.sum_squares())
+
+
+def psd_sos_out_of_member_order(seed):
+    """The sos family of a float psd decomposition on the single edge whose
+    matrix root has a zero entry at (0, 1): site 0 meets member value 1 after
+    value 2 and 3, where column 0 of the root reads them first."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    R = rng.uniform(0.5, 1.5, size=(n, n))
+    B = (R + R.T) / 2 + 3 * np.eye(n)
+    B[0, 1] = B[1, 0] = 0
+    M = B @ B
+    entries = {((r + 1,), (c + 1,)): float(M[r, c]) for r in range(n) for c in range(n)}
+    a = single_edge_swap_action()
+    return tensor_dec_to_poly_dec(TensorDecomposition("psd", a.complex, a, n, 1,
+                                                      psd_mats={(0, 0): entries, (1, 0): entries}))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_sos_to_plain_sums_in_member_order(seed):
+    s = psd_sos_out_of_member_order(seed)
+    order = s.site_index[0]
+    met = list(dict.fromkeys(k for site, k, _ in s.locals if site == 0))
+    assert met != sorted(met, key=order.index)
+    locals_ = dict(sorted(s.locals.items(), key=lambda kv: order.index(kv[0][1])))
+    ordered = SosOmegaGDecomposition(s.complex, s.action, s.index_size, s.site_vars,
+                                     s.site_index, locals_, s.scale)
+    assert sos_to_plain(s).to_obj() == sos_to_plain(ordered).to_obj()

@@ -11,7 +11,14 @@ for a decomposition whose locals repeat, drawn from a small pool with
 negations, must equal the library's `contract`. For sos decompositions, the
 double-edge witness and seeded exact and radical ones, the oracle's members
 must equal the library's `member`, and the sum of their squares both
-`sum_squares` and the contraction of `sos_to_plain`.
+`sum_squares` and the contraction of `sos_to_plain`. The tensor bridge:
+`poly_from_tensor` on seeded exact tensors must give the oracle's sum of
+entries times squared variables, and the contraction of
+`psd_distance_factorization(m)` the distance polynomial. `sep_to_sos` is
+numeric: on the free double-edge fixture and seeded separable decompositions
+of the free and the fixed-vertex double-edge actions, the squares of the
+oracle's members must sum to the oracle's contraction of the separable input
+within 1e-9 per coefficient.
 """
 
 import random
@@ -31,13 +38,19 @@ from omegadec.decomposition import (
     symmetrize_free,
 )
 from omegadec.blockpoly import RATIONAL
-from omegadec.fixtures import sos_family_witness_double_edge
-from omegadec.positivity import sos_to_plain
+from omegadec.fixtures import (
+    double_edge_fixed_vertex_action,
+    double_edge_swap_action,
+    sos_family_witness_double_edge,
+    squares_double_edge_decomposition,
+)
+from omegadec.positivity import factorizability_solve, sep_to_sos, sos_to_plain
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import build_action
+from omegadec.tensorbridge import DenseTensor, poly_from_tensor, psd_distance_factorization
 from symref import (average, closure, contraction, elementary, equal, group, moved, radpoly,
-                    sos_members)
+                    sos_members, symbol, tensor_polynomial)
 from test_entry_checks import random_sos
 
 # (facets, generators as (vertex perm, label perm) pairs)
@@ -250,3 +263,62 @@ def test_sos_family_agrees_with_the_sympy_oracle():
     rng = random.Random("sos")
     for _ in range(30):
         check_sos([((0, 1), 1)], exact_random_sos(rng))
+
+
+def test_poly_from_tensor_agrees_with_the_sympy_oracle():
+    rng = random.Random("tensor")
+    for _ in range(24):
+        dims = (rng.randint(1, 3),) * rng.randint(1, 3)
+        entries = [rng.choice([0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+                   for _ in range(dims[0] ** len(dims))]
+        got = RadPoly.from_poly(poly_from_tensor(DenseTensor(dims, entries))).to_obj()
+        assert equal(radpoly(got), tensor_polynomial(dims, [str(v) for v in entries]))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_psd_distance_factorization_agrees_with_the_sympy_oracle(m):
+    distance = sympy.Add(*((i - j) ** 2 * symbol(0, i) ** 2 * symbol(1, j) ** 2
+                           for i in range(m) for j in range(m)))
+    got = contraction([((0, 1), 1)], psd_distance_factorization(m).poly.to_obj())
+    assert equal(got, distance)
+
+
+def square_local(rng):
+    """One or two even powers of x with positive rational coefficients."""
+    return BlockPolynomial((1,), {((2 * e,),): Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                                  for e in rng.sample(range(3), rng.randint(1, 2))})
+
+
+def random_separable(rng, a):
+    """Index-2 locals on the double edge, equal along the orbits of a: the swap
+    moves (site 0, (b1, b2)) to (site 1, (b2, b1)), and the fixed-vertex action
+    moves (site i, (b1, b2)) to (site i, (b2, b1))."""
+    betas = list(product((1, 2), repeat=2))
+    if a.vertex_image(1, 0) == 1:
+        site0 = {beta: square_local(rng) for beta in betas}
+        locals_ = {0: site0, 1: {beta[::-1]: p for beta, p in site0.items()}}
+    else:
+        locals_ = {}
+        for i in range(2):
+            cross = square_local(rng)
+            locals_[i] = {(1, 1): square_local(rng), (2, 2): square_local(rng),
+                          (1, 2): cross, (2, 1): cross}
+    sep = OmegaGDecomposition(a.complex, a, 2, (1, 1), locals_)
+    assert sep.check_symmetry()
+    return sep
+
+
+def test_sep_to_sos_agrees_with_the_sympy_oracle():
+    rng = random.Random("sep")
+    seps = [squares_double_edge_decomposition()]
+    seps += [random_separable(rng, a) for a in (double_edge_swap_action(),
+                                                double_edge_fixed_vertex_action())
+             for _ in range(2)]
+    for sep in seps:
+        sos = sep_to_sos(sep, factorizability_solve(sep.complex, sep.action, sep.index_size))
+        members = sos_members(DOUBLE_EDGE, sos_data(sos))
+        squares = sympy.Add(*(m**2 for m in members.values()))
+        diff = sympy.expand(squares - contraction(DOUBLE_EDGE, sep.to_obj()))
+        gens = sorted(diff.free_symbols, key=str)
+        coeffs = sympy.Poly(diff, *gens).coeffs() if gens else [diff]
+        assert all(abs(float(c)) <= 1e-9 for c in coeffs)
