@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockpoly import BlockPolynomial, _real
+from .blockpoly import BlockPolynomial
 from .complexes import require_connected
 from .decomposition import OmegaGDecomposition, _free_build, _read_terms
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     NotInvariant,
     NotNormalized,
     OmegaError,
+    _real,
 )
 from .positivity import (
     DEFAULT_PSD_TOL,
@@ -188,16 +189,16 @@ def _check_factors(F: np.ndarray) -> None:
 
 
 def _witness_factor(F, D: int) -> np.ndarray:
-    """F as a (D, D) float array. The entries of a float array are checked with
-    the whole stack; any other input is read entry by entry by `real_array`."""
+    """F, D rows or a row-major list of D**2 entries, as a (D, D) float array. A
+    float array is checked with the whole stack, other input by `real_array`."""
     if not (isinstance(F, np.ndarray) and F.dtype.kind == "f"):
         F = real_array(F, "witness factors")
     F = np.asarray(F, dtype=float)
-    if F.shape != (D, D):
+    if F.size != D * D:
         if not np.isfinite(F).all():
             raise ValueError(_FACTOR_ERRORS[1])
         raise DimensionMismatch(f"factor shape {F.shape} != {(D, D)}")
-    return F
+    return F.reshape(D, D)
 
 
 class SeparableGram:

@@ -13,13 +13,12 @@ prints like the equal ``int``.
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .complexes import _integer
-from .errors import IncompatibleBlockSizes, digits_checked
+from .errors import IncompatibleBlockSizes, _integer, _rational, _real, _tolerance
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -27,54 +26,8 @@ FLOAT = "float"
 Key = tuple[tuple[int, ...], ...]
 
 
-def _rational(c):
-    """c as an exact rational, an int when integral and a Fraction otherwise.
-
-    Every exact coefficient, tensor entry and scale radicand the library
-    takes from outside is read here. A float is a TypeError, since it holds no
-    exact rational: ``0.1`` is not read as its binary fraction. So is a bool:
-    JSON ``true`` is not the number 1. A string of more than MAX_DIGITS digits
-    is a ValueError.
-    """
-    if type(c) is int:
-        return c
-    if isinstance(c, (float, bool)):
-        raise TypeError(f"{type(c).__name__} {c!r} in rational mode holds no exact rational")
-    c = Fraction(digits_checked(c) if isinstance(c, str) else c)
-    return int(c) if c.denominator == 1 else c
-
-
-def _real(c, what: str = "float coefficients") -> float:
-    """c as a finite float.
-
-    Every float coefficient, tensor entry, Gram entry and witness number the
-    library takes from outside is read here. Only a real number is read: a
-    bool or a string such as ``"1.5"`` is a TypeError, and a NaN or an
-    infinity is a ValueError.
-    """
-    if type(c) is not float:    # the common case skips the slower ABC check
-        if isinstance(c, bool) or not isinstance(c, numbers.Real):
-            raise TypeError(f"{type(c).__name__} {c!r} in {what} is not a number")
-        c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"{what} must be finite")
-    return c
-
-
-def _tolerance(tol: float) -> float:
-    """tol, for a float comparison: a NaN, infinite or negative tolerance is a
-    ValueError. Every comparison with NaN is false and an infinite bound holds
-    for any finite difference, so either would let any difference through; a
-    negative bound would fail every comparison, equal sides included."""
-    if math.isnan(tol):
-        raise ValueError("tolerance must not be NaN")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    return tol
-
-
-def _coerce_coeff(c, mode: str):
-    return _real(c) if mode == FLOAT else _rational(c)
+def _coerce_coeff(c, mode: str, what: str = "float coefficients"):
+    return _real(c, what) if mode == FLOAT else _rational(c)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -84,7 +37,8 @@ def _nonzero(terms: dict) -> dict:
 class BlockPolynomial:
     """Immutable-by-convention sparse polynomial with per-site exponent blocks.
 
-    The public constructor validates every key and coerces every coefficient.
+    The public constructor reads each key and coefficient of a mapping or of a
+    sequence of pairs once, sums repeated keys where first seen, drops zeros last.
     Arithmetic results are built with `_trusted` instead: their keys are
     already well formed, their coefficients are already int or Fraction
     (rational mode) or `float` (float mode), and each operation drops the zero
@@ -93,7 +47,7 @@ class BlockPolynomial:
 
     __slots__ = ("sites", "mode", "terms")
 
-    def __init__(self, sites: Iterable[int], terms: Mapping[Key, object] | None = None,
+    def __init__(self, sites: Iterable[int], terms: Mapping | Iterable | None = None,
                  mode: str = RATIONAL):
         sites = tuple(_integer(m, "variable count") for m in sites)
         if any(m < 0 for m in sites):
@@ -101,7 +55,8 @@ class BlockPolynomial:
         if mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
         clean: dict[Key, object] = {}
-        for key, coeff in (terms or {}).items():
+        # keys are read before they group terms, since 1, 1.0 and true hash alike
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
             key = tuple(tuple(_integer(e, "exponent") for e in block) for block in key)
             if len(key) != len(sites):
                 raise ValueError("term has wrong number of site blocks")
@@ -109,15 +64,11 @@ class BlockPolynomial:
                 if len(block) != m or any(e < 0 for e in block):
                     raise ValueError(f"bad exponent block {block} for site width {m}")
             c = _coerce_coeff(coeff, mode)
-            if key in clean:
-                c = _coerce_coeff(clean[key] + c, mode)
-            if c:
-                clean[key] = c
-            else:
-                clean.pop(key, None)
+            # a sum of floats may overflow, and an integral sum of Fractions is an int
+            clean[key] = _coerce_coeff(clean[key] + c, mode) if key in clean else c
         self.sites = sites
         self.mode = mode
-        self.terms = clean
+        self.terms = _nonzero(clean)
 
     @classmethod
     def _trusted(cls, sites: tuple[int, ...], terms: dict, mode: str) -> "BlockPolynomial":
@@ -212,7 +163,7 @@ class BlockPolynomial:
     def scaled(self, c) -> "BlockPolynomial":
         if isinstance(c, float) and self.mode == RATIONAL:
             return self.astype_float().scaled(c)
-        c = float(c) if self.mode == FLOAT else _coerce_coeff(c, RATIONAL)
+        c = float(c) if self.mode == FLOAT else _rational(c)
         return BlockPolynomial._trusted(
             self.sites, _nonzero({k: v * c for k, v in self.terms.items()}), self.mode)
 
@@ -310,14 +261,8 @@ class BlockPolynomial:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BlockPolynomial":
-        mode = obj.get("mode", RATIONAL)
-        terms = {}
-        for t in obj.get("terms", []):
-            # exponents are read before they group terms, since 1, 1.0 and true hash alike
-            key = tuple(tuple(_integer(e, "exponent") for e in b) for b in t["exps"])
-            # a JSON float is no exact rational: rational mode rejects it as the constructor does
-            terms[key] = terms.get(key, 0) + _coerce_coeff(t["coeff"], mode)
-        return cls(obj["sites"], terms, mode)
+        return cls(obj["sites"], [(t["exps"], t["coeff"]) for t in obj.get("terms", [])],
+                   obj.get("mode", RATIONAL))
 
     def __repr__(self) -> str:
         if self.is_zero():

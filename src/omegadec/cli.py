@@ -230,15 +230,12 @@ def _cmd_family(run: _Run) -> int:
 
 def _cmd_approx(run: _Run) -> int:
     from .approx import SeparableGram, approx_separable
-    from .positivity import GramRepresentation, real_array
+    from .positivity import GramRepresentation
     obj, cplx, action = _load_bundle(run, run.args.file)
     if action is None:
         raise OmegaError("approx needs an action in the bundle")
     gram = GramRepresentation.from_obj(obj["gram"])
-    terms = [(t["weight"], [real_array(f, "witness factors").reshape(gram.D, gram.D)
-                            for f in t["factors"]])
-             for t in obj["witness"]]
-    sg = SeparableGram(gram, terms)
+    sg = SeparableGram(gram, [(t["weight"], t["factors"]) for t in obj["witness"]])
     result = approx_separable(sg, action, run.args.epsilon, seed=run.args.seed)
     run.pretty(f"error {result.error_schatten2:.4g} with "
                f"{result.terms_used} sampled terms")

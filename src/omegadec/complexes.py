@@ -10,7 +10,6 @@ these labels.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -25,6 +24,7 @@ from .errors import (
     SizeTooLarge,
     UncoveredVertex,
     VertexOutOfRange,
+    _integer,
 )
 
 Label = tuple[int, int]
@@ -80,20 +80,6 @@ class WeightedComplex:
         facets = [(f["vertices"], f.get("weight", 1)) for f in obj["facets"]]
         n = obj.get("n")
         return build_complex(facets, vertex_count=None if n is None else _integer(n, "n") + 1)
-
-
-def _integer(x, what: str) -> int:
-    """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a ValueError.
-
-    Every count, index, exponent, root index and dimension the library takes
-    from outside is read here, so ``1.5`` is never truncated and ``true`` never
-    counts as 1.
-    """
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 def omega_value(c: WeightedComplex, subset: Iterable[int]) -> int:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
-from .complexes import WeightedComplex, _integer, require_connected
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .complexes import WeightedComplex, require_connected
 from .errors import (
     DEFAULT_MAX_WORK,
     MAX_DIGITS,
@@ -28,6 +28,8 @@ from .errors import (
     NotInvariant,
     SearchSpaceTooLarge,
     SizeTooLarge,
+    _integer,
+    _tolerance,
 )
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
@@ -113,12 +115,16 @@ def checked_action(complex_: WeightedComplex,
     return action
 
 
-def checked_site_vars(complex_: WeightedComplex, site_vars: Sequence[int]) -> tuple[int, ...]:
-    """One variable count per vertex of the complex, as ints."""
+def checked_sizes(complex_: WeightedComplex, index_size: int,
+                  site_vars: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The index size and one variable count per vertex of the complex, as ints >= 0."""
+    index_size = _integer(index_size, "index_size")
     site_vars = tuple(_integer(m, "site_vars entry") for m in site_vars)
     if len(site_vars) != complex_.vertex_count:
         raise ValueError("site_vars must list one variable count per vertex")
-    return site_vars
+    if min(index_size, *site_vars) < 0:
+        raise ValueError(f"index_size {index_size} and site_vars {list(site_vars)} must be >= 0")
+    return index_size, site_vars
 
 
 def checked_local(complex_: WeightedComplex, index_size: int, site_vars: Sequence[int],
@@ -265,8 +271,7 @@ class OmegaGDecomposition:
                            if (kept := {b: p for b, p in mapping.items() if not p.is_zero()})}
             return
         self.action = checked_action(complex_, action)
-        self.index_size = _integer(index_size, "index_size")
-        self.site_vars = checked_site_vars(complex_, site_vars)
+        self.index_size, self.site_vars = checked_sizes(complex_, index_size, site_vars)
         store: SiteLocals = {}
         for site, mapping in locals_.items():
             for beta, poly in mapping.items():

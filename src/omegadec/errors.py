@@ -1,5 +1,12 @@
 """Exception types shared across the toolkit, the default limits of its guards, and
-the most digits a number it reads may have."""
+the readers of every outside number, each read once where it enters: `_integer`
+reads counts, indices, exponents, root indices and dimensions; `_rational` exact
+coefficients, tensor entries and scale radicands; `_real` float coefficients and
+tensor, Gram and witness numbers; `_tolerance` the bound of a float comparison."""
+
+import math
+import numbers
+from fractions import Fraction
 
 DEFAULT_MAX_WORK = 10**7      # steps of an enumeration or a search
 DEFAULT_MAX_GROUP = 10080     # elements of a generated group
@@ -13,6 +20,52 @@ def digits_checked(text: str) -> str:
     if len(text) > MAX_DIGITS and (n := sum(map(str.isdigit, text))) > MAX_DIGITS:
         raise ValueError(f"number has {n} digits, more than {MAX_DIGITS}")
     return text
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a
+    ValueError, so ``1.5`` is never truncated and ``true`` never counts as 1."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _rational(c):
+    """c as an exact rational, an int when integral and a Fraction otherwise.
+    A float is a TypeError: ``0.1`` is no exact rational. So is a bool: JSON
+    ``true`` is not the number 1. A string of over MAX_DIGITS digits is a ValueError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, (float, bool)):
+        raise TypeError(f"{type(c).__name__} {c!r} in rational mode holds no exact rational")
+    c = Fraction(digits_checked(c) if isinstance(c, str) else c)
+    return int(c) if c.denominator == 1 else c
+
+
+def _real(c, what: str = "float coefficients") -> float:
+    """c as a finite float. Only a real number is read: a bool or a string such
+    as ``"1.5"`` is a TypeError, and a NaN or an infinity is a ValueError."""
+    if type(c) is not float:    # the common case skips the slower ABC check
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise TypeError(f"{type(c).__name__} {c!r} in {what} is not a number")
+        c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"{what} must be finite")
+    return c
+
+
+def _tolerance(tol: float) -> float:
+    """tol, for a float comparison: a NaN, infinite or negative tolerance is a
+    ValueError. Every comparison with NaN is false and an infinite bound holds
+    for any finite difference, so either would let any difference through; a
+    negative bound would fail every comparison, equal sides included."""
+    if math.isnan(tol):
+        raise ValueError("tolerance must not be NaN")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 class OmegaError(Exception):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
-from .complexes import _integer
-from .errors import DEFAULT_MAX_WORK, SizeTooLarge
+from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer
 
 if TYPE_CHECKING:
     from .blockpoly import BlockPolynomial

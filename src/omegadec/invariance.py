@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .blockpoly import BlockPolynomial, _tolerance
+from .blockpoly import BlockPolynomial
+from .errors import _tolerance
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
 

@@ -20,8 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _real, _tolerance
-from .complexes import WeightedComplex, _integer, require_connected
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .complexes import WeightedComplex, require_connected
 from .decomposition import (  # caratheodory_bound is re-exported from its numpy-free home
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
@@ -30,7 +30,7 @@ from .decomposition import (  # caratheodory_bound is re-exported from its numpy
     caratheodory_bound,
     checked_action,
     checked_local,
-    checked_site_vars,
+    checked_sizes,
     elementary_sum,
     locals_agree,
     pair_assignment,
@@ -48,6 +48,9 @@ from .errors import (
     NotInvariantPolynomial,
     NotPSD,
     SearchSpaceTooLarge,
+    _integer,
+    _real,
+    _tolerance,
 )
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
@@ -397,8 +400,7 @@ class SosOmegaGDecomposition:
                  scale: ScaledScalar = ONE):
         self.complex = complex_
         self.action = checked_action(complex_, action)
-        self.index_size = _integer(index_size, "index_size")
-        self.site_vars = checked_site_vars(complex_, site_vars)
+        self.index_size, self.site_vars = checked_sizes(complex_, index_size, site_vars)
         self.site_index = tuple(tuple(s) for s in site_index)
         if len(self.site_index) != complex_.vertex_count:
             raise ValueError("site_index must list one member range per vertex")
@@ -521,13 +523,15 @@ class FactorizabilitySolution:
 def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int,
                           max_assignments: int = DEFAULT_MAX_WORK
                           ) -> FactorizabilitySolution | None:
-    """Solve the log-linear overcount system, or report infeasibility (a
-    least-squares residual above 1e-9) as None.
+    """Solve the log-linear overcount system of an index size >= 1, or report
+    infeasibility (a least-squares residual above 1e-9) as None.
 
     The overcount of an assignment counts the assignments reaching it through
     vertex-stabilizing elements sitewise. Unknowns are tied along group orbits
     of (site, assignment) pairs, so any returned solution is invariant.
     """
+    if index_size < 1:
+        raise ValueError(f"index size must be >= 1, got {index_size}")
     L = c.label_count
     V = c.vertex_count
     if index_size**L > max_assignments:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _tolerance
-from .errors import IncommensurableScales
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial
+from .errors import IncommensurableScales, _tolerance
 from .scalars import ONE, ScaledScalar
 
 

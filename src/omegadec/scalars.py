@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .blockpoly import _rational
-from .complexes import _integer
-from .errors import SizeTooLarge
+from .errors import SizeTooLarge, _integer, _rational
 
 
 def integer_root(x: int, k: int) -> tuple[int, bool]:

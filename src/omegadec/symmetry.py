@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .complexes import WeightedComplex, _integer, require_connected
+from .complexes import WeightedComplex, require_connected
 from .errors import (
     DEFAULT_MAX_GROUP,
     ActionNotFree,
     CollapseNotLinear,
     GroupTooLarge,
     WeightNotPreserved,
+    _integer,
 )
 
 Perm = tuple[int, ...]

@@ -19,14 +19,15 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _rational, _real, _tolerance
-from .complexes import WeightedComplex, _integer, standard_complex
+from .blockpoly import FLOAT, RATIONAL, BlockPolynomial, _coerce_coeff
+from .complexes import WeightedComplex, standard_complex
 from .decomposition import (
     DEFAULT_MAX_WORK,
     OmegaGDecomposition,
     bipartite_rank,
     checked_action,
     checked_assignment,
+    checked_sizes,
     pair_assignment,
 )
 from .errors import (
@@ -36,6 +37,8 @@ from .errors import (
     NotPSD,
     SizeTooLarge,
     VertexActionNotFree,
+    _integer,
+    _tolerance,
 )
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
@@ -58,15 +61,14 @@ class DenseTensor:
         self.dims = tuple(_integer(d, "tensor dimension") for d in dims)
         if any(d < 0 for d in self.dims):
             raise ValueError(f"negative tensor dimension in {self.dims}")
-        size = math.prod(self.dims)
         flat = list(entries)
-        if len(flat) != size:
-            raise DimensionMismatch(f"expected {size} entries, got {len(flat)}")
+        size = 1        # the product of the dims, capped past len(flat), so huge dims stay cheap
+        for d in self.dims:
+            size = min(size * d, len(flat) + 1)
+        if size != len(flat):
+            raise DimensionMismatch(f"dims {list(self.dims)} do not hold {len(flat)} entries")
         self.mode = mode
-        self.entries = [self._read(x) for x in flat]
-
-    def _read(self, x):
-        return _real(x, "float tensor entries") if self.mode == FLOAT else _rational(x)
+        self.entries = [_coerce_coeff(x, mode, "float tensor entries") for x in flat]
 
     @classmethod
     def zeros(cls, dims: Sequence[int], mode: str = RATIONAL) -> "DenseTensor":
@@ -90,7 +92,7 @@ class DenseTensor:
         return self.entries[self._flat(idx)]
 
     def __setitem__(self, idx, value) -> None:
-        self.entries[self._flat(idx)] = self._read(value)
+        self.entries[self._flat(idx)] = _coerce_coeff(value, self.mode, "float tensor entries")
 
     def indices(self) -> Iterable[tuple[int, ...]]:
         return product(*(range(d) for d in self.dims))
@@ -145,11 +147,15 @@ def poly_from_tensor(t: DenseTensor) -> BlockPolynomial:
     dims = set(t.dims)
     if len(dims) != 1:
         raise DimensionMismatch("axis dimensions must agree")
-    m = dims.pop()
+    return _squares_poly(dims.pop(), t.order, t.entries, t.mode)
+
+
+def _squares_poly(m: int, order: int, entries: Sequence, mode: str) -> BlockPolynomial:
+    """The embedding of `order` axes of dimension m holding these read entries."""
     squares = [tuple(2 if j == i else 0 for j in range(m)) for i in range(m)]
     terms = {tuple(squares[i] for i in idx): v
-             for idx, v in zip(t.indices(), t.entries) if v}
-    return BlockPolynomial._trusted((m,) * t.order, terms, t.mode)
+             for idx, v in zip(product(range(m), repeat=order), entries) if v}
+    return BlockPolynomial._trusted((m,) * order, terms, mode)
 
 
 def tensor_from_poly(p: BlockPolynomial) -> DenseTensor:
@@ -196,37 +202,39 @@ class TensorDecomposition:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.complex = complex_
-        self.index_size = _integer(index_size, "index_size")
         self.axis_dim = m = _integer(axis_dim, "axis_dim")
-        self.vectors = {}
-        self.psd_mats = {}
-        keyed = {}      # (site, assignment) -> vector of the counterpart's local
-        if variant != PSD:
-            self.vectors = keyed = {key: tuple(vec) for key, vec in (vectors or {}).items()}
-            if variant == NONNEGATIVE and any(x < 0 for vec in keyed.values() for x in vec):
-                raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
-        else:
-            for (site, j), mat in (psd_mats or {}).items():
-                site, j = _integer(site, "site"), _integer(j, "psd matrix key")
-                if not 0 <= j < m:
-                    raise DimensionMismatch(f"psd matrix key {j} outside 0..{m - 1}")
-                # a pair number in range does not put both halves in range
-                stored = self.psd_mats[(site, j)] = {
-                    (checked_assignment(complex_, site, b1, self.index_size),
-                     checked_assignment(complex_, site, b2, self.index_size)): v
-                    for (b1, b2), v in mat.items() if v != 0}
-                for (b1, b2), v in stored.items():
-                    pair = pair_assignment(b1, b2, self.index_size)
-                    keyed.setdefault((site, pair), [0] * m)[j] = v
-        # a zero vector stores no local, so its entries neither set the mode nor
-        # build a tensor; its key is still checked
-        mode = FLOAT if any(isinstance(x, float) for vec in keyed.values()
-                            if any(vec) for x in vec) else RATIONAL
+        self.index_size, _ = checked_sizes(complex_, index_size, (m,) * complex_.vertex_count)
+        mats = {}
+        for (site, j), mat in (psd_mats or {}).items() if variant == PSD else ():
+            site, j = _integer(site, "site"), _integer(j, "psd matrix key")
+            if not 0 <= j < m:
+                raise DimensionMismatch(f"psd matrix key {j} outside 0..{m - 1}")
+            # a pair number in range does not put both halves in range
+            mats[(site, j)] = {(checked_assignment(complex_, site, b1, self.index_size),
+                                checked_assignment(complex_, site, b2, self.index_size)): v
+                               for (b1, b2), v in mat.items() if v != 0}
+        raw = {} if variant == PSD else {key: tuple(vec) for key, vec in (vectors or {}).items()}
+        # a zero vector stores no local, so its float zeros neither set the mode
+        # nor are read as exact rationals; its key is still checked
+        groups = [*raw.values(), *map(dict.values, mats.values())]
+        mode = FLOAT if any(isinstance(x, float) for g in groups if any(g) for x in g) else RATIONAL
+
+        def read(x):
+            return _coerce_coeff(x, FLOAT if isinstance(x, float) else mode, "float tensor entries")
+        self.vectors = {key: tuple(map(read, vec)) for key, vec in raw.items()}
+        self.psd_mats = {key: {pair: read(v) for pair, v in mat.items()}
+                         for key, mat in mats.items()}
+        if variant == NONNEGATIVE and any(x < 0 for vec in self.vectors.values() for x in vec):
+            raise NotCanonicalForm("nonnegative variant needs entrywise >= 0 vectors")
+        keyed = dict(self.vectors)      # (site, assignment) -> vector of the counterpart's local
+        for (site, j), mat in self.psd_mats.items():
+            for (b1, b2), v in mat.items():
+                keyed.setdefault((site, pair_assignment(b1, b2, self.index_size)), [0] * m)[j] = v
         locals_: dict[int, dict] = {}
         for (site, beta), vec in keyed.items():
-            locals_.setdefault(site, {})[beta] = RadPoly.from_poly(
-                poly_from_tensor(DenseTensor((m,), vec, mode)) if any(vec)
-                else BlockPolynomial.zero((m,), mode))
+            if len(vec) != m:
+                raise DimensionMismatch(f"expected {m} entries, got {len(vec)}")
+            locals_.setdefault(site, {})[beta] = RadPoly.from_poly(_squares_poly(m, 1, vec, mode))
         index = self.index_size ** 2 if variant == PSD else self.index_size
         # psd keys are checked above, where they are read; the keys of plain and
         # nonnegative vectors come from the caller, and the public constructor checks them

@@ -19,12 +19,13 @@ from omegadec.approx import (
     sample_budget,
 )
 from omegadec.acceptance import _quadratic_form_matrix, _random_separable_witness
-from omegadec.blockpoly import FLOAT, BlockPolynomial, _real
+from omegadec.blockpoly import FLOAT, BlockPolynomial
 from omegadec.errors import (
     ActionNotFree,
     DimensionMismatch,
     NotHomogeneous,
     NotNormalized,
+    _real,
 )
 from omegadec.fixtures import (
     double_edge_swap_action,
@@ -451,3 +452,19 @@ def test_bad_witness_fails_like_the_per_term_loop(name):
     want = _outcome(lambda: ReferenceGram(gram, bad))
     assert want is not None
     assert _outcome(lambda: SeparableGram(gram, bad)) == want
+
+
+def test_a_row_major_factor_list_reads_as_its_matrix():
+    terms, gram, _ = random_witness(np.random.default_rng(21), 2, 2, 1, 3)
+    flat = [(w, [F.ravel().tolist() for F in fs]) for w, fs in terms]
+    sg, ref = SeparableGram(gram, flat), SeparableGram(gram, terms)
+    assert np.array_equal(sg.factors, ref.factors) and np.array_equal(sg.weights, ref.weights)
+
+
+@pytest.mark.parametrize("entries", [8, 10])
+def test_a_factor_list_of_the_wrong_length_is_a_dimension_mismatch(entries):
+    terms, gram, _ = random_witness(np.random.default_rng(21), 2, 2, 1, 3)
+    w, fs = terms[1]
+    terms[1] = (w, [fs[0], [0.0] * entries])
+    with pytest.raises(DimensionMismatch, match=rf"factor shape \({entries},\) != \(3, 3\)"):
+        SeparableGram(gram, terms)

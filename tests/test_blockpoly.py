@@ -244,3 +244,23 @@ def test_allclose_fails_on_non_finite():
     for a, b in ((nan, nan), (nan, ok), (ok, nan), (inf, inf), (ok, inf)):
         assert not a.allclose(b)
     assert ok.allclose(ok)
+
+
+def test_term_pairs_sum_at_their_first_occurrence_and_drop_zeros_last():
+    pairs = [([[1]], "1/2"), ([[0]], 2), ([[1]], "1/2"), ([[2]], 1), ([[0]], -2), ([[2]], 0)]
+    p = BlockPolynomial((1,), pairs)
+    assert list(p.terms.items()) == [(((1,),), 1), (((2,),), 1)]
+    assert type(p.terms[((1,),)]) is int
+    assert BlockPolynomial.from_obj({"sites": [1], "terms": [
+        {"exps": e, "coeff": c} for e, c in pairs]}).terms == p.terms
+    # a key that cancels and comes back keeps its first place
+    q = BlockPolynomial((1,), [([[1]], 1), ([[2]], 1), ([[1]], -1), ([[1]], 3)])
+    assert list(q.terms) == [((1,),), ((2,),)] and q.terms[((1,),)] == 3
+    with pytest.raises(ValueError, match="float coefficients must be finite"):
+        BlockPolynomial((1,), [([[0]], 1e308), ([[0]], 1e308)], FLOAT)
+
+
+def test_from_obj_reads_the_mode_before_any_coefficient():
+    obj = {"sites": [1], "mode": "Float", "terms": [{"exps": [[0]], "coeff": 0.5}]}
+    with pytest.raises(ValueError, match="unknown mode 'Float'"):
+        BlockPolynomial.from_obj(obj)

@@ -919,3 +919,98 @@ def test_closed_stdout_ends_quietly_with_the_exit_code(argv, code):
         os.close(write_end)
     assert done.returncode == code
     assert done.stderr == b""
+
+
+def _sizes_bundle(field, value):
+    """The squares bundle without locals or an expected contraction, with one size set."""
+    with open(fixture("squares_double_edge.json")) as fh:
+        doc = json.load(fh)
+    del doc["expected"]
+    doc["decomposition"]["locals"] = []
+    doc["decomposition"][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,field,value,message", [
+    ("verify", "index_size", -3, "index_size -3 and site_vars [1, 1] must be >= 0"),
+    ("contract", "site_vars", [-1, -1], "index_size 2 and site_vars [-1, -1] must be >= 0"),
+], ids=["verify-negative-index", "contract-negative-site-vars"])
+def test_negative_sizes_are_input_errors(capsys, tmp_path, command, field, value, message):
+    """Earlier versions exited 0 and reported the negative size back."""
+    path = write_json(tmp_path, "bundle.json", _sizes_bundle(field, value))
+    code, out = run(capsys, "dec", command, path)
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError", "message": message}
+    # the same bundle with its size back at a valid value exits 0
+    valid = write_json(tmp_path, "valid.json", _sizes_bundle(field, 0 if field == "index_size"
+                                                              else [1, 1]))
+    assert run(capsys, "dec", command, valid)[0] == 0
+
+
+def test_factorizable_index_size_zero_is_an_input_error(capsys):
+    """Earlier versions exited 2 with numpy's "need at least one array to concatenate"."""
+    code, out = run(capsys, "pos", "factorizable", "--complex", fixture("double_edge_complex.json"),
+                    "--action", fixture("double_edge_swap_action.json"), "--index-size", "0")
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError",
+                                "message": "index size must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("dims,count", [
+    ([10**4000, 10**4000], 1), ([10**4000, 1], 1), ([1, 10**4000], 1), ([2, 3], 7),
+], ids=["both-huge", "first-huge", "last-huge", "small"])
+def test_tensor_dims_past_the_entry_count_name_the_dims(capsys, tmp_path, dims, count):
+    """Earlier versions printed the interpreter's integer string conversion limit
+    for the product of huge dims."""
+    tensor = {"dims": dims, "entries": [1] * count}
+    code, out = run(capsys, "bridge", "to-poly", write_json(tmp_path, "tensor.json", tensor))
+    assert code == 2
+    assert strict_json(out) == {"error": "DimensionMismatch",
+                                "message": f"dims {dims} do not hold {count} entries"}
+
+
+def _witness_with(edit):
+    with open(fixture("approx_witness.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["witness"])
+    return doc
+
+
+def _short_factor(witness):
+    witness[0]["factors"][0] = witness[0]["factors"][0][:8]
+
+
+def _non_psd_then_nan(witness):
+    witness[0]["factors"][0] = [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]
+    witness[3]["factors"][1][2] = float("nan")
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (_short_factor, "DimensionMismatch", "factor shape (8,) != (3, 3)"),
+    (_non_psd_then_nan, "ValueError", "witness factors must be PSD"),
+], ids=["short-factor", "non-psd-then-nan"])
+def test_approx_witness_fails_where_the_library_does(capsys, tmp_path, edit, error, message):
+    """The command hands the witness to `SeparableGram` unread, so a bad witness
+    fails at the library's first bad item; earlier versions read every factor
+    first, and failed with "must be finite" and numpy's reshape error."""
+    from omegadec.approx import SeparableGram
+    from omegadec.positivity import GramRepresentation
+    doc = _witness_with(edit)
+    code, out = run(capsys, "approx", "run", write_json(tmp_path, "witness.json", doc),
+                    "--epsilon", "0.5")
+    assert code == 2
+    assert strict_json(out) == {"error": error, "message": message}
+    terms = [(t["weight"], t["factors"]) for t in doc["witness"]]
+    with pytest.raises(Exception) as info:
+        SeparableGram(GramRepresentation.from_obj(doc["gram"]), terms)
+    assert (type(info.value).__name__, str(info.value)) == (error, message)
+
+
+def test_polynomial_mode_is_read_before_its_coefficients(capsys, tmp_path):
+    """Earlier versions read the coefficient 0.5 under the unknown mode "Float"
+    as an exact rational and reported a float in rational mode."""
+    doc = _double_edge_bundle(0.5)
+    doc["decomposition"]["locals"][0]["poly"]["mode"] = "Float"
+    code, out = run(capsys, "dec", "verify", write_json(tmp_path, "bundle.json", doc))
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError", "message": "unknown mode 'Float'"}

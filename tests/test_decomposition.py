@@ -268,6 +268,25 @@ def test_blending_difference_empty_terms():
     assert q1.local_count() == 0 and q2.local_count() == 0
 
 
+@pytest.mark.parametrize("index_size,site_vars,message", [
+    (-3, (1, 1), r"index_size -3 and site_vars \[1, 1\] must be >= 0"),
+    (1, (-1, -1), r"index_size 1 and site_vars \[-1, -1\] must be >= 0"),
+    (1, (1, -1), r"index_size 1 and site_vars \[1, -1\] must be >= 0"),
+], ids=["index", "both-sites", "one-site"])
+def test_negative_sizes_are_rejected_where_they_enter(index_size, site_vars, message):
+    from omegadec.positivity import SosOmegaGDecomposition
+    c = standard_complex("single_edge")
+    with pytest.raises(ValueError, match=message):
+        OmegaGDecomposition(c, None, index_size, site_vars, {})
+    with pytest.raises(ValueError, match=message):
+        SosOmegaGDecomposition(c, None, index_size, site_vars, ((0,), (0,)), {})
+    # an index size of 0, which the blending build gives an empty term list,
+    # and sites without variables stay valid
+    assert OmegaGDecomposition(c, None, 0, (0, 0), {}).contract().is_zero()
+    q1, q2 = blending_difference([], single_edge_swap_action())
+    assert q1.index_size == q2.index_size == 0
+
+
 def test_blending_scale_matches_stabilizer_count():
     """The orbit formula equals |Stab(0)|...|Stab(n)| times the realized vertex maps, times 2**n."""
     rng = random.Random(6)

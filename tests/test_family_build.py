@@ -8,10 +8,10 @@ pairs of their square roots as factors: split by SVD, or planted with zero
 factors. The two agree bit for bit in the locals, the index size, the scale,
 every member and `sum_squares`. The locals now come in member order, and the
 old loop met them by assignment first; where a zero factor made it meet the
-member values of a site out of member order, `sos_to_plain` adds the same
-products in another order, and agrees within rounding. Put in member order,
-the old loop's result agrees bit for bit everywhere. A pinned table keeps the
-errors of malformed input, with their types and messages.
+member values of a site out of member order, `sos_to_plain` still sums each
+site's member values in `site_index` order, so the plain decompositions and
+their contractions agree bit for bit too. A pinned table keeps the errors of
+malformed input, with their types and messages.
 """
 
 from fractions import Fraction
@@ -155,22 +155,17 @@ def test_matches_the_replaced_loop_in_member_order(gram, factors):
 @pytest.mark.parametrize("gram,factors", [c[1:] for c in SPLIT + PLANTED],
                          ids=[c[0] for c in SPLIT + PLANTED])
 def test_matches_the_replaced_loop(gram, factors):
-    """Bit for bit, but for the sums of `sos_to_plain` where the old loop met
-    member values out of member order: those add the same products in
-    another order, and agree within rounding."""
+    """Bit for bit, the sums of `sos_to_plain` included where the old loop met
+    member values out of member order: both sum them in member order."""
     a = double_edge_swap_action()
     fam = invariant_sos_family(gram, a)
     dec, ref = family_symmetrize(fam, a, factors), ref_family_symmetrize(fam, a, factors)
-    (dec_sos, dec_plain), (ref_sos, ref_plain) = snapshot(dec), snapshot(ref)
-    assert dec_sos == ref_sos
-    if not out_of_member_order(ref):
-        assert dec_plain == ref_plain
-    else:
-        assert sos_to_plain(dec).contract().allclose(sos_to_plain(ref).contract(), 1e-12)
+    assert snapshot(dec) == snapshot(ref)
 
 
 def test_the_planted_cases_meet_member_values_out_of_order():
-    """Some planted case reorders the sums of `sos_to_plain`, and no split case does."""
+    """Some planted case meets member values out of member order, so the test
+    above covers that order, and no split case does."""
     a = double_edge_swap_action()
 
     def reordered(gram, factors):

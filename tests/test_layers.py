@@ -1,0 +1,46 @@
+"""The bottom layers load only the layers below them.
+
+`ScaledScalar`, `BlockPolynomial` and the family check read their input
+through the readers in `errors`, and `RadPoly` builds on the first two. Each
+module is imported in a fresh interpreter, which then lists the omegadec
+modules it loaded, and whether `dataclasses` is among them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+# module -> (the omegadec modules it loads, whether it may load dataclasses)
+LAYERS = {
+    "scalars": ({"errors"}, False),
+    "blockpoly": ({"errors"}, False),
+    "familycheck": ({"errors"}, True),
+    "radpoly": ({"errors", "scalars", "blockpoly"}, False),
+}
+
+PROBE = """
+import importlib, json, sys
+importlib.import_module("omegadec." + sys.argv[1])
+print(json.dumps({"modules": sorted(m[len("omegadec."):] for m in sys.modules
+                                    if m.startswith("omegadec.")),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_layer_loads_only_the_layers_below_it(module):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", PROBE, module], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    below, dataclasses_allowed = LAYERS[module]
+    assert set(probe["modules"]) == below | {module}
+    if not dataclasses_allowed:
+        assert not probe["dataclasses"]

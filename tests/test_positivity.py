@@ -604,6 +604,13 @@ def test_separable_symmetrize_circle():
                 assert evidently_sos(p)
 
 
+@pytest.mark.parametrize("index_size", [0, -1])
+def test_factorizability_needs_an_index_size_of_at_least_one(index_size):
+    fixed = double_edge_fixed_vertex_action()
+    with pytest.raises(ValueError, match=f"index size must be >= 1, got {index_size}"):
+        factorizability_solve(fixed.complex, fixed, index_size)
+
+
 def test_factorizability_examples():
     fixed = double_edge_fixed_vertex_action()
     sol = factorizability_solve(fixed.complex, fixed, 2)

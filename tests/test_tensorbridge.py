@@ -640,3 +640,56 @@ def test_a_tensor_without_entries_has_no_min_entry():
             t.min_entry()
         with pytest.raises(ValueError, match="tensor has no entries"):
             tensor_positivity(t)
+
+
+@pytest.mark.parametrize("dims,count,ok", [
+    ((2, 3), 6, True), ((2, 3), 5, False), ((2, 3), 7, False),
+    ((0, 10**4000), 0, True), ((10**4000, 0), 0, True), ((10**4000, 0), 1, False),
+    ((10**4000, 10**4000), 1, False), ((1, 10**4000), 1, False), ((1,) * 50, 1, True),
+], ids=["fits", "one-short", "one-over", "zero-first", "zero-last", "zero-with-entry",
+        "huge", "one-huge", "many-ones"])
+def test_dense_tensor_counts_entries_without_multiplying_huge_dims(dims, count, ok):
+    if ok:
+        assert DenseTensor(dims, [1] * count).dims == dims
+        return
+    with pytest.raises(DimensionMismatch) as info:
+        DenseTensor(dims, [1] * count)
+    assert str(info.value) == f"dims {list(dims)} do not hold {count} entries"
+
+
+def test_nonnegative_vectors_are_read_once_and_stored_as_read():
+    c = standard_complex("single_edge")
+    td = TensorDecomposition("nonnegative", c, None, 1, 1,
+                             vectors={(0, (1,)): ("1/2",), (1, (1,)): (2,)})
+    assert td.vectors == {(0, (1,)): (Fraction(1, 2),), (1, (1,)): (2,)}
+    assert td.contract() == DenseTensor((1, 1), [1])
+    with pytest.raises(NotCanonicalForm):
+        TensorDecomposition("nonnegative", c, None, 1, 1,
+                            vectors={(0, (1,)): ("-1/2",), (1, (1,)): (2,)})
+
+
+def test_psd_entries_are_read_once_and_checked_as_read():
+    c = standard_complex("single_edge")
+    b = (1,)
+    td = TensorDecomposition("psd", c, None, 1, 1,
+                             psd_mats={(0, 0): {(b, b): "1/2"}, (1, 0): {(b, b): 4}})
+    assert td.psd_mats[(0, 0)] == {(b, b): Fraction(1, 2)}
+    assert td.check_psd()
+    assert td.contract() == DenseTensor((1, 1), [2])
+    neg = TensorDecomposition("psd", c, None, 1, 1, psd_mats={(0, 0): {(b, b): "-1/2"}})
+    assert not neg.check_psd()
+
+
+def test_every_vector_has_the_axis_dimension():
+    c = standard_complex("single_edge")
+    for vec in ((1, 2, 3), (0, 0, 0)):
+        with pytest.raises(DimensionMismatch, match="expected 2 entries, got 3"):
+            TensorDecomposition("plain", c, None, 1, 2, vectors={(0, (1,)): vec})
+
+
+@pytest.mark.parametrize("variant", ["plain", "psd"])
+@pytest.mark.parametrize("index_size,axis_dim", [(-2, 1), (1, -1)])
+def test_negative_sizes_are_rejected_for_every_variant(variant, index_size, axis_dim):
+    """The psd counterpart has index size index_size**2, so -2 would read as 4."""
+    with pytest.raises(ValueError, match="must be >= 0"):
+        TensorDecomposition(variant, standard_complex("single_edge"), None, index_size, axis_dim)
