@@ -321,19 +321,21 @@ class OmegaGDecomposition:
     @classmethod
     def from_obj(cls, complex_: WeightedComplex, action: SymmetryAction | None,
                  obj: dict) -> "OmegaGDecomposition":
+        action = checked_action(complex_, action)
+        index_size, site_vars = checked_sizes(complex_, obj["index_size"], obj["site_vars"])
         sums: dict[int, dict[Beta, RadSum]] = {}
         for entry in obj.get("locals", []):
-            # site and beta are read before they group locals, since 1, 1.0 and true hash alike
-            site = _integer(entry["site"], "site")
-            beta = tuple(_integer(b, "assignment value") for b in entry["beta"])
             poly = BlockPolynomial.from_obj(entry["poly"])
             s = ScaledScalar.from_obj(entry["scale"]) if "scale" in entry else ONE
             rp = RadPoly.scaled_poly(s, poly)
+            # checked before it joins its (site, beta) sum, since 1, 1.0 and true hash alike
+            site, beta, _ = checked_local(complex_, index_size, site_vars,
+                                          entry["site"], entry["beta"], rp)
             sums.setdefault(site, {}).setdefault(beta, RadSum(rp.sites)).add(rp)
         locals_ = {site: {beta: acc.result() for beta, acc in by_beta.items()}
                    for site, by_beta in sums.items()}
         scale = ScaledScalar.from_obj(obj.get("scale", {"r": "1/1", "k": 1}))
-        return cls(complex_, action, obj["index_size"], obj["site_vars"], locals_, scale)
+        return cls(complex_, action, index_size, site_vars, locals_, scale, _trusted=True)
 
 
 def _read_terms(terms: Sequence[Sequence[object]], V: int,

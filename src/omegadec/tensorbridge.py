@@ -51,6 +51,18 @@ NONNEGATIVE = "nonnegative"
 PSD = "psd"
 
 
+def _dense_size(dims: Sequence[int]) -> int:
+    """The entry count of a dense tensor of these dims, multiplied up only until
+    it passes DEFAULT_MAX_WORK: more entries than that is a SizeTooLarge. A zero
+    dim holds no entry, and a negative one is left to the tensor to reject."""
+    size = 1 if all(d > 0 for d in dims) else 0
+    for d in dims:
+        size *= d
+        if size > DEFAULT_MAX_WORK:
+            raise SizeTooLarge(f"dims {list(dims)} hold more than {DEFAULT_MAX_WORK} entries")
+    return size
+
+
 class DenseTensor:
     """Dense tensor with exact or float entries, flat in row-major order. The
     constructor and ``__setitem__`` read every entry, so consumers trust them."""
@@ -72,7 +84,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, dims: Sequence[int], mode: str = RATIONAL) -> "DenseTensor":
-        return cls(dims, [0] * math.prod(tuple(dims)), mode)
+        return cls(dims, [0] * _dense_size(dims), mode)
 
     @property
     def order(self) -> int:
@@ -164,16 +176,16 @@ def tensor_from_poly(p: BlockPolynomial) -> DenseTensor:
     if len(dims) != 1:
         raise DimensionMismatch("all sites must have the same width")
     m = dims.pop()
-    t = DenseTensor.zeros((m,) * len(p.sites), p.mode)
+    entries = [0] * _dense_size(p.sites)
     for key, coeff in p.terms.items():
-        idx = []
+        pos = 0         # row-major
         for block in key:
             nz = [(j, e) for j, e in enumerate(block) if e]
             if len(nz) != 1 or nz[0][1] != 2:
                 raise NotCanonicalForm(f"term block {block} is not a squared variable")
-            idx.append(nz[0][0])
-        t[tuple(idx)] = coeff
-    return t
+            pos = pos * m + nz[0][0]
+        entries[pos] = coeff
+    return DenseTensor(p.sites, entries, p.mode)
 
 
 def tensor_positivity(t: DenseTensor) -> dict:
@@ -213,7 +225,10 @@ class TensorDecomposition:
             mats[(site, j)] = {(checked_assignment(complex_, site, b1, self.index_size),
                                 checked_assignment(complex_, site, b2, self.index_size)): v
                                for (b1, b2), v in mat.items() if v != 0}
-        raw = {} if variant == PSD else {key: tuple(vec) for key, vec in (vectors or {}).items()}
+        raw = {}
+        for (site, beta), vec in (vectors or {}).items() if variant != PSD else ():
+            site = _integer(site, "site")
+            raw[(site, checked_assignment(complex_, site, beta, self.index_size))] = tuple(vec)
         # a zero vector stores no local, so its float zeros neither set the mode
         # nor are read as exact rationals; its key is still checked
         groups = [*raw.values(), *map(dict.values, mats.values())]
@@ -236,11 +251,8 @@ class TensorDecomposition:
                 raise DimensionMismatch(f"expected {m} entries, got {len(vec)}")
             locals_.setdefault(site, {})[beta] = RadPoly.from_poly(_squares_poly(m, 1, vec, mode))
         index = self.index_size ** 2 if variant == PSD else self.index_size
-        # psd keys are checked above, where they are read; the keys of plain and
-        # nonnegative vectors come from the caller, and the public constructor checks them
         self.poly = OmegaGDecomposition(complex_, checked_action(complex_, action), index,
-                                        (m,) * complex_.vertex_count, locals_,
-                                        _trusted=variant == PSD)
+                                        (m,) * complex_.vertex_count, locals_, _trusted=True)
         self.action = self.poly.action
 
     def contract(self, max_work: int = DEFAULT_MAX_WORK) -> DenseTensor:

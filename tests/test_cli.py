@@ -947,6 +947,25 @@ def test_negative_sizes_are_input_errors(capsys, tmp_path, command, field, value
     assert run(capsys, "dec", command, valid)[0] == 0
 
 
+@pytest.mark.parametrize("index_size", [1, 2, 3])
+def test_factorizable_reports_an_infeasible_system(capsys, tmp_path, index_size):
+    """The swapped triangle of double edges has no invariant splitting at index
+    sizes 2 and 3: a verdict, exit 1, with no constants."""
+    from test_positivity import TRIANGLE_ACTION, TRIANGLE_COMPLEX
+    code, out = run(capsys, "pos", "factorizable",
+                    "--complex", write_json(tmp_path, "complex.json", TRIANGLE_COMPLEX),
+                    "--action", write_json(tmp_path, "action.json", TRIANGLE_ACTION),
+                    "--index-size", str(index_size))
+    result = strict_json(out)["result"]
+    if index_size == 1:
+        assert code == 0
+        assert result == {"feasible": True, "residual": 0.0, "constants": {
+            f"site{i}:1,1,1,1": 1.0 for i in range(3)}}
+    else:
+        assert code == 1
+        assert result == {"feasible": False}
+
+
 def test_factorizable_index_size_zero_is_an_input_error(capsys):
     """Earlier versions exited 2 with numpy's "need at least one array to concatenate"."""
     code, out = run(capsys, "pos", "factorizable", "--complex", fixture("double_edge_complex.json"),

@@ -327,8 +327,9 @@ def test_dec_entries_of_one_local_at_two_widths(capsys, tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
     assert main(["dec", "verify", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out) == {"error": "ValueError",
-                                                   "message": "site mismatch"}
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "IncompatibleBlockSizes",
+        "message": "local at site 0 has sites (2,), expected (1,)"}
 
 
 def test_result_is_a_snapshot():

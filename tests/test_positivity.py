@@ -61,8 +61,8 @@ from omegadec.positivity import (
 )
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
-from omegadec.symmetry import trivial_action
-from omegadec.complexes import standard_complex
+from omegadec.symmetry import SymmetryAction, trivial_action
+from omegadec.complexes import WeightedComplex, standard_complex
 from omegadec.tensorbridge import TensorDecomposition, tensor_dec_to_poly_dec
 from test_entry_checks import random_sos
 
@@ -628,6 +628,27 @@ def test_factorizability_examples():
     s3 = simplex_full_symmetry_action(2)
     sol3 = factorizability_solve(s3.complex, s3, 2)
     assert sol3 is not None and sol3.residual < 1e-9
+
+
+# the triangle of double edges, its vertices fixed and the two copies of every edge swapped
+TRIANGLE_COMPLEX = {"n": 2, "facets": [{"vertices": [0, 1], "weight": 2},
+                                       {"vertices": [1, 2], "weight": 2},
+                                       {"vertices": [0, 2], "weight": 2}]}
+TRIANGLE_ACTION = {"generators": [{"vertex_perm": [0, 1, 2],
+                                   "multifacet_perm": [1, 0, 3, 2, 5, 4]}]}
+
+
+def test_factorizability_of_the_swapped_triangle():
+    """Infeasible at index sizes 2 and 3, and solved exactly at index size 1,
+    where every assignment is counted once."""
+    c = WeightedComplex.from_obj(TRIANGLE_COMPLEX)
+    a = SymmetryAction.from_obj(c, TRIANGLE_ACTION)
+    assert factorizability_solve(c, a, 2) is None
+    assert factorizability_solve(c, a, 3) is None
+    sol = factorizability_solve(c, a, 1)
+    assert sol.residual == 0.0
+    assert sol.values == {(i, (1, 1, 1, 1)): 1.0 for i in range(3)}
+    assert sol.counts == {(1,) * 6: 1}
 
 
 def test_sos_to_plain_exact_on_fixture():

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from omegadec import tensorbridge
 from omegadec.blockpoly import BlockPolynomial
 from omegadec.complexes import standard_complex
 from omegadec.decomposition import bipartite_rank
@@ -595,6 +596,35 @@ def test_poly_from_tensor_matches_the_constructor_oracle():
         assert p == want and p.sites == want.sites and p.mode == want.mode
         assert list(p.terms.items()) == list(want.terms.items())
         assert [type(c) for c in p.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@pytest.mark.parametrize("make", [DenseTensor.zeros,
+                                  lambda dims: tensor_from_poly(BlockPolynomial(dims, {}))],
+                         ids=["zeros", "tensor_from_poly"])
+def test_dense_sizes_are_bounded_before_they_are_allocated(make, monkeypatch):
+    """Both dense allocations stop multiplying their dims once the product passes
+    the work limit; the checks below raise before any list is built."""
+    assert make((10,) * 3).entries == [0] * 1000
+    with pytest.raises(SizeTooLarge, match=r"^dims \[10, 10, 10, 10, 10, 10, 10, 10\] hold "
+                                           r"more than 10000000 entries$"):
+        make((10,) * 8)
+    # the boundary, at a limit small enough to allocate
+    monkeypatch.setattr(tensorbridge, "DEFAULT_MAX_WORK", 100)
+    assert len(make((10, 10)).entries) == 100
+    with pytest.raises(SizeTooLarge, match=r"^dims \[101\] hold more than 100 entries$"):
+        make((101,))
+
+
+def test_dense_size_limit_and_zero_dims():
+    with pytest.raises(SizeTooLarge, match=r"^dims \[10000001\] hold more than 10000000 "):
+        DenseTensor.zeros((10**7 + 1,))
+    assert DenseTensor.zeros((10**8, 0)).entries == []
+    with pytest.raises(ValueError, match="^negative tensor dimension in"):
+        DenseTensor.zeros((-10**4, -10**4))
+    # an empty decomposition of axis dimension 10 on 10 sites contracts to 10**10 zeros
+    td = TensorDecomposition("plain", standard_complex("circle", 10), None, 1, 10, vectors={})
+    with pytest.raises(SizeTooLarge, match=r"hold more than 10000000 entries$"):
+        td.contract()
 
 
 def test_dense_tensor_reads_every_entry_where_it_enters():
