@@ -32,13 +32,15 @@ from .errors import (
 from .positivity import (
     DEFAULT_PSD_TOL,
     PSD_OUT_OF_RANGE,
+    STACK_BLOCK,
     GramRepresentation,
     group_average,
     homogeneous_basis,
     is_gram_invariant,
     psd_floors,
-    quadratic_form,
+    quadratic_forms,
     real_array,
+    symmetric_within,
 )
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction, is_free
@@ -130,16 +132,11 @@ def infinity_norm_lower(p: BlockPolynomial, samples: int = 512, seed: int = 0) -
     return float(best)
 
 
-# A block of Kronecker products holds at most this many floats (one product if
-# a single one is larger), so the temporary does not grow with the witness.
-_KRON_BLOCK = 1 << 20
-
-
 def _kron_blocks(factors: np.ndarray):
     """(term slice, products) for consecutive blocks of a (terms, V, D, D) stack:
     each term's Kronecker product of its factors, site 0 outermost, left to right."""
     T, V, D, _ = factors.shape
-    step = max(1, _KRON_BLOCK // D ** (2 * V))
+    step = max(1, STACK_BLOCK // D ** (2 * V))
     for start in range(0, T, step):
         block = factors[start:start + step]
         K = block[:, 0]
@@ -174,11 +171,7 @@ def _check_factors(F: np.ndarray) -> None:
     finite, symmetric or PSD. eigvalsh sees only finite symmetric factors."""
     errors = np.where(np.isfinite(F).all(axis=(1, 2)), 0, 1)
     rest = np.flatnonzero(errors == 0)
-    G = F[rest]
-    Gt = G.swapaxes(1, 2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # np.allclose(G, G.T, atol=1e-10), factor by factor
-        symmetric = (np.abs(G - Gt) <= 1e-10 + 1e-5 * np.abs(Gt)).all(axis=(1, 2))
+    symmetric = symmetric_within(F[rest], 1e-10)
     errors[rest[~symmetric]] = 2
     rest = rest[symmetric]
     lo, bound, in_range = psd_floors(F[rest], DEFAULT_PSD_TOL)
@@ -332,12 +325,13 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
     N = group_average(_kron_sum(weights, factors, np.zeros_like(gram.entries)), gram, a)
     error = float(np.linalg.norm(gram.entries - N))
 
-    basis = homogeneous_basis(gram.m, gram.d)
+    polys = quadratic_forms(factors.reshape(-1, gram.D, gram.D),
+                            homogeneous_basis(gram.m, gram.d), 1)
     forms = []
-    for w, mats in zip(weights.tolist(), factors):
-        polys = [quadratic_form(F, basis, 1) for F in mats]
-        polys[0] = polys[0].scaled(w)
-        forms.append([RadPoly.from_poly(p) for p in polys])
+    for t, w in enumerate(weights.tolist()):
+        term = polys[t * V:(t + 1) * V]
+        term[0] = term[0].scaled(w)
+        forms.append([RadPoly.from_poly(p) for p in term])
     require_connected(a.complex, "symmetrization")     # freeness is checked above
     dec = _free_build(a, *_read_terms(forms, V))
     return ApproxResult(dec, error, k, k * len(a), len(weights), N)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import IncompatibleBlockSizes, _integer, _rational, _real, _tolerance
+from .errors import IncompatibleBlockSizes, _integer, _object, _rational, _real, _tolerance
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -261,7 +261,9 @@ class BlockPolynomial:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BlockPolynomial":
-        return cls(obj["sites"], [(t["exps"], t["coeff"]) for t in obj.get("terms", [])],
+        obj = _object(obj, "polynomial")
+        terms = (_object(t, "polynomial term") for t in obj.get("terms", []))
+        return cls(obj["sites"], [(t["exps"], t["coeff"]) for t in terms],
                    obj.get("mode", RATIONAL))
 
     def __repr__(self) -> str:

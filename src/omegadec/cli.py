@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .errors import (DEFAULT_MAX_GROUP, DEFAULT_MAX_WORK, MAX_DIGITS, GuardExceeded, OmegaError,
-                     UsageError, digits_checked)
+                     UsageError, _object, digits_checked)
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -66,7 +66,7 @@ class _Run:
 def _load_bundle(run: _Run, path: str):
     from .complexes import WeightedComplex
     from .symmetry import SymmetryAction
-    obj = run.read(path)
+    obj = _object(run.read(path), "bundle")
     cplx = WeightedComplex.from_obj(obj["complex"])
     action = None
     # only an absent key or null means the trivial group; [] or {} is an input error
@@ -235,7 +235,8 @@ def _cmd_approx(run: _Run) -> int:
     if action is None:
         raise OmegaError("approx needs an action in the bundle")
     gram = GramRepresentation.from_obj(obj["gram"])
-    sg = SeparableGram(gram, [(t["weight"], t["factors"]) for t in obj["witness"]])
+    terms = (_object(t, "witness term") for t in obj["witness"])
+    sg = SeparableGram(gram, [(t["weight"], t["factors"]) for t in terms])
     result = approx_separable(sg, action, run.args.epsilon, seed=run.args.seed)
     run.pretty(f"error {result.error_schatten2:.4g} with "
                f"{result.terms_used} sampled terms")

@@ -10,7 +10,6 @@ these labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
 from typing import Iterable, Sequence
@@ -25,6 +24,7 @@ from .errors import (
     UncoveredVertex,
     VertexOutOfRange,
     _integer,
+    _object,
 )
 
 Label = tuple[int, int]
@@ -32,30 +32,46 @@ Label = tuple[int, int]
 _NAMED_UNCOVERED = 10     # uncovered vertices named in the error; the rest are counted
 
 
-@dataclass(frozen=True)
 class WeightedComplex:
-    """A weighted simplicial complex given by its facets."""
+    """A weighted simplicial complex given by its facets. It is immutable, and
+    its vertex count and facets alone decide equality and the hash; the labels
+    and the lookups are derived from them."""
 
-    vertex_count: int
-    facets: tuple[tuple[frozenset[int], int], ...]
-    labels: tuple[Label, ...] = field(init=False, repr=False, compare=False)
-    _labels_at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _facet_of: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertex_count", "facets", "labels", "_labels_at", "_facet_of")
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, facets: tuple[tuple[frozenset[int], int], ...]):
         labels: list[Label] = []
         facet_of: dict[frozenset[int], int] = {}
-        per_vertex: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for f_idx, (fset, weight) in enumerate(self.facets):
+        per_vertex: list[list[int]] = [[] for _ in range(vertex_count)]
+        for f_idx, (fset, weight) in enumerate(facets):
             facet_of.setdefault(fset, f_idx)
             # the labels of a facet are consecutive positions, so each list ascends
             positions = range(len(labels), len(labels) + weight)
             for v in fset:
                 per_vertex[v].extend(positions)
             labels.extend((f_idx, copy) for copy in range(weight))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_labels_at", tuple(map(tuple, per_vertex)))
-        object.__setattr__(self, "_facet_of", facet_of)
+        for name, value in (("vertex_count", vertex_count), ("facets", facets),
+                            ("labels", tuple(labels)),
+                            ("_labels_at", tuple(map(tuple, per_vertex))),
+                            ("_facet_of", facet_of)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.facets) == (other.vertex_count, other.facets)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.facets))
+
+    def __repr__(self):
+        return f"WeightedComplex(vertex_count={self.vertex_count!r}, facets={self.facets!r})"
 
     @property
     def label_count(self) -> int:
@@ -77,7 +93,9 @@ class WeightedComplex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WeightedComplex":
-        facets = [(f["vertices"], f.get("weight", 1)) for f in obj["facets"]]
+        obj = _object(obj, "complex")
+        facets = [(f["vertices"], f.get("weight", 1))
+                  for f in (_object(f, "facet") for f in obj["facets"])]
         n = obj.get("n")
         return build_complex(facets, vertex_count=None if n is None else _integer(n, "n") + 1)
 

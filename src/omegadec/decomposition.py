@@ -29,6 +29,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SizeTooLarge,
     _integer,
+    _object,
     _tolerance,
 )
 from .invariance import is_invariant
@@ -322,9 +323,10 @@ class OmegaGDecomposition:
     def from_obj(cls, complex_: WeightedComplex, action: SymmetryAction | None,
                  obj: dict) -> "OmegaGDecomposition":
         action = checked_action(complex_, action)
+        obj = _object(obj, "decomposition")
         index_size, site_vars = checked_sizes(complex_, obj["index_size"], obj["site_vars"])
         sums: dict[int, dict[Beta, RadSum]] = {}
-        for entry in obj.get("locals", []):
+        for entry in (_object(entry, "local") for entry in obj.get("locals", [])):
             poly = BlockPolynomial.from_obj(entry["poly"])
             s = ScaledScalar.from_obj(entry["scale"]) if "scale" in entry else ONE
             rp = RadPoly.scaled_poly(s, poly)

@@ -2,7 +2,8 @@
 the readers of every outside number, each read once where it enters: `_integer`
 reads counts, indices, exponents, root indices and dimensions; `_rational` exact
 coefficients, tensor entries and scale radicands; `_real` float coefficients and
-tensor, Gram and witness numbers; `_tolerance` the bound of a float comparison."""
+tensor, Gram and witness numbers; `_tolerance` the bound of a float comparison;
+`_object` every JSON object a file reader indexes."""
 
 import math
 import numbers
@@ -54,6 +55,14 @@ def _real(c, what: str = "float coefficients") -> float:
     if not math.isfinite(c):
         raise ValueError(f"{what} must be finite")
     return c
+
+
+def _object(x, what: str) -> dict:
+    """x, a JSON object. Any other value is a TypeError that names what was
+    read, where indexing it would end in Python's own wording."""
+    if not isinstance(x, dict):
+        raise TypeError(f"{what} must be an object, got {type(x).__name__}")
+    return x
 
 
 def _tolerance(tol: float) -> float:

@@ -12,11 +12,10 @@ the report says so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer
+from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer, _object
 
 if TYPE_CHECKING:
     from .blockpoly import BlockPolynomial
@@ -29,26 +28,42 @@ UNDECIDED_DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
 class LocalFamily:
-    """Integer coefficient array p[a][b][j] of the local polynomials."""
+    """Integer coefficient array p[a][b][j] of the local polynomials. It is
+    immutable, and equal to and hashed like a family of the same D, m and
+    coefficients."""
 
-    D: int
-    m: int
-    coeffs: tuple = field(repr=False)
+    __slots__ = ("D", "m", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "D", _integer(self.D, "D"))
-        object.__setattr__(self, "m", _integer(self.m, "m"))
+    def __init__(self, D: int, m: int, coeffs):
+        D, m = _integer(D, "D"), _integer(m, "m")
         rows = tuple(tuple(tuple(_integer(x, "family coefficient") for x in cell) for cell in row)
-                     for row in self.coeffs)
-        if len(rows) != self.D or any(len(row) != self.D for row in rows):
-            raise ValueError(f"coefficients must form a {self.D}x{self.D} grid")
-        if self.m < 1:
+                     for row in coeffs)
+        if len(rows) != D or any(len(row) != D for row in rows):
+            raise ValueError(f"coefficients must form a {D}x{D} grid")
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if any(len(cell) != self.m for row in rows for cell in row):
-            raise ValueError(f"every cell needs {self.m} coefficients")
-        object.__setattr__(self, "coeffs", rows)
+        if any(len(cell) != m for row in rows for cell in row):
+            raise ValueError(f"every cell needs {m} coefficients")
+        for name, value in (("D", D), ("m", m), ("coeffs", rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.D, self.m, self.coeffs) == (other.D, other.m, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.D, self.m, self.coeffs))
+
+    def __repr__(self):
+        return f"LocalFamily(D={self.D!r}, m={self.m!r})"
 
     def transfer_matrix(self, j: int) -> tuple[tuple[int, ...], ...]:
         """D x D integer matrix of the coefficients of the j-th squared variable."""
@@ -68,6 +83,7 @@ class LocalFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LocalFamily":
+        obj = _object(obj, "family")
         return cls(obj["D"], obj["m"], obj["coeffs"])
 
 
@@ -141,25 +157,25 @@ def family_polynomial(f: LocalFamily, n: int) -> BlockPolynomial:
     return poly_from_tensor(transfer_tensor(f, n))
 
 
-@dataclass
 class SizeReport:
-    n: int
-    min_entry: int
-    witness: tuple[int, ...]
-    violated: bool
+    __slots__ = ("n", "min_entry", "witness", "violated")
+
+    def __init__(self, n: int, min_entry: int, witness: tuple[int, ...], violated: bool):
+        self.n, self.min_entry, self.witness, self.violated = n, min_entry, witness, violated
 
     def to_obj(self) -> dict:
         return {"n": self.n, "min_entry": str(self.min_entry),
                 "witness": list(self.witness), "violated": self.violated}
 
 
-@dataclass
 class FamilyReport:
-    n_min: int
-    n_max: int
-    sizes: list[SizeReport]
-    first_violation: int | None
-    disclaimer: str = UNDECIDED_DISCLAIMER
+    __slots__ = ("n_min", "n_max", "sizes", "first_violation")
+    disclaimer = UNDECIDED_DISCLAIMER
+
+    def __init__(self, n_min: int, n_max: int, sizes: list[SizeReport],
+                 first_violation: int | None):
+        self.n_min, self.n_max, self.sizes = n_min, n_max, sizes
+        self.first_violation = first_violation
 
     @property
     def violation_found(self) -> bool:

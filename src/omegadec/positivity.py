@@ -49,6 +49,7 @@ from .errors import (
     NotPSD,
     SearchSpaceTooLarge,
     _integer,
+    _object,
     _real,
     _tolerance,
 )
@@ -133,6 +134,7 @@ class GramRepresentation:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GramRepresentation":
+        obj = _object(obj, "gram")
         return cls(obj["n"], obj["m"], obj["d"], obj["entries"])
 
 
@@ -161,21 +163,48 @@ def _pair_keys(basis: tuple[tuple[int, ...], ...], V: int) -> tuple[tuple, np.nd
     return tuple(product(local, repeat=V)), index.ravel()
 
 
-def quadratic_form(mat: np.ndarray, basis: Sequence[tuple[int, ...]], V: int) -> BlockPolynomial:
-    """The polynomial m^t M m, m running over V-fold basis products, site 0 outermost:
-    each coefficient adds its entries in row-major order, terms by first nonzero entry."""
+# A stacked temporary holds at most this many floats (one item's worth if a
+# single one is larger), so it does not grow with the stack.
+STACK_BLOCK = 1 << 20
+
+
+def _offset_bincount(index: np.ndarray, weights: np.ndarray, L: int) -> np.ndarray:
+    """The (k, L) sums by key of each row of a (k, len(index)) weight stack: one
+    bincount over the keys offset by row (row * L + index), so each row adds its
+    weights in order, as a bincount of that row alone would."""
+    k = len(weights)
+    keys = (np.arange(k)[:, None] * L + index).ravel()
+    return np.bincount(keys, weights=weights.ravel(), minlength=k * L).reshape(k, L)
+
+
+def quadratic_forms(mats: np.ndarray, basis: Sequence[tuple[int, ...]],
+                    V: int) -> list[BlockPolynomial]:
+    """The polynomial m^t M m of each M of a (k, N, N) stack, m running over V-fold
+    basis products, site 0 outermost: each coefficient adds its entries in
+    row-major order, terms by first nonzero entry. The first non-finite
+    coefficient, in stack order, is a ValueError."""
     keys, index = _pair_keys(tuple(basis), V)
-    order = list(dict.fromkeys(index[np.flatnonzero(mat)].tolist()))
-    values = np.bincount(index, weights=mat.ravel(), minlength=len(keys))[order]
+    L = len(keys)
+    flat = mats.reshape(len(mats), len(index))
+    totals = _offset_bincount(index, flat, L).ravel()
+    rows, cols = np.nonzero(flat)
+    hit = rows * L + index[cols]
+    _, first = np.unique(hit, return_index=True)
+    order = hit[np.sort(first)]         # each matrix's keys by first nonzero entry
+    values = totals[order]
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite coefficient {values[~np.isfinite(values)][0]}")
-    terms = {keys[k]: c for k, c in zip(order, values.tolist()) if c}
-    return BlockPolynomial._trusted((len(basis[0]),) * V, terms, FLOAT)
+    terms: list[dict] = [{} for _ in range(len(mats))]
+    for row, key, c in zip((order // L).tolist(), (order % L).tolist(), values.tolist()):
+        if c:
+            terms[row][keys[key]] = c
+    sites = (len(basis[0]),) * V
+    return [BlockPolynomial._trusted(sites, t, FLOAT) for t in terms]
 
 
 def gram_map(g: GramRepresentation) -> BlockPolynomial:
     """The polynomial m^t M m over the inhomogeneous monomial bases."""
-    return quadratic_form(g.entries, g.local_basis, g.n + 1)
+    return quadratic_forms(g.entries[None], g.local_basis, g.n + 1)[0]
 
 
 def homogeneous_basis(m: int, d: int) -> list[tuple[int, ...]]:
@@ -221,11 +250,19 @@ def psd_floors(mats: np.ndarray, tol: float):
     """Per symmetric matrix of a stack: its smallest eigenvalue, its PSD floor
     -tol * (1 + |trace|), and whether its trace and eigenvalues are finite."""
     _tolerance(tol)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):     # an out-of-range floor is not read
         traces = np.trace(mats, axis1=-2, axis2=-1)
+        floors = -tol * (1.0 + np.abs(traces))
     values = np.linalg.eigvalsh(mats)
     in_range = np.isfinite(traces) & np.isfinite(values).all(axis=-1)
-    return values.min(axis=-1), -tol * (1.0 + np.abs(traces)), in_range
+    return values.min(axis=-1), floors, in_range
+
+
+def symmetric_within(mats: np.ndarray, atol: float) -> np.ndarray:
+    """Per matrix of a stack of finite ones: np.allclose(M, M.T, atol=atol)."""
+    T = mats.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(mats - T) <= atol + 1e-5 * np.abs(T)).all(axis=(-2, -1))
 
 
 def psd_floor(mat: np.ndarray, tol: float) -> tuple[float, float]:
@@ -340,14 +377,19 @@ class SosFamily:
 
     def sum_squares(self) -> BlockPolynomial:
         """Each nonzero row's square adds its products in row-major order, and the
-        squares add in member order."""
+        squares add in member order, a block of rows at a time."""
         keys, index = _pair_keys(tuple(self.gram.local_basis), self.gram.n + 1)
-        acc = np.zeros(len(keys))
+        rows = self.root[self.root.any(axis=1)]
+        acc = np.zeros((1, len(keys)))
+        step = max(1, STACK_BLOCK // len(index))
         with np.errstate(over="ignore", invalid="ignore"):
-            for b in self.root[self.root.any(axis=1)]:
-                acc += np.bincount(index, weights=np.outer(b, b).ravel(), minlength=len(keys))
+            for start in range(0, len(rows), step):
+                block = rows[start:start + step]
+                squares = _offset_bincount(index, block[:, :, None] * block[:, None, :], len(keys))
+                # accumulate adds row after row; np.sum would add pairwise
+                acc = np.add.accumulate(np.concatenate([acc, squares]))[-1:]
         return BlockPolynomial._trusted(
-            self.sites, {k: c for k, c in zip(keys, acc.tolist()) if c}, FLOAT)
+            self.sites, {k: c for k, c in zip(keys, acc[0].tolist()) if c}, FLOAT)
 
     def family_invariant(self, a: SymmetryAction, tol: float = 1e-9) -> bool:
         """The member at gK matches the member at K with its blocks moved by g.

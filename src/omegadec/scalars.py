@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SizeTooLarge, _integer, _rational
+from .errors import SizeTooLarge, _integer, _object, _rational
 
 
 def integer_root(x: int, k: int) -> tuple[int, bool]:
@@ -173,6 +173,7 @@ class ScaledScalar:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScaledScalar":
+        obj = _object(obj, "scale")
         return cls(obj["r"], obj.get("k", 1))
 
 

@@ -20,6 +20,7 @@ from .errors import (
     GroupTooLarge,
     WeightNotPreserved,
     _integer,
+    _object,
 )
 
 Perm = tuple[int, ...]
@@ -154,7 +155,9 @@ class SymmetryAction:
     @classmethod
     def from_obj(cls, complex_: WeightedComplex, obj: dict,
                  max_group: int = DEFAULT_MAX_GROUP) -> "SymmetryAction":
-        gens = [(g["vertex_perm"], g["multifacet_perm"]) for g in obj["generators"]]
+        obj = _object(obj, "action")
+        gens = [(g["vertex_perm"], g["multifacet_perm"])
+                for g in (_object(g, "generator") for g in obj["generators"])]
         return build_action(complex_, gens, max_group=max_group)
 
 

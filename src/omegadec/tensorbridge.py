@@ -38,6 +38,7 @@ from .errors import (
     SizeTooLarge,
     VertexActionNotFree,
     _integer,
+    _object,
     _tolerance,
 )
 from .radpoly import RadPoly
@@ -147,6 +148,7 @@ class DenseTensor:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DenseTensor":
+        obj = _object(obj, "tensor")
         t = cls(obj["dims"], obj["entries"], obj.get("mode", RATIONAL))
         if 0 in t.dims:     # the constructor allows it, but a file has no entry to report
             raise ValueError(f"tensor dimensions must be >= 1, got {list(t.dims)}")
@@ -276,18 +278,28 @@ class TensorDecomposition:
 
     def check_psd(self, tol: float = 1e-9) -> bool:
         """Every matrix is PSD on its support; zero rows and columns add only
-        zero eigenvalues, and an empty matrix is PSD."""
+        zero eigenvalues, and an empty matrix is PSD. The matrices of one
+        support size are checked as one stack, and the first matrix in
+        `psd_mats` order that fails decides: a trace or eigenvalue past the
+        float range raises, and an asymmetric or non-PSD matrix gives False."""
         _tolerance(tol)
         import numpy as np
-        from .positivity import psd_floor
-        for site, j in self.psd_mats:
-            support, mat = self.psd_matrix(site, j)
-            if not support:
-                continue
-            lo, bound = psd_floor(0.5 * mat + 0.5 * mat.T, tol)
-            if not np.allclose(mat, mat.T, atol=tol) or lo < bound:
-                return False
-        return True
+        from .positivity import PSD_OUT_OF_RANGE, psd_floors, symmetric_within
+        by_size: dict[int, list] = {}
+        for pos, key in enumerate(self.psd_mats):
+            support, mat = self.psd_matrix(*key)
+            if support:
+                by_size.setdefault(len(support), []).append((pos, mat))
+        fails = []      # (position, out of range) of each group's first failing matrix
+        for group in by_size.values():
+            mats = np.array([mat for _, mat in group])
+            lo, bound, in_range = psd_floors(0.5 * mats + 0.5 * mats.swapaxes(1, 2), tol)
+            failed = np.flatnonzero(~in_range | ~symmetric_within(mats, tol) | (lo < bound))
+            if len(failed):
+                fails.append((group[failed[0]][0], not in_range[failed[0]]))
+        if fails and min(fails)[1]:
+            raise ValueError(PSD_OUT_OF_RANGE)
+        return not fails
 
 
 def tensor_dec_to_poly_dec(td: TensorDecomposition):

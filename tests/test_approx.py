@@ -38,7 +38,7 @@ from omegadec.positivity import (
     group_average,
     homogeneous_basis,
     psd_floor,
-    quadratic_form,
+    quadratic_forms,
     real_array,
 )
 
@@ -49,7 +49,7 @@ def gram_map_homogeneous(g: GramRepresentation) -> BlockPolynomial:
     Each site gets one extra leading variable absorbing the missing degree, so
     the result is multi-homogeneous of local degree 2d in m+1 variables.
     """
-    return quadratic_form(g.entries, homogeneous_basis(g.m, g.d), g.n + 1)
+    return quadratic_forms(g.entries[None], homogeneous_basis(g.m, g.d), g.n + 1)[0]
 
 
 def gram_norm_bounds(g: GramRepresentation) -> tuple[float, float]:

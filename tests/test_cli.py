@@ -1033,3 +1033,60 @@ def test_polynomial_mode_is_read_before_its_coefficients(capsys, tmp_path):
     code, out = run(capsys, "dec", "verify", write_json(tmp_path, "bundle.json", doc))
     assert code == 2
     assert strict_json(out) == {"error": "ValueError", "message": "unknown mode 'Float'"}
+
+
+def _set(*path):
+    """An edit that puts a value at path, a key or list index at each level."""
+    def edit(doc, value):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _whole(doc, value):
+    return value
+
+
+DEC = ("double_edge_invariant.json", "dec verify {}")
+APPROX = ("approx_witness.json", "approx run {} --epsilon 0.5")
+# (file, command line, the edit, what the message names); the edit puts the value
+# where an object belongs, or returns it as the whole file
+OBJECT_POSITIONS = {
+    "bundle": (*DEC, _whole, "bundle"),
+    "complex": (*DEC, _set("complex"), "complex"),
+    "facet": (*DEC, _set("complex", "facets", 0), "facet"),
+    "action": (*DEC, _set("action"), "action"),
+    "generator": (*DEC, _set("action", "generators", 0), "generator"),
+    "decomposition": (*DEC, _set("decomposition"), "decomposition"),
+    "decomposition scale": (*DEC, _set("decomposition", "scale"), "scale"),
+    "local": (*DEC, _set("decomposition", "locals", 0), "local"),
+    "local scale": (*DEC, _set("decomposition", "locals", 0, "scale"), "scale"),
+    "local poly": (*DEC, _set("decomposition", "locals", 0, "poly"), "polynomial"),
+    "poly term": (*DEC, _set("decomposition", "locals", 0, "poly", "terms", 0),
+                  "polynomial term"),
+    "expected": (*DEC, _set("expected"), "polynomial"),
+    "gram": ("bell_gram.json", "pos gram-map {}", _whole, "gram"),
+    "tensor": ("distance_m4_tensor.json", "bridge to-poly {}", _whole, "tensor"),
+    "family": ("nonnegative_family.json", "family check {} --n-max 2", _whole, "family"),
+    "approx gram": (*APPROX, _set("gram"), "gram"),
+    "witness term": (*APPROX, _set("witness", 0), "witness term"),
+}
+
+
+@pytest.mark.parametrize("value,type_name", [("x", "str"), ([1, 2], "list")],
+                         ids=["string", "list"])
+@pytest.mark.parametrize("position", OBJECT_POSITIONS)
+def test_a_non_object_where_an_object_is_read_names_it(capsys, tmp_path, position, value,
+                                                        type_name):
+    """Earlier versions ended in exit 2 with Python's own "string indices must
+    be integers, not 'str'" or "list indices must be integers or slices, not
+    str", whose wording changes between Python versions."""
+    name, command, edit, what = OBJECT_POSITIONS[position]
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    doc = edit(doc, value) or doc
+    code, out = run(capsys, *command.format(write_json(tmp_path, name, doc)).split())
+    assert code == 2
+    assert strict_json(out) == {"error": "TypeError",
+                                "message": f"{what} must be an object, got {type_name}"}

@@ -34,6 +34,23 @@ def test_single_and_double_edge():
     assert one_vertex.label_count == 1 and one_vertex.vertex_count == 1
 
 
+def test_complexes_are_values():
+    """Equal vertex counts and facets make equal complexes with one hash; the
+    labels are derived, and no attribute can be set or deleted."""
+    a, b = standard_complex("double_edge"), build_complex([([1, 0], 2)])
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != standard_complex("single_edge") and a != WeightedComplex(3, a.facets)
+    assert a != (a.vertex_count, a.facets)
+    assert {a: 1}[b] == 1
+    assert repr(a) == "WeightedComplex(vertex_count=2, facets=((frozenset({0, 1}), 2),))"
+    for name in ("vertex_count", "facets", "labels", "_facet_of", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and a.labels == ((0, 0), (0, 1))
+
+
 def test_standard_families():
     simplex = standard_complex("simplex", 4)
     assert len(simplex.facets) == 1 and simplex.label_count == 1

@@ -153,6 +153,19 @@ def test_family_json_round_trip():
     assert LocalFamily.from_obj(fam.to_obj()) == fam
 
 
+def test_families_are_values():
+    fam, again = planted_negative_family(), LocalFamily.from_obj(planted_negative_family().to_obj())
+    assert fam == again and hash(fam) == hash(again) and fam is not again
+    assert fam != nonnegative_family() and fam != fam.scaled(2) and fam != fam.to_obj()
+    assert repr(fam) == "LocalFamily(D=2, m=2)"
+    for name in ("D", "m", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, None)
+        with pytest.raises(AttributeError):
+            delattr(fam, name)
+    assert fam == again
+
+
 def full_walk_min_trace(f, n):
     """Oracle: the trace of every index's plain matrix product, from the
     coefficients directly; the minimum, first attained in lexicographic order."""

@@ -142,11 +142,11 @@ SUBMODULES = {f"omegadec.{name[:-3]}"
 # no command line and only imports the package.
 NEVER_LOADED = {
     "import omegadec": SUBMODULES,
-    "complex": {"omegadec.decomposition", "numpy"},
-    "action": {"omegadec.decomposition", "numpy"},
-    "family": {"omegadec.decomposition", "numpy"},
-    "dec": {"numpy"},
-    "pos bound": {"numpy", "hashlib"},
+    "complex": {"omegadec.decomposition", "numpy", "dataclasses"},
+    "action": {"omegadec.decomposition", "numpy", "dataclasses"},
+    "family": {"omegadec.decomposition", "numpy", "dataclasses"},
+    "dec": {"numpy", "dataclasses"},
+    "pos bound": {"numpy", "hashlib", "dataclasses"},
     "bridge to-poly": {"numpy"},
     "bridge separations": {"omegadec.positivity", "numpy"},
 }

@@ -1,9 +1,10 @@
 """The bottom layers load only the layers below them.
 
-`ScaledScalar`, `BlockPolynomial` and the family check read their input
-through the readers in `errors`, and `RadPoly` builds on the first two. Each
-module is imported in a fresh interpreter, which then lists the omegadec
-modules it loaded, and whether `dataclasses` is among them.
+`ScaledScalar`, `BlockPolynomial`, the complexes and the family check read
+their input through the readers in `errors`, and `RadPoly` builds on the first
+two. Each module is imported in a fresh interpreter, which then lists the
+omegadec modules it loaded, and whether `dataclasses` (which loads `inspect`)
+is among them: none of these layers may load it.
 """
 
 import json
@@ -15,12 +16,13 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
-# module -> (the omegadec modules it loads, whether it may load dataclasses)
+# module -> the omegadec modules it loads
 LAYERS = {
-    "scalars": ({"errors"}, False),
-    "blockpoly": ({"errors"}, False),
-    "familycheck": ({"errors"}, True),
-    "radpoly": ({"errors", "scalars", "blockpoly"}, False),
+    "scalars": {"errors"},
+    "blockpoly": {"errors"},
+    "complexes": {"errors"},
+    "familycheck": {"errors"},
+    "radpoly": {"errors", "scalars", "blockpoly"},
 }
 
 PROBE = """
@@ -40,7 +42,5 @@ def test_each_layer_loads_only_the_layers_below_it(module):
     done = subprocess.run([sys.executable, "-c", PROBE, module], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(done.stdout.splitlines()[-1])
-    below, dataclasses_allowed = LAYERS[module]
-    assert set(probe["modules"]) == below | {module}
-    if not dataclasses_allowed:
-        assert not probe["dataclasses"]
+    assert set(probe["modules"]) == LAYERS[module] | {module}
+    assert not probe["dataclasses"]

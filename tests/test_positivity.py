@@ -53,7 +53,7 @@ from omegadec.positivity import (
     monomials_upto,
     psd_floor,
     psd_sqrt,
-    quadratic_form,
+    quadratic_forms,
     sep_to_sos,
     separable_symmetrize,
     site_permuted,
@@ -429,7 +429,7 @@ def kernel_mismatches() -> list[tuple]:
         basis = homogeneous_basis(m, d)
         F = root[:len(basis), :len(basis)]
         ref = quadratic_form_oracle(F, basis, 1)
-        if list(quadratic_form(F, basis, 1).terms.items()) != list(ref.terms.items()):
+        if list(quadratic_forms(F[None], basis, 1)[0].terms.items()) != list(ref.terms.items()):
             bad.append(("quadratic_form",) + case)
         family, members = SosFamily(g, root), members_oracle(g, root)
         if ([(K, q.terms) for K, q in family.polys.items()]
