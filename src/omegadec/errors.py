@@ -23,6 +23,18 @@ def digits_checked(text: str) -> str:
     return text
 
 
+def product_within(factors, limit: int) -> int | None:
+    """The product of positive ints, multiplied up only until it passes limit:
+    None then, so a bound on a product such as 3**(10**7) is decided in a few
+    steps. Each guard of a dense size raises its own error on None."""
+    product = 1
+    for x in factors:
+        product *= x
+        if product > limit:
+            return None
+    return product
+
+
 def _integer(x, what: str) -> int:
     """x as an int; a bool, a float such as 1.5 or 1.0, or a string is a
     ValueError, so ``1.5`` is never truncated and ``true`` never counts as 1."""

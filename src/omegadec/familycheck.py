@@ -12,10 +12,11 @@ the report says so explicitly.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer, _object
+from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer, _object, product_within
 
 if TYPE_CHECKING:
     from .blockpoly import BlockPolynomial
@@ -87,31 +88,41 @@ class LocalFamily:
         return cls(obj["D"], obj["m"], obj["coeffs"])
 
 
-def _necklaces(f: LocalFamily, n: int) -> Iterator[tuple[list[int], int]]:
-    """Yield (index, trace of the matrix product it names) for every necklace.
+def _necklaces(f: LocalFamily, n_min: int, n_max: int) -> Iterator[tuple[list[int], int, int]]:
+    """Yield (index, n, trace of the product of the matrices index[:n + 1]) for
+    every necklace of every size n in [n_min, n_max], each size's in
+    lexicographic order.
 
-    Rotating an index rotates the product inside the trace, so the walk visits
-    only the indices of size n+1 that are their own smallest rotation, in
-    lexicographic order by iterative FKM (Ruskey, Savage and Wang, "Generating
-    necklaces", J. Algorithms 1992). Prefix products are shared, and built
-    only when a necklace needs them. ``index`` is one list updated in place.
+    Rotating an index rotates the product inside the trace, so only the indices
+    that are their own smallest rotation count. One iterative FKM walk (Ruskey,
+    Savage and Wang, "Generating necklaces", J. Algorithms 1992) visits the
+    prenecklaces of length n_max + 1 in lexicographic order, and every prefix of
+    a prenecklace is one. A step that raises index[p - 1] leaves the shorter
+    prefixes as they were and makes each prefix of length k >= p new, with
+    longest Lyndon prefix p, so a necklace exactly when p divides k: each
+    necklace of each length is reached once. Prefix products are shared, and
+    built only when a necklace needs them. ``index`` is one list updated in place.
     """
-    D, m, N = f.D, f.m, n + 1
-    # columns of each matrix: trace(P M) pairs row a of P with column a of M
+    D, m, N = f.D, f.m, n_max + 1
+    # trace(P M) over flat row-major P pairs P[a][b] with M[b][a]: M's columns in turn
     cols = [tuple(zip(*f.transfer_matrix(j))) for j in range(m)]
+    flat_cols = [tuple(x for col in c for x in col) for c in cols]
+    rows = range(0, D * D, D)
     index = [0] * N
-    # heads[d] is the product of the matrices index[:d]; heads[:fresh + 1] are current
-    heads = [tuple(tuple(int(r == c) for c in range(D)) for r in range(D))] * N
+    # heads[d] is the flat product of the matrices index[:d]; heads[:fresh + 1] are current
+    heads = [tuple(int(r == c) for r in range(D) for c in range(D))] * N
     fresh = 0
     p = 1                   # length of the longest Lyndon prefix of index
     while True:
-        if N % p == 0:
-            for d in range(fresh, N - 1):
-                heads[d + 1] = tuple(tuple(sum(map(mul, row, col)) for col in cols[index[d]])
-                                     for row in heads[d])
-            fresh = N - 1
-            yield index, sum(sum(map(mul, row, col))
-                             for row, col in zip(heads[N - 1], cols[index[N - 1]]))
+        first = -(-(n_min + 1) // p) * p      # the shortest new necklace of a size wanted
+        if first <= N:
+            last = N - N % p
+            for d in range(fresh, last - 1):
+                head, col = heads[d], cols[index[d]]
+                heads[d + 1] = tuple([sum(map(mul, head[r:r + D], c)) for r in rows for c in col])
+            fresh = last - 1
+            for k in range(first, last + 1, p):
+                yield index, k - 1, sum(map(mul, heads[k - 1], flat_cols[index[k - 1]]))
         p = N
         while p and index[p - 1] == m - 1:
             p -= 1
@@ -128,11 +139,9 @@ def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
     up only until it passes max_tuples."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    tuples = 1
-    for _ in range(n + 1 if f.m > 1 else 1):       # m = 1 gives one tuple at every n
-        tuples *= f.m
-        if tuples > max_tuples:
-            raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
+    # m = 1 gives one tuple at every n
+    if product_within(repeat(f.m, n + 1 if f.m > 1 else 1), max_tuples) is None:
+        raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
 
 
 def transfer_tensor(f: LocalFamily, n: int) -> DenseTensor:
@@ -142,7 +151,7 @@ def transfer_tensor(f: LocalFamily, n: int) -> DenseTensor:
     _check_size(f, n, DEFAULT_MAX_WORK)       # before the entries are allocated
     m, N = f.m, n + 1
     entries = [0] * m ** N
-    for index, trace in _necklaces(f, n):
+    for index, _, trace in _necklaces(f, n, n):
         for k in range(N):
             pos = 0
             for i in index[k:] + index[:k]:
@@ -192,17 +201,6 @@ class FamilyReport:
         }
 
 
-def _min_trace(f: LocalFamily, n: int, max_tuples: int) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum entry and the first index that attains it: a necklace,
-    since its smallest rotation attains the minimum too."""
-    _check_size(f, n, max_tuples)
-    best = witness = None
-    for index, trace in _necklaces(f, n):
-        if best is None or trace < best:
-            best, witness = trace, tuple(index)
-    return best, witness
-
-
 def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,
                              max_tuples: int = DEFAULT_MAX_WORK) -> FamilyReport:
     """Check every size in [n_min, n_max] for a negative coefficient entry.
@@ -213,12 +211,14 @@ def bounded_positivity_check(f: LocalFamily, n_max: int, n_min: int = 1,
     """
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
-    sizes = []
-    first = None
     for n in range(n_min, n_max + 1):
-        lo, witness = _min_trace(f, n, max_tuples)
-        violated = lo < 0
-        sizes.append(SizeReport(n, lo, witness, violated))
-        if violated and first is None:
-            first = n
+        _check_size(f, n, max_tuples)
+    # the first necklace in lexicographic order that attains a size's minimum is
+    # the first of all its indices that does, since its smallest rotation does too
+    low, witness = [None] * (n_max + 1), [None] * (n_max + 1)
+    for index, n, trace in _necklaces(f, n_min, n_max):
+        if low[n] is None or trace < low[n]:
+            low[n], witness[n] = trace, tuple(index[:n + 1])
+    sizes = [SizeReport(n, low[n], witness[n], low[n] < 0) for n in range(n_min, n_max + 1)]
+    first = next((s.n for s in sizes if s.violated), None)
     return FamilyReport(n_min, n_max, sizes, first)

@@ -40,6 +40,7 @@ from .errors import (
     _integer,
     _object,
     _tolerance,
+    product_within,
 )
 from .radpoly import RadPoly
 from .symmetry import SymmetryAction
@@ -56,11 +57,11 @@ def _dense_size(dims: Sequence[int]) -> int:
     """The entry count of a dense tensor of these dims, multiplied up only until
     it passes DEFAULT_MAX_WORK: more entries than that is a SizeTooLarge. A zero
     dim holds no entry, and a negative one is left to the tensor to reject."""
-    size = 1 if all(d > 0 for d in dims) else 0
-    for d in dims:
-        size *= d
-        if size > DEFAULT_MAX_WORK:
-            raise SizeTooLarge(f"dims {list(dims)} hold more than {DEFAULT_MAX_WORK} entries")
+    if not all(d > 0 for d in dims):
+        return 0
+    size = product_within(dims, DEFAULT_MAX_WORK)
+    if size is None:
+        raise SizeTooLarge(f"dims {list(dims)} hold more than {DEFAULT_MAX_WORK} entries")
     return size
 
 

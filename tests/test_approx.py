@@ -367,7 +367,8 @@ def test_stacked_witness_matches_the_per_term_loops(V, m, d, count):
         got = empirical_matrix_error(sg, k, np.random.default_rng(k), a)
         assert got == empirical_error_reference(ref, k, np.random.default_rng(k), a)
 
-    # budget 44 keeps the smaller witnesses verbatim, budget 2 samples every one
+    # budget 5 (epsilon 10) keeps only the 3-term witness verbatim and samples the
+    # rest; budget 2 (epsilon 20) samples every one
     for epsilon in (10.0, 20.0):
         res = approx_separable(sg, action, epsilon, seed=3)
         N, error, used = approx_reference(ref, action, epsilon, 3)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegadec import familycheck
 from omegadec.complexes import standard_complex
 from omegadec.errors import SizeTooLarge
 from omegadec.familycheck import (
     LocalFamily,
     UNDECIDED_DISCLAIMER,
-    _min_trace,
     _necklaces,
     bounded_positivity_check,
     family_polynomial,
@@ -23,6 +23,13 @@ from omegadec.familycheck import (
 from omegadec.fixtures import nonnegative_family, planted_negative_family
 from omegadec.invariance import is_invariant
 from omegadec.symmetry import build_action
+import famref
+
+
+def min_trace(f, n, max_tuples=10**9):
+    """The minimum entry at size n alone and its witness, as the check reports them."""
+    size, = bounded_positivity_check(f, n, n_min=n, max_tuples=max_tuples).sizes
+    return size.min_entry, size.witness
 
 
 def test_scalar_family_outer_product():
@@ -104,11 +111,11 @@ def test_guards_and_validation():
         bounded_positivity_check(fam, 20, max_tuples=100)
     # the necklace walk evaluates fewer traces, but the guard counts every index
     sign = LocalFamily(1, 2, [[[1, -1]]])
-    assert _min_trace(sign, 3, 2 ** 4) == (-1, (0, 0, 0, 1))
+    assert min_trace(sign, 3, 2 ** 4) == (-1, (0, 0, 0, 1))
     with pytest.raises(SizeTooLarge):
-        _min_trace(sign, 3, 2 ** 4 - 1)
+        min_trace(sign, 3, 2 ** 4 - 1)
     with pytest.raises(ValueError):
-        _min_trace(sign, -1, 10)
+        min_trace(sign, -1, 10)
     with pytest.raises(ValueError):
         LocalFamily(2, 2, (((1, 2),),))
 
@@ -124,10 +131,10 @@ def test_the_guard_decides_without_the_power(n):
     unit = LocalFamily(1, 1, [[[1]]])
     for limit, passes in ((1, True), (0, False)):
         if passes:
-            _min_trace(unit, 3, limit)
+            min_trace(unit, 3, limit)
         else:
             with pytest.raises(SizeTooLarge, match=r"^1\*\*4 tuples exceed 0$"):
-                _min_trace(unit, 3, limit)
+                min_trace(unit, 3, limit)
     with pytest.raises(ValueError, match="m must be >= 1"):
         LocalFamily(1, 0, [[[]]])
     for D, m in ((2.0, 1), (1, 1.5), (True, 1)):
@@ -192,24 +199,24 @@ def test_necklace_walk_matches_full_walk():
             for low, high in ((-3, 3), (-2, 0), (0, 2)):
                 fam = seeded_family(rng, D, m, low, high)
                 for n in range(9 if m < 3 else 7):
-                    assert _min_trace(fam, n, 10**9) == full_walk_min_trace(fam, n), (fam, n)
+                    assert min_trace(fam, n) == full_walk_min_trace(fam, n), (fam, n)
 
 
 def test_necklace_walk_keeps_the_first_of_tied_minima():
     # identity transfer matrices: every trace is D, so the witness is all zeros
     ident = LocalFamily(2, 3, [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 1]]])
     for n in range(6):
-        assert _min_trace(ident, n, 10**9) == (2, (0,) * (n + 1))
+        assert min_trace(ident, n) == (2, (0,) * (n + 1))
     # scalar traces: the product of the chosen coefficients, -1 at an odd count of
     # ones; ties are broken by the first such index, a rotation of which comes later
     sign = LocalFamily(1, 2, [[[1, -1]]])
     for n in range(8):
-        assert _min_trace(sign, n, 10**9) == full_walk_min_trace(sign, n)
-        assert _min_trace(sign, n, 10**9) == (-1, (0,) * n + (1,))
+        assert min_trace(sign, n) == full_walk_min_trace(sign, n)
+        assert min_trace(sign, n) == (-1, (0,) * n + (1,))
     # every trace negative and all of one size: the witness is still the first index
     negative = LocalFamily(1, 3, [[[-1, -1, -1]]])
     for n in (0, 2, 4):
-        assert _min_trace(negative, n, 10**9) == (-1, (0,) * (n + 1))
+        assert min_trace(negative, n) == (-1, (0,) * (n + 1))
 
 
 def test_bounded_check_matches_full_walk_oracle():
@@ -233,7 +240,7 @@ def smallest_rotation(index):
 def test_every_witness_is_its_smallest_rotation(D, m, n, data):
     cells = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
     coeffs = data.draw(st.lists(st.lists(cells, min_size=D, max_size=D), min_size=D, max_size=D))
-    _, witness = _min_trace(LocalFamily(D, m, coeffs), n, 10**9)
+    _, witness = min_trace(LocalFamily(D, m, coeffs), n)
     assert witness == smallest_rotation(witness)
 
 
@@ -241,10 +248,25 @@ def test_walk_yields_each_smallest_rotation_once_in_order():
     for m in (1, 2, 3):
         fam = LocalFamily(1, m, [[[1] * m]])
         for n in range(6):
-            walked = [tuple(index) for index, _ in _necklaces(fam, n)]
+            walked = [tuple(index) for index, _, _ in _necklaces(fam, n, n)]
             want = sorted({smallest_rotation(index)
                            for index in product(range(m), repeat=n + 1)})
             assert walked == want, (m, n)
+
+
+def test_one_walk_yields_each_size_its_necklaces_once_in_order():
+    # the prefixes of the walk at n_max serve every size in [n_min, n_max]
+    for m in (1, 2, 3):
+        fam = LocalFamily(1, m, [[[1] * m]])
+        for n_max in range(6):
+            for n_min in range(n_max + 1):
+                walked = {n: [] for n in range(n_min, n_max + 1)}
+                for index, n, _ in _necklaces(fam, n_min, n_max):
+                    walked[n].append(tuple(index[:n + 1]))
+                for n, got in walked.items():
+                    want = sorted({smallest_rotation(index)
+                                   for index in product(range(m), repeat=n + 1)})
+                    assert got == want, (m, n_min, n_max, n)
 
 
 def test_transfer_tensor_matches_einsum_oracle_on_seeded_families():
@@ -263,3 +285,70 @@ def test_transfer_tensor_matches_einsum_oracle_on_seeded_families():
                     assert t.entries == oracle, (D, m, n)
     for n in range(7):
         assert transfer_tensor(LocalFamily(2, 3, ident), n).entries == [2] * 3 ** (n + 1)
+
+
+def differential_cases():
+    """(family, n_min, n_max, n) for the differential against the per-size walk:
+    1000 seeded families with entries in [-2, 2], then m = 1 chains up to
+    n = 40, identity families whose traces all tie, and all-negative scalars."""
+    rng = np.random.default_rng(3300)
+    for case in range(1000):
+        D, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        n_max = int(rng.integers(0, {1: 13, 2: 8, 3: 5}[m]))
+        n_min = (0, n_max, int(rng.integers(0, n_max + 1)))[case % 3]
+        n = int(rng.integers(0, min(n_max, 5) + 1))
+        yield seeded_family(rng, D, m, -2, 2), n_min, n_max, n
+    for D in (1, 2, 3):
+        yield seeded_family(rng, D, 1, -2, 2), 0, 40, 40
+        yield seeded_family(rng, D, 1, -2, 2), 17, 40, 17
+    for m in (1, 2, 3):
+        ident = LocalFamily(2, m, [[[1] * m, [0] * m], [[0] * m, [1] * m]])
+        yield ident, 0, {1: 40, 2: 8, 3: 5}[m], 4
+        for cell in ([-1] * m, list(range(-m, 0))):
+            yield LocalFamily(1, m, [[cell]]), 0, {1: 40, 2: 8, 3: 5}[m], 4
+
+
+def test_one_walk_matches_the_walk_per_size():
+    cases = 0
+    for fam, n_min, n_max, n in differential_cases():
+        got = bounded_positivity_check(fam, n_max, n_min=n_min).to_obj()
+        assert got == famref.report(fam, n_max, n_min), (fam.coeffs, n_min, n_max)
+        assert transfer_tensor(fam, n).entries == famref.transfer_entries(fam, n), (fam.coeffs, n)
+        cases += 1
+    assert cases >= 1000
+
+
+def test_one_matrix_family_costs_one_walk():
+    # m = 1 has one necklace per size; all sizes share one chain of prefix products
+    ident = LocalFamily(2, 1, [[[1], [0]], [[0], [1]]])
+    start = time.perf_counter()
+    rep = bounded_positivity_check(ident, 2000)
+    assert time.perf_counter() - start < 1.0
+    assert [s.n for s in rep.sizes] == list(range(1, 2001))
+    assert all((s.min_entry, s.witness) == (2, (0,) * (s.n + 1)) for s in rep.sizes)
+    assert bounded_positivity_check(ident, 200).to_obj() == famref.report(ident, 200)
+
+
+def test_the_guard_checks_every_size_before_any_trace(monkeypatch):
+    walked = []
+    tripping = True
+
+    def counted(*args):
+        for item in _necklaces(*args):
+            # a walk to n_max = 30 would run for hours: fail at its first trace
+            assert not tripping, "a trace was evaluated before the guard tripped"
+            walked.append(item[1])
+            yield item
+
+    monkeypatch.setattr(familycheck, "_necklaces", counted)
+    fam = LocalFamily(2, 2, [[[1, -1], [0, 1]], [[1, 0], [-1, 1]]])
+    # 2**(n + 1) first passes 2**10 at n = 10: that size's message, and no trace before it
+    for n_min in (1, 10):
+        with pytest.raises(SizeTooLarge, match=r"^2\*\*11 tuples exceed 1024$"):
+            bounded_positivity_check(fam, 30, n_min=n_min, max_tuples=2 ** 10)
+    with pytest.raises(SizeTooLarge, match=r"^2\*\*13 tuples exceed 1024$"):
+        bounded_positivity_check(fam, 30, n_min=12, max_tuples=2 ** 10)
+    tripping = False
+    rep = bounded_positivity_check(fam, 9, n_min=9, max_tuples=2 ** 10)
+    assert set(walked) == {9} and len(walked) == 108      # the binary necklaces of length 10
+    assert rep.to_obj() == famref.report(fam, 9, 9)
