@@ -3,6 +3,12 @@
 Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or input
 error, 3 resource guard exceeded, 4 internal error (any other exception).
 
+Every command comes from one table, `COMMANDS`, which maps each command to
+its subcommands and each subcommand to its handler and arguments: the parser
+is built from it, `main` dispatches through it, and the report is named after
+the parsed command line. A handler serves one subcommand and returns its
+result, paired with an exit code when it can fail a verdict.
+
 Each handler imports the layers its command runs, so `complex`, `action` and
 `family` never load `decomposition`. numpy is loaded only by `pos` (not
 `pos bound`), `approx` and `accept`; `complex`, `action`, `family`, `dec`,
@@ -46,11 +52,18 @@ class _Run:
         self.inputs[path] = hashlib.sha256(data).hexdigest()
         return obj
 
-    def report(self, command: str, result: dict, code: int = EXIT_OK) -> int:
+    def report(self, answer: dict | tuple[dict, int]) -> int:
+        """Print the report of a handler's answer, its result or its result and
+        exit code, named after the parsed command, subcommand and --mode."""
+        result, code = answer if isinstance(answer, tuple) else (answer, EXIT_OK)
+        args = self.args
+        command = " ".join(filter(None, (args.command, getattr(args, "subcmd", None))))
+        if getattr(args, "mode", None):
+            command += f" --mode {args.mode}"
         envelope = {
             "version": __version__,
             "command": command,
-            "seed": getattr(self.args, "seed", 0),
+            "seed": args.seed,
             "inputs": self.inputs,
             "result": result,
         }
@@ -84,10 +97,9 @@ def _load_action(run: _Run):
     return SymmetryAction.from_obj(cplx, run.read(run.args.action), max_group=run.args.max_group)
 
 
-def _cmd_complex(run: _Run) -> int:
+def _complex(run: _Run) -> dict:
     from .complexes import WeightedComplex, is_connected
-    obj = run.read(run.args.file)
-    cplx = WeightedComplex.from_obj(obj)
+    cplx = WeightedComplex.from_obj(run.read(run.args.file))
     result = {
         "complex": cplx.to_obj(),
         "vertex_count": cplx.vertex_count,
@@ -97,48 +109,36 @@ def _cmd_complex(run: _Run) -> int:
     }
     run.pretty(f"complex on {cplx.vertex_count} vertices, "
                f"{cplx.label_count} multifacet labels")
-    return run.report(f"complex {run.args.subcmd}", result)
+    return result
 
 
-def _cmd_action(run: _Run) -> int:
-    from .symmetry import free_refinement, is_blending, is_free
+def _action_check(run: _Run) -> dict:
+    from .symmetry import is_blending, is_free
     action = _load_action(run)
-    if run.args.subcmd == "check":
-        result = {
-            "order": len(action),
-            "free": is_free(action),
-            "blending": is_blending(action),
-            "label_orbits": action.label_orbits(),
-            "vertex_orbits": action.vertex_orbits(),
-        }
-        run.pretty(f"group of order {len(action)}, free={result['free']}, "
-                   f"blending={result['blending']}")
-        return run.report("action check", result)
-    refined = free_refinement(action)
-    result = {"complex": refined.complex.to_obj(), "action": refined.to_obj(),
-              "free": is_free(refined)}
-    return run.report("action refine", result)
+    result = {
+        "order": len(action),
+        "free": is_free(action),
+        "blending": is_blending(action),
+        "label_orbits": action.label_orbits(),
+        "vertex_orbits": action.vertex_orbits(),
+    }
+    run.pretty(f"group of order {len(action)}, free={result['free']}, "
+               f"blending={result['blending']}")
+    return result
 
 
-def _cmd_dec(run: _Run) -> int:
+def _action_refine(run: _Run) -> dict:
+    from .symmetry import free_refinement, is_free
+    refined = free_refinement(_load_action(run))
+    return {"complex": refined.complex.to_obj(), "action": refined.to_obj(),
+            "free": is_free(refined)}
+
+
+def _dec_contract(run: _Run) -> tuple[dict, int]:
+    """`dec contract`, and `dec verify`, which adds the symmetry verdict."""
     from .blockpoly import BlockPolynomial
-    from .decomposition import OmegaGDecomposition, blending_difference, symmetrize_free
+    from .decomposition import OmegaGDecomposition
     from .radpoly import RadPoly
-    if run.args.subcmd == "symmetrize":
-        obj, cplx, action = _load_bundle(run, run.args.file)
-        if action is None:
-            raise OmegaError("symmetrize needs an action in the bundle")
-        terms = [tuple(BlockPolynomial.from_obj(p) for p in term)
-                 for term in obj["terms"]]
-        if run.args.mode == "free":
-            dec = symmetrize_free(terms, action)
-            result = {"decomposition": dec.to_obj(), "index_size": dec.index_size}
-        else:
-            q1, q2 = blending_difference(terms, action)
-            result = {"plus": q1.to_obj(), "minus": q2.to_obj(),
-                      "minus_empty": q2.local_count() == 0}
-        return run.report(f"dec symmetrize --mode {run.args.mode}", result)
-
     obj, cplx, action = _load_bundle(run, run.args.file)
     dec = OmegaGDecomposition.from_obj(cplx, action, obj["decomposition"])
     contraction = dec.contract(run.args.max_assignments)
@@ -156,33 +156,32 @@ def _cmd_dec(run: _Run) -> int:
         if not matches:
             code = EXIT_VERDICT_FAIL
     run.pretty(f"index {dec.index_size}, {dec.local_count()} stored locals")
-    return run.report(f"dec {run.args.subcmd}", result, code)
+    return result, code
 
 
-def _cmd_pos(run: _Run) -> int:
-    if run.args.subcmd == "bound":
-        from .decomposition import caratheodory_bound
-        bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
-        run.pretty(f"separable index bound: {bound}")
-        return run.report("pos bound", {"bound": bound})
-    from .positivity import (GramRepresentation, factorizability_solve, gram_map,
-                             invariant_sos_family)
-    if run.args.subcmd == "gram-map":
-        gram = GramRepresentation.from_obj(run.read(run.args.file))
-        return run.report("pos gram-map", {"polynomial": gram_map(gram).to_obj()})
-    if run.args.subcmd == "factorizable":
-        action = _load_action(run)
-        sol = factorizability_solve(action.complex, action, run.args.index_size,
-                                    run.args.max_assignments)
-        if sol is None:
-            return run.report("pos factorizable", {"feasible": False},
-                              EXIT_VERDICT_FAIL)
-        values = {f"site{site}:{','.join(map(str, beta))}": v
-                  for (site, beta), v in sorted(sol.values.items())}
-        return run.report("pos factorizable",
-                          {"feasible": True, "residual": sol.residual,
-                           "constants": values})
-    # sos-family
+def _dec_symmetrize(run: _Run) -> dict:
+    from .blockpoly import BlockPolynomial
+    from .decomposition import blending_difference, symmetrize_free
+    obj, cplx, action = _load_bundle(run, run.args.file)
+    if action is None:
+        raise OmegaError("symmetrize needs an action in the bundle")
+    terms = [tuple(BlockPolynomial.from_obj(p) for p in term)
+             for term in obj["terms"]]
+    if run.args.mode == "free":
+        dec = symmetrize_free(terms, action)
+        return {"decomposition": dec.to_obj(), "index_size": dec.index_size}
+    q1, q2 = blending_difference(terms, action)
+    return {"plus": q1.to_obj(), "minus": q2.to_obj(), "minus_empty": q2.local_count() == 0}
+
+
+def _pos_gram_map(run: _Run) -> dict:
+    from .positivity import GramRepresentation, gram_map
+    gram = GramRepresentation.from_obj(run.read(run.args.file))
+    return {"polynomial": gram_map(gram).to_obj()}
+
+
+def _pos_sos_family(run: _Run) -> dict:
+    from .positivity import GramRepresentation, gram_map, invariant_sos_family
     gram = GramRepresentation.from_obj(run.read(run.args.gram))
     action = _load_action(run)
     family = invariant_sos_family(gram, action, run.args.psd_tol)
@@ -190,45 +189,63 @@ def _cmd_pos(run: _Run) -> int:
     recon = family.sum_squares()
     err = max((abs(recon.terms.get(k, 0.0) - target.terms.get(k, 0.0))
                for k in set(recon.terms) | set(target.terms)), default=0.0)
-    result = {
+    return {
         "members": {":".join(map(str, k)): q.to_obj() for k, q in
                     sorted(family.polys.items(), key=lambda kv: repr(kv[0]))},
         "sum_squares_error": err,
         "family_invariant": family.family_invariant(action, run.args.eq_tol),
     }
-    return run.report("pos sos-family", result)
 
 
-def _cmd_bridge(run: _Run) -> int:
-    from .tensorbridge import DenseTensor, poly_from_tensor, separations_report, tensor_positivity
-    if run.args.subcmd == "to-poly":
-        tensor = DenseTensor.from_obj(run.read(run.args.file))
-        poly = poly_from_tensor(tensor)
-        result = {"polynomial": poly.to_obj(),
-                  "positivity": {k: (str(v) if k == "min_entry" else
-                                     (list(v) if isinstance(v, tuple) else v))
-                                 for k, v in tensor_positivity(tensor).items()}}
-        return run.report("bridge to-poly", result)
+def _pos_factorizable(run: _Run) -> tuple[dict, int]:
+    from .positivity import factorizability_solve
+    action = _load_action(run)
+    sol = factorizability_solve(action.complex, action, run.args.index_size,
+                                run.args.max_assignments)
+    if sol is None:
+        return {"feasible": False}, EXIT_VERDICT_FAIL
+    values = {f"site{site}:{','.join(map(str, beta))}": v
+              for (site, beta), v in sorted(sol.values.items())}
+    return {"feasible": True, "residual": sol.residual, "constants": values}, EXIT_OK
+
+
+def _pos_bound(run: _Run) -> dict:
+    from .decomposition import caratheodory_bound
+    bound = caratheodory_bound(run.args.m, run.args.d, run.args.n, run.args.g)
+    run.pretty(f"separable index bound: {bound}")
+    return {"bound": bound}
+
+
+def _bridge_to_poly(run: _Run) -> dict:
+    from .tensorbridge import DenseTensor, poly_from_tensor, tensor_positivity
+    tensor = DenseTensor.from_obj(run.read(run.args.file))
+    return {"polynomial": poly_from_tensor(tensor).to_obj(),
+            "positivity": {k: (str(v) if k == "min_entry" else
+                               (list(v) if isinstance(v, tuple) else v))
+                           for k, v in tensor_positivity(tensor).items()}}
+
+
+def _bridge_separations(run: _Run) -> dict:
+    from .tensorbridge import separations_report
     report = separations_report(run.args.m, seed=run.args.seed,
                                 max_work=run.args.max_assignments)
     run.pretty(f"m={run.args.m}: rank {report['bipartite_rank']}, "
                f"psd index {report['psd_index']}, "
                f"nn bounds [{report['nn_lower_bound']}, {report['nn_upper_bound']}]")
-    return run.report("bridge separations", report)
+    return report
 
 
-def _cmd_family(run: _Run) -> int:
+def _family_check(run: _Run) -> tuple[dict, int]:
     from .familycheck import LocalFamily, bounded_positivity_check
     fam = LocalFamily.from_obj(run.read(run.args.file))
     report = bounded_positivity_check(fam, run.args.n_max, run.args.n_min,
                                       run.args.max_assignments)
     run.pretty(*(f"n={s.n}: min entry {s.min_entry} at {s.witness}"
                  for s in report.sizes))
-    code = EXIT_VERDICT_FAIL if report.violation_found else EXIT_OK
-    return run.report("family check", report.to_obj(), code)
+    return report.to_obj(), EXIT_VERDICT_FAIL if report.violation_found else EXIT_OK
 
 
-def _cmd_approx(run: _Run) -> int:
+def _approx_run(run: _Run) -> dict:
     from .approx import SeparableGram, approx_separable
     from .positivity import GramRepresentation
     obj, cplx, action = _load_bundle(run, run.args.file)
@@ -240,18 +257,46 @@ def _cmd_approx(run: _Run) -> int:
     result = approx_separable(sg, action, run.args.epsilon, seed=run.args.seed)
     run.pretty(f"error {result.error_schatten2:.4g} with "
                f"{result.terms_used} sampled terms")
-    return run.report("approx run", result.to_obj())
+    return result.to_obj()
 
 
-def _cmd_accept(run: _Run) -> int:
+def _accept(run: _Run) -> tuple[dict, int]:
     from .acceptance import run_all
     results = run_all(printer=lambda line: print(line, file=sys.stderr))
     result = {"criteria": [{"number": r.number, "name": r.name,
                             "passed": r.passed, "details": r.details}
                            for r in results],
               "all_passed": all(r.passed for r in results)}
-    return run.report("accept", result,
-                      EXIT_OK if result["all_passed"] else EXIT_VERDICT_FAIL)
+    return result, EXIT_OK if result["all_passed"] else EXIT_VERDICT_FAIL
+
+
+# An argument is an add_argument name and its keywords.
+_FILE = ("file", {})
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_ON_ACTION = (("--complex", _REQUIRED), ("--action", _REQUIRED))
+_ACTION_FILES = (("complex", {}), ("action", {}))
+
+# command -> subcommand -> (handler, arguments), in the parser's order; the
+# subcommand of a command that has none is None
+COMMANDS = {
+    "complex": {"build": (_complex, (_FILE,)), "info": (_complex, (_FILE,))},
+    "action": {"check": (_action_check, _ACTION_FILES),
+               "refine": (_action_refine, _ACTION_FILES)},
+    "dec": {"contract": (_dec_contract, (_FILE,)), "verify": (_dec_contract, (_FILE,)),
+            "symmetrize": (_dec_symmetrize, (
+                _FILE, ("--mode", {"choices": ("free", "blending"), "required": True})))},
+    "pos": {"gram-map": (_pos_gram_map, (_FILE,)),
+            "sos-family": (_pos_sos_family, (("--gram", _REQUIRED), *_ON_ACTION)),
+            "factorizable": (_pos_factorizable, (*_ON_ACTION, ("--index-size", _INT))),
+            "bound": (_pos_bound, tuple((f"--{x}", _INT) for x in "mdng"))},
+    "bridge": {"to-poly": (_bridge_to_poly, (_FILE,)),
+               "separations": (_bridge_separations, (("--m", _INT),))},
+    "family": {"check": (_family_check, (
+        _FILE, ("--n-max", _INT), ("--n-min", {"type": int, "default": 1})))},
+    "approx": {"run": (_approx_run, (_FILE, ("--epsilon", _REQUIRED)))},
+    "accept": {None: (_accept, ())},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +309,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parsing keeps no state in it."""
+    """The parser of every command in COMMANDS, built once per process: parsing
+    keeps no state in it."""
     parser = _Parser(prog="omega", allow_abbrev=False,
                      description="invariant polynomial decompositions")
     parser.add_argument("--seed", type=int, default=0)
@@ -275,82 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eq-tol", dest="eq_tol", default=1e-9)
     parser.add_argument("--max-assignments", dest="max_assignments", default=DEFAULT_MAX_WORK)
     parser.add_argument("--max-group", dest="max_group", default=DEFAULT_MAX_GROUP)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("complex")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    for name in ("build", "info"):
-        q = ps.add_parser(name)
-        q.add_argument("file")
-
-    p = sub.add_parser("action")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    for name in ("check", "refine"):
-        q = ps.add_parser(name)
-        q.add_argument("complex")
-        q.add_argument("action")
-
-    p = sub.add_parser("dec")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    for name in ("contract", "verify"):
-        q = ps.add_parser(name)
-        q.add_argument("file")
-    q = ps.add_parser("symmetrize")
-    q.add_argument("file")
-    q.add_argument("--mode", choices=("free", "blending"), required=True)
-
-    p = sub.add_parser("pos")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    q = ps.add_parser("gram-map")
-    q.add_argument("file")
-    q = ps.add_parser("sos-family")
-    q.add_argument("--gram", required=True)
-    q.add_argument("--complex", required=True)
-    q.add_argument("--action", required=True)
-    q = ps.add_parser("factorizable")
-    q.add_argument("--complex", required=True)
-    q.add_argument("--action", required=True)
-    q.add_argument("--index-size", dest="index_size", type=int, required=True)
-    q = ps.add_parser("bound")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--g", type=int, required=True)
-
-    p = sub.add_parser("bridge")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    q = ps.add_parser("to-poly")
-    q.add_argument("file")
-    q = ps.add_parser("separations")
-    q.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("family")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    q = ps.add_parser("check")
-    q.add_argument("file")
-    q.add_argument("--n-max", dest="n_max", type=int, required=True)
-    q.add_argument("--n-min", dest="n_min", type=int, default=1)
-
-    p = sub.add_parser("approx")
-    ps = p.add_subparsers(dest="subcmd", required=True)
-    q = ps.add_parser("run")
-    q.add_argument("file")
-    q.add_argument("--epsilon", required=True)
-
-    sub.add_parser("accept")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, subcommands in COMMANDS.items():
+        p = commands.add_parser(command)
+        if None not in subcommands:
+            ps = p.add_subparsers(dest="subcmd", required=True)
+        for subcmd, (_, arguments) in subcommands.items():
+            q = p if subcmd is None else ps.add_parser(subcmd)
+            for name, keywords in arguments:
+                q.add_argument(name, **keywords)
     return parser
-
-
-_HANDLERS = {
-    "complex": _cmd_complex,
-    "action": _cmd_action,
-    "dec": _cmd_dec,
-    "pos": _cmd_pos,
-    "bridge": _cmd_bridge,
-    "family": _cmd_family,
-    "approx": _cmd_approx,
-    "accept": _cmd_accept,
-}
 
 
 def main(argv=None) -> int:
@@ -376,7 +356,8 @@ def _main(argv) -> int:
     run = _Run(args)
     try:
         _check_options(args)
-        return _HANDLERS[args.command](run)
+        handler, _ = COMMANDS[args.command][getattr(args, "subcmd", None)]
+        return run.report(handler(run))
     except GuardExceeded as exc:
         return _error(exc, EXIT_GUARD)
     except OmegaError as exc:
@@ -404,7 +385,7 @@ def _check_options(args) -> None:
     guard = (int, lambda v: v >= 1, "an integer >= 1")
     rules = {"psd_tol": tolerance, "eq_tol": tolerance, "max_assignments": guard,
              "max_group": guard}
-    if args.command == "approx":
+    if hasattr(args, "epsilon"):
         rules["epsilon"] = (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
     for name, (read, ok, rule) in rules.items():
         raw = getattr(args, name)

@@ -31,6 +31,7 @@ from .errors import (
     _integer,
     _object,
     _tolerance,
+    power_within,
 )
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
@@ -481,8 +482,6 @@ def symmetric_indicator_split(n: int) -> list[tuple[int, tuple[int, ...]]]:
         raise ValueError("n must be >= 0")
     if n > 8:
         raise SizeTooLarge("indicator split limited to n <= 8")
-    if n == 0:
-        return [(1, (1,))]
     out = []
     for eps in product((1, -1), repeat=n):
         sign = 1
@@ -608,12 +607,7 @@ def _comb_power(m: int, d: int, n: int, limit: int) -> int | None:
         side = side * (max(m, d) + k) // k          # comb(max + k, k)
         if side > limit:
             return None
-    power = side
-    for _ in range(n if side > 1 else 0):
-        power *= side
-        if power > limit:
-            return None
-    return power
+    return power_within(side, n + 1, limit)
 
 
 def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:

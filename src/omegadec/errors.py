@@ -8,6 +8,7 @@ tensor, Gram and witness numbers; `_tolerance` the bound of a float comparison;
 import math
 import numbers
 from fractions import Fraction
+from itertools import repeat
 
 DEFAULT_MAX_WORK = 10**7      # steps of an enumeration or a search
 DEFAULT_MAX_GROUP = 10080     # elements of a generated group
@@ -33,6 +34,12 @@ def product_within(factors, limit: int) -> int | None:
         if product > limit:
             return None
     return product
+
+
+def power_within(base: int, exponent: int, limit: int) -> int | None:
+    """base**exponent, for an int base >= 1 and exponent >= 0, by product_within:
+    None once it passes limit. Base 1 takes one step at any exponent."""
+    return product_within(repeat(base, exponent if base > 1 else 1), limit)
 
 
 def _integer(x, what: str) -> int:

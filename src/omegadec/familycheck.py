@@ -12,11 +12,10 @@ the report says so explicitly.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer, _object, product_within
+from .errors import DEFAULT_MAX_WORK, SizeTooLarge, _integer, _object, power_within
 
 if TYPE_CHECKING:
     from .blockpoly import BlockPolynomial
@@ -139,8 +138,7 @@ def _check_size(f: LocalFamily, n: int, max_tuples: int) -> None:
     up only until it passes max_tuples."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # m = 1 gives one tuple at every n
-    if product_within(repeat(f.m, n + 1 if f.m > 1 else 1), max_tuples) is None:
+    if power_within(f.m, n + 1, max_tuples) is None:
         raise SizeTooLarge(f"{f.m}**{n + 1} tuples exceed {max_tuples}")
 
 

@@ -52,6 +52,7 @@ from .errors import (
     _object,
     _real,
     _tolerance,
+    power_within,
 )
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
@@ -576,7 +577,7 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
         raise ValueError(f"index size must be >= 1, got {index_size}")
     L = c.label_count
     V = c.vertex_count
-    if index_size**L > max_assignments:
+    if power_within(index_size, L, max_assignments) is None:
         raise SearchSpaceTooLarge(f"{index_size}**{L} assignments exceed {max_assignments}")
     values = range(1, index_size + 1)
     positions = [c.label_positions_at(i) for i in range(V)]

@@ -76,9 +76,8 @@ class DenseTensor:
         if any(d < 0 for d in self.dims):
             raise ValueError(f"negative tensor dimension in {self.dims}")
         flat = list(entries)
-        size = 1        # the product of the dims, capped past len(flat), so huge dims stay cheap
-        for d in self.dims:
-            size = min(size * d, len(flat) + 1)
+        # the product of the dims, multiplied up only until it passes len(flat)
+        size = 0 if 0 in self.dims else product_within(self.dims, len(flat))
         if size != len(flat):
             raise DimensionMismatch(f"dims {list(self.dims)} do not hold {len(flat)} entries")
         self.mode = mode

@@ -13,6 +13,7 @@ from omegadec import cli
 from omegadec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -176,6 +177,17 @@ def test_pos_bound(capsys):
     code, out = run(capsys, "pos", "bound", "--m", "1", "--d", "2", "--n", "1", "--g", "2")
     assert code == 0
     assert json.loads(out)["result"]["bound"] == 18
+
+
+@pytest.mark.parametrize("argv", [["--m", "-1", "--d", "1", "--n", "1", "--g", "1"],
+                                  ["--m", "1", "--d", "1", "--n", "1", "--g", "0"]],
+                         ids=["negative-m", "group-order-zero"])
+def test_pos_bound_rejects_a_negative_size_or_an_empty_group(capsys, argv):
+    # without the check these printed the bounds 1 and 0 with exit 0
+    code, out = run(capsys, "pos", "bound", *argv)
+    assert code == 2
+    assert strict_json(out) == {"error": "ValueError",
+                                "message": "inputs must be nonnegative with group order >= 1"}
 
 
 def test_pos_bound_digit_limit(capsys):
@@ -881,8 +893,9 @@ def _raise_fault(run):
 
 
 @pytest.mark.parametrize("fault,error,message", [
-    (lambda mp: mp.setitem(cli._HANDLERS, "pos", _raise_fault), "RuntimeError",
-     "handler fault"),
+    (lambda mp: mp.setitem(cli.COMMANDS["pos"], "bound",
+                           (_raise_fault, cli.COMMANDS["pos"]["bound"][1])),
+     "RuntimeError", "handler fault"),
     # a handler imports its layers when it runs, so a failed import ends there too
     (lambda mp: mp.setitem(sys.modules, "omegadec.decomposition", None), "ModuleNotFoundError",
      "import of omegadec.decomposition halted; None in sys.modules"),
@@ -1090,3 +1103,17 @@ def test_a_non_object_where_an_object_is_read_names_it(capsys, tmp_path, positio
     assert code == 2
     assert strict_json(out) == {"error": "TypeError",
                                 "message": f"{what} must be an object, got {type_name}"}
+
+
+def test_readme_cli_block_names_every_command_of_the_table():
+    """Each `omega` line of README "CLI" parses and names a table entry, and
+    every entry of the table appears there."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split() for line in block.splitlines() if line.startswith("omega ")]
+    named = set()
+    for words in lines:
+        args = cli.build_parser().parse_args(words[1:])
+        named.add((args.command, getattr(args, "subcmd", None)))
+    assert named == {(command, subcmd) for command, subcommands in cli.COMMANDS.items()
+                     for subcmd in subcommands}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegadec.blockpoly import BlockPolynomial
+from omegadec.blockpoly import FLOAT, BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
 from omegadec.decomposition import (
     OmegaGDecomposition,
@@ -310,6 +310,15 @@ def test_blending_scale_matches_stabilizer_count():
     assert blending >= 30
 
 
+def test_blending_requires_a_connected_complex():
+    """Two disjoint edges, each swapped on its own: a blending action of order 4."""
+    c = build_complex([({0, 1}, 1), ({2, 3}, 1)])
+    a = build_action(c, [((1, 0, 2, 3), (0, 1)), ((0, 1, 3, 2), (0, 1))])
+    assert len(a) == 4 and is_blending(a)
+    with pytest.raises(NotConnected, match="^difference construction requires a connected"):
+        blending_difference([tuple(ONE_P for _ in range(4))], a)
+
+
 def test_blending_requires_blending_action():
     a = circle_rotation_action(5)
     terms = [tuple(ONE_P for _ in range(5))]
@@ -326,8 +335,12 @@ def test_indicator_split_brute_force():
                         for sign, vec in split)
             expected = Fraction(2**n) if set(idx) == set(range(n + 1)) else Fraction(0)
             assert total == expected
+    # n = 0 is the empty product of the general loop: one positive all-ones vector
+    assert symmetric_indicator_split(0) == [(1, (1,))]
     with pytest.raises(SizeTooLarge):
         symmetric_indicator_split(9)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        symmetric_indicator_split(-1)
 
 
 def test_bipartite_rank_values():
@@ -341,6 +354,8 @@ def test_bipartite_rank_values():
         bipartite_rank(BlockPolynomial.zero((1, 1, 1)))
     f = quartic_target_polynomial().astype_float()
     assert bipartite_rank(f) == 3
+    # numpy takes no max of the empty matrix of a float zero polynomial
+    assert bipartite_rank(BlockPolynomial.zero((1, 1), FLOAT)) == 0
 
 
 def fraction_rank(rows):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from omegadec.blockpoly import FLOAT, BlockPolynomial
-from omegadec.decomposition import OmegaGDecomposition
+from omegadec.decomposition import OmegaGDecomposition, _comb_power
 from omegadec.errors import (
     FactorNotInCone,
     IncompatibleBlockSizes,
@@ -20,6 +21,7 @@ from omegadec.errors import (
     NotFactorizable,
     NotInvariantPolynomial,
     NotPSD,
+    SearchSpaceTooLarge,
     VertexOutOfRange,
 )
 from omegadec.fixtures import (
@@ -62,7 +64,7 @@ from omegadec.positivity import (
 from omegadec.radpoly import RadPoly
 from omegadec.scalars import ScaledScalar
 from omegadec.symmetry import SymmetryAction, trivial_action
-from omegadec.complexes import WeightedComplex, standard_complex
+from omegadec.complexes import WeightedComplex, build_complex, standard_complex
 from omegadec.tensorbridge import TensorDecomposition, tensor_dec_to_poly_dec
 from test_entry_checks import random_sos
 
@@ -651,6 +653,18 @@ def test_factorizability_of_the_swapped_triangle():
     assert sol.counts == {(1,) * 6: 1}
 
 
+def test_factorizability_guard_builds_no_power():
+    """10**6 labels at index size 10**6: the guard stops as the count passes the
+    limit, where building 10**6 ** 10**6 alone took seconds."""
+    c = build_complex([({0}, 10**6)])
+    a = trivial_action(c)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"^1000000\*\*1000000 assignments exceed 10000000$"):
+        factorizability_solve(c, a, 10**6)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_sos_to_plain_exact_on_fixture():
     witness = sos_family_witness_double_edge()
     plain = sos_to_plain(witness)
@@ -767,6 +781,12 @@ def test_caratheodory_bound_digit_limit(m, d, g):
             caratheodory_bound(m, d, n + 1, g)
     with pytest.raises(ValueError, match="more than 4300 digits"):
         caratheodory_bound(m, d, n, 10**4300)
+
+
+def test_comb_power_matches_math_comb():
+    for m, d, n, limit in product(range(4), range(4), range(4), (1, 10, 10**4)):
+        power = math.comb(m + d, d) ** (n + 1)
+        assert _comb_power(m, d, n, limit) == (power if power <= limit else None)
 
 
 def test_cone_check_modes():
