@@ -19,7 +19,7 @@ import numpy as np
 
 from .blockpoly import BlockPolynomial
 from .complexes import require_connected
-from .decomposition import OmegaGDecomposition, _free_build, _read_terms
+from .decomposition import OmegaGDecomposition, _free_build
 from .errors import (
     ActionNotFree,
     DimensionMismatch,
@@ -333,5 +333,7 @@ def approx_separable(sg: SeparableGram, a: SymmetryAction, epsilon: float,
         term[0] = term[0].scaled(w)
         forms.append([RadPoly.from_poly(p) for p in term])
     require_connected(a.complex, "symmetrization")     # freeness is checked above
-    dec = _free_build(a, *_read_terms(forms, V))
+    if not forms:
+        raise ValueError("need at least one elementary term")
+    dec = _free_build(a, (gram.m + 1,) * V, forms)
     return ApproxResult(dec, error, k, k * len(a), len(weights), N)

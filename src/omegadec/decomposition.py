@@ -283,14 +283,6 @@ class OmegaGDecomposition:
                     store.setdefault(site, {})[beta] = rp
         self.locals = store
 
-    @property
-    def mode(self) -> str:
-        for locs in self.locals.values():
-            for p in locs.values():
-                if p.mode == FLOAT:
-                    return FLOAT
-        return RATIONAL
-
     def local_count(self) -> int:
         return sum(len(v) for v in self.locals.values())
 

@@ -137,7 +137,7 @@ def sos_family_witness_double_edge() -> SosOmegaGDecomposition:
     for beta, poly in q1_site0.items():
         locals_[(0, 1, beta)] = poly
         locals_[(1, 1, beta[::-1])] = poly
-    return SosOmegaGDecomposition(a.complex, a, 3, (1, 1), ((0, 1), (0, 1)), locals_)
+    return SosOmegaGDecomposition(a.complex, a, 3, (1, 1), (0, 1), locals_)
 
 
 def planted_negative_family() -> LocalFamily:

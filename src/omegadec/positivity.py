@@ -356,8 +356,9 @@ class SosFamily:
         return self.gram.sites
 
     @property
-    def site_index(self) -> tuple[tuple, ...]:
-        return (tuple(self.gram.local_basis),) * (self.gram.n + 1)
+    def members(self) -> tuple:
+        """The member range every site shares: the local monomial basis."""
+        return tuple(self.gram.local_basis)
 
     @cached_property
     def polys(self) -> dict:
@@ -368,7 +369,7 @@ class SosFamily:
                 for K, terms in zip(tuples, rows) if terms}
 
     def grid(self) -> Iterable[tuple]:
-        return product(*self.site_index)
+        return product(self.members, repeat=self.gram.n + 1)
 
     def member(self, K: tuple) -> BlockPolynomial:
         p = self.polys.get(tuple(K))
@@ -432,49 +433,47 @@ def invariant_sos_family(g: GramRepresentation, a: SymmetryAction,
 class SosOmegaGDecomposition:
     """Invariant decomposition of a whole family, sharing one index set.
 
-    Locals are keyed by (site, member index at that site, assignment); the
-    member for a grid point K contracts the site-i locals with member index
-    K[i]. Joint symmetry moves the assignment but keeps the member index.
+    Every site shares one member range. The input keys each local by (site,
+    member value, assignment); ``locals`` stores them as {site: {member value:
+    {assignment: local}}}, each site's member values in range order. The
+    member for a grid point K contracts the site-i locals of member value
+    K[i]. Joint symmetry moves the assignment but keeps the member value.
     """
 
     def __init__(self, complex_: WeightedComplex, action: SymmetryAction | None,
-                 index_size: int, site_vars: Sequence[int],
-                 site_index: Sequence[Sequence], locals_: Mapping,
-                 scale: ScaledScalar = ONE):
+                 index_size: int, site_vars: Sequence[int], members: Sequence,
+                 locals_: Mapping, scale: ScaledScalar = ONE):
         self.complex = complex_
         self.action = checked_action(complex_, action)
         self.index_size, self.site_vars = checked_sizes(complex_, index_size, site_vars)
-        self.site_index = tuple(tuple(s) for s in site_index)
-        if len(self.site_index) != complex_.vertex_count:
-            raise ValueError("site_index must list one member range per vertex")
+        self.members = tuple(members)
         self.scale = scale
-        self.locals: dict[tuple, RadPoly] = {}
+        store: dict[int, dict] = {}
         for (site, k, beta), poly in locals_.items():
             site, beta, rp = checked_local(complex_, self.index_size, self.site_vars,
                                            site, beta, poly)
             if rp is not None:
-                self.locals[(site, k, beta)] = rp
+                store.setdefault(site, {}).setdefault(k, {})[beta] = rp
         # sum_squares reads each grid point and sos_to_plain each local: a repeated
-        # member value or one outside its range would make the two disagree
-        members = [set(values) for values in self.site_index]
-        if any(len(m) != len(values) for m, values in zip(members, self.site_index)):
+        # member value or one outside the range would make the two disagree
+        in_range = set(self.members)
+        if len(in_range) != len(self.members):
             raise ValueError("a member range repeats a value")
         for site, k, _ in locals_:
-            if k not in members[site]:
+            if k not in in_range:
                 raise ValueError(f"member value {k!r} outside the range of site {site}")
+        self.locals: dict[int, dict] = {site: {k: by_k[k] for k in self.members if k in by_k}
+                                        for site, by_k in store.items()}
 
     def member(self, K: Sequence, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
         """The contraction of the plain decomposition of the site-i locals of
-        member index K[i]."""
-        locals_: dict[int, dict[tuple, RadPoly]] = {}
-        for (site, k, beta), poly in self.locals.items():
-            if k == K[site]:
-                locals_.setdefault(site, {})[beta] = poly
+        member value K[i]."""
+        locals_ = {site: by_k[K[site]] for site, by_k in self.locals.items() if K[site] in by_k}
         return OmegaGDecomposition(self.complex, self.action, self.index_size, self.site_vars,
                                    locals_, self.scale, _trusted=True).contract(max_work)
 
     def grid(self) -> Iterable[tuple]:
-        return product(*self.site_index)
+        return product(self.members, repeat=self.complex.vertex_count)
 
     def sum_squares(self, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
         acc = RadSum(self.site_vars)
@@ -485,7 +484,9 @@ class SosOmegaGDecomposition:
         return acc.result()
 
     def check_joint_symmetry(self, tol: float = 1e-9) -> bool:
-        return locals_agree(self.action, self.site_vars, self.locals, tol)
+        stored = {(site, k, beta): p for site, by_k in self.locals.items()
+                  for k, mapping in by_k.items() for beta, p in mapping.items()}
+        return locals_agree(self.action, self.site_vars, stored, tol)
 
 
 def family_symmetrize(family: SosFamily, a: SymmetryAction,
@@ -498,7 +499,7 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
     through its i-th component. Free actions then admit the index extension by
     group elements, exactly as for single polynomials: the free build of the
     terms at member value k gives the locals (site, k, assignment), k running
-    over the one member range that a family gives every site.
+    over the member range of the family.
     """
     c = a.complex
     require_connected(c, "family symmetrization")
@@ -523,13 +524,13 @@ def family_symmetrize(family: SosFamily, a: SymmetryAction,
             raise LocalsNotAligned(f"factors fail to reconstruct member {K}")
 
     locals_: dict[tuple, RadPoly] = {}
-    for k in family.site_index[0]:
+    for k in family.members:
         dec = _free_build(a, family.sites, [[RadPoly.coerce(factor(i, k, j)) for i in range(V)]
                                             for j in term_ids])
         for i, mapping in dec.locals.items():
             for beta, p in mapping.items():
                 locals_[(i, k, beta)] = p
-    return SosOmegaGDecomposition(c, a, dec.index_size, family.sites, family.site_index,
+    return SosOmegaGDecomposition(c, a, dec.index_size, family.sites, family.members,
                                   locals_, dec.scale)
 
 
@@ -622,16 +623,14 @@ def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
     """Collapse an sos family decomposition into a plain one of squared index.
 
     Pairs of assignments become the new assignments; the local at a pair is
-    the member-index sum of products of the corresponding family locals.
+    the sum over member values, in range order, of products of the
+    corresponding family locals.
     """
     I = sos.index_size
-    per_site: dict[int, dict] = {}
-    for (site, k, beta), poly in sos.locals.items():
-        per_site.setdefault(site, {}).setdefault(k, {})[beta] = poly
     locals_: dict[int, dict[tuple, RadPoly]] = {}
-    for site, by_k in per_site.items():
+    for site, by_k in sos.locals.items():
         sums: dict[tuple, RadSum] = {}
-        for mapping in (by_k[k] for k in sos.site_index[site] if k in by_k):
+        for mapping in by_k.values():
             for b1, p1 in mapping.items():
                 for b2, p2 in mapping.items():
                     sums.setdefault(pair_assignment(b1, b2, I), RadSum(p1.sites)).add(p1 * p2)
@@ -700,8 +699,6 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
         rep_splits.append(split)
     N = max((len(s) for s in rep_splits), default=0)
 
-    member_values = [(ell, k) for ell in range(len(orbits)) for k in range(N)]
-    site_index = tuple(tuple(member_values) for _ in range(sep.complex.vertex_count))
     locals_: dict[tuple, RadPoly] = {}
     for rep_id, orbit in enumerate(orbits):
         for site, beta in orbit:
@@ -710,5 +707,6 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
             c_val = math.sqrt(solution.C(site, beta))
             for k, tau in enumerate(rep_splits[rep_id]):
                 locals_[(site, (rep_id, k), beta)] = tau.to_float().scaled(c_val)
+    members = [(ell, k) for ell in range(len(orbits)) for k in range(N)]
     return SosOmegaGDecomposition(sep.complex, sep.action, sep.index_size, sep.site_vars,
-                                  site_index, locals_)
+                                  members, locals_)

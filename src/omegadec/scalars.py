@@ -21,16 +21,14 @@ def integer_root(x: int, k: int) -> tuple[int, bool]:
         raise ValueError("root index must be >= 1")
     if x in (0, 1) or k == 1:
         return x, True
+    # Newton from above the root: by AM-GM no step goes below the floor root,
+    # and above it every step descends, so the loop stops exactly there
     r = 1 << ((x.bit_length() + k - 1) // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
             break
         r = nr
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
     return r, r**k == x
 
 

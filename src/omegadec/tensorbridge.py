@@ -206,7 +206,8 @@ class TensorDecomposition:
     built once here: plain and nonnegative vectors become its locals, and a
     psd decomposition of index r is the plain one of index r**2 whose local at
     the index pairs ``pair_assignment(b1, b2, r)`` of site i has entry j equal
-    to matrix (i, j) at (b1, b2).
+    to matrix (i, j) at (b1, b2). A psd decomposition reads only ``psd_mats``
+    and the others only ``vectors``; the unread one must be empty.
     """
 
     def __init__(self, variant: str, complex_: WeightedComplex,
@@ -214,12 +215,15 @@ class TensorDecomposition:
                  vectors: dict | None = None, psd_mats: dict | None = None):
         if variant not in (PLAIN, NONNEGATIVE, PSD):
             raise ValueError(f"unknown variant {variant!r}")
+        unread, data = ("vectors", vectors) if variant == PSD else ("psd_mats", psd_mats)
+        if data:
+            raise ValueError(f"a {variant} decomposition does not read {unread}")
         self.variant = variant
         self.complex = complex_
         self.axis_dim = m = _integer(axis_dim, "axis_dim")
         self.index_size, _ = checked_sizes(complex_, index_size, (m,) * complex_.vertex_count)
         mats = {}
-        for (site, j), mat in (psd_mats or {}).items() if variant == PSD else ():
+        for (site, j), mat in (psd_mats or {}).items():
             site, j = _integer(site, "site"), _integer(j, "psd matrix key")
             if not 0 <= j < m:
                 raise DimensionMismatch(f"psd matrix key {j} outside 0..{m - 1}")
@@ -228,7 +232,7 @@ class TensorDecomposition:
                                 checked_assignment(complex_, site, b2, self.index_size)): v
                                for (b1, b2), v in mat.items() if v != 0}
         raw = {}
-        for (site, beta), vec in (vectors or {}).items() if variant != PSD else ():
+        for (site, beta), vec in (vectors or {}).items():
             site = _integer(site, "site")
             raw[(site, checked_assignment(complex_, site, beta, self.index_size))] = tuple(vec)
         # a zero vector stores no local, so its float zeros neither set the mode
@@ -344,9 +348,8 @@ def tensor_dec_to_poly_dec(td: TensorDecomposition):
                         if abs(B[k, col]) >= 1e-14:
                             locals_[(gi, (j, k), gbeta)] = BlockPolynomial(
                                 (m,), {linear: B[k, col]}, FLOAT)
-    member_values = [(j, k) for j in range(m) for k in range(kmax)]
-    return SosOmegaGDecomposition(td.complex, a, td.index_size, (m,) * V,
-                                  tuple(tuple(member_values) for _ in range(V)), locals_)
+    members = [(j, k) for j in range(m) for k in range(kmax)]
+    return SosOmegaGDecomposition(td.complex, a, td.index_size, (m,) * V, members, locals_)
 
 
 def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
@@ -377,20 +380,19 @@ def poly_dec_to_tensor_dec(dec, variant: str) -> TensorDecomposition:
     psd_mats: dict[tuple, dict] = {}
     for i in range(V):
         # the matrices of site i live on the assignments of its stored locals
-        rows = sorted({k for (site, k, _) in dec.locals if site == i}, key=repr)
-        support = sorted({beta for (site, _, beta) in dec.locals if site == i})
+        by_k = dec.locals.get(i, {})
+        rows = sorted(by_k, key=repr)
+        support = sorted({beta for mapping in by_k.values() for beta in mapping})
         B = {j: np.zeros((len(rows), len(support))) for j in range(m)}
         bpos = {b: idx for idx, b in enumerate(support)}
-        kpos = {k: idx for idx, k in enumerate(rows)}
-        for (site, k, beta), poly in dec.locals.items():
-            if site != i:
-                continue
-            p = poly.scale_mul(dec.scale).to_float()
-            for (block,), coeff in p.terms.items():
-                nz = [(j, e) for j, e in enumerate(block) if e]
-                if len(nz) != 1 or nz[0][1] != 1:
-                    raise NotCanonicalForm("psd conversion needs linear locals")
-                B[nz[0][0]][kpos[k], bpos[beta]] += coeff
+        for row, k in enumerate(rows):
+            for beta, poly in by_k[k].items():
+                p = poly.scale_mul(dec.scale).to_float()
+                for (block,), coeff in p.terms.items():
+                    nz = [(j, e) for j, e in enumerate(block) if e]
+                    if len(nz) != 1 or nz[0][1] != 1:
+                        raise NotCanonicalForm("psd conversion needs linear locals")
+                    B[nz[0][0]][row, bpos[beta]] += coeff
         for j in range(m):
             E = B[j].T @ B[j]
             psd_mats[(i, j)] = {(b1, b2): float(E[r, s])

@@ -134,9 +134,9 @@ def equal(a, b):
 
 def sos_members(facets, sos):
     """Each member of an sos decomposition, given as the `to_obj` object of a
-    plain one plus its member ranges "site_index", each local entry carrying
-    its member value "k": member K contracts, at each site i, the locals of
-    member value K[i]."""
+    plain one plus the member range "members" that every site shares, each
+    local entry carrying its member value "k": member K contracts, at each
+    site i, the locals of member value K[i]."""
     return {K: contraction(facets, dict(sos, locals=[e for e in sos["locals"]
                                                      if e["k"] == K[e["site"]]]))
-            for K in product(*sos["site_index"])}
+            for K in product(sos["members"], repeat=len(sos["site_vars"]))}

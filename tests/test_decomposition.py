@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegadec.blockpoly import FLOAT, BlockPolynomial
+from omegadec.blockpoly import FLOAT, RATIONAL, BlockPolynomial
 from omegadec.complexes import build_complex, standard_complex
 from omegadec.decomposition import (
     OmegaGDecomposition,
@@ -65,7 +65,9 @@ def contract_dense(dec, limit=200_000):
     L = c.label_count
     if dec.index_size**L > limit:
         raise SearchSpaceTooLarge(f"{dec.index_size}**{L} assignments exceed {limit}")
-    acc = RadPoly.zero(dec.site_vars, dec.mode)
+    mode = FLOAT if any(p.mode == FLOAT for locs in dec.locals.values()
+                        for p in locs.values()) else RATIONAL
+    acc = RadPoly.zero(dec.site_vars, mode)
     positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
     for alpha in product(range(1, dec.index_size + 1), repeat=L):
         factors = []
@@ -279,7 +281,7 @@ def test_negative_sizes_are_rejected_where_they_enter(index_size, site_vars, mes
     with pytest.raises(ValueError, match=message):
         OmegaGDecomposition(c, None, index_size, site_vars, {})
     with pytest.raises(ValueError, match=message):
-        SosOmegaGDecomposition(c, None, index_size, site_vars, ((0,), (0,)), {})
+        SosOmegaGDecomposition(c, None, index_size, site_vars, (0,), {})
     # an index size of 0, which the blending build gives an empty term list,
     # and sites without variables stay valid
     assert OmegaGDecomposition(c, None, 0, (0, 0), {}).contract().is_zero()

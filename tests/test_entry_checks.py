@@ -150,15 +150,20 @@ def case_fold(rng):
 SINGLE_EDGE = standard_complex("single_edge")
 
 
-def random_sos(rng):
-    c, a = SINGLE_EDGE, trivial_action(SINGLE_EDGE)
+def random_sos_input(rng):
+    """The locals, keyed (site, member value, assignment), and the scale of
+    `random_sos`."""
     kinds = rng.sample(KINDS, 2)
     locals_ = {}
     for site, k, v in product(range(2), range(2), range(1, 3)):
         if rng.random() < 0.7:
             locals_[(site, k, (v,))] = random_rad(rng, (1,), rng.choice(kinds))
-    return SosOmegaGDecomposition(c, a, 2, (1, 1), ((0, 1), (0, 1)), locals_,
-                                  rng.choice(SCALES))
+    return locals_, rng.choice(SCALES)
+
+
+def random_sos(rng):
+    return SosOmegaGDecomposition(SINGLE_EDGE, trivial_action(SINGLE_EDGE), 2, (1, 1), (0, 1),
+                                  *random_sos_input(rng))
 
 
 def case_sum_squares(rng):
@@ -170,11 +175,8 @@ def case_sum_squares(rng):
 def case_sos_to_plain(rng):
     sos = random_sos(rng)
     I = sos.index_size
-    per_site = {}
-    for (site, k, beta), poly in sos.locals.items():
-        per_site.setdefault(site, {}).setdefault(k, {})[beta] = poly
     locals_ = {}
-    for site, by_k in per_site.items():
+    for site, by_k in sos.locals.items():
         acc = {}
         for mapping in by_k.values():
             for (b1, p1), (b2, p2) in product(mapping.items(), repeat=2):

@@ -8,10 +8,11 @@ pairs of their square roots as factors: split by SVD, or planted with zero
 factors. The two agree bit for bit in the locals, the index size, the scale,
 every member and `sum_squares`. The locals now come in member order, and the
 old loop met them by assignment first; where a zero factor made it meet the
-member values of a site out of member order, `sos_to_plain` still sums each
-site's member values in `site_index` order, so the plain decompositions and
-their contractions agree bit for bit too. A pinned table keeps the errors of
-malformed input, with their types and messages.
+member values of a site out of member order, the constructor still stores,
+and `sos_to_plain` sums, each site's member values in the order of the member
+range, so the stored locals, the plain decompositions and their contractions
+agree bit for bit too. A pinned table keeps the errors of malformed input,
+with their types and messages.
 """
 
 from fractions import Fraction
@@ -41,20 +42,30 @@ from omegadec.symmetry import trivial_action
 from test_positivity import matrix_pair_split, quartic_gram
 
 
-def ref_family_symmetrize(family, a, local_factors):
-    """The free-extension loop of `family_symmetrize`, for aligned input."""
+def ref_family_locals(family, a, local_factors):
+    """The free-extension loop of `family_symmetrize`, for aligned input: its
+    locals, keyed (site, member value, assignment), in the order it placed them."""
     term_ids = sorted({j for (_, _, j) in local_factors})
     zero = BlockPolynomial.zero((family.sites[0],), FLOAT)
     locals_ = {}
     for i, gi, betas in free_extension(a, len(term_ids)):
         for j, beta in zip(term_ids, betas):
-            for k in family.site_index[i]:
+            for k in family.members:
                 p = local_factors.get((gi, k, j), zero)
                 if not p.is_zero():
                     locals_[(i, k, beta)] = p
+    return locals_
+
+
+def ref_family_symmetrize(family, a, local_factors, order=None):
+    """The decomposition of the old loop's locals, sorted by `order` if given."""
+    locals_ = ref_family_locals(family, a, local_factors)
+    if order is not None:
+        locals_ = dict(sorted(locals_.items(), key=order))
+    term_count = len({j for (_, _, j) in local_factors})
     scale = ScaledScalar(Fraction(1, len(a)), a.complex.vertex_count)
-    return SosOmegaGDecomposition(a.complex, a, len(term_ids) * len(a), family.sites,
-                                  family.site_index, locals_, scale)
+    return SosOmegaGDecomposition(a.complex, a, term_count * len(a), family.sites,
+                                  family.members, locals_, scale)
 
 
 def family_factors(basis, pieces):
@@ -105,32 +116,36 @@ def planted_case(seed, d, pairs):
     return gram, family_factors(gram.local_basis, pieces)
 
 
+def stored_keys(dec):
+    """The keys (site, member value, assignment) of the stored locals, in order."""
+    return [(site, k, beta) for site, by_k in dec.locals.items()
+            for k, mapping in by_k.items() for beta in mapping]
+
+
 def snapshot(dec):
     """The locals, index size, scale, members and sum of squares, and the
     plain decomposition with its contraction."""
     plain = sos_to_plain(dec)
-    return (({key: p.to_obj() for key, p in dec.locals.items()}, dec.index_size, dec.scale,
+    locals_ = {site: {k: {beta: p.to_obj() for beta, p in mapping.items()}
+                      for k, mapping in by_k.items()} for site, by_k in dec.locals.items()}
+    return ((locals_, dec.index_size, dec.scale,
              [dec.member(K).to_obj() for K in dec.grid()], dec.sum_squares().to_obj()),
             (plain.to_obj(), plain.contract().to_obj()))
 
 
-def in_member_order(dec):
-    """A copy of dec with its locals ordered by member value, in member order:
-    a stable sort, so each member value keeps the order of its own locals."""
-    order = dec.site_index[0]
-    locals_ = dict(sorted(dec.locals.items(), key=lambda kv: order.index(kv[0][1])))
-    return SosOmegaGDecomposition(dec.complex, dec.action, dec.index_size, dec.site_vars,
-                                  dec.site_index, locals_, dec.scale)
+def in_member_order(family):
+    """The sort key of locals by member value, in member order: a stable sort,
+    so each member value keeps the order of its own locals."""
+    return lambda kv: family.members.index(kv[0][1])
 
 
-def out_of_member_order(dec):
+def out_of_member_order(locals_, members):
     """Whether some site meets its member values, in the order of the locals,
-    out of member order: `sos_to_plain` adds them in that order."""
+    out of member order."""
     seen = {}
-    for site, k, _ in dec.locals:
+    for site, k, _ in locals_:
         seen.setdefault(site, {})[k] = None
-    order = dec.site_index[0]
-    return any(list(ks) != sorted(ks, key=order.index) for ks in seen.values())
+    return any(list(ks) != sorted(ks, key=members.index) for ks in seen.values())
 
 
 SPLIT = ([("quartic", *split_case(quartic_gram()))]
@@ -147,19 +162,21 @@ def test_matches_the_replaced_loop_in_member_order(gram, factors):
     a = double_edge_swap_action()
     fam = invariant_sos_family(gram, a)
     dec = family_symmetrize(fam, a, factors)
-    ref = in_member_order(ref_family_symmetrize(fam, a, factors))
-    assert list(dec.locals) == list(ref.locals)
+    ref = ref_family_symmetrize(fam, a, factors, in_member_order(fam))
+    assert stored_keys(dec) == stored_keys(ref)
     assert snapshot(dec) == snapshot(ref)
 
 
 @pytest.mark.parametrize("gram,factors", [c[1:] for c in SPLIT + PLANTED],
                          ids=[c[0] for c in SPLIT + PLANTED])
 def test_matches_the_replaced_loop(gram, factors):
-    """Bit for bit, the sums of `sos_to_plain` included where the old loop met
-    member values out of member order: both sum them in member order."""
+    """Bit for bit, the stored order and the sums of `sos_to_plain` included
+    where the old loop met member values out of member order: both are stored,
+    and summed, in member order."""
     a = double_edge_swap_action()
     fam = invariant_sos_family(gram, a)
     dec, ref = family_symmetrize(fam, a, factors), ref_family_symmetrize(fam, a, factors)
+    assert stored_keys(dec) == stored_keys(ref)
     assert snapshot(dec) == snapshot(ref)
 
 
@@ -169,8 +186,8 @@ def test_the_planted_cases_meet_member_values_out_of_order():
     a = double_edge_swap_action()
 
     def reordered(gram, factors):
-        return out_of_member_order(
-            ref_family_symmetrize(invariant_sos_family(gram, a), a, factors))
+        fam = invariant_sos_family(gram, a)
+        return out_of_member_order(ref_family_locals(fam, a, factors), fam.members)
 
     assert not any(reordered(gram, factors) for _, gram, factors in SPLIT)
     assert any(reordered(gram, factors) for _, gram, factors in PLANTED)

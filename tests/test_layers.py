@@ -1,10 +1,12 @@
-"""The bottom layers load only the layers below them.
+"""The exact layers load only the layers below them.
 
 `ScaledScalar`, `BlockPolynomial`, the complexes and the family check read
 their input through the readers in `errors`, and `RadPoly` builds on the first
-two. Each module is imported in a fresh interpreter, which then lists the
-omegadec modules it loaded, and whether `dataclasses` (which loads `inspect`)
-is among them: none of these layers may load it.
+two. Symmetry actions build on the complexes; the invariance test and the
+decompositions build on all of these. Each module is imported in a fresh
+interpreter, which then lists the omegadec modules it loaded, and whether
+numpy or `dataclasses` (which loads `inspect`) is among them: none of these
+layers may load either.
 """
 
 import json
@@ -23,6 +25,10 @@ LAYERS = {
     "complexes": {"errors"},
     "familycheck": {"errors"},
     "radpoly": {"errors", "scalars", "blockpoly"},
+    "symmetry": {"errors", "complexes"},
+    "invariance": {"errors", "scalars", "blockpoly", "radpoly", "complexes", "symmetry"},
+    "decomposition": {"errors", "scalars", "blockpoly", "radpoly", "complexes", "symmetry",
+                      "invariance"},
 }
 
 PROBE = """
@@ -30,7 +36,8 @@ import importlib, json, sys
 importlib.import_module("omegadec." + sys.argv[1])
 print(json.dumps({"modules": sorted(m[len("omegadec."):] for m in sys.modules
                                     if m.startswith("omegadec.")),
-                  "dataclasses": "dataclasses" in sys.modules}))
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -43,4 +50,4 @@ def test_each_layer_loads_only_the_layers_below_it(module):
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(done.stdout.splitlines()[-1])
     assert set(probe["modules"]) == LAYERS[module] | {module}
-    assert not probe["dataclasses"]
+    assert not probe["dataclasses"] and not probe["numpy"]

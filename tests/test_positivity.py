@@ -120,7 +120,7 @@ def sos_family_witness_single_edge():
     for beta, poly in k1.items():
         locals_[(0, 1, beta)] = poly
         locals_[(1, 1, beta)] = poly
-    return SosOmegaGDecomposition(a.complex, a, 4, (1, 1), ((0, 1), (0, 1)), locals_)
+    return SosOmegaGDecomposition(a.complex, a, 4, (1, 1), (0, 1), locals_)
 
 
 def permutation_array_oracle(g, vperm):
@@ -871,20 +871,14 @@ def test_sos_family_requires_invariant_matrix():
 def test_sos_decomposition_rejects_an_action_on_another_complex():
     c = standard_complex("double_edge")
     with pytest.raises(ValueError, match="action acts on a different complex"):
-        SosOmegaGDecomposition(c, circle_rotation_action(3), 1, (1, 1), ((0,), (0,)), {})
-
-
-def test_sos_decomposition_needs_one_member_range_per_vertex():
-    c = standard_complex("single_edge")
-    with pytest.raises(ValueError, match="one member range per vertex"):
-        SosOmegaGDecomposition(c, None, 2, (1, 1), ((0,),), {})
+        SosOmegaGDecomposition(c, circle_rotation_action(3), 1, (1, 1), (0,), {})
 
 
 @pytest.mark.parametrize("build", [
     lambda c, site_vars, locs: OmegaGDecomposition(
         c, None, 2, site_vars, {site: {beta: p} for (site, beta), p in locs.items()}),
     lambda c, site_vars, locs: SosOmegaGDecomposition(
-        c, None, 2, site_vars, ((0,),) * len(site_vars),
+        c, None, 2, site_vars, (0,),
         {(site, 0, beta): p for (site, beta), p in locs.items()}),
 ], ids=["plain", "sos"])
 def test_decompositions_share_the_local_check(build):
@@ -911,10 +905,10 @@ def test_sos_decomposition_rejects_member_values_no_member_reads():
     x = BlockPolynomial.univar({1: 1})
     for k, poly in [(5, x), (5, BlockPolynomial.zero((1,)))]:
         with pytest.raises(ValueError, match="^member value 5 outside the range of site 0$"):
-            SosOmegaGDecomposition(c, None, 1, (1, 1), ((0,), (0,)),
+            SosOmegaGDecomposition(c, None, 1, (1, 1), (0,),
                                    {(0, 0, (1,)): x, (0, k, (1,)): poly, (1, 0, (1,)): x})
     with pytest.raises(ValueError, match="^a member range repeats a value$"):
-        SosOmegaGDecomposition(c, None, 1, (1, 1), ((0, 0), (0,)),
+        SosOmegaGDecomposition(c, None, 1, (1, 1), (0, 0),
                                {(0, 0, (1,)): x, (1, 0, (1,)): x})
 
 
@@ -927,8 +921,8 @@ def test_sos_to_plain_contracts_to_the_sum_of_squares():
 
 def psd_sos_out_of_member_order(seed):
     """The sos family of a float psd decomposition on the single edge whose
-    matrix root has a zero entry at (0, 1): site 0 meets member value 1 after
-    value 2 and 3, where column 0 of the root reads them first."""
+    matrix root has a zero entry at (0, 1): the build meets member value 1 of
+    site 0 after values 2 and 3, where column 0 of the root reads them first."""
     rng = np.random.default_rng(seed)
     n = 4
     R = rng.uniform(0.5, 1.5, size=(n, n))
@@ -943,11 +937,15 @@ def psd_sos_out_of_member_order(seed):
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_sos_to_plain_sums_in_member_order(seed):
+    """Locals given in reverse member order are stored, and summed by
+    `sos_to_plain`, in member order, as those given in member order."""
     s = psd_sos_out_of_member_order(seed)
-    order = s.site_index[0]
-    met = list(dict.fromkeys(k for site, k, _ in s.locals if site == 0))
-    assert met != sorted(met, key=order.index)
-    locals_ = dict(sorted(s.locals.items(), key=lambda kv: order.index(kv[0][1])))
-    ordered = SosOmegaGDecomposition(s.complex, s.action, s.index_size, s.site_vars,
-                                     s.site_index, locals_, s.scale)
-    assert sos_to_plain(s).to_obj() == sos_to_plain(ordered).to_obj()
+    assert all(list(by_k) == sorted(by_k, key=s.members.index) for by_k in s.locals.values())
+    flat = [((site, k, beta), p) for site, by_k in s.locals.items()
+            for k, mapping in by_k.items() for beta, p in mapping.items()]
+    backwards = dict(sorted(flat, key=lambda kv: -s.members.index(kv[0][1])))
+    reversed_ = SosOmegaGDecomposition(s.complex, s.action, s.index_size, s.site_vars,
+                                       s.members, backwards, s.scale)
+    assert {site: list(by_k) for site, by_k in reversed_.locals.items()} == \
+        {site: list(by_k) for site, by_k in s.locals.items()}
+    assert sos_to_plain(s).to_obj() == sos_to_plain(reversed_).to_obj()

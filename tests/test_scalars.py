@@ -13,9 +13,21 @@ from omegadec.errors import SizeTooLarge
 from omegadec.scalars import ONE, RADICAND_BITS, ScaledScalar, integer_root
 
 
-@given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=7))
-@settings(deadline=None)
-def test_integer_root_bracket(x, k):
+@st.composite
+def radicands(draw):
+    """(x, k) for k up to 11: x of up to 3000 bits, or a perfect k-th power
+    of up to 3000 bits, plus -1, 0 or 1."""
+    k = draw(st.integers(min_value=1, max_value=11))
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=0, max_value=2**3000)), k
+    root = draw(st.integers(min_value=1, max_value=2 ** (3000 // k)))
+    return root**k + draw(st.sampled_from((-1, 0, 1))), k
+
+
+@given(radicands())
+@settings(deadline=None, max_examples=300)
+def test_integer_root_bracket(case):
+    x, k = case
     r, exact = integer_root(x, k)
     assert r**k <= x < (r + 1) ** k
     assert exact == (r**k == x)

@@ -233,16 +233,18 @@ def test_contract_agrees_with_the_sympy_oracle(standard):
 def sos_data(sos):
     """An sos decomposition as plain data for `sos_members`."""
     return {"index_size": sos.index_size, "scale": sos.scale.to_obj(),
-            "site_vars": list(sos.site_vars), "site_index": [list(r) for r in sos.site_index],
+            "site_vars": list(sos.site_vars), "members": list(sos.members),
             "locals": [{"site": site, "k": k, "beta": list(beta), **part}
-                       for (site, k, beta), p in sos.locals.items() for part in p.to_obj()]}
+                       for site, by_k in sos.locals.items() for k, mapping in by_k.items()
+                       for beta, p in mapping.items() for part in p.to_obj()]}
 
 
 def exact_random_sos(rng):
     """`random_sos` drawn again until every local is exact, rational or radical."""
     while True:
         sos = random_sos(rng)
-        if all(p.mode == RATIONAL for p in sos.locals.values()):
+        if all(p.mode == RATIONAL for by_k in sos.locals.values()
+               for mapping in by_k.values() for p in mapping.values()):
             return sos
 
 

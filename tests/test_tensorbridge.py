@@ -314,7 +314,8 @@ def test_zero_float_vector_in_an_exact_decomposition_stores_no_local():
     # the exact entries set the mode; the float zeros build no tensor
     vectors = {(0, (1,)): (1, 2), (1, (1,)): (0.0, 0.0)}
     td = TensorDecomposition("plain", standard_complex("single_edge"), None, 1, 2, vectors)
-    assert td.poly.mode == "rational" and td.poly.local_count() == 1
+    assert td.poly.local_count() == 1
+    assert all(p.mode == "rational" for locs in td.poly.locals.values() for p in locs.values())
     assert td.contract() == DenseTensor.zeros((2, 2))
 
 
@@ -328,7 +329,7 @@ def test_empty_psd_matrix_is_psd_and_adds_no_factor():
     assert td.check_psd()
     assert td.contract() == DenseTensor((2, 2), [6, 0, 0, 0])
     sos = tensor_dec_to_poly_dec(td)
-    assert {k for (_, k, _) in sos.locals} == {(0, 0)}
+    assert {k for by_k in sos.locals.values() for k in by_k} == {(0, 0)}
     assert sos.sum_squares().to_float().allclose(
         poly_from_tensor(td.contract()).astype_float(), 1e-12)
 
@@ -342,6 +343,22 @@ def test_psd_conversion_rejects_a_non_invariant_decomposition():
     sos = tensor_dec_to_poly_dec(swap_psd({0: 1}))
     assert sos.sum_squares().to_float().allclose(
         poly_from_tensor(swap_psd({0: 1}).contract()).astype_float(), 1e-12)
+
+
+@pytest.mark.parametrize("variant,unread", [("plain", "psd_mats"), ("nonnegative", "psd_mats"),
+                                            ("psd", "vectors")])
+def test_tensor_decomposition_rejects_the_argument_it_does_not_read(variant, unread):
+    """A non-empty argument of the other variants is an error, not dropped; an
+    empty one is accepted."""
+    c = standard_complex("single_edge")
+    data = {"vectors": {(0, (1,)): (1,), (1, (1,)): (1,)},
+            "psd_mats": {(0, 0): {((1,), (1,)): 1}, (1, 0): {((1,), (1,)): 1}}}
+    read = "psd_mats" if unread == "vectors" else "vectors"
+    with pytest.raises(ValueError) as info:
+        TensorDecomposition(variant, c, None, 1, 1, **data)
+    assert str(info.value) == f"a {variant} decomposition does not read {unread}"
+    td = TensorDecomposition(variant, c, None, 1, 1, **{read: data[read], unread: {}})
+    assert td.contract() == DenseTensor((1, 1), [1])
 
 
 def test_tensor_decomposition_rejects_an_action_on_another_complex():
