@@ -5,8 +5,10 @@ owns a block of ``sites[i]`` variables, and every term records one exponent
 vector per site. Coefficients are exact rationals or float64, chosen per
 polynomial via ``mode``. An exact coefficient is an ``int`` when the
 constructor or ``scaled`` sees an integral value and a ``Fraction`` otherwise,
-so polynomials with integer coefficients multiply and add in machine ints; an
-integral ``Fraction`` that Fraction arithmetic produces compares, hashes and
+so polynomials with integer coefficients multiply and add in machine ints.
+Scaling by a non-integral rational keeps that rule: it multiplies in ints and
+gives an ``int`` exactly where the product is integral. An integral
+``Fraction`` that other Fraction arithmetic produces compares, hashes and
 prints like the equal ``int``.
 """
 
@@ -32,6 +34,20 @@ def _coerce_coeff(c, mode: str, what: str = "float coefficients"):
 
 def _nonzero(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if c}
+
+
+def _times_ratio(terms: dict, c: Fraction) -> dict:
+    """Exact nonzero coefficients times a non-integral rational c, in ints."""
+    p, q = c.numerator, c.denominator
+    out = {}
+    for k, v in terms.items():
+        if type(v) is int:
+            n = v * p
+            out[k] = Fraction(n, q) if n % q else n // q
+        else:
+            v = Fraction(v.numerator * p, v.denominator * q)
+            out[k] = v if v.denominator != 1 else v.numerator
+    return out
 
 
 class BlockPolynomial:
@@ -161,9 +177,19 @@ class BlockPolynomial:
     __rmul__ = __mul__
 
     def scaled(self, c) -> "BlockPolynomial":
-        if isinstance(c, float) and self.mode == RATIONAL:
+        """The polynomial times c; a float c makes an exact polynomial a float one.
+
+        An exact polynomial times a rational p/q, q > 1, multiplies in ints:
+        an int coefficient v becomes v*p // q when q divides v*p, and a
+        Fraction a/b the reduced (a*p)/(b*q). So a coefficient is an int
+        exactly where it is integral, and since p is nonzero no zero arises.
+        """
+        if self.mode == FLOAT:
+            c = float(c)
+        elif isinstance(c, float):
             return self.astype_float().scaled(c)
-        c = float(c) if self.mode == FLOAT else _rational(c)
+        elif type(c := _rational(c)) is Fraction:
+            return BlockPolynomial._trusted(self.sites, _times_ratio(self.terms, c), RATIONAL)
         return BlockPolynomial._trusted(
             self.sites, _nonzero({k: v * c for k, v in self.terms.items()}), self.mode)
 

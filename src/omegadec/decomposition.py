@@ -129,6 +129,14 @@ def checked_sizes(complex_: WeightedComplex, index_size: int,
     return index_size, site_vars
 
 
+def checked_scale(scale) -> ScaledScalar:
+    """The per-site scale, which must be a ScaledScalar; anything else, an int
+    or a Fraction included, is a TypeError that names it."""
+    if not isinstance(scale, ScaledScalar):
+        raise TypeError(f"scale must be a ScaledScalar, not {type(scale).__name__} {scale!r}")
+    return scale
+
+
 def checked_local(complex_: WeightedComplex, index_size: int, site_vars: Sequence[int],
                   site: int, beta: Sequence[int], poly) -> tuple[int, Beta, RadPoly | None]:
     """The checked site and assignment of a local, and the local; None if it is zero."""
@@ -139,6 +147,20 @@ def checked_local(complex_: WeightedComplex, index_size: int, site_vars: Sequenc
         raise IncompatibleBlockSizes(
             f"local at site {site} has sites {rp.sites}, expected ({site_vars[site]},)")
     return site, beta, None if rp.is_zero() else rp
+
+
+def _contraction_mode(site_locals: Mapping[int, Mapping[Beta, RadPoly]]) -> tuple[str, bool]:
+    """The mode of a contraction, and whether it groups its products, which it
+    does when every local is exact and one part of scale one. One pass over
+    the locals decides both; it stops at the first float local."""
+    grouped = True
+    for loc in site_locals.values():
+        for p in loc.values():
+            if p.mode == FLOAT:
+                return FLOAT, False
+            if grouped and not (len(p.parts) == 1 and ((s := p.parts[0][0]) is ONE or s == ONE)):
+                grouped = False
+    return RATIONAL, grouped
 
 
 def contract_assignments(complex_: WeightedComplex, index_size: int,
@@ -162,15 +184,13 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     parts, with the scale of the product that brings it back.
     """
     V = complex_.vertex_count
-    mode = FLOAT if any(p.mode == FLOAT
-                        for locs in site_locals.values() for p in locs.values()) else RATIONAL
+    mode, grouped = _contraction_mode(site_locals)
     acc = RadSum(tuple(site_vars), mode)
     locs = [site_locals.get(i, {}) for i in range(V)]
     positions = [complex_.label_positions_at(i) for i in range(V)]
     walk = label_assignments(positions, complex_.label_count, index_size,
                              [loc.keys() for loc in locs], max_work)
-    if mode == FLOAT or not all(len(p.parts) == 1 and p.parts[0][0] == ONE
-                                for loc in locs for p in loc.values()):
+    if not grouped:
         for keys in walk:
             acc.add_outer([loc[key] for loc, key in zip(locs, keys)])
         return acc.result()
@@ -235,6 +255,7 @@ def free_extension(a: SymmetryAction, count: int
 
     Label l of site i gets j*|G| + h + 1 with h = g*z(l), z the linearizer,
     so exactly the |G| translated copies of each term survive contraction.
+    Term j's assignment is term 0's shifted by j*|G|.
     """
     z = linearizer(a)
     order = len(a)
@@ -243,9 +264,9 @@ def free_extension(a: SymmetryAction, count: int
         positions = c.label_positions_at(i)
         for g in range(order):
             mperm = a.mperm(g)
-            selector = [z[mperm[pos]] for pos in positions]     # g*z(l) = z(g*l)
-            yield i, a.vertex_image(g, i), [tuple(j * order + h + 1 for h in selector)
-                                            for j in range(count)]
+            first = [z[mperm[pos]] + 1 for pos in positions]    # g*z(l) = z(g*l)
+            yield i, a.vertex_image(g, i), [tuple([h + shift for h in first])
+                                            for shift in range(0, count * order, order)]
 
 
 class OmegaGDecomposition:
@@ -259,19 +280,20 @@ class OmegaGDecomposition:
                  index_size: int, site_vars: Sequence[int],
                  locals_: Mapping[int, Mapping[Beta, object]],
                  scale: ScaledScalar = ONE, *, _trusted: bool = False):
-        """Check the action, the sizes and every local, and keep the nonzero locals.
+        """Check the scale, the action, the sizes and every local, and keep the nonzero locals.
 
-        ``_trusted`` is for the library's own builders: their action, int
-        sizes, int sites and assignments and single-site RadPoly locals of the
-        right widths are taken as given, and only zero locals are dropped.
+        ``_trusted`` is for the library's own builders: their scale, action,
+        int sizes, int sites and assignments and single-site RadPoly locals of
+        the right widths are taken as given, and only zero locals are dropped.
         """
         self.complex = complex_
-        self.scale = scale
         if _trusted:
+            self.scale = scale
             self.action, self.index_size, self.site_vars = action, index_size, site_vars
             self.locals = {site: kept for site, mapping in locals_.items()
                            if (kept := {b: p for b, p in mapping.items() if not p.is_zero()})}
             return
+        self.scale = checked_scale(scale)
         self.action = checked_action(complex_, action)
         self.index_size, self.site_vars = checked_sizes(complex_, index_size, site_vars)
         store: SiteLocals = {}

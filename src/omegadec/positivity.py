@@ -30,6 +30,7 @@ from .decomposition import (  # caratheodory_bound is re-exported from its numpy
     caratheodory_bound,
     checked_action,
     checked_local,
+    checked_scale,
     checked_sizes,
     elementary_sum,
     locals_agree,
@@ -444,10 +445,10 @@ class SosOmegaGDecomposition:
                  index_size: int, site_vars: Sequence[int], members: Sequence,
                  locals_: Mapping, scale: ScaledScalar = ONE):
         self.complex = complex_
+        self.scale = checked_scale(scale)
         self.action = checked_action(complex_, action)
         self.index_size, self.site_vars = checked_sizes(complex_, index_size, site_vars)
         self.members = tuple(members)
-        self.scale = scale
         store: dict[int, dict] = {}
         for (site, k, beta), poly in locals_.items():
             site, beta, rp = checked_local(complex_, self.index_size, self.site_vars,

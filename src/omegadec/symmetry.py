@@ -10,6 +10,7 @@ multifacet labels; blending refers to the action on the vertices.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import WeightedComplex, require_connected
@@ -55,7 +56,7 @@ class SymmetryAction:
         self.elements = list(elements)
         self.generators = list(generators)
         self._index = {el: i for i, el in enumerate(self.elements)}
-        self._beta_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        self._moves: dict[tuple[int, int], tuple[int, Callable | None]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -85,38 +86,41 @@ class SymmetryAction:
     def label_image(self, g: int, pos: int) -> int:
         return self.elements[g][1][pos]
 
-    def beta_map(self, g: int, site: int) -> tuple[int, tuple[int, ...]]:
-        """Target site g*site and, per target label slot, the source slot index.
+    def _slot_move(self, g: int, site: int) -> tuple[int, Callable | None]:
+        """Cache and return the target site g*site and the move of an
+        assignment at `site` to g*site.
 
         An assignment beta on the labels at `site` pushes forward to the
-        labels at g*site by reading each target label through g^{-1}.
+        labels at g*site by reading each target label through g^{-1}. The
+        move is None where every target slot reads its own slot, so the
+        assignment tuple itself is the image. Otherwise it is an itemgetter
+        of the source slot of each target slot; such a slot order has at
+        least two slots, so the getter returns a tuple.
         """
-        key = (g, site)
-        cached = self._beta_maps.get(key)
-        if cached is not None:
-            return cached
         c = self.complex
         gi = self.vertex_image(g, site)
         inv_m = self.mperm(self.inv(g))
-        src_positions = c.label_positions_at(site)
-        src_index = {p: t for t, p in enumerate(src_positions)}
+        src_index = {p: t for t, p in enumerate(c.label_positions_at(site))}
         mapping = tuple(src_index[inv_m[p]] for p in c.label_positions_at(gi))
-        self._beta_maps[key] = (gi, mapping)
-        return gi, mapping
+        move = None if mapping == tuple(range(len(mapping))) else itemgetter(*mapping)
+        self._moves[g, site] = (gi, move)
+        return gi, move
 
     def beta_image(self, g: int, site: int, beta: tuple) -> tuple[int, tuple]:
-        """Push an assignment on the labels at `site` forward by g."""
-        gi, mapping = self.beta_map(g, site)
-        return gi, tuple(beta[t] for t in mapping)
+        """Push an assignment tuple on the labels at `site` forward by g."""
+        gi, move = self._moves.get((g, site)) or self._slot_move(g, site)
+        return gi, beta if move is None else move(beta)
 
     def key_image(self, g: int, key: tuple) -> tuple:
-        """Move the site and assignment of a key (site, ..., assignment) by g; keep the middle."""
-        site = key[0]
-        # every symmetry check runs this once per orbit member: read the cache inline
-        gi, mapping = self._beta_maps.get((g, site)) or self.beta_map(g, site)
-        beta = key[-1]
-        gbeta = tuple([beta[t] for t in mapping])
-        return (gi, gbeta) if len(key) == 2 else (gi, *key[1:-1], gbeta)
+        """Move the site and assignment of a key (site, ..., assignment) by g; keep the middle.
+
+        Every symmetry check runs this once per orbit member, so the
+        assignment moves through the cached move of (g, site): under an
+        identity slot order the stored tuple itself is the image.
+        """
+        gi, move = self._moves.get((g, key[0])) or self._slot_move(g, key[0])
+        beta = key[-1] if move is None else move(key[-1])
+        return (gi, beta) if len(key) == 2 else (gi, *key[1:-1], beta)
 
     def orbits(self, items: Iterable, image: Callable | None = None) -> Iterator[list]:
         """The orbit of each item that no earlier orbit contains.

@@ -9,10 +9,12 @@ check, `sos_to_plain` and the merge of repeated `dec` entries add into a
 replaced, kept in tests/radref.py (`ref_act`, `ref_rad_act`, `ref_fold`),
 by `structure()`: mode, parts, scales, term order and float bits. Inputs mix
 rational, float (with products that underflow to zero) and radical parts.
+A decomposition's scale must be a `ScaledScalar` where it enters.
 """
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -355,3 +357,23 @@ def test_result_is_a_snapshot():
     coded.add_outer(f)
     assert r == rad_outer(f)
     assert coded.result() == rad_outer(f).scaled(2)
+
+
+@pytest.mark.parametrize("scale", [2, 0.5, -1, Fraction(1, 2)], ids=repr)
+def test_a_scale_that_is_no_scaled_scalar_is_rejected_where_it_enters(scale):
+    x = BlockPolynomial.univar({1: 1})
+    edge = standard_complex("single_edge")
+    plain = {0: {(1,): x}, 1: {(1,): x}}
+    sos = {(0, 0, (1,)): x, (1, 0, (1,)): x}
+    message = re.escape(f"scale must be a ScaledScalar, not {type(scale).__name__} {scale!r}")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        OmegaGDecomposition(edge, None, 1, (1, 1), plain, scale)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        SosOmegaGDecomposition(edge, None, 1, (1, 1), (0,), sos, scale)
+    if scale > 0:       # the value as a ScaledScalar builds and contracts
+        s = ScaledScalar(Fraction(scale))
+        unscaled = OmegaGDecomposition(edge, None, 1, (1, 1), plain).contract()
+        assert OmegaGDecomposition(edge, None, 1, (1, 1), plain, s).contract() == \
+            unscaled.scale_mul(s * s)
+        assert SosOmegaGDecomposition(edge, None, 1, (1, 1), (0,), sos, s).sum_squares() == \
+            (unscaled * unscaled).scale_mul(s ** 4)
