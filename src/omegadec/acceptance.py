@@ -213,7 +213,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     problems = []
     fixed = fixtures.double_edge_fixed_vertex_action()
-    sol = factorizability_solve(fixed.complex, fixed, 2)
+    sol = factorizability_solve(fixed, 2)
     if sol is None or sol.residual > 1e-10:
         problems.append("fixed-vertex solve failed")
     else:
@@ -227,7 +227,7 @@ def criterion_7() -> CriterionResult:
                       fixtures.circle_rotation_action(3),
                       fixtures.circle_rotation_action(4)]
     for idx, action in enumerate(free_instances):
-        sol = factorizability_solve(action.complex, action, 2)
+        sol = factorizability_solve(action, 2)
         if sol is None or sol.residual > 1e-10:
             problems.append(f"free instance {idx} infeasible")
         elif any(abs(v - 1.0) > 1e-9 for v in sol.values.values()):
@@ -247,7 +247,7 @@ def criterion_8() -> CriterionResult:
         problems.append("plain contraction mismatch")
 
     sep = fixtures.squares_double_edge_decomposition()
-    sol = factorizability_solve(sep.complex, sep.action, sep.index_size)
+    sol = factorizability_solve(sep.action, sep.index_size)
     if sol is None:
         problems.append("free double edge not factorizable")
     else:
@@ -264,7 +264,7 @@ def criterion_8() -> CriterionResult:
     locs = {(1, 1): t2, (1, 2): one, (2, 1): one}
     sep2 = OmegaGDecomposition(fixed.complex, fixed, 2, (1, 1),
                                {0: dict(locs), 1: dict(locs)})
-    sol2 = factorizability_solve(fixed.complex, fixed, 2)
+    sol2 = factorizability_solve(fixed, 2)
     if sol2 is None:
         problems.append("fixed-vertex not factorizable")
     else:

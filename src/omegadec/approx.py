@@ -66,20 +66,6 @@ def multihomogeneous_degree(p: BlockPolynomial) -> int:
     return flat.pop()
 
 
-def homogenize(p: BlockPolynomial, d: int | None = None) -> BlockPolynomial:
-    """Pad every site block with a leading variable absorbing the missing degree."""
-    if d is None:
-        d = p.local_degree()
-    if d < p.local_degree():
-        raise ValueError(f"target degree {d} below local degree {p.local_degree()}")
-    sites = tuple(m + 1 for m in p.sites)
-    terms = {}
-    for key, coeff in p.terms.items():
-        new_key = tuple((d - sum(block),) + block for block in key)
-        terms[new_key] = coeff
-    return BlockPolynomial(sites, terms, p.mode)
-
-
 def _normalize_site(vec: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(vec)
     if norm == 0.0:

@@ -200,8 +200,7 @@ def _pos_sos_family(run: _Run) -> dict:
 def _pos_factorizable(run: _Run) -> tuple[dict, int]:
     from .positivity import factorizability_solve
     action = _load_action(run)
-    sol = factorizability_solve(action.complex, action, run.args.index_size,
-                                run.args.max_assignments)
+    sol = factorizability_solve(action, run.args.index_size, run.args.max_assignments)
     if sol is None:
         return {"feasible": False}, EXIT_VERDICT_FAIL
     values = {f"site{site}:{','.join(map(str, beta))}": v

@@ -36,25 +36,26 @@ from .errors import (
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
 from .scalars import ONE, ScaledScalar
-from .symmetry import SymmetryAction, is_blending, is_free, linearizer, trivial_action
+from .symmetry import SymmetryAction, is_blending, is_free, linearizer, same_action, trivial_action
 
 Beta = tuple[int, ...]
 SiteLocals = dict[int, dict[Beta, RadPoly]]
 
 
 def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
-                      index_size: int, site_keys: Sequence[Iterable[Beta]],
+                      site_keys: Sequence[Iterable[Beta]],
                       max_work: int = DEFAULT_MAX_WORK) -> Iterator[tuple[Beta, ...]]:
     """Yield the per-site keys of each global label assignment, in lexicographic order.
 
     Site i reads the distinct label positions ``positions[i]`` and stores the
-    keys ``site_keys[i]``, tuples of values in 1..index_size. An assignment is
-    yielded when every site stores the key it induces. Each site's keys go
-    into a trie once, a level per position in ascending order and a key per
-    leaf. The walk fixes positions in that order with a trie node per site, so
-    sparsity prunes the search: a position tries the sorted common children of
-    the sites reading it, each child descending their tries. Every tried label
-    value counts one step against ``max_work``.
+    keys ``site_keys[i]``; every position is read by some site, as every
+    vertex of a facet reads its labels. An assignment is yielded when every
+    site stores the key it induces. Each site's keys go into a trie once, a
+    level per position in ascending order and a key per leaf. The walk fixes
+    positions in that order with a trie node per site, so sparsity prunes the
+    search: a position tries the sorted common children of the sites reading
+    it, each child descending their tries. Every tried label value counts one
+    step against ``max_work``.
     """
     tries = []
     touch: list[list[int]] = [[] for _ in range(label_count)]
@@ -80,12 +81,11 @@ def label_assignments(positions: Sequence[Sequence[int]], label_count: int,
             yield tuple(nodes)
             continue
         sites = touch[pos]
-        if sites:
-            allowed = nodes[sites[0]].keys()
-            for i in sites[1:]:
-                allowed = allowed & nodes[i].keys()
+        allowed = nodes[sites[0]].keys()
+        for i in sites[1:]:
+            allowed = allowed & nodes[i].keys()
         children = []
-        for v in sorted(allowed) if sites else range(1, index_size + 1):
+        for v in sorted(allowed):
             work += 1
             if work > max_work:
                 raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
@@ -163,7 +163,7 @@ def _contraction_mode(site_locals: Mapping[int, Mapping[Beta, RadPoly]]) -> tupl
     return RATIONAL, grouped
 
 
-def contract_assignments(complex_: WeightedComplex, index_size: int,
+def contract_assignments(complex_: WeightedComplex,
                          site_locals: Mapping[int, Mapping[Beta, RadPoly]],
                          site_vars: Sequence[int],
                          max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
@@ -188,8 +188,8 @@ def contract_assignments(complex_: WeightedComplex, index_size: int,
     acc = RadSum(tuple(site_vars), mode)
     locs = [site_locals.get(i, {}) for i in range(V)]
     positions = [complex_.label_positions_at(i) for i in range(V)]
-    walk = label_assignments(positions, complex_.label_count, index_size,
-                             [loc.keys() for loc in locs], max_work)
+    walk = label_assignments(positions, complex_.label_count, [loc.keys() for loc in locs],
+                             max_work)
     if not grouped:
         for keys in walk:
             acc.add_outer([loc[key] for loc, key in zip(locs, keys)])
@@ -309,8 +309,7 @@ class OmegaGDecomposition:
         return sum(len(v) for v in self.locals.values())
 
     def contract(self, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
-        raw = contract_assignments(self.complex, self.index_size, self.locals,
-                                   self.site_vars, max_work)
+        raw = contract_assignments(self.complex, self.locals, self.site_vars, max_work)
         return raw.scale_mul(self.scale ** self.complex.vertex_count)
 
     def check_symmetry(self, tol: float = 1e-9) -> bool:
@@ -641,10 +640,7 @@ def caratheodory_bound(m: int, d: int, n: int, group_order: int) -> int:
 
 def _shared_action(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> SymmetryAction:
     """The action of both factors, or the trivial group when they differ."""
-    a, b = d1.action, d2.action
-    if a is b or (a.complex == b.complex and a.elements == b.elements):
-        return a
-    return trivial_action(d1.complex)
+    return d1.action if same_action(d1.action, d2.action) else trivial_action(d1.complex)
 
 
 def concat_sum(d1: OmegaGDecomposition, d2: OmegaGDecomposition) -> OmegaGDecomposition:

@@ -58,7 +58,7 @@ from .errors import (
 from .invariance import is_invariant
 from .radpoly import RadPoly, RadSum
 from .scalars import ONE, ScaledScalar
-from .symmetry import SymmetryAction, is_free
+from .symmetry import SymmetryAction, is_free, same_action
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_EQ_TOL = 1e-9
@@ -466,20 +466,20 @@ class SosOmegaGDecomposition:
         self.locals: dict[int, dict] = {site: {k: by_k[k] for k in self.members if k in by_k}
                                         for site, by_k in store.items()}
 
-    def member(self, K: Sequence, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
+    def member(self, K: Sequence) -> RadPoly:
         """The contraction of the plain decomposition of the site-i locals of
         member value K[i]."""
         locals_ = {site: by_k[K[site]] for site, by_k in self.locals.items() if K[site] in by_k}
         return OmegaGDecomposition(self.complex, self.action, self.index_size, self.site_vars,
-                                   locals_, self.scale, _trusted=True).contract(max_work)
+                                   locals_, self.scale, _trusted=True).contract()
 
     def grid(self) -> Iterable[tuple]:
         return product(self.members, repeat=self.complex.vertex_count)
 
-    def sum_squares(self, max_work: int = DEFAULT_MAX_WORK) -> RadPoly:
+    def sum_squares(self) -> RadPoly:
         acc = RadSum(self.site_vars)
         for K in self.grid():
-            q = self.member(K, max_work)
+            q = self.member(K)
             if not q.is_zero():
                 acc.add(q * q)
         return acc.result()
@@ -554,8 +554,9 @@ def separable_symmetrize(terms: Sequence[Sequence[object]],
 
 @dataclass
 class FactorizabilitySolution:
-    """Positive invariant splitting of the assignment overcount constants."""
+    """Positive invariant splitting of an action's overcount constants at one index size."""
 
+    action: SymmetryAction
     index_size: int
     values: dict
     residual: float
@@ -565,11 +566,11 @@ class FactorizabilitySolution:
         return self.values[(site, tuple(beta))]
 
 
-def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int,
+def factorizability_solve(a: SymmetryAction, index_size: int,
                           max_assignments: int = DEFAULT_MAX_WORK
                           ) -> FactorizabilitySolution | None:
-    """Solve the log-linear overcount system of an index size >= 1, or report
-    infeasibility (a least-squares residual above 1e-9) as None.
+    """Solve the log-linear overcount system of the action's complex at an index
+    size >= 1, or report infeasibility (a least-squares residual above 1e-9) as None.
 
     The overcount of an assignment counts the assignments reaching it through
     vertex-stabilizing elements sitewise. Unknowns are tied along group orbits
@@ -577,6 +578,7 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
     """
     if index_size < 1:
         raise ValueError(f"index size must be >= 1, got {index_size}")
+    c = a.complex
     L = c.label_count
     V = c.vertex_count
     if power_within(index_size, L, max_assignments) is None:
@@ -617,7 +619,7 @@ def factorizability_solve(c: WeightedComplex, a: SymmetryAction, index_size: int
     if residual > 1e-9:
         return None
     vals = {key: float(math.exp(x[idx])) for key, idx in var_of.items()}
-    return FactorizabilitySolution(index_size, vals, residual, overcounts)
+    return FactorizabilitySolution(a, index_size, vals, residual, overcounts)
 
 
 def sos_to_plain(sos: SosOmegaGDecomposition) -> OmegaGDecomposition:
@@ -678,6 +680,8 @@ def sep_to_sos(sep: OmegaGDecomposition, solution: FactorizabilitySolution | Non
     """
     if solution is None:
         raise NotFactorizable("no overcount splitting available")
+    if not same_action(solution.action, sep.action):
+        raise ValueError("splitting solved for a different action")
     if solution.index_size != sep.index_size:
         raise DimensionMismatch("splitting solved for a different index size")
     stored = sorted((site, beta) for site, mapping in sep.locals.items() for beta in mapping)

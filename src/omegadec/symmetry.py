@@ -219,6 +219,11 @@ def trivial_action(c: WeightedComplex) -> SymmetryAction:
     return build_action(c, [])
 
 
+def same_action(a: SymmetryAction, b: SymmetryAction) -> bool:
+    """True iff a and b are one object, or act on equal complexes by equal element lists."""
+    return a is b or (a.complex == b.complex and a.elements == b.elements)
+
+
 def is_free(a: SymmetryAction) -> bool:
     """True iff no non-identity element fixes any multifacet label."""
     for g in range(1, len(a)):

@@ -66,8 +66,8 @@ def _dense_size(dims: Sequence[int]) -> int:
 
 
 class DenseTensor:
-    """Dense tensor with exact or float entries, flat in row-major order. The
-    constructor and ``__setitem__`` read every entry, so consumers trust them."""
+    """Immutable dense tensor with exact or float entries, flat in row-major order.
+    The constructor reads every entry, so consumers trust them."""
 
     def __init__(self, dims: Sequence[int], entries: Sequence, mode: str = RATIONAL):
         if mode not in (RATIONAL, FLOAT):
@@ -104,9 +104,6 @@ class DenseTensor:
     def __getitem__(self, idx) -> object:
         return self.entries[self._flat(idx)]
 
-    def __setitem__(self, idx, value) -> None:
-        self.entries[self._flat(idx)] = _coerce_coeff(value, self.mode, "float tensor entries")
-
     def indices(self) -> Iterable[tuple[int, ...]]:
         return product(*(range(d) for d in self.dims))
 
@@ -136,10 +133,6 @@ class DenseTensor:
         ref = max((abs(float(x)) for x in self.entries), default=0.0)
         return all(abs(float(a) - float(b)) <= tol * (1.0 + ref)
                    for a, b in zip(self.entries, other.entries))
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-        return np.array([float(x) for x in self.entries]).reshape(self.dims)
 
     def to_obj(self) -> dict:
         entries = [float(x) if self.mode == FLOAT else str(Fraction(x))
@@ -510,17 +503,17 @@ def separations_report(m: int, seed: int = 0, max_work: int = DEFAULT_MAX_WORK) 
     ``nn_upper_bound`` is the trivial bound m = min(rows, cols) of the identity
     factorization, which is also what ``nn_rank_upper_bound`` returns on every
     distance matrix tried; the report does not run that search. The work guard
-    counts the search's ``(m - 1) * 50 * 400`` updates after the psd
-    contraction, which keeps the command's exit codes and messages fixed.
-    ``seed`` is accepted for callers that pass it; nothing here draws from it."""
+    counts the search's ``(m - 1) * 50 * 400`` updates before any exact step,
+    which keeps the sizes each limit admits fixed. ``seed`` is accepted for
+    callers that pass it; nothing here draws from it."""
+    work = (m - 1) * 50 * 400
+    if work > max_work:
+        raise SizeTooLarge(f"{work} updates exceed {max_work}")
     t = distance_matrix(m)
     p = poly_from_tensor(t)
     rank = bipartite_rank(p)
     fact = psd_distance_factorization(m)
     psd_ok = fact.contract(max_work) == t
-    work = (m - 1) * 50 * 400
-    if work > max_work:
-        raise SizeTooLarge(f"{work} updates exceed {max_work}")
     return {
         "m": m,
         "bipartite_rank": rank,

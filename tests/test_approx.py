@@ -13,7 +13,6 @@ from omegadec.approx import (
     _kron_blocks,
     approx_separable,
     empirical_matrix_error,
-    homogenize,
     infinity_norm_lower,
     multihomogeneous_degree,
     sample_budget,
@@ -30,7 +29,6 @@ from omegadec.errors import (
 from omegadec.fixtures import (
     double_edge_swap_action,
     single_edge_swap_action,
-    squares_target_polynomial,
 )
 from omegadec.positivity import (
     DEFAULT_PSD_TOL,
@@ -64,17 +62,11 @@ def approximant_polynomial(result, gram: GramRepresentation) -> BlockPolynomial:
     return gram_map_homogeneous(g)
 
 
-def test_homogenize_round_trip():
-    p = squares_target_polynomial()
-    h = homogenize(p)
-    assert h.sites == (2, 2)
-    assert multihomogeneous_degree(h) == 2
-    # setting the padding variables to one recovers the original values
-    assert h.evaluate([(1, 3), (1, 5)]) == p.evaluate([(3,), (5,)])
+def test_multihomogeneous_degree():
+    assert multihomogeneous_degree(BlockPolynomial((2, 2), {((2, 0), (1, 1)): 1,
+                                                            ((0, 2), (2, 0)): 3})) == 2
     with pytest.raises(NotHomogeneous):
         multihomogeneous_degree(BlockPolynomial((1, 1), {((2,), (0,)): 1, ((1,), (1,)): 1}))
-    with pytest.raises(ValueError):
-        homogenize(p, d=1)
 
 
 def test_infinity_norm_examples():

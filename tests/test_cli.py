@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from omegadec import cli
+from omegadec import cli, fixtures
 from omegadec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -35,6 +35,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _bundle(dec, target):
+    return {"complex": dec.complex.to_obj(), "action": dec.action.to_obj(),
+            "decomposition": dec.to_obj(), "expected": target.to_obj()}
+
+
+FIXTURE_BUILDERS = {
+    "double_edge_invariant.json": lambda: _bundle(fixtures.quartic_double_edge_decomposition(),
+                                                  fixtures.quartic_target_polynomial()),
+    "squares_double_edge.json": lambda: _bundle(fixtures.squares_double_edge_decomposition(),
+                                                fixtures.squares_target_polynomial()),
+    "planted_negative_family.json": lambda: fixtures.planted_negative_family().to_obj(),
+    "nonnegative_family.json": lambda: fixtures.nonnegative_family().to_obj(),
+    "double_edge_complex.json": lambda: fixtures.double_edge_swap_action().complex.to_obj(),
+    "double_edge_swap_action.json": lambda: fixtures.double_edge_swap_action().to_obj(),
+    "circle5_complex.json": lambda: fixtures.circle_rotation_action(5).complex.to_obj(),
+    "circle5_rotation_action.json": lambda: fixtures.circle_rotation_action(5).to_obj(),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_BUILDERS)
+def test_fixture_file_is_its_builder_written_out(name):
+    """The CLI goldens read these files and `omega accept` the builders: each
+    file is its builder's `to_obj`, written with sorted keys and indent 1."""
+    with open(fixture(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == json.dumps(FIXTURE_BUILDERS[name](), indent=1, sort_keys=True) + "\n"
 
 
 def test_dec_verify_fixture(capsys):
@@ -89,12 +117,12 @@ def test_bridge_separations_guard_exit_code(capsys):
 
 
 def test_bridge_separations_guard_boundary(capsys):
-    # the contraction's own guard fires first; the search count, (m - 1) * 50 * 400
-    # updates, is 60 000 at m = 4 and is checked after it
+    # the search count, (m - 1) * 50 * 400 updates, is 60 000 at m = 4; it is
+    # checked before any exact step, so it fires before the contraction's own guard
     argv = ("bridge", "separations", "--m", "4")
     code, out = run(capsys, "--max-assignments", "1", *argv)
     assert code == 3
-    assert strict_json(out)["error"] == "SearchSpaceTooLarge"
+    assert strict_json(out) == {"error": "SizeTooLarge", "message": "60000 updates exceed 1"}
     code, out = run(capsys, "--max-assignments", "59999", *argv)
     assert code == 3
     assert strict_json(out) == {"error": "SizeTooLarge",

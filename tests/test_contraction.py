@@ -41,7 +41,7 @@ from omegadec.scalars import ONE, ScaledScalar
 from radref import RefSum, ref_rad_outer, structure
 
 
-def old_label_assignments(positions, label_count, index_size, site_keys, max_work=10**7):
+def old_label_assignments(positions, label_count, site_keys, max_work=10**7):
     compat = [tuple(keys) for keys in site_keys]
     if not all(compat):
         return
@@ -61,7 +61,7 @@ def old_label_assignments(positions, label_count, index_size, site_keys, max_wor
             vals = {k[slot] for k in compat[i]}
             allowed = vals if allowed is None else allowed & vals
         children = []
-        for v in range(1, index_size + 1) if allowed is None else sorted(allowed):
+        for v in sorted(allowed):       # every label position is read by some site
             work += 1
             if work > max_work:
                 raise SearchSpaceTooLarge(f"contraction exceeded {max_work} steps")
@@ -72,34 +72,33 @@ def old_label_assignments(positions, label_count, index_size, site_keys, max_wor
         stack += reversed(children)
 
 
-def old_walk(c, index_size, site_locals):
+def old_walk(c, site_locals):
     """The locals of each assignment, in the order of the old walk."""
     locs = [site_locals.get(i, {}) for i in range(c.vertex_count)]
     positions = [c.label_positions_at(i) for i in range(c.vertex_count)]
-    for keys in old_label_assignments(positions, c.label_count, index_size,
-                                      [loc.keys() for loc in locs]):
+    for keys in old_label_assignments(positions, c.label_count, [loc.keys() for loc in locs]):
         yield [loc[key] for loc, key in zip(locs, keys)]
 
 
-def old_sum(c, index_size, site_locals, site_vars):
+def old_sum(c, site_locals, site_vars):
     mode = FLOAT if any(p.mode == FLOAT
                         for locs in site_locals.values() for p in locs.values()) else RATIONAL
     acc = RefSum(tuple(site_vars), mode)
-    for factors in old_walk(c, index_size, site_locals):
+    for factors in old_walk(c, site_locals):
         acc.add(ref_rad_outer(factors))
     return acc
 
 
-def old_contract(c, index_size, site_locals, site_vars):
-    return old_sum(c, index_size, site_locals, site_vars).result()
+def old_contract(c, site_locals, site_vars):
+    return old_sum(c, site_locals, site_vars).result()
 
 
-def grouped_sum(c, index_size, site_locals, site_vars):
+def grouped_sum(c, site_locals, site_vars):
     """The grouped contraction written apart, for exact one-part locals of
     scale one: the product of each distinct tuple of local values (terms in
     order, with their types), in order of first occurrence, times its count."""
     counts = {}
-    for factors in old_walk(c, index_size, site_locals):
+    for factors in old_walk(c, site_locals):
         value = tuple(tuple((k, type(x), x) for k, x in f.parts[0][1].terms.items())
                       for f in factors)
         counts.setdefault(value, [factors, 0])[1] += 1
@@ -163,8 +162,8 @@ def test_contraction_matches_the_old_product_loop(seed):
         grid = product(range(1, index_size + 1), repeat=len(c.label_positions_at(i)))
         locals_[i] = {beta: random_local(rng, site_vars[i], rng.choice(mix))
                       for beta in grid if rng.random() < 0.7}
-    got = contract_assignments(c, index_size, locals_, site_vars)
-    assert structure(got) == structure(old_contract(c, index_size, locals_, site_vars))
+    got = contract_assignments(c, locals_, site_vars)
+    assert structure(got) == structure(old_contract(c, locals_, site_vars))
 
 
 @pytest.mark.parametrize("seed", range(45))
@@ -327,13 +326,13 @@ UNGROUPED_POOLS = [("radical", "int"), ("scaled", "fraction"), ("float",), ("flo
                    ("radical", "scaled", "float")]
 
 
-def check_grouped(c, index_size, locals_, site_vars):
+def check_grouped(c, locals_, site_vars):
     """Check an exact contraction against `grouped_sum` and the product loop;
     True if some term moved or changed type after a cancellation."""
-    got = contract_assignments(c, index_size, locals_, site_vars)
-    old = old_sum(c, index_size, locals_, site_vars)
+    got = contract_assignments(c, locals_, site_vars)
+    old = old_sum(c, locals_, site_vars)
     want = old.result()
-    grouped = grouped_sum(c, index_size, locals_, site_vars)
+    grouped = grouped_sum(c, locals_, site_vars)
     assert structure(got) == structure(grouped.result())
     assert got.to_obj() == want.to_obj()
     assert [dict(q.terms) for _, q in got.parts] == [dict(q.terms) for _, q in want.parts]
@@ -360,11 +359,11 @@ def test_grouped_contraction_matches_the_old_product_loop(complex_):
         index_size = rng.randint(1, 3)
         site_vars = [rng.randint(1, 2) for _ in range(c.vertex_count)]
         locals_ = pooled_locals(rng, c, index_size, site_vars, pools, negations)
-        got = contract_assignments(c, index_size, locals_, site_vars)
+        got = contract_assignments(c, locals_, site_vars)
         if pools in UNGROUPED_POOLS or not negations:
-            assert structure(got) == structure(old_contract(c, index_size, locals_, site_vars))
+            assert structure(got) == structure(old_contract(c, locals_, site_vars))
         if pools in GROUPED_POOLS:
-            check_grouped(c, index_size, locals_, site_vars)
+            check_grouped(c, locals_, site_vars)
 
 
 def test_grouped_terms_move_only_where_a_partial_sum_cancels():
@@ -377,7 +376,7 @@ def test_grouped_terms_move_only_where_a_partial_sum_cancels():
         index_size = rng.randint(1, 3)
         site_vars = [rng.randint(1, 2) for _ in range(c.vertex_count)]
         locals_ = pooled_locals(rng, c, index_size, site_vars, GROUPED_POOLS[seed % 3], True)
-        moved += check_grouped(c, index_size, locals_, site_vars)
+        moved += check_grouped(c, locals_, site_vars)
     assert moved     # the cases reach the one allowed difference
 
 
@@ -392,7 +391,7 @@ def test_a_closed_orbit_adds_one_product_per_term(monkeypatch):
     dec = symmetrize_free(orbit, a)
     locs = [dec.locals[i] for i in range(5)]
     walk = label_assignments([c.label_positions_at(i) for i in range(5)], c.label_count,
-                             dec.index_size, [loc.keys() for loc in locs])
+                             [loc.keys() for loc in locs])
     assert len(list(walk)) == 25
     calls = []
     merge = RadSum._add_product
@@ -414,23 +413,23 @@ def test_grouped_contraction_trips_the_work_guard_where_the_old_walk_does():
     site_vars = [1, 2, 1, 2]
     locals_ = pooled_locals(rng, c, 3, site_vars, ("int", "fraction"), True)
     locs = [locals_[i] for i in range(c.vertex_count)]
-    args = ([c.label_positions_at(i) for i in range(c.vertex_count)], c.label_count, 3,
+    args = ([c.label_positions_at(i) for i in range(c.vertex_count)], c.label_count,
             [loc.keys() for loc in locs])
     steps = 0       # the fewest steps the old walk needs to finish
     while run_walk(old_label_assignments, *args, steps)[1]:
         steps += 1
     assert steps > 10
     with pytest.raises(SearchSpaceTooLarge, match=f"^contraction exceeded {steps - 1} steps$"):
-        contract_assignments(c, 3, locals_, site_vars, steps - 1)
-    got = contract_assignments(c, 3, locals_, site_vars, steps)
-    assert got.to_obj() == old_contract(c, 3, locals_, site_vars).to_obj()
+        contract_assignments(c, locals_, site_vars, steps - 1)
+    got = contract_assignments(c, locals_, site_vars, steps)
+    assert got.to_obj() == old_contract(c, locals_, site_vars).to_obj()
 
 
-def run_walk(walk, positions, label_count, index_size, site_keys, max_work):
+def run_walk(walk, positions, label_count, site_keys, max_work):
     """The keys yielded before the walk ends, and whether its work guard fired."""
     out = []
     try:
-        for keys in walk(positions, label_count, index_size, site_keys, max_work):
+        for keys in walk(positions, label_count, site_keys, max_work):
             out.append(keys)
     except SearchSpaceTooLarge:
         return out, True
@@ -438,7 +437,7 @@ def run_walk(walk, positions, label_count, index_size, site_keys, max_work):
 
 
 def walk_case(seed):
-    """A seeded complex's label positions, count and index size, and stored keys."""
+    """A seeded complex's index size, its label positions and count, and stored keys."""
     rng = random.Random(2000 + seed)
     c = standard_complex(*rng.choice(COMPLEXES + [("circle", 5)]))
     index_size = rng.randint(1, 3)
@@ -447,28 +446,28 @@ def walk_case(seed):
     for pos in positions:
         grid = list(product(range(1, index_size + 1), repeat=len(pos)))
         site_keys.append(rng.sample(grid, rng.randint(len(grid) // 2, len(grid))))
-    return positions, c.label_count, index_size, site_keys
+    return index_size, positions, c.label_count, site_keys
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_walk_yields_every_assignment_each_site_stores(seed):
-    positions, label_count, index_size, site_keys = walk_case(seed)
+    index_size, positions, label_count, site_keys = walk_case(seed)
     stored = [set(keys) for keys in site_keys]
     want = []
     for alpha in product(range(1, index_size + 1), repeat=label_count):
         keys = tuple(tuple(alpha[p] for p in pos) for pos in positions)
         if all(k in held for k, held in zip(keys, stored)):
             want.append(keys)
-    assert list(label_assignments(positions, label_count, index_size, site_keys)) == want
+    assert list(label_assignments(positions, label_count, site_keys)) == want
     # a site may read its positions in any order, its keys in that order
     flipped = [[k[::-1] for k in keys] for keys in site_keys]
-    got = label_assignments([pos[::-1] for pos in positions], label_count, index_size, flipped)
+    got = label_assignments([pos[::-1] for pos in positions], label_count, flipped)
     assert list(got) == [tuple(k[::-1] for k in keys) for keys in want]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_bucketed_walk_matches_the_filtering_walk(seed):
-    args = walk_case(seed)
+    _, *args = walk_case(seed)
     steps = 0       # the fewest steps the old walk needs to finish
     while run_walk(old_label_assignments, *args, steps)[1]:
         steps += 1

@@ -156,7 +156,7 @@ def test_label_assignments_match_brute_force(data):
         keys = tuple(tuple(alpha[p] for p in pos) for pos in positions)
         if all(k in stored for k, stored in zip(keys, site_keys)):
             want.append(keys)
-    got = list(label_assignments(positions, c.label_count, index_size, site_keys))
+    got = list(label_assignments(positions, c.label_count, site_keys))
     assert got == want
 
 

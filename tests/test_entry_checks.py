@@ -212,7 +212,7 @@ def case_from_obj(rng):
 
 
 SEP = squares_double_edge_decomposition()
-SOLUTION = factorizability_solve(SEP.complex, SEP.action, SEP.index_size)
+SOLUTION = factorizability_solve(SEP.action, SEP.index_size)
 T = BlockPolynomial.univar({1: 1})
 T_FLOAT = T.astype_float()
 SPLITS = [        # the local at (0, (1, 2)) is t^2

@@ -610,25 +610,25 @@ def test_separable_symmetrize_circle():
 def test_factorizability_needs_an_index_size_of_at_least_one(index_size):
     fixed = double_edge_fixed_vertex_action()
     with pytest.raises(ValueError, match=f"index size must be >= 1, got {index_size}"):
-        factorizability_solve(fixed.complex, fixed, index_size)
+        factorizability_solve(fixed, index_size)
 
 
 def test_factorizability_examples():
     fixed = double_edge_fixed_vertex_action()
-    sol = factorizability_solve(fixed.complex, fixed, 2)
+    sol = factorizability_solve(fixed, 2)
     assert sol is not None and sol.residual < 1e-10
     assert sol.counts[(1, 1)] == 1 and sol.counts[(1, 2)] == 2
     assert abs(sol.C(0, (1, 1)) - 1.0) < 1e-12
     assert abs(sol.C(0, (1, 2)) - 1 / math.sqrt(2)) < 1e-12
 
     free = double_edge_swap_action()
-    sol2 = factorizability_solve(free.complex, free, 3)
+    sol2 = factorizability_solve(free, 3)
     assert sol2 is not None
     assert all(abs(v - 1.0) < 1e-12 for v in sol2.values.values())
 
     from omegadec.fixtures import simplex_full_symmetry_action
     s3 = simplex_full_symmetry_action(2)
-    sol3 = factorizability_solve(s3.complex, s3, 2)
+    sol3 = factorizability_solve(s3, 2)
     assert sol3 is not None and sol3.residual < 1e-9
 
 
@@ -645,9 +645,9 @@ def test_factorizability_of_the_swapped_triangle():
     where every assignment is counted once."""
     c = WeightedComplex.from_obj(TRIANGLE_COMPLEX)
     a = SymmetryAction.from_obj(c, TRIANGLE_ACTION)
-    assert factorizability_solve(c, a, 2) is None
-    assert factorizability_solve(c, a, 3) is None
-    sol = factorizability_solve(c, a, 1)
+    assert factorizability_solve(a, 2) is None
+    assert factorizability_solve(a, 3) is None
+    sol = factorizability_solve(a, 1)
     assert sol.residual == 0.0
     assert sol.values == {(i, (1, 1, 1, 1)): 1.0 for i in range(3)}
     assert sol.counts == {(1,) * 6: 1}
@@ -661,7 +661,7 @@ def test_factorizability_guard_builds_no_power():
     start = time.perf_counter()
     with pytest.raises(SearchSpaceTooLarge,
                        match=r"^1000000\*\*1000000 assignments exceed 10000000$"):
-        factorizability_solve(c, a, 10**6)
+        factorizability_solve(a, 10**6)
     assert time.perf_counter() - start < 1.0
 
 
@@ -675,7 +675,7 @@ def test_sos_to_plain_exact_on_fixture():
 
 def test_sep_to_sos_free_double_edge():
     sep = squares_double_edge_decomposition()
-    sol = factorizability_solve(sep.complex, sep.action, sep.index_size)
+    sol = factorizability_solve(sep.action, sep.index_size)
     sos = sep_to_sos(sep, sol)
     assert sos.index_size == sep.index_size
     assert sos.check_joint_symmetry()
@@ -687,7 +687,7 @@ def test_sep_to_sos_trivial_group_single_local():
     a = trivial_action(c)
     t2 = BlockPolynomial.univar({2: Fraction(3)})
     dec = OmegaGDecomposition(c, a, 1, (1, 1), {0: {(1,): t2}, 1: {(1,): t2}})
-    sol = factorizability_solve(c, a, 1)
+    sol = factorizability_solve(a, 1)
     sos = sep_to_sos(dec, sol)
     assert sos.sum_squares().to_float().allclose(dec.contract().to_float(), 1e-9)
 
@@ -700,8 +700,25 @@ def test_sep_to_sos_weighted_fixed_vertex():
     sep = OmegaGDecomposition(fixed.complex, fixed, 2, (1, 1),
                               {0: dict(locs), 1: dict(locs)})
     assert sep.check_symmetry()
-    sol = factorizability_solve(fixed.complex, fixed, 2)
+    sol = factorizability_solve(fixed, 2)
     sos = sep_to_sos(sep, sol)
+    assert sos.sum_squares().to_float().allclose(sep.contract().to_float(), 1e-9)
+
+
+def test_sep_to_sos_rejects_a_splitting_of_another_action():
+    """The swap and the fixed-vertex action act on one complex with the same
+    keys; the swap's splitting (every C is 1) would reweight the fixed-vertex
+    decomposition to 4 + x^2 y^2 where it contracts to 2 + x^2 y^2."""
+    fixed = double_edge_fixed_vertex_action()
+    t2 = BlockPolynomial.univar({2: Fraction(1)})
+    one = BlockPolynomial.univar({0: Fraction(1)})
+    locs = {(1, 1): t2, (1, 2): one, (2, 1): one}
+    sep = OmegaGDecomposition(fixed.complex, fixed, 2, (1, 1), {0: dict(locs), 1: dict(locs)})
+    swap_sol = factorizability_solve(double_edge_swap_action(), 2)
+    with pytest.raises(ValueError, match="^splitting solved for a different action$"):
+        sep_to_sos(sep, swap_sol)
+    # an equal action built apart is the same action
+    sos = sep_to_sos(sep, factorizability_solve(double_edge_fixed_vertex_action(), 2))
     assert sos.sum_squares().to_float().allclose(sep.contract().to_float(), 1e-9)
 
 
@@ -712,7 +729,7 @@ def test_sep_to_sos_errors():
     odd = OmegaGDecomposition(sep.complex, sep.action, 1, (1, 1),
                               {0: {(1, 1): BlockPolynomial.univar({1: Fraction(1)})},
                                1: {(1, 1): BlockPolynomial.univar({1: Fraction(1)})}})
-    sol = factorizability_solve(sep.complex, sep.action, 1)
+    sol = factorizability_solve(sep.action, 1)
     with pytest.raises(MissingSquareSplits):
         sep_to_sos(odd, sol)
     # the exact split rejects -10**-15; a float retry would drop it within 1e-12
@@ -726,7 +743,7 @@ def test_sep_to_sos_errors():
 
 def test_sep_to_sos_checks_supplied_splits():
     sep = squares_double_edge_decomposition()
-    sol = factorizability_solve(sep.complex, sep.action, sep.index_size)
+    sol = factorizability_solve(sep.action, sep.index_size)
     # the local at (0, (1, 2)) is t^2, and 5^2 is not
     with pytest.raises(MissingSquareSplits, match="does not square to its local"):
         sep_to_sos(sep, sol, {(0, (1, 2)): [_t({0: 5})]})

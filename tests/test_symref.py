@@ -317,7 +317,7 @@ def test_sep_to_sos_agrees_with_the_sympy_oracle():
                                                 double_edge_fixed_vertex_action())
              for _ in range(2)]
     for sep in seps:
-        sos = sep_to_sos(sep, factorizability_solve(sep.complex, sep.action, sep.index_size))
+        sos = sep_to_sos(sep, factorizability_solve(sep.action, sep.index_size))
         members = sos_members(DOUBLE_EDGE, sos_data(sos))
         squares = sympy.Add(*(m**2 for m in members.values()))
         diff = sympy.expand(squares - contraction(DOUBLE_EDGE, sep.to_obj()))
